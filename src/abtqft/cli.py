@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import compare, extended, surgery
 from .catalog import builtin_catalog, load_catalog
-from .errors import AbtqftError, EnumerationTooLarge, GroupTooLarge, ZeroDenominator
+from .errors import AbtqftError, EnumerationTooLarge, GroupTooLarge
 from .intlinalg import IntSymMatrix, regular_decomposition, signature
 from .numeric import approx_to_json, rational_to_json, sum_tolerance
 from .surgery import SurgeryPresentation, rt_raw_closed
@@ -141,14 +141,7 @@ def _suite_kirby(args) -> dict:
         p = surgery.random_presentation(rng, max_components=4, entry_bound=4)
         k = rng.choice(levels)
         before = rt_raw_closed(p, k)
-        if p.m >= 2 and rng.random() < 0.7:
-            i = rng.randrange(p.m)
-            j = rng.randrange(p.m - 1)
-            if j >= i:
-                j += 1
-            move = surgery.KirbyMove("K2", rng.choice((1, -1)), i, j)
-        else:
-            move = surgery.KirbyMove("K1", rng.choice((1, -1)))
+        move = surgery.random_kirby_move(rng, p.m)
         q = surgery.apply_kirby(p, move)
         after = rt_raw_closed(q, k)
         dev = abs(after - before)
@@ -216,13 +209,8 @@ def _suite_equivalence(args) -> dict:
     if args.corpus != "default":
         raise InputError(f"unknown corpus {args.corpus!r}")
     corpus = compare.default_corpus(seed=args.seed, size=args.cases)
-    deviations = []
-    for L, k in corpus:
-        try:
-            ratio, _ = compare.equivalence_ratio(L, k)
-        except ZeroDenominator:
-            continue
-        deviations.append(abs(abs(ratio) - 1.0))
+    deviations = [abs(abs(case.ratio) - 1.0) for case in corpus
+                  if case.ratio is not None]
     table = compare.build_phase_table(corpus)
     fixture = compare.load_fixture_table()
     phases_match = table.same_phases(fixture)
@@ -240,7 +228,11 @@ def _suite_modular(args) -> dict:
     failures = 0
     max_dev = 0.0
     details = {}
-    for k in range(2, args.kmax + 1, 2):
+    levels = range(2, args.kmax + 1, 2)
+    if levels and levels[-1] > extended.ANOMALY_LEVEL_CAP:
+        raise InputError(f"--kmax {args.kmax} exceeds the anomaly-check cap "
+                         f"k = {extended.ANOMALY_LEVEL_CAP}")
+    for k in levels:
         chk = extended.anomaly_check(k)
         conj_dev = extended.charge_conjugation_deviation(k)
         dev = max(chk.max_entry_deviation, conj_dev,

@@ -62,14 +62,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateMatrix, InconsistentPhase, ZeroDenominator
-from .intlinalg import (
-    IntSymMatrix,
-    cokernel,
-    determinant,
-    inverse_form_value,
-    regular_decomposition,
-    signature,
-)
+from .intlinalg import IntSymMatrix, determinant, regular_decomposition, signature
 from .numeric import (
     UnitPhase,
     rational_from_json,
@@ -127,8 +120,33 @@ def cs_closed(L: IntSymMatrix, k: int, convention: str = "dt") -> CsClosedResult
     )
 
 
+@dataclass(frozen=True)
+class EquivalenceCase:
+    """One ``(L, k)`` pair evaluated once on both routes.  ``ratio`` is
+    ``None`` when the torsion Gauss sum vanishes (both routes are 0 there,
+    and the brute-force route is not run); ``sigma_reg``, the signature of
+    the regular block, equals the signature of ``L``."""
+
+    L: IntSymMatrix
+    k: int
+    sigma_reg: int
+    ratio: Optional[complex]
+
+
+def _complete_case(L: IntSymMatrix, k: int, cs: CsClosedResult) -> EquivalenceCase:
+    ratio = None
+    if abs(cs.value) > ZERO_GAUSS_TOLERANCE:
+        ratio = rt_raw_closed(SurgeryPresentation.closed(L), k) / cs.value
+    return EquivalenceCase(L, k, signature(L), ratio)
+
+
+def evaluate_case(L: IntSymMatrix, k: int, convention: str = "dt") -> EquivalenceCase:
+    """Evaluate one pair: the torsion route, then the brute-force route
+    unless the torsion Gauss sum vanishes."""
+    return _complete_case(L, k, cs_closed(L, k, convention))
+
+
 def equivalence_ratio(L: IntSymMatrix, k: int, convention: str = "dt",
-                      zero_tol: float = ZERO_GAUSS_TOLERANCE,
                       ) -> Tuple[complex, int]:
     """Ratio of the brute-force route to the torsion route, with the
     signature of the regular block.
@@ -137,13 +155,11 @@ def equivalence_ratio(L: IntSymMatrix, k: int, convention: str = "dt",
     callers building statistics must skip such presentations (the invariant
     itself is 0 on both routes there).
     """
-    rd = regular_decomposition(L)
-    cs = cs_closed(L, k, convention)
-    if abs(cs.value) <= zero_tol:
+    case = evaluate_case(L, k, convention)
+    if case.ratio is None:
         raise ZeroDenominator(
             f"vanishing torsion Gauss sum for level {k}; ratio undefined")
-    rt = rt_raw_closed(SurgeryPresentation.closed(L), k)
-    return rt / cs.value, signature(rd.regular)
+    return case.ratio, case.sigma_reg
 
 
 @dataclass(frozen=True)
@@ -184,28 +200,27 @@ def _snap_to_eighth_root(z: complex) -> UnitPhase:
     return UnitPhase(Fraction(round(8 * angle) % 8, 8))
 
 
-def build_phase_table(corpus: Iterable[Tuple[IntSymMatrix, int]],
+def build_phase_table(cases: Iterable[EquivalenceCase],
                       convention: str = "dt",
                       class_tol: float = 1e-7) -> PhaseTable:
     """Group equivalence ratios by ``sigma(L_reg) mod 8`` and snap each class
     to an eighth root of unity.
 
-    Presentations with vanishing Gauss sum are skipped and counted.  If any
-    ratio sits further than ``class_tol`` from its class phase the table is
+    ``cases`` are evaluated under ``convention`` (see :func:`evaluate_case`).
+    Cases with vanishing Gauss sum are skipped and counted.  If any ratio
+    sits further than ``class_tol`` from its class phase the table is
     refused with :class:`InconsistentPhase`: that means the two routes do not
     differ by a constant on the class and no signature-indexed table exists.
     """
     classes: Dict[int, List[complex]] = {}
     skipped = 0
     total = 0
-    for L, k in corpus:
+    for case in cases:
         total += 1
-        try:
-            ratio, sigma_reg = equivalence_ratio(L, k, convention)
-        except ZeroDenominator:
+        if case.ratio is None:
             skipped += 1
             continue
-        classes.setdefault(sigma_reg % 8, []).append(ratio)
+        classes.setdefault(case.sigma_reg % 8, []).append(case.ratio)
     mapping: Dict[int, UnitPhase] = {}
     max_dev = 0.0
     for residue in sorted(classes):
@@ -263,30 +278,31 @@ _CORPUS_TORSION_BOUND = 4000
 
 def default_corpus(seed: int = 0, size: int = 300,
                    levels: Sequence[int] = (2, 4, 6, 8),
-                   ) -> List[Tuple[IntSymMatrix, int]]:
-    """Deterministic corpus of ``(L, k)`` pairs with nonvanishing Gauss sums.
+                   ) -> List[EquivalenceCase]:
+    """Deterministic corpus of evaluated pairs with nonvanishing Gauss sums.
 
     Starts with the catalog classics (covering every signature residue
     mod 8) and pads with seeded random symmetric matrices, m <= 4 and
-    entries in [-4, 4], until ``size`` usable pairs are collected.
+    entries in [-4, 4], until ``size`` usable pairs are collected.  Each
+    candidate is evaluated once: the torsion route decides whether it is
+    usable, and only usable pairs go on to the brute-force route.
     """
-    corpus: List[Tuple[IntSymMatrix, int]] = []
+    corpus: List[EquivalenceCase] = []
 
-    def usable(L: IntSymMatrix, k: int) -> bool:
-        rd = regular_decomposition(L)
-        if abs(determinant(rd.regular)) > _CORPUS_TORSION_BOUND:
-            return False
-        return abs(cs_closed(L, k).value) > ZERO_GAUSS_TOLERANCE
+    def consider(L: IntSymMatrix, k: int) -> None:
+        cs = cs_closed(L, k)
+        if cs.torsion_order <= _CORPUS_TORSION_BOUND \
+                and abs(cs.value) > ZERO_GAUSS_TOLERANCE:
+            corpus.append(_complete_case(L, k, cs))
 
     for rows in _CLASSIC_ROWS:
         L = IntSymMatrix.from_rows(rows)
         for k in levels:
-            if usable(L, k):
-                corpus.append((L, k))
+            consider(L, k)
     E8 = IntSymMatrix.from_rows(E8_ROWS)
     for k in levels:
         if k ** 8 <= 10 ** 7:
-            corpus.append((E8, k))
+            consider(E8, k)
 
     rng = random.Random(seed)
     level_cycle = 0
@@ -295,8 +311,7 @@ def default_corpus(seed: int = 0, size: int = 300,
         L = random_symmetric_matrix(rng, m, 4)
         k = levels[level_cycle % len(levels)]
         level_cycle += 1
-        if usable(L, k):
-            corpus.append((L, k))
+        consider(L, k)
     return corpus
 
 
@@ -321,31 +336,16 @@ class ReciprocityCheck:
     tolerance: float
 
 
-def _cokernel_exponential_sum(L: IntSymMatrix, r: int) -> complex:
-    """``sum over Z^m/L Z^m of exp(-pi i r l^T L^{-1} l)`` with exact phases.
-
-    Well defined for even ``r``: changing the lift changes ``r l^T L^{-1} l``
-    by an even integer.
-    """
-    group = cokernel(L)
-    total = 0j
-    for element in group.elements():
-        lift = group.lift(element)
-        exponent = (-Fraction(r, 2) * inverse_form_value(L, lift)) % 1
-        total += unit_phase_eval(UnitPhase(exponent))
-    return total
-
-
 def _dt_right_side(L: IntSymMatrix, r: int) -> complex:
-    m = L.m
-    if m == 0:
-        return 1 + 0j
-    det = determinant(L)
-    if det == 0:
-        raise DegenerateMatrix("explicit-signature form needs det != 0")
-    scale = math.sqrt(float(r) ** m) / math.sqrt(abs(det))
+    """``r^{m/2} e^{pi i sigma/4} |det L|^{-1/2} sum_l e^{-pi i r l^T L^{-1} l}``.
+
+    The cokernel sum is ``sqrt|T|`` times the conjugate of the normalized
+    level-``r`` torsion Gauss sum of ``L``, with ``|T| = |det L|``; well
+    defined for even ``r``.
+    """
     sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(L), 8)))
-    return scale * sig_phase * _cokernel_exponential_sum(L, r)
+    gauss = gauss_sum(from_regular_block(L), r).conjugate()
+    return math.sqrt(float(r) ** L.m) * sig_phase * gauss
 
 
 def verify_reciprocity_dt(L: IntSymMatrix, r: int,
@@ -384,7 +384,7 @@ def verify_reciprocity_degenerate(L: IntSymMatrix, r: int,
         raise ValueError(f"unknown mode {null_exponent_mode!r}")
     lhs = quadratic_exponential_sum(L.rows(), r, max_terms=max_terms)
     rd = regular_decomposition(L)
-    base = _dt_right_side(rd.regular, r) if rd.rank else 1 + 0j
+    base = _dt_right_side(rd.regular, r)
     if null_exponent_mode == "full_nullity":
         factor = float(r) ** rd.nullity
     else:

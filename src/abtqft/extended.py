@@ -66,7 +66,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NotLagrangian
-from .intlinalg import IntSymMatrix, regular_decomposition, signature
+from .intlinalg import IntSymMatrix, rational_rank, regular_decomposition, signature
 from .numeric import UnitPhase, approx_to_json, unit_phase_eval
 from .quadmod import CyclicQuadraticData, bicharacter
 from .surgery import SurgeryPresentation, rt_raw_closed
@@ -153,12 +153,14 @@ class AnomalyCheck:
 
 ANOMALY_PHASE = complex(math.sqrt(0.5), math.sqrt(0.5))  # exp(pi i / 4)
 
+ANOMALY_LEVEL_CAP = 64
+
 
 def anomaly_check(k: int, tol: float = 1e-9) -> AnomalyCheck:
     """Verify ``(S T)^3 = exp(pi i/4) S^2`` and that ``S^2`` is charge
-    conjugation, at level ``k <= 64``."""
-    if k > 64:
-        raise ValueError("anomaly check capped at k = 64")
+    conjugation, at level ``k <= ANOMALY_LEVEL_CAP``."""
+    if k > ANOMALY_LEVEL_CAP:
+        raise ValueError(f"anomaly check capped at k = {ANOMALY_LEVEL_CAP}")
     s, t = modular_rep(k)
     st = s @ t
     lhs = st @ st @ st
@@ -316,25 +318,6 @@ def symplectic_pairing(g: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> 
     return acc
 
 
-def _rank(columns: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(col) for col in columns]  # rank is transpose-invariant
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class LagrangianFrame:
     """A rational basis (2g x g, column-major storage) of a Lagrangian
@@ -348,7 +331,7 @@ class LagrangianFrame:
         cols = tuple(tuple(Fraction(x) for x in col) for col in self.columns)
         if len(cols) != g or any(len(col) != 2 * g for col in cols):
             raise NotLagrangian("frame must consist of g vectors in Q^{2g}")
-        if _rank(cols) != g:
+        if rational_rank(cols) != g:
             raise NotLagrangian("frame columns are linearly dependent")
         for i in range(g):
             for j in range(i + 1, g):
@@ -463,7 +446,7 @@ def random_lagrangian(rng: random.Random, genus: int,
     while True:
         mix = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                 for _ in range(g)] for _ in range(g)]
-        if _rank(tuple(tuple(row) for row in mix)) == g:
+        if rational_rank(tuple(tuple(row) for row in mix)) == g:
             break
     mixed_cols = []
     for c in range(g):

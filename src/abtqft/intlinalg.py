@@ -12,7 +12,9 @@ needs homologically,
   be exact),
 * cyclic decomposition and enumeration of the finite cokernel
   ``Z^rho / L_reg Z^rho``,
-* exact evaluation of the inverse form ``x^T L_reg^{-1} x``.
+* exact evaluation of the inverse form ``x^T L_reg^{-1} x``,
+* one Gauss-Jordan elimination over the rationals, behind every solve,
+  inverse and rank.
 
 All functions treat their inputs as immutable and are safe for parallel use.
 Matrices are serialized as JSON arrays of arrays of integers (row-major).
@@ -252,29 +254,49 @@ def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
     return u, d, v
 
 
-def _fraction_inverse(mat: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-    """Exact inverse of a nonsingular integer (or rational) matrix."""
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] +
-         [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _row_reduce(rows: List[List[Fraction]], ncols: int) -> int:
+    """Gauss-Jordan elimination over the rationals, in place; returns the rank.
+
+    Pivots are taken in the first ``ncols`` columns, normalized to 1 and
+    moved to the top in column order, so a nonsingular square block
+    ``[A | B]`` ends as ``[I | A^{-1} B]``.  This is the library's only
+    rational elimination.
+    """
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            raise DegenerateMatrix("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _solve(mat: Sequence[Sequence[int]], rhs: Sequence[Sequence]) -> List[List[Fraction]]:
+    """Rows of ``mat^{-1} rhs`` for a square ``mat`` and a block ``rhs``."""
+    n = len(mat)
+    a = [[Fraction(x) for x in mat[i]] + [Fraction(x) for x in rhs[i]]
+         for i in range(n)]
+    if _row_reduce(a, n) < n:
+        raise DegenerateMatrix("matrix is singular")
     return [row[n:] for row in a]
+
+
+def rational_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over the rationals of a matrix of integers or fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    return _row_reduce(a, len(a[0]) if a else 0)
 
 
 def integer_inverse(mat: Sequence[Sequence[int]]) -> IntRows:
     """Inverse of a unimodular integer matrix, returned over the integers."""
-    inv = _fraction_inverse(mat)
+    inv = _solve(mat, identity_matrix(len(mat)))
     out: IntRows = []
     for row in inv:
         int_row = []
@@ -288,23 +310,7 @@ def integer_inverse(mat: Sequence[Sequence[int]]) -> IntRows:
 
 def solve_rational(mat: Sequence[Sequence[int]], rhs: Sequence) -> List[Fraction]:
     """Solve ``mat @ y = rhs`` exactly over the rationals."""
-    n = len(mat)
-    if n == 0:
-        return []
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-         for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise DegenerateMatrix("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    return [row[0] for row in _solve(mat, [[x] for x in rhs])]
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +431,16 @@ class CokernelGroup:
     """``Z^rho / L_reg Z^rho`` in cyclic form ``Z/d1 + ... + Z/dt``.
 
     ``cyclic_orders`` keeps only the orders >= 2 (with d1 | d2 | ...);
-    ``generator_reps`` holds one integer column vector in ``Z^rho`` per
-    cyclic factor.  Elements are addressed by coefficient tuples
-    ``(a1, ..., at)`` with ``0 <= ai < di``.
+    ``generator_reps`` holds one integer column vector ``g_i`` in ``Z^rho``
+    per cyclic factor, and ``dual_reps`` one integer vector ``w_i`` with
+    ``L_reg^{-1} g_i = w_i / d_i``, so the generators pair exactly as
+    ``g_i^T L_reg^{-1} g_j = g_i . w_j / d_j``.  Elements are addressed by
+    coefficient tuples ``(a1, ..., at)`` with ``0 <= ai < di``.
     """
 
     cyclic_orders: Tuple[int, ...]
     generator_reps: Tuple[Tuple[int, ...], ...]
+    dual_reps: Tuple[Tuple[int, ...], ...]
     ambient_dim: int
 
     @property
@@ -457,7 +466,7 @@ class CokernelGroup:
 
     @staticmethod
     def trivial(ambient_dim: int = 0) -> "CokernelGroup":
-        return CokernelGroup((), (), ambient_dim)
+        return CokernelGroup((), (), (), ambient_dim)
 
 
 def cokernel(L_reg: IntSymMatrix) -> CokernelGroup:
@@ -465,19 +474,19 @@ def cokernel(L_reg: IntSymMatrix) -> CokernelGroup:
     rho = L_reg.m
     if rho == 0:
         return CokernelGroup.trivial(0)
-    u, d, _ = smith_normal_form(L_reg.rows())
+    u, d, v = smith_normal_form(L_reg.rows())
     if any(d[i][i] == 0 for i in range(rho)):
         raise DegenerateMatrix("cokernel requires a nondegenerate matrix")
     # U L V = D identifies Z^rho/L Z^rho with +Z/di via y -> U y, so the
-    # standard generators e_i pull back along U^{-1}.
+    # standard generators e_i pull back along U^{-1}; and since
+    # L^{-1} = V D^{-1} U, L^{-1} U^{-1} e_i = V e_i / d_i.
     u_inv = integer_inverse(u)
-    orders = []
-    reps = []
-    for i in range(rho):
-        if d[i][i] > 1:
-            orders.append(d[i][i])
-            reps.append(tuple(u_inv[r][i] for r in range(rho)))
-    return CokernelGroup(tuple(orders), tuple(reps), rho)
+    keep = [i for i in range(rho) if d[i][i] > 1]
+    return CokernelGroup(
+        tuple(d[i][i] for i in keep),
+        tuple(tuple(u_inv[r][i] for r in range(rho)) for i in keep),
+        tuple(tuple(v[r][i] for r in range(rho)) for i in keep),
+        rho)
 
 
 def inverse_form_value(L_reg: IntSymMatrix, x: Sequence[int]) -> Fraction:

@@ -12,9 +12,17 @@ For a surgery matrix with regular block ``L_reg`` the module lives on
     q([x])      = (1/2) x^T L_reg^{-1} x   (mod 1),
     lam([x],[y]) =        x^T L_reg^{-1} y (mod 1).
 
+Every module has one representation: an integer Gram matrix ``G`` in the
+coordinates of the cyclic generators, over the group exponent ``e``, with
+
+    q(a) = a^T G a / (2e),   lam(a, b) = a^T G b / e   (mod 1).
+
 ``q`` itself is only well defined on cosets up to half-integers; for every
 even ``k`` the combination ``k * q`` is well defined mod 1, which is exactly
-what the level-``k`` Gauss sum consumes.
+what the level-``k`` Gauss sum consumes.  That sum goes through the
+library's one exponential-sum kernel,
+:func:`abtqft.numeric.quadratic_phase_sum`, with the orders of the cyclic
+factors as moduli and ``2e`` as modulus.
 
 Phase convention: a stored exponent ``e`` denotes the complex number
 ``exp(2*pi*i*e)``.
@@ -23,7 +31,7 @@ Phase convention: a stored exponent ``e`` denotes the complex number
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -33,32 +41,35 @@ from .intlinalg import (
     CokernelGroup,
     IntSymMatrix,
     cokernel,
+    inverse_form_value,
     regular_decomposition,
-    solve_rational,
 )
-from .numeric import UnitPhase, rational_from_json, rational_to_json, unit_phase_eval
+from .numeric import UnitPhase, quadratic_phase_sum, rational_from_json, rational_to_json
+
+
+def _form(gram: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(ui * row[j] * v[j] for ui, row in zip(u, gram)
+               for j in range(len(v)))
 
 
 @dataclass(frozen=True)
 class FiniteQuadraticModule:
     """A finite Abelian group with an exact quadratic refinement.
 
-    ``q`` and ``lam`` are stored on the cyclic generators; values on general
-    elements are computed either from an explicit integer lift (when the
-    module came from a surgery matrix, in which case ``gram_inv`` is the
-    exact inverse of the regular block) or from the generator data via the
-    homogeneous evaluation rule
+    ``gram`` is the integer matrix ``G`` with ``q(a) = a^T G a / (2e)`` and
+    ``lam(a, b) = a^T G b / e`` (mod 1) on coefficient tuples against the
+    cyclic generators, ``e`` the exponent of the group; it is stored reduced
+    mod ``2e``.  For a module from a surgery matrix, ``G_ij = e * g_i^T
+    L_reg^{-1} g_j`` for the generator lifts ``g_i``, and ``lattice`` keeps
+    ``L_reg`` so that values of explicit lifts can be checked against it.
 
-        q(sum a_i g_i) = sum a_i^2 q(g_i) + sum_{i<j} a_i a_j lam(g_i, g_j).
-
-    Elements are coefficient tuples against the cyclic generators, and ``q``
-    is a function of the tuple through its integer lift: on blocks with odd
-    diagonal, ``q`` itself changes by half-integers across other lifts of
-    the same coset (the pairing ``lam`` and, for every even level ``k``, the
-    exponentials ``exp(2 pi i k q)`` are coset-independent; that is all the
-    Gauss sums consume).  Accordingly :meth:`add` adds tuples without
-    reducing modulo the cyclic orders, which makes lifts strictly additive
-    and the refinement identity
+    ``q`` is a function of the tuple through its integer lift: on blocks
+    with odd diagonal, ``q`` itself changes by half-integers across other
+    lifts of the same coset (the pairing ``lam`` and, for every even level
+    ``k``, the exponentials ``exp(2 pi i k q)`` are coset-independent; that
+    is all the Gauss sums consume).  Accordingly :meth:`add` adds tuples
+    without reducing modulo the cyclic orders, which makes lifts strictly
+    additive and the refinement identity
 
         q(u + v) - q(u) - q(v) = lam(u, v)   (mod 1)
 
@@ -66,58 +77,33 @@ class FiniteQuadraticModule:
     """
 
     group: CokernelGroup
-    q_gen: Tuple[Fraction, ...]
-    lambda_gen: Tuple[Tuple[Fraction, ...], ...]
-    gram_inv: Optional[Tuple[Tuple[Fraction, ...], ...]] = field(default=None)
+    gram: Tuple[Tuple[int, ...], ...]
+    lattice: Optional[IntSymMatrix] = None
 
     @property
     def order(self) -> int:
         return self.group.order
+
+    @property
+    def exponent(self) -> int:
+        return math.lcm(*self.group.cyclic_orders)
 
     def elements(self, cap: int = GROUP_ENUMERATION_CAP):
         return self.group.elements(cap)
 
     def q(self, element: Sequence[int]) -> Fraction:
         """Quadratic value of a group element, reduced into [0, 1)."""
-        if self.gram_inv is not None:
-            return self.q_of_lift(self.group.lift(element))
-        total = Fraction(0)
-        for a, qg in zip(element, self.q_gen):
-            total += a * a * qg
-        t = len(self.q_gen)
-        for i in range(t):
-            for j in range(i + 1, t):
-                total += element[i] * element[j] * self.lambda_gen[i][j]
-        return total % 1
+        return Fraction(_form(self.gram, element, element), 2 * self.exponent) % 1
 
     def q_of_lift(self, x: Sequence[int]) -> Fraction:
         """Quadratic value of an explicit integer lift in ``Z^rho``."""
-        if self.gram_inv is None:
+        if self.lattice is None:
             raise ValueError("module carries no ambient lattice data")
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.gram_inv[i]
-                acc += xi * sum(row[j] * x[j] for j in range(len(x)))
-        return (acc / 2) % 1
+        return (inverse_form_value(self.lattice, x) / 2) % 1
 
     def linking(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
         """Linking pairing lam(u, v), reduced into [0, 1)."""
-        if self.gram_inv is not None:
-            x = self.group.lift(u)
-            y = self.group.lift(v)
-            acc = Fraction(0)
-            for i, xi in enumerate(x):
-                if xi:
-                    row = self.gram_inv[i]
-                    acc += xi * sum(row[j] * y[j] for j in range(len(y)))
-            return acc % 1
-        acc = Fraction(0)
-        t = len(self.q_gen)
-        for i in range(t):
-            for j in range(t):
-                acc += u[i] * v[j] * self.lambda_gen[i][j]
-        return acc % 1
+        return Fraction(_form(self.gram, u, v), self.exponent) % 1
 
     def add(self, u: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:
         """Tuple addition without reduction, so lifts add exactly."""
@@ -127,26 +113,36 @@ class FiniteQuadraticModule:
         return tuple(0 for _ in self.group.cyclic_orders)
 
     def to_json(self) -> dict:
-        t = len(self.q_gen)
+        t = len(self.gram)
+        e = self.exponent
         return {
             "orders": list(self.group.cyclic_orders),
-            "q_gen": [[i, rational_to_json(self.q_gen[i])] for i in range(t)],
-            "lambda_gen": [[i, j, rational_to_json(self.lambda_gen[i][j])]
+            "q_gen": [[i, rational_to_json(Fraction(self.gram[i][i], 2 * e) % 1)]
+                      for i in range(t)],
+            "lambda_gen": [[i, j, rational_to_json(Fraction(self.gram[i][j], e) % 1)]
                            for i in range(t) for j in range(i, t)],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteQuadraticModule":
+        """Inverse of :meth:`to_json`: ``G_ii = 2e q(g_i)`` and, off the
+        diagonal, ``G_ij = e lam(g_i, g_j)``."""
         orders = tuple(int(d) for d in obj["orders"])
-        t = len(orders)
-        q_gen = [Fraction(0)] * t
+        e = math.lcm(*orders)
+        gram = [[0] * len(orders) for _ in orders]
         for i, val in obj["q_gen"]:
-            q_gen[i] = rational_from_json(val) % 1
-        lam = [[Fraction(0)] * t for _ in range(t)]
+            gram[i][i] = _integral(2 * e * rational_from_json(val))
         for i, j, val in obj["lambda_gen"]:
-            lam[i][j] = lam[j][i] = rational_from_json(val) % 1
-        group = CokernelGroup(orders, tuple(tuple() for _ in orders), 0)
-        return cls(group, tuple(q_gen), tuple(tuple(row) for row in lam))
+            if i != j:
+                gram[i][j] = gram[j][i] = _integral(e * rational_from_json(val))
+        group = CokernelGroup(orders, ((),) * len(orders), ((),) * len(orders), 0)
+        return cls(group, tuple(tuple(row) for row in gram))
+
+
+def _integral(x: Fraction) -> int:
+    if x.denominator != 1:
+        raise ValueError("quadratic data must have denominator dividing 2e")
+    return x.numerator
 
 
 def from_surgery(L: IntSymMatrix, cap: int = GROUP_ENUMERATION_CAP) -> FiniteQuadraticModule:
@@ -157,33 +153,22 @@ def from_surgery(L: IntSymMatrix, cap: int = GROUP_ENUMERATION_CAP) -> FiniteQua
 
 def from_regular_block(reg: IntSymMatrix,
                        cap: int = GROUP_ENUMERATION_CAP) -> FiniteQuadraticModule:
-    """Finite quadratic module of a nondegenerate symmetric block."""
-    group = cokernel(reg) if reg.m else CokernelGroup.trivial(0)
+    """Finite quadratic module of a nondegenerate symmetric block.
+
+    The Gram matrix is read off the Smith transforms of the cokernel,
+    ``G_ij = e g_i^T L_reg^{-1} g_j = (e / d_j) g_i . w_j``, and reduced mod
+    ``2e`` as Python integers, so large transform entries stay exact.
+    """
+    group = cokernel(reg)
     if group.order > cap:
         raise GroupTooLarge(
             f"torsion group of order {group.order} exceeds cap {cap}")
-    rho = reg.m
-    if rho:
-        # Exact inverse of the regular block, one column solve at a time.
-        cols = []
-        for j in range(rho):
-            e = [1 if i == j else 0 for i in range(rho)]
-            cols.append(solve_rational(reg.rows(), e))
-        gram_inv = tuple(tuple(cols[j][i] for j in range(rho)) for i in range(rho))
-    else:
-        gram_inv = tuple()
-    t = len(group.cyclic_orders)
-    module = FiniteQuadraticModule(group, (Fraction(0),) * t,
-                                   tuple((Fraction(0),) * t for _ in range(t)),
-                                   gram_inv)
-    q_gen = tuple(module.q_of_lift(group.lift(_unit(t, i))) for i in range(t))
-    lam = tuple(tuple(module.linking(_unit(t, i), _unit(t, j)) for j in range(t))
-                for i in range(t))
-    return FiniteQuadraticModule(group, q_gen, lam, gram_inv)
-
-
-def _unit(t: int, i: int) -> Tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(t))
+    e = math.lcm(*group.cyclic_orders)
+    gram = tuple(
+        tuple(sum(a * b for a, b in zip(g, w)) * (e // d) % (2 * e)
+              for w, d in zip(group.dual_reps, group.cyclic_orders))
+        for g in group.generator_reps)
+    return FiniteQuadraticModule(group, gram, reg)
 
 
 def gauss_sum(module: FiniteQuadraticModule, k: int,
@@ -194,9 +179,12 @@ def gauss_sum(module: FiniteQuadraticModule, k: int,
     """
     if k <= 0 or k % 2 != 0:
         raise ValueError("level k must be a positive even integer")
-    total = 0j
-    for element in module.elements(cap):
-        total += unit_phase_eval(UnitPhase((k * module.q(element)) % 1))
+    if module.order > cap:
+        raise GroupTooLarge(
+            f"torsion group of order {module.order} exceeds cap {cap}")
+    scaled = [[k * x for x in row] for row in module.gram]
+    total = quadratic_phase_sum(scaled, module.group.cyclic_orders,
+                                2 * module.exponent)
     return total / math.sqrt(module.order)
 
 

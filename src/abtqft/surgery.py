@@ -27,41 +27,42 @@ without colored insertions, so the two cases agree when there are no
 insertions.
 
 The enumeration over ``(Z_k)^m`` is capped (default ``10**7`` colorings,
-overridable through the ``ABTQFT_MAX_ENUM`` environment variable).  The fast
-path bins the integer quadratic values modulo ``2k`` and sums count-weighted
-exact root-of-unity evaluations, so the floating error stays far below the
-``1e-9 * sqrt(k^m)`` budget; a per-term exact-phase reference implementation
-is kept alongside and cross-checked in the tests.
+overridable through the ``ABTQFT_MAX_ENUM`` environment variable).  The
+coloring sum and ``A+-`` are evaluated by the library's one exponential-sum
+kernel, :func:`abtqft.numeric.quadratic_phase_sum`, with moduli ``k`` and
+modulus ``2k``: it counts the integer quadratic values modulo ``2k`` and
+sums count-weighted exact root-of-unity evaluations, so the floating error
+stays far below the ``1e-9 * sqrt(k^m)`` budget.  Per-term exact-phase
+loops are kept in the tests as oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import EnumerationTooLarge, IndexOutOfRange
 from .intlinalg import IntSymMatrix, mat_mul, mat_transpose, signature
-from .numeric import PolarValue, UnitPhase, polar_to_approx, unit_phase_eval
+from .numeric import PolarValue, UnitPhase, polar_to_approx, quadratic_phase_sum
 
 DEFAULT_ENUMERATION_CAP = 10 ** 7
 _ENUMERATION_ENV = "ABTQFT_MAX_ENUM"
 
-_CHUNK = 1 << 16
-
 
 def max_enumeration() -> int:
-    """Active coloring-enumeration cap (env override wins)."""
+    """Active coloring-enumeration cap (env override wins); an override
+    that is not an integer raises :class:`EnumerationTooLarge`."""
     raw = os.environ.get(_ENUMERATION_ENV)
-    if raw:
+    if not raw:
+        return DEFAULT_ENUMERATION_CAP
+    try:
         return int(raw)
-    return DEFAULT_ENUMERATION_CAP
+    except ValueError:
+        raise EnumerationTooLarge(
+            f"{_ENUMERATION_ENV} must be an integer cap, got {raw!r}") from None
 
 
 def _check_level(k: int) -> None:
@@ -172,9 +173,7 @@ def a_gauss(k: int, sign: int) -> Tuple[complex, PolarValue]:
     _check_level(k)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    brute = 0j
-    for s in range(k):
-        brute += unit_phase_eval(UnitPhase(Fraction(sign * s * s, 2 * k)))
+    brute = quadratic_phase_sum([[sign]], [k], 2 * k)
     closed = PolarValue(Fraction(k), UnitPhase(Fraction(sign, 8)))
     return brute, closed
 
@@ -203,66 +202,21 @@ def rt_link_eval(p: SurgeryPresentation, g: Sequence[int], k: int) -> UnitPhase:
     return UnitPhase(Fraction(quad, 2 * k))
 
 
-@lru_cache(maxsize=64)
-def _phase_table(two_k: int) -> np.ndarray:
-    """Exact evaluations of ``exp(2 pi i r / two_k)`` for ``r`` in range."""
-    return np.array([unit_phase_eval(UnitPhase(Fraction(r, two_k)))
-                     for r in range(two_k)], dtype=complex)
-
-
 def quadratic_exponential_sum(rows: Sequence[Sequence[int]], k: int,
                               linear: Optional[Sequence[int]] = None,
                               constant: int = 0,
                               max_terms: Optional[int] = None) -> complex:
     """``sum over n in (Z_k)^m of exp( (pi i / k)(n^T A n + linear.n + const) )``.
 
-    Residues of the integer exponent mod ``2k`` are counted first and the
-    count vector is contracted against exact root-of-unity values, so the
-    rounding error does not grow with ``k^m``.
+    The coloring sum: :func:`abtqft.numeric.quadratic_phase_sum` with moduli
+    ``k`` and modulus ``2k``, behind the enumeration cap.
     """
     m = len(rows)
     cap = max_terms if max_terms is not None else max_enumeration()
-    terms = k ** m
-    if terms > cap:
+    if k ** m > cap:
         raise EnumerationTooLarge(
             f"{k}^{m} colorings exceed the enumeration cap {cap}")
-    two_k = 2 * k
-    table = _phase_table(two_k)
-    if m == 0:
-        return complex(table[constant % two_k])
-    a = np.asarray([[int(x) for x in row] for row in rows], dtype=np.int64)
-    lin = np.asarray([int(x) for x in (linear or [0] * m)], dtype=np.int64)
-    const = int(constant)
-    counts = np.zeros(two_k, dtype=np.int64)
-    for start in range(0, terms, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, terms), dtype=np.int64)
-        digits = np.empty((len(idx), m), dtype=np.int64)
-        rem = idx
-        for pos in range(m - 1, -1, -1):
-            rem, digits[:, pos] = np.divmod(rem, k)
-        quad = np.einsum("ij,jk,ik->i", digits, a, digits) + digits @ lin + const
-        counts += np.bincount(quad % two_k, minlength=two_k)
-    return complex(counts @ table)
-
-
-def quadratic_exponential_sum_exact(rows: Sequence[Sequence[int]], k: int,
-                                    linear: Optional[Sequence[int]] = None,
-                                    constant: int = 0) -> complex:
-    """Per-term reference evaluation of :func:`quadratic_exponential_sum`.
-
-    Slow path used as an independent cross-check; each term goes through an
-    exact rational phase.
-    """
-    m = len(rows)
-    lin = list(linear or [0] * m)
-    total = 0j
-    for g in itertools.product(range(k), repeat=m):
-        quad = constant
-        for i in range(m):
-            if g[i]:
-                quad += g[i] * (sum(rows[i][j] * g[j] for j in range(m)) + lin[i])
-        total += unit_phase_eval(UnitPhase(Fraction(quad, 2 * k)))
-    return total
+    return quadratic_phase_sum(rows, [k] * m, 2 * k, linear, constant)
 
 
 def normalization_prefactor(m: int, sigma: int, k: int) -> PolarValue:
@@ -292,17 +246,6 @@ def rt_raw_closed(p: SurgeryPresentation, k: int,
             const += p.insertion_colors[i] * sum(
                 C[i][j] * p.insertion_colors[j] for j in range(p.r))
     total = quadratic_exponential_sum(p.surgery.rows(), k, lin, const, max_terms)
-    pref = normalization_prefactor(p.m, signature(p.surgery), k)
-    return polar_to_approx(pref) * total
-
-
-def rt_raw_closed_reference(p: SurgeryPresentation, k: int) -> complex:
-    """Reference evaluation of :func:`rt_raw_closed` summing exact per-term
-    phases from :func:`rt_link_eval`; used to cross-check the fast path."""
-    _check_level(k)
-    total = 0j
-    for g in itertools.product(range(k), repeat=p.m):
-        total += unit_phase_eval(rt_link_eval(p, g, k))
     pref = normalization_prefactor(p.m, signature(p.surgery), k)
     return polar_to_approx(pref) * total
 
@@ -374,6 +317,19 @@ class FuzzReport:
                 "max_dev": self.max_deviation, "skipped": self.skipped}
 
 
+def random_kirby_move(rng: random.Random, m: int) -> KirbyMove:
+    """Seeded move on ``m`` components: a handle slide with probability 0.7
+    when ``m >= 2``, else a stabilization.  Fixed-seed Kirby reports depend
+    on the draw order (``random``, two ``randrange``, ``choice``)."""
+    if m >= 2 and rng.random() < 0.7:
+        i = rng.randrange(m)
+        j = rng.randrange(m - 1)
+        if j >= i:
+            j += 1
+        return KirbyMove("K2", rng.choice((1, -1)), i, j)
+    return KirbyMove("K1", rng.choice((1, -1)))
+
+
 def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
                max_components: int = 6,
                max_terms: Optional[int] = None) -> FuzzReport:
@@ -392,14 +348,7 @@ def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
     skipped = 0
     for _ in range(walk_length):
         m = current.m
-        if m >= 2 and rng.random() < 0.7:
-            i = rng.randrange(m)
-            j = rng.randrange(m - 1)
-            if j >= i:
-                j += 1
-            move = KirbyMove("K2", rng.choice((1, -1)), i, j)
-        else:
-            move = KirbyMove("K1", rng.choice((1, -1)))
+        move = random_kirby_move(rng, m)
         if move.kind == "K1" and (m + 1 > max_components or k ** (m + 1) > cap):
             skipped += 1
             log.append({"move": move.to_json(), "skipped": True})

@@ -71,6 +71,21 @@ def test_invariant_cap_exceeded_is_usage_error(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_invariant_unparsable_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ABTQFT_MAX_ENUM", "abc")
+    code, out, err = run(capsys, "invariant", "S3", "--k", "2")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ABTQFT_MAX_ENUM" in err
+
+
+def test_verify_modular_above_level_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "modular", "--kmax", "66")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "64" in err
+
+
 def test_verify_modular(capsys):
     code, report, _ = run_json(capsys, "verify", "modular", "--kmax", "8",
                                "--json")

@@ -11,6 +11,7 @@ from abtqft.compare import (
     cs_closed,
     default_corpus,
     equivalence_ratio,
+    evaluate_case,
     load_fixture_table,
     random_degenerate,
     random_nondegenerate,
@@ -113,7 +114,8 @@ def test_positive_exponent_convention_is_signature_inconsistent():
     assert abs(r3 + 1) < 1e-10
     assert abs(r5 - 1) < 1e-10
     with pytest.raises(InconsistentPhase):
-        build_phase_table([(sym([[3]]), 2), (sym([[5]]), 2)],
+        build_phase_table([evaluate_case(sym([[3]]), 2, "plus"),
+                           evaluate_case(sym([[5]]), 2, "plus")],
                           convention="plus")
 
 
@@ -132,10 +134,10 @@ def test_magnitude_matches_on_degenerate_presentations():
 # Phase table
 
 def test_phase_table_classic_corpus():
-    corpus = [(sym(rows), k)
+    corpus = [evaluate_case(sym(rows), k)
               for rows in ([[1]], [[-1]], [[0]], [[1, 0], [0, 1]])
               for k in (2, 4)]
-    corpus.append((E8, 2))
+    corpus.append(evaluate_case(E8, 2))
     table = build_phase_table(corpus)
     assert table.mapping[0] == UnitPhase(Fraction(0))
     assert table.mapping[1] == UnitPhase(Fraction(0))
@@ -144,18 +146,20 @@ def test_phase_table_classic_corpus():
 
 
 def test_phase_table_singleton_corpus():
-    table = build_phase_table([(sym([[1]]), 2)])
+    table = build_phase_table([evaluate_case(sym([[1]]), 2)])
     assert set(table.mapping) == {1}
 
 
 def test_phase_table_logs_skipped_vanishing_entries():
-    table = build_phase_table([(sym([[1]]), 2), (sym([[2]]), 2)])
+    table = build_phase_table([evaluate_case(sym([[1]]), 2),
+                               evaluate_case(sym([[2]]), 2)])
     assert table.skipped == 1
     assert table.corpus_size == 2
 
 
 def test_phase_table_json_round_trip():
-    table = build_phase_table([(sym([[1]]), 2), (sym([[0]]), 4)])
+    table = build_phase_table([evaluate_case(sym([[1]]), 2),
+                               evaluate_case(sym([[0]]), 4)])
     clone = PhaseTable.from_json(table.to_json())
     assert clone.same_phases(table)
     assert clone.corpus_size == table.corpus_size
@@ -164,8 +168,7 @@ def test_phase_table_json_round_trip():
 def test_default_corpus_is_deterministic_and_spans_classes():
     a = default_corpus(seed=0, size=120)
     b = default_corpus(seed=0, size=120)
-    assert [(L.entries, k) for L, k in a] == [(L.entries, k) for L, k in b]
-    residues = {equivalence_ratio(L, k)[1] % 8 for L, k in a[:40]}
+    assert a == b
     table = build_phase_table(a)
     assert set(table.mapping) == set(range(8))
     assert table.skipped == 0  # corpus pre-filters vanishing sums

@@ -327,6 +327,15 @@ def test_integer_inverse_round_trip():
                                  for i in range(n)]
 
 
+def test_integer_inverse_errors():
+    with pytest.raises(ValueError, match="unimodular"):
+        integer_inverse([[2, 0], [0, 1]])
+    with pytest.raises(DegenerateMatrix):
+        integer_inverse([[1, 2], [2, 4]])
+    with pytest.raises(DegenerateMatrix):
+        solve_rational([[1, 2], [2, 4]], [1, 0])
+
+
 def test_inverse_pairing_is_symmetric():
     L = IntSymMatrix.from_rows([[2, 1], [1, 4]])
     assert inverse_pairing_value(L, [1, 0], [0, 1]) \

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abtqft import numeric
 from abtqft.numeric import (
     ONE_PHASE,
     PolarValue,
@@ -15,6 +17,7 @@ from abtqft.numeric import (
     polar_from_json,
     polar_to_approx,
     polar_to_json,
+    quadratic_phase_sum,
     rational_from_json,
     rational_to_json,
     sum_tolerance,
@@ -84,7 +87,7 @@ def test_phase_inverse_on_thousand_random_angles():
     for _ in range(1000):
         p = UnitPhase(Fraction(rng.randint(-10 ** 9, 10 ** 9),
                                rng.randint(1, 10 ** 9)))
-        assert (p * p.inverse()).angle == 0
+        assert (p * p.conjugate()).angle == 0
 
 
 def test_polar_multiplication_matches_complex_on_thousand_randoms():
@@ -134,3 +137,44 @@ def test_json_round_trips():
     assert polar_from_json(polar_to_json(v)) == v
     z = 1.25 - 0.5j
     assert approx_from_json(approx_to_json(z)) == z
+
+
+# ---------------------------------------------------------------------------
+# The exponential-sum kernel
+
+def phase_sum_per_term(gram, moduli, modulus, linear, constant):
+    """Per-term reference: one exact rational phase per point."""
+    total = 0j
+    for x in itertools.product(*(range(n) for n in moduli)):
+        quad = constant + sum(x[i] * (gram[i][j] * x[j]) for i in range(len(x))
+                              for j in range(len(x)))
+        quad += sum(b * xi for b, xi in zip(linear, x))
+        total += unit_phase_eval(UnitPhase(Fraction(quad, modulus)))
+    return total
+
+
+@pytest.mark.parametrize("block", [1, 8, 48, 1 << 16])
+def test_phase_sum_mixed_moduli_matches_per_term_loop(block, monkeypatch):
+    # Odd off-diagonals, entries beyond the modulus, a nonzero linear term
+    # and constant; small blocks force every split into leading and
+    # trailing coordinates.
+    monkeypatch.setattr(numeric, "_BLOCK", block)
+    moduli = (2, 4, 12)
+    gram = [[3, 5, -7], [5, 2, 9], [-7, 9, 10 ** 30 + 1]]
+    linear = [1, -3, 10 ** 20 + 5]
+    for modulus, constant in ((24, 7), (48, -5), (10, 3)):
+        want = phase_sum_per_term(gram, moduli, modulus, linear, constant)
+        got = quadratic_phase_sum(gram, moduli, modulus, linear, constant)
+        assert abs(got - want) <= sum_tolerance(2 * 4 * 12)
+
+
+def test_phase_sum_empty_product_is_the_constant_phase():
+    assert quadratic_phase_sum([], [], 8, [], 3) == unit_phase_eval(
+        UnitPhase(Fraction(3, 8)))
+
+
+def test_phase_table_equals_unit_phase_eval_bit_for_bit():
+    for n in list(range(1, 130)) + [997, 4096, 20011]:
+        table = numeric._root_table(n)
+        for r in range(n):
+            assert table[r] == unit_phase_eval(UnitPhase(Fraction(r, n)))

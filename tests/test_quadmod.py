@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,11 +7,12 @@ import pytest
 
 from abtqft.errors import GroupTooLarge
 from abtqft.intlinalg import IntSymMatrix, determinant
-from abtqft.numeric import unit_phase_eval
+from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
 from abtqft.quadmod import (
     CyclicQuadraticData,
     FiniteQuadraticModule,
     bicharacter,
+    from_regular_block,
     from_surgery,
     gauss_sum,
 )
@@ -76,6 +78,39 @@ def test_gauss_sum_order_two_vanishes_at_level_two():
 def test_gauss_sum_order_three_level_two_is_i():
     val = gauss_sum(from_surgery(sym([[3]])), 2)
     assert abs(val - 1j) < 1e-12
+
+
+def gauss_sum_per_element(mod, k):
+    """Per-element reference: one exact phase per group element, taken from
+    the lift through the regular block rather than from the Gram matrix."""
+    total = 0j
+    for element in mod.elements():
+        q = mod.q_of_lift(mod.group.lift(element))
+        assert q == mod.q(element)
+        total += unit_phase_eval(UnitPhase(k * q))
+    return total / math.sqrt(mod.order)
+
+
+def test_gauss_sum_matches_per_element_sum():
+    rng = random.Random(37)
+    blocks = [sym(rows) for rows in SMALL_MATRICES]
+    while len(blocks) < len(SMALL_MATRICES) + 30:
+        L = random_symmetric(rng, rng.randint(1, 3))
+        if determinant(L) != 0:
+            blocks.append(L)
+    for L in blocks:
+        mod = from_regular_block(L)
+        for k in (2, 4, 6, 8):
+            want = gauss_sum_per_element(mod, k)
+            assert abs(gauss_sum(mod, k) - want) <= sum_tolerance(mod.order)
+
+
+def test_gauss_sum_near_group_cap_has_unit_modulus():
+    # |T| = 999983 (prime), one step below the 10**6 cap: the sum runs over
+    # a single cyclic factor with modulus 2|T|, where int64 overflow in the
+    # quadratic values would show.
+    mod = from_surgery(sym([[999983]]))
+    assert abs(abs(gauss_sum(mod, 2)) - 1) <= sum_tolerance(mod.order)
 
 
 def test_gauss_sum_requires_even_level():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from abtqft.errors import EnumerationTooLarge, IndexOutOfRange
-from abtqft.intlinalg import IntSymMatrix
-from abtqft.numeric import polar_to_approx, sum_tolerance
+from abtqft.intlinalg import IntSymMatrix, signature
+from abtqft.numeric import polar_to_approx, sum_tolerance, unit_phase_eval
 from abtqft.surgery import (
     KirbyMove,
     SurgeryPresentation,
@@ -14,15 +15,32 @@ from abtqft.surgery import (
     apply_kirby,
     kirby_fuzz,
     max_enumeration,
+    normalization_prefactor,
     quadratic_exponential_sum,
-    quadratic_exponential_sum_exact,
     random_presentation,
     rt_link_eval,
     rt_raw_closed,
-    rt_raw_closed_reference,
 )
+from test_numeric import phase_sum_per_term
 
 LEVELS = (2, 4, 6, 8)
+
+
+def quadratic_exponential_sum_exact(rows, k, linear=None, constant=0):
+    """Per-term reference of :func:`quadratic_exponential_sum`: one exact
+    rational phase per coloring."""
+    m = len(rows)
+    return phase_sum_per_term(rows, [k] * m, 2 * k, linear or [0] * m, constant)
+
+
+def rt_raw_closed_reference(p, k):
+    """Per-term reference of :func:`rt_raw_closed`: exact phases from
+    :func:`rt_link_eval`, summed one coloring at a time."""
+    total = 0j
+    for g in itertools.product(range(k), repeat=p.m):
+        total += unit_phase_eval(rt_link_eval(p, g, k))
+    pref = normalization_prefactor(p.m, signature(p.surgery), k)
+    return polar_to_approx(pref) * total
 
 
 def closed(rows):
