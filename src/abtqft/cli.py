@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 from . import compare, extended, surgery
 from .catalog import builtin_catalog, load_catalog
 from .errors import AbtqftError, EnumerationTooLarge, GroupTooLarge
-from .intlinalg import IntSymMatrix, regular_decomposition, signature
+from .intlinalg import IntSymMatrix, rational_rank, signature
 from .numeric import approx_to_json, rational_to_json, sum_tolerance
 from .surgery import SurgeryPresentation, rt_raw_closed
 
@@ -88,17 +88,18 @@ def cmd_invariant(args) -> int:
     if k is None or k < 2 or k % 2:
         raise InputError("--k must be an even integer >= 2")
     L = p.surgery
-    rd = regular_decomposition(L)
+    # The regular block is congruent to L plus a zero block, so it has the
+    # signature of L; its nullity is the corank of L.
     report: Dict[str, object] = {
         "source": args.source,
         "k": k,
-        "sigma_reg": signature(rd.regular),
-        "b1": rd.nullity,
+        "sigma_reg": signature(L),
+        "b1": L.m - rational_rank(L.rows()),
     }
     lines = [f"source       {args.source}",
              f"k            {k}",
              f"sigma(L_reg) {report['sigma_reg']}",
-             f"b1           {rd.nullity}"]
+             f"b1           {report['b1']}"]
     rt_value = cs_result = None
     if args.side in ("rt", "both"):
         rt_value = rt_raw_closed(p, k)
@@ -342,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=VERIFY_SUITES)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--cases", type=int, default=None)
+    p_ver.add_argument("--cases", type=int, default=None,
+                       help="number of cases, at least 1; the equivalence "
+                            "corpus always includes the classic and E8 pairs")
     p_ver.add_argument("--kmax", type=int, default=16)
     p_ver.add_argument("--tol", type=float, default=1e-9,
                        help="base tolerance, scaled by sqrt(#terms)")
@@ -361,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("phase-table", help="build or show the phase table")
     p_tab.add_argument("action", choices=("build", "show"))
     p_tab.add_argument("--seed", type=int, default=0)
-    p_tab.add_argument("--cases", type=int, default=300)
+    p_tab.add_argument("--cases", type=int, default=300,
+                       help="corpus size, at least 1; the corpus always "
+                            "includes the classic and E8 pairs")
     p_tab.add_argument("--out", help="write the table to this path")
     p_tab.set_defaults(fn=cmd_phase_table)
 
@@ -375,9 +380,11 @@ _SUITE_CASE_DEFAULTS = {"kirby": 500, "reciprocity": 200, "equivalence": 300,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cases", None) is None and hasattr(args, "suite"):
-        args.cases = _SUITE_CASE_DEFAULTS[args.suite]
     try:
+        if getattr(args, "cases", None) is not None and args.cases < 1:
+            raise InputError(f"--cases must be at least 1, got {args.cases}")
+        if getattr(args, "cases", None) is None and hasattr(args, "suite"):
+            args.cases = _SUITE_CASE_DEFAULTS[args.suite]
         return args.fn(args)
     except (InputError, EnumerationTooLarge, GroupTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,7 +62,14 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateMatrix, InconsistentPhase, ZeroDenominator
-from .intlinalg import IntSymMatrix, determinant, regular_decomposition, signature
+from .intlinalg import (
+    IntSymMatrix,
+    determinant,
+    mat_mul,
+    mat_transpose,
+    regular_decomposition,
+    signature,
+)
 from .numeric import (
     UnitPhase,
     rational_from_json,
@@ -413,6 +420,5 @@ def random_degenerate(rng: random.Random, max_regular: int = 2,
     m = reg.m + nullity
     padded = reg.direct_sum(IntSymMatrix.diagonal([0] * nullity))
     u = random_unimodular(rng, m, steps=2 * m)
-    from .intlinalg import mat_mul, mat_transpose
     rows = mat_mul(mat_mul(mat_transpose(u), padded.rows()), u)
     return IntSymMatrix.from_rows(rows)

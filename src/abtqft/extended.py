@@ -57,6 +57,7 @@ antisymmetry, vanishing and cocycle properties).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -66,10 +67,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NotLagrangian
-from .intlinalg import IntSymMatrix, rational_rank, regular_decomposition, signature
+from .intlinalg import IntSymMatrix, integer_inverse, mat_transpose, rational_rank, signature
 from .numeric import UnitPhase, approx_to_json, unit_phase_eval
 from .quadmod import CyclicQuadraticData, bicharacter
-from .surgery import SurgeryPresentation, rt_raw_closed
+from .surgery import SurgeryPresentation, random_unimodular, rt_raw_closed
 
 
 def hopf_pairing(k: int, x: int, y: int) -> UnitPhase:
@@ -93,7 +94,6 @@ class TorusStateVector:
             if len(key) != g:
                 raise ValueError("label arity must equal the genus")
             table[key] = table.get(key, 0j) + complex(value)
-        import itertools
         for key in itertools.product(range(k), repeat=g):
             table.setdefault(key, 0j)
         object.__setattr__(self, "coefficients", table)
@@ -431,8 +431,6 @@ def random_lagrangian(rng: random.Random, genus: int,
                     mat[i][g + j] = Fraction(b[i][j])
         else:
             # block-diagonal GL(g, Z) action [[A, 0], [0, A^{-T}]]
-            from .surgery import random_unimodular
-            from .intlinalg import integer_inverse, mat_transpose
             a = random_unimodular(rng, g, steps=3)
             a_inv_t = mat_transpose(integer_inverse(a))
             mat = [[Fraction(0)] * (2 * g) for _ in range(2 * g)]
@@ -471,5 +469,6 @@ def compose_weights(n1: int, n2: int, mu: int) -> int:
 
 def closure_weight(L: IntSymMatrix) -> int:
     """Default weight of a handlebody closure presented by ``L``: the
-    signature of the regular block, mod 8."""
-    return signature(regular_decomposition(L).regular) % 8
+    signature of the regular block, mod 8.  The regular block is congruent
+    to ``L`` plus a zero block, so this is the signature of ``L``."""
+    return signature(L) % 8

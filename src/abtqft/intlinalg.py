@@ -4,9 +4,11 @@ Everything here is exact: matrices are Python integers, rational work uses
 :class:`fractions.Fraction`.  The operations cover what a surgery matrix
 needs homologically,
 
-* Smith normal form with unimodular transforms,
+* Smith normal form by one bounded elimination, which also builds the
+  inverse of its row transform and works modulo the determinant when the
+  matrix is nonsingular,
 * splitting off the saturated kernel and extracting a nondegenerate
-  "regular" block,
+  "regular" block (a nondegenerate matrix is its own),
 * signatures by rational symmetric congruence (no floating eigenvalues;
   signatures enter invariants as eighth-root-of-unity phases, so they must
   be exact),
@@ -23,6 +25,7 @@ Matrices are serialized as JSON arrays of arrays of integers (row-major).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Sequence, Tuple
@@ -161,97 +164,101 @@ def determinant(mat) -> int:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
-    """Return unimodular ``(U, D, V)`` with ``U @ M @ V = D``.
+def _gcd_step(a: int, b: int) -> Tuple[int, int, int, int]:
+    """A determinant-one ``[[x, y], [p, q]]`` taking ``(a, b)`` to ``(g, 0)``.
 
-    ``D`` is diagonal with nonnegative entries satisfying ``d1 | d2 | ...``.
-    The pivot choice (smallest absolute value, earliest position) is fixed,
-    so the output is deterministic for a given input.
+    When ``a`` divides ``b`` it is a plain elimination that leaves ``a`` in
+    place, so a pivot that divides its row and column is never disturbed.
     """
-    rows = _to_int_rows(mat)
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    d = [row[:] for row in rows]
-    u = identity_matrix(n)
-    v = identity_matrix(m)
+    if a and b % a == 0:
+        return 1, 0, -(b // a), 1
+    g, r, x, y, x1, y1 = a, b, 1, 0, 0, 1  # extended Euclid: g = x a + y b
+    while r:
+        q = g // r
+        g, r, x, y, x1, y1 = r, g - q * r, x1, y1, x - q * x1, y - q * y1
+    return x, y, -(b // g), a // g
 
-    def row_swap(a: int, b: int) -> None:
-        d[a], d[b] = d[b], d[a]
-        u[a], u[b] = u[b], u[a]
 
-    def row_addmul(dst: int, src: int, c: int) -> None:
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
+    """Return ``(U, D, W)`` with ``U M V = D`` for some ``V`` and ``W = U^{-1}``.
 
-    def col_swap(a: int, b: int) -> None:
-        for r in d:
-            r[a], r[b] = r[b], r[a]
-        for r in v:
-            r[a], r[b] = r[b], r[a]
+    ``D`` has the shape of ``M`` and a diagonal ``d1 | d2 | ...`` of
+    nonnegative entries, zeros last.  One elimination builds all three: each
+    row operation on ``M`` and ``U`` applies its inverse column operation to
+    ``W``, and each pivot is made to divide its trailing block, by
+    extended-gcd 2x2 steps, before the next pivot starts.
 
-    def col_addmul(dst: int, src: int, c: int) -> None:
-        for r in d:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
+    For square nonsingular ``M`` the elimination works modulo
+    ``d = |det M|`` (Domich, Kannan and Trotter, 1987): ``d Z^n`` lies in
+    the column lattice of ``M``, so the work matrix, ``U`` and ``W`` are
+    reduced into ``[0, d)`` and each pivot becomes ``gcd(pivot, d)``.  Then
+    ``U W = I`` holds mod ``d``, which is all the cokernel ``Z^n / M Z^n``
+    needs; otherwise ``U`` is unimodular and ``U W = I`` exactly.  The pivot
+    choice (smallest absolute value, earliest position) is fixed, so the
+    output is deterministic.
+    """
+    a = _to_int_rows(mat)
+    n = len(a)
+    m = len(a[0]) if n else 0
+    det = abs(determinant(a)) if n == m else 0
 
-    def clear_position(t: int) -> bool:
-        """Bring a pivot to (t, t) and clear its row and column.
+    def reduced(row: List[int]) -> List[int]:
+        return [x % det for x in row] if det else row
 
-        Returns False when the trailing submatrix is zero.
-        """
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                val = d[i][j]
-                if val != 0 and (best is None or abs(val) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            return False
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, n):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_addmul(i, t, -q)
-                    if d[i][t]:
-                        row_swap(t, i)  # remainder is a strictly smaller pivot
-                        dirty = True
-            for j in range(t + 1, m):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_addmul(j, t, -q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty and all(d[i][t] == 0 for i in range(t + 1, n)) \
-                    and all(d[t][j] == 0 for j in range(t + 1, m)):
-                return True
+    a = [reduced(row) for row in a]
+    u = [reduced(row) for row in identity_matrix(n)]
+    wt = [reduced(row) for row in identity_matrix(n)]  # rows of W^T
 
-    rank = 0
+    def mix(rows: IntRows, t: int, i: int, x: int, y: int, p: int, q: int) -> None:
+        """Rows ``t`` and ``i`` of ``rows`` times ``[[x, y], [p, q]]``."""
+        rt, ri = rows[t], rows[i]
+        rows[t] = reduced([x * s + y * r for s, r in zip(rt, ri)])
+        rows[i] = reduced([p * s + q * r for s, r in zip(rt, ri)])
+
+    def row_step(t: int, i: int, x: int, y: int, p: int, q: int) -> None:
+        mix(a, t, i, x, y, p, q)
+        mix(u, t, i, x, y, p, q)
+        mix(wt, t, i, q, -p, -y, x)  # W times the inverse [[q, -y], [-p, x]]
+
+    def col_step(t: int, j: int, x: int, y: int, p: int, q: int) -> None:
+        for row in a:
+            row[t], row[j] = reduced([x * row[t] + y * row[j],
+                                      p * row[t] + q * row[j]])
+
     for t in range(min(n, m)):
-        if not clear_position(t):
-            break
-        rank += 1
-
-    # Enforce the divisibility chain with local 2x2 fixes.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            if d[i + 1][i + 1] % d[i][i] != 0:
-                col_addmul(i, i + 1, 1)
-                clear_position(i)
-                changed = True
-
-    for i in range(rank):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
-
-    return u, d, v
+        best = min(((abs(a[i][j]), i, j) for i in range(t, n)
+                    for j in range(t, m) if a[i][j]), default=None)
+        if best is None:
+            if not det:
+                break
+            best = (0, t, t)  # the block vanishes mod d: its pivots are d
+        _, i, j = best
+        if i != t:
+            row_step(t, i, 0, 1, -1, 0)  # a swap with a sign: determinant one
+        if j != t:
+            col_step(t, j, 0, 1, -1, 0)
+        while True:
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    row_step(t, i, *_gcd_step(a[t][t], a[i][t]))
+            for j in range(t + 1, m):
+                if a[t][j]:
+                    col_step(t, j, *_gcd_step(a[t][t], a[t][j]))
+            if any(a[i][t] for i in range(t + 1, n)):
+                continue
+            # Row and column t are clear, so column t is pivot * e_t, which
+            # generates the same lattice mod d as gcd(pivot, d) * e_t.
+            if det:
+                a[t][t] = math.gcd(a[t][t], det)
+            elif a[t][t] < 0:
+                for rows in (a, u, wt):
+                    rows[t] = [-x for x in rows[t]]
+            bad = next((i for i in range(t + 1, n)
+                        if any(a[i][j] % a[t][t] for j in range(t + 1, m))), None)
+            if bad is None:
+                break
+            row_step(t, bad, 1, 1, 0, 1)  # brings a non-multiple into row t
+    return u, a, mat_transpose(wt)
 
 
 def _row_reduce(rows: List[List[Fraction]], ncols: int) -> int:
@@ -333,56 +340,37 @@ class RegularDecomposition:
     nullity: int
 
 
-def _columns(mat: Sequence[Sequence[int]], idx: Sequence[int]) -> IntRows:
-    return [[row[j] for j in idx] for row in mat]
+def _column_block(vectors: Sequence[Sequence[int]], m: int) -> Tuple[Tuple[int, ...], ...]:
+    """The ``vectors`` of ``Z^m`` as the columns of an m-row block."""
+    return tuple(tuple(vec[i] for vec in vectors) for i in range(m))
 
 
-def regular_decomposition(L: IntSymMatrix, strategy: str = "snf") -> RegularDecomposition:
+def regular_decomposition(L: IntSymMatrix) -> RegularDecomposition:
     """Split off the saturated kernel of ``L`` and extract its regular block.
 
-    Both strategies produce the same kernel lattice; they differ in how the
-    complement is completed to a basis of ``Z^m``:
-
-    * ``"snf"`` (default): take the non-kernel columns of the right Smith
-      transform of ``L``.
-    * ``"completion"``: complete the kernel basis to a basis of ``Z^m`` via a
-      second Smith computation on the kernel block.
-
-    Only the congruence class of the regular block is canonical; each
-    strategy is individually deterministic so regression tests can pin the
-    concrete matrices.
+    A nondegenerate ``L`` is its own regular block, with the identity as
+    complement, and no elimination runs.  Otherwise, with ``U L V = D`` the
+    Smith form, symmetry gives ``V^T L U^T = D``: the rows of ``U`` at zero
+    invariant factors span the saturated kernel, and the other rows of the
+    unimodular ``U`` complete it to a basis of ``Z^m``.  Only the congruence
+    class of the regular block is canonical; the concrete matrices are
+    deterministic so regression tests can pin them.
     """
     L = IntSymMatrix.from_rows(L.rows() if isinstance(L, IntSymMatrix) else L)
     m = L.m
-    _, d, v = smith_normal_form(L.rows())
-    zero_idx = [i for i in range(m) if d[i][i] == 0] if m else []
-    nonzero_idx = [i for i in range(m) if d[i][i] != 0] if m else []
-    kernel = _columns(v, zero_idx)
-
-    if strategy == "snf":
-        complement = _columns(v, nonzero_idx)
-    elif strategy == "completion":
-        if zero_idx:
-            # SNF of the (primitive) kernel block: uk @ K @ vk = [I; 0], so
-            # K @ vk equals the first nu columns of uk^{-1}; the remaining
-            # columns of uk^{-1} complete the kernel to a basis of Z^m.
-            uk, _, _ = smith_normal_form(kernel)
-            uk_inv = integer_inverse(uk)
-            complement = _columns(uk_inv, list(range(len(zero_idx), m)))
-        else:
-            complement = identity_matrix(m)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    c_t = mat_transpose(complement) if complement and complement[0] else []
-    reg_rows = mat_mul(mat_mul(c_t, L.rows()), complement) if nonzero_idx else []
-    regular = IntSymMatrix.from_rows(reg_rows)
+    if determinant(L) != 0:
+        return RegularDecomposition(_column_block(identity_matrix(m), m),
+                                    _column_block([], m), L, m, 0)
+    u, d, _ = smith_normal_form(L.rows())
+    complement = [u[i] for i in range(m) if d[i][i] != 0]
+    kernel = [u[i] for i in range(m) if d[i][i] == 0]
+    regular = mat_mul(mat_mul(complement, L.rows()), mat_transpose(complement))
     return RegularDecomposition(
-        complement_basis=tuple(tuple(row) for row in complement) if nonzero_idx else tuple(tuple() for _ in range(m)),
-        kernel_basis=tuple(tuple(row) for row in kernel) if zero_idx else tuple(tuple() for _ in range(m)),
-        regular=regular,
-        rank=len(nonzero_idx),
-        nullity=len(zero_idx),
+        complement_basis=_column_block(complement, m),
+        kernel_basis=_column_block(kernel, m),
+        regular=IntSymMatrix.from_rows(regular),
+        rank=len(complement),
+        nullity=len(kernel),
     )
 
 
@@ -432,15 +420,12 @@ class CokernelGroup:
 
     ``cyclic_orders`` keeps only the orders >= 2 (with d1 | d2 | ...);
     ``generator_reps`` holds one integer column vector ``g_i`` in ``Z^rho``
-    per cyclic factor, and ``dual_reps`` one integer vector ``w_i`` with
-    ``L_reg^{-1} g_i = w_i / d_i``, so the generators pair exactly as
-    ``g_i^T L_reg^{-1} g_j = g_i . w_j / d_j``.  Elements are addressed by
+    of order ``d_i`` per cyclic factor.  Elements are addressed by
     coefficient tuples ``(a1, ..., at)`` with ``0 <= ai < di``.
     """
 
     cyclic_orders: Tuple[int, ...]
     generator_reps: Tuple[Tuple[int, ...], ...]
-    dual_reps: Tuple[Tuple[int, ...], ...]
     ambient_dim: int
 
     @property
@@ -466,26 +451,26 @@ class CokernelGroup:
 
     @staticmethod
     def trivial(ambient_dim: int = 0) -> "CokernelGroup":
-        return CokernelGroup((), (), (), ambient_dim)
+        return CokernelGroup((), (), ambient_dim)
 
 
 def cokernel(L_reg: IntSymMatrix) -> CokernelGroup:
-    """Cyclic decomposition of ``Z^rho / L_reg Z^rho`` (requires det != 0)."""
+    """Cyclic decomposition of ``Z^rho / L_reg Z^rho`` (requires det != 0).
+
+    With ``(U, D, W)`` the Smith form, ``y -> U y`` maps the group onto
+    ``+ Z/d_i``, and column ``i`` of ``W = U^{-1}`` (mod ``|det|``) maps to
+    the standard generator ``e_i``, so it is a generator of order ``d_i``.
+    """
     rho = L_reg.m
     if rho == 0:
         return CokernelGroup.trivial(0)
-    u, d, v = smith_normal_form(L_reg.rows())
+    _, d, w = smith_normal_form(L_reg.rows())
     if any(d[i][i] == 0 for i in range(rho)):
         raise DegenerateMatrix("cokernel requires a nondegenerate matrix")
-    # U L V = D identifies Z^rho/L Z^rho with +Z/di via y -> U y, so the
-    # standard generators e_i pull back along U^{-1}; and since
-    # L^{-1} = V D^{-1} U, L^{-1} U^{-1} e_i = V e_i / d_i.
-    u_inv = integer_inverse(u)
     keep = [i for i in range(rho) if d[i][i] > 1]
     return CokernelGroup(
         tuple(d[i][i] for i in keep),
-        tuple(tuple(u_inv[r][i] for r in range(rho)) for i in keep),
-        tuple(tuple(v[r][i] for r in range(rho)) for i in keep),
+        tuple(tuple(w[r][i] for r in range(rho)) for i in keep),
         rho)
 
 
@@ -497,14 +482,3 @@ def inverse_form_value(L_reg: IntSymMatrix, x: Sequence[int]) -> Fraction:
         return Fraction(0)
     y = solve_rational(L_reg.rows(), list(x))
     return sum((Fraction(xi) * yi for xi, yi in zip(x, y)), Fraction(0))
-
-
-def inverse_pairing_value(L_reg: IntSymMatrix, x: Sequence[int],
-                          y: Sequence[int]) -> Fraction:
-    """Exact rational ``x^T L_reg^{-1} y``."""
-    if len(x) != L_reg.m or len(y) != L_reg.m:
-        raise ValueError("vector dimension mismatch")
-    if L_reg.m == 0:
-        return Fraction(0)
-    z = solve_rational(L_reg.rows(), list(y))
-    return sum((Fraction(xi) * zi for xi, zi in zip(x, z)), Fraction(0))

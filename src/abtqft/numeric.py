@@ -101,7 +101,9 @@ def unit_phase_eval(p: UnitPhase) -> complex:
 def _root_table(n: int) -> np.ndarray:
     """``exp(2 pi i r / n)`` for ``r`` in ``range(n)``, equal bit for bit to
     :func:`unit_phase_eval` of ``r / n`` (same quarter-turn split, same
-    float operations, vectorised)."""
+    float operations, vectorised).  A table holds 16 bytes per entry, so
+    :func:`quadratic_phase_sum` caches only tables of at most ``_BLOCK``
+    entries and builds larger ones per call through ``__wrapped__``."""
     r = np.arange(n, dtype=np.int64)
     quarter = (4 * r) // n
     theta = 2.0 * math.pi * ((4 * r - quarter * n) / (4 * n))
@@ -160,7 +162,8 @@ def quadratic_phase_sum(gram: Sequence[Sequence[int]], moduli: Sequence[int],
     counts = np.zeros(n, dtype=np.int64)
     for q0, shift in zip(outer_q, shifts):
         counts += np.bincount((inner_q + inner @ shift + q0) % n, minlength=n)
-    return complex(counts @ _root_table(n))
+    table = _root_table(n) if n <= _BLOCK else _root_table.__wrapped__(n)
+    return complex(counts @ table)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .intlinalg import (
     GROUP_ENUMERATION_CAP,
     CokernelGroup,
     IntSymMatrix,
+    _solve,
     cokernel,
     inverse_form_value,
     regular_decomposition,
@@ -135,7 +136,7 @@ class FiniteQuadraticModule:
         for i, j, val in obj["lambda_gen"]:
             if i != j:
                 gram[i][j] = gram[j][i] = _integral(e * rational_from_json(val))
-        group = CokernelGroup(orders, ((),) * len(orders), ((),) * len(orders), 0)
+        group = CokernelGroup(orders, ((),) * len(orders), 0)
         return cls(group, tuple(tuple(row) for row in gram))
 
 
@@ -155,19 +156,21 @@ def from_regular_block(reg: IntSymMatrix,
                        cap: int = GROUP_ENUMERATION_CAP) -> FiniteQuadraticModule:
     """Finite quadratic module of a nondegenerate symmetric block.
 
-    The Gram matrix is read off the Smith transforms of the cokernel,
-    ``G_ij = e g_i^T L_reg^{-1} g_j = (e / d_j) g_i . w_j``, and reduced mod
-    ``2e`` as Python integers, so large transform entries stay exact.
+    The Gram matrix is ``G = e R^T L_reg^{-1} R`` for the matrix ``R`` of
+    generator lifts, from one rational solve, reduced mod ``2e``.
     """
     group = cokernel(reg)
     if group.order > cap:
         raise GroupTooLarge(
             f"torsion group of order {group.order} exceeds cap {cap}")
     e = math.lcm(*group.cyclic_orders)
+    gens = group.generator_reps
+    lifts = [[g[r] for g in gens] for r in range(reg.m)]
+    solved = _solve(reg.rows(), lifts)  # L_reg^{-1} R, column j for g_j
     gram = tuple(
-        tuple(sum(a * b for a, b in zip(g, w)) * (e // d) % (2 * e)
-              for w, d in zip(group.dual_reps, group.cyclic_orders))
-        for g in group.generator_reps)
+        tuple(_integral(e * sum(x * row[j] for x, row in zip(g, solved)))
+              % (2 * e) for j in range(len(gens)))
+        for g in gens)
     return FiniteQuadraticModule(group, gram, reg)
 
 

@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from abtqft.cli import main
+from abtqft.numeric import sum_tolerance
 
 
 def run(capsys, *argv):
@@ -160,6 +163,51 @@ def test_phase_table_build_and_show(capsys, tmp_path):
     code, shown, _ = run_json(capsys, "phase-table", "show")
     assert code == 0
     assert set(shown["sigma_mod_8"]) == {str(s) for s in range(8)}
+
+
+#: The fifth draw of ``random_symmetric_matrix(random.Random(1), m, 4)`` for
+#: m = 4..8 (det -594600), whose Smith form once did not finish.
+PINNED_8X8 = [[3, -4, 3, -4, 0, 2, -2, -2],
+              [-4, 4, -1, -4, -1, 4, 4, -1],
+              [3, -1, 2, 4, 1, 1, 3, 0],
+              [-4, -4, 4, 4, -4, 2, 4, -2],
+              [0, -1, 1, -4, 4, 4, -1, 2],
+              [2, 4, 1, 2, 4, -4, 3, 1],
+              [-2, 4, 3, 4, -1, 3, 4, -1],
+              [-2, -1, 0, -2, 2, 1, -1, 4]]
+
+
+def test_invariant_pinned_8x8_both_sides(capsys, time_limit):
+    code, report, _ = run_json(capsys, "invariant",
+                               json.dumps({"L": PINNED_8X8}), "--k", "2",
+                               "--side", "both", "--json")
+    assert code == 0
+    rows = np.array(PINNED_8X8)
+    eig = np.linalg.eigvalsh(rows.astype(float))
+    sigma = int((eig > 1e-9).sum() - (eig < -1e-9).sum())
+    colorings = np.array(list(itertools.product(range(2), repeat=8)))
+    q = np.einsum("ij,jk,ik->i", colorings, rows, colorings)
+    want = 2 ** -4.5 * np.exp(-1j * np.pi * sigma / 4) \
+        * np.exp(1j * np.pi * (q % 4) / 2).sum()
+    tol = sum_tolerance(2 ** 8)
+    assert (report["b1"], report["sigma_reg"]) == (0, sigma)
+    assert report["torsion_order"] == 594600
+    assert abs(complex(*report["rt"]) - want) <= tol
+    assert abs(complex(*report["cs"]) - want) <= tol
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "kirby", "--cases", "-3"),
+    ("verify", "maslov", "--cases", "0"),
+    ("verify", "equivalence", "--cases", "0"),
+    ("phase-table", "build", "--cases", "0"),
+])
+def test_case_count_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--cases" in err
 
 
 def test_usage_error_exit_code():

@@ -20,7 +20,7 @@ from abtqft.compare import (
 )
 from abtqft.errors import DegenerateMatrix, InconsistentPhase, ZeroDenominator
 from abtqft.intlinalg import IntSymMatrix, regular_decomposition
-from abtqft.numeric import UnitPhase
+from abtqft.numeric import UnitPhase, sum_tolerance
 from abtqft.surgery import SurgeryPresentation, rt_raw_closed
 
 LEVELS = (2, 4, 6, 8)
@@ -128,6 +128,25 @@ def test_magnitude_matches_on_degenerate_presentations():
         cs = cs_closed(L, k)
         expected = float(k) ** float(cs.m_exponent) * abs(cs.gauss)
         assert abs(abs(rt) - expected) < 1e-8
+
+
+@pytest.mark.parametrize("rows, order, vanishes", [
+    ([[-3, 4, 0, 2, -1, 3], [4, -1, -1, 3, 2, 3], [0, -1, -4, -1, 2, 3],
+      [2, 3, -1, -1, 2, -1], [-1, 2, 2, 2, 3, -1], [3, 3, 3, -1, -1, -4]],
+     1592, True),
+    ([[-2, 1, 0, 3, 1, 2], [1, 4, -1, 0, 1, 2], [0, -1, 3, -3, 0, -1],
+      [3, 0, -3, -4, 2, -2], [1, 1, 0, 2, 0, -4], [2, 2, -1, -2, -4, -2]],
+     1771, False),
+])
+def test_cs_closed_finishes_on_6x6_draws(rows, order, vanishes, time_limit):
+    # Two random 6x6 draws whose torsion route once did not finish.
+    L = sym(rows)
+    cs = cs_closed(L, 2)
+    rt = rt_raw_closed(SurgeryPresentation.closed(L), 2)
+    tol = sum_tolerance(2 ** 6)
+    assert cs.torsion_order == order
+    assert (abs(cs.value) <= tol) == vanishes
+    assert abs(cs.value - rt) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
 from abtqft.errors import DegenerateMatrix, GroupTooLarge
 from abtqft.intlinalg import (
@@ -10,8 +14,8 @@ from abtqft.intlinalg import (
     determinant,
     integer_inverse,
     inverse_form_value,
-    inverse_pairing_value,
     mat_mul,
+    mat_transpose,
     mat_vec,
     regular_decomposition,
     signature,
@@ -57,7 +61,6 @@ def test_snf_identity_and_zero():
 def elementary_reduction_invariant_factors(mat, n):
     """Independent oracle: d_t = gcd of all t x t minors divided by d_{t-1}."""
     import itertools
-    import math
 
     def minor_gcd(size):
         g = 0
@@ -91,18 +94,44 @@ def test_snf_matches_minor_gcd_oracle():
         assert [x for x in got if x] == [x for x in want if x]
 
 
+def sympy_invariant_factors(mat, n, m):
+    if not (n and m):
+        return []
+    ref = sym_snf(Matrix(mat))
+    return [int(ref[i, i]) for i in range(min(n, m))]
+
+
+def check_transforms(mat, u, w):
+    """``U W = I``, exactly with unimodular ``U`` for singular or non-square
+    input, and mod ``|det|`` with ``W`` reduced into ``[0, |det|)`` for
+    nonsingular square input."""
+    n = len(u)
+    det = abs(determinant(mat)) if n == len(mat[0] if mat else []) else 0
+    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    uw = mat_mul(u, w)
+    if det:
+        assert [[x % det for x in row] for row in uw] == \
+            [[x % det for x in row] for row in identity]
+        assert math.gcd(determinant(u), det) == 1
+        assert all(0 <= x < det for row in w for x in row)
+    else:
+        assert uw == identity
+        assert abs(determinant(u)) == 1
+    return det
+
+
 def test_snf_reconstruction_and_unimodularity():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(0, 5)
         m = rng.randint(0, 5)
         mat = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-        u, d, v = smith_normal_form(mat)
-        if n and m:
-            assert mat_mul(mat_mul(u, mat), v) == d
-        assert abs(determinant(u)) == 1
-        assert abs(determinant(v)) == 1
+        u, d, w = smith_normal_form(mat)
+        check_transforms(mat, u, w)
+        assert len(d) == n and all(len(row) == m for row in d)
+        assert all(d[i][j] == 0 for i in range(n) for j in range(m) if i != j)
         diag = [d[i][i] for i in range(min(n, m))]
+        assert diag == sympy_invariant_factors(mat, n, m)
         nonzero = [x for x in diag if x]
         assert all(x > 0 for x in nonzero)
         for a, b in zip(nonzero, nonzero[1:]):
@@ -110,9 +139,6 @@ def test_snf_reconstruction_and_unimodularity():
 
 
 def test_snf_against_sympy():
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form as sym_snf
-
     rng = random.Random(9)
     for _ in range(60):
         n = rng.randint(1, 5)
@@ -122,6 +148,33 @@ def test_snf_against_sympy():
         mine = sorted(abs(d[i][i]) for i in range(n))
         ref = sorted(abs(int(theirs[i, i])) for i in range(n))
         assert mine == ref
+
+
+@st.composite
+def symmetric_matrices(draw, max_m=12, bound=4):
+    m = draw(st.integers(1, max_m))
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = draw(st.integers(-bound, bound))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices())
+def test_snf_bounded_elimination_property(rows):
+    m = len(rows)
+    u, d, w = smith_normal_form(rows)
+    assert [d[i][i] for i in range(m)] == sympy_invariant_factors(rows, m, m)
+    det = check_transforms(rows, u, w)
+    if det:
+        group = cokernel(IntSymMatrix.from_rows(rows))
+        assert group.order == det
+        for order, rep in zip(group.cyclic_orders, group.generator_reps):
+            # the order of [g] in Z^m / L Z^m is the lcm of the
+            # denominators of L^{-1} g
+            sol = solve_rational(rows, list(rep))
+            assert math.lcm(*(x.denominator for x in sol)) == order
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +194,18 @@ def test_regular_decomposition_examples():
     assert rd.regular.m == 0
 
 
-def test_regular_decomposition_invariants_and_strategy_independence():
+def test_regular_decomposition_invariants():
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(0, 5)
         L = IntSymMatrix.from_rows(random_symmetric(rng, n))
+        if n >= 2 and rng.random() < 0.5:
+            # degenerate: B^T S B with B = [I | v] of shape (n - 1) x n
+            s = random_symmetric(rng, n - 1)
+            b = [[1 if i == j else 0 for j in range(n - 1)] + [rng.randint(-2, 2)]
+                 for i in range(n - 1)]
+            L = IntSymMatrix.from_rows(mat_mul(mat_mul(mat_transpose(b), s), b))
         rd = regular_decomposition(L)
-        alt = regular_decomposition(L, strategy="completion")
         assert rd.rank + rd.nullity == n
         if rd.nullity and n:
             kernel = [list(row) for row in rd.kernel_basis]
@@ -157,9 +215,8 @@ def test_regular_decomposition_invariants_and_strategy_independence():
             joined = [list(rc) + list(rk)
                       for rc, rk in zip(rd.complement_basis, rd.kernel_basis)]
             assert abs(determinant(joined)) == 1
-        d1 = abs(determinant(rd.regular)) if rd.rank else 1
-        d2 = abs(determinant(alt.regular)) if alt.rank else 1
-        assert d1 == d2 != 0
+        factors = [x for x in sympy_invariant_factors(L.rows(), n, n) if x]
+        assert abs(determinant(rd.regular)) == math.prod(factors) != 0
         assert signature(L) == signature(rd.regular)
 
 
@@ -334,9 +391,3 @@ def test_integer_inverse_errors():
         integer_inverse([[1, 2], [2, 4]])
     with pytest.raises(DegenerateMatrix):
         solve_rational([[1, 2], [2, 4]], [1, 0])
-
-
-def test_inverse_pairing_is_symmetric():
-    L = IntSymMatrix.from_rows([[2, 1], [1, 4]])
-    assert inverse_pairing_value(L, [1, 0], [0, 1]) \
-        == inverse_pairing_value(L, [0, 1], [1, 0])

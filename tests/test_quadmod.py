@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from abtqft import numeric
 from abtqft.errors import GroupTooLarge
 from abtqft.intlinalg import IntSymMatrix, determinant
 from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
@@ -111,6 +112,16 @@ def test_gauss_sum_near_group_cap_has_unit_modulus():
     # quadratic values would show.
     mod = from_surgery(sym([[999983]]))
     assert abs(abs(gauss_sum(mod, 2)) - 1) <= sum_tolerance(mod.order)
+
+
+def test_root_table_cache_keeps_no_large_table():
+    # A table for modulus N holds 16 N bytes; at the group cap N ~ 2 * 10**6.
+    numeric._root_table.cache_clear()
+    for p in (999983, 999979):
+        gauss_sum(from_surgery(sym([[p]])), 2)
+    assert numeric._root_table.cache_info().currsize == 0
+    gauss_sum(from_surgery(sym([[3]])), 2)
+    assert numeric._root_table.cache_info().currsize == 1
 
 
 def test_gauss_sum_requires_even_level():
