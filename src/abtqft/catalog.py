@@ -56,6 +56,8 @@ class CatalogEntry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CatalogEntry":
+        if not isinstance(obj, dict):
+            raise ValueError("a catalog entry must be a JSON object")
         expected: ExpectedMap = obj.get("expected", DERIVED_AT_BUILD)
         if isinstance(expected, dict):
             expected = {int(k): polar_from_json(v) for k, v in expected.items()}

@@ -30,7 +30,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from . import compare, extended, surgery
-from .catalog import builtin_catalog, load_catalog
+from .catalog import CatalogEntry, builtin_catalog, load_catalog
 from .errors import AbtqftError, EnumerationTooLarge, GroupTooLarge
 from .intlinalg import IntSymMatrix, rational_rank, signature
 from .numeric import approx_to_json, rational_to_json, sum_tolerance
@@ -58,19 +58,32 @@ def emit(report: dict, as_json: bool, lines: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 # Presentation sources
 
-def resolve_presentation(source: str, catalog_path: Optional[str]
-                         ) -> SurgeryPresentation:
+def merged_catalog(catalog_path: Optional[str]) -> Dict[str, CatalogEntry]:
+    """The built-in catalog, with the entries of ``catalog_path`` merged in."""
     catalog = builtin_catalog()
     if catalog_path:
-        catalog.update(load_catalog(catalog_path))
+        try:
+            catalog.update(load_catalog(catalog_path))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise InputError(f"cannot load catalog {catalog_path}: "
+                             f"{type(exc).__name__}: {exc}") from exc
+    return catalog
+
+
+def resolve_presentation(source: str, catalog_path: Optional[str]
+                         ) -> SurgeryPresentation:
+    catalog = merged_catalog(catalog_path)
     if source in catalog:
         return catalog[source].presentation
     text = None
     if source.lstrip().startswith("{"):
         text = source
     elif os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read {source}: {exc}") from exc
     if text is None:
         raise InputError(f"unknown catalog name or file: {source!r}")
     try:
@@ -287,9 +300,7 @@ def cmd_verify(args) -> int:
 # catalog / phase-table
 
 def cmd_catalog(args) -> int:
-    catalog = builtin_catalog()
-    if args.catalog:
-        catalog.update(load_catalog(args.catalog))
+    catalog = merged_catalog(args.catalog)
     if args.action == "list":
         report = {"entries": [{"name": e.name, "note": e.note}
                               for e in catalog.values()]}
@@ -316,8 +327,11 @@ def cmd_phase_table(args) -> int:
     table = compare.build_phase_table(corpus)
     payload = json.dumps(table.to_json(), sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(payload)

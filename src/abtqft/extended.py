@@ -62,13 +62,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NotLagrangian
-from .intlinalg import IntSymMatrix, integer_inverse, mat_transpose, rational_rank, signature
-from .numeric import UnitPhase, approx_to_json, unit_phase_eval
+from .intlinalg import (IntSymMatrix, clear_denominators, identity_matrix, integer_inverse,
+                        mat_mul, mat_transpose, mat_vec, rational_rank, signature)
+from .numeric import UnitPhase, _root_table, approx_to_json, unit_phase_eval
 from .quadmod import CyclicQuadraticData, bicharacter
 from .surgery import SurgeryPresentation, random_unimodular, rt_raw_closed
 
@@ -120,20 +121,14 @@ def modular_rep(k: int) -> Tuple[np.ndarray, np.ndarray]:
 
     ``S[y][x] = k^{-1/2} exp(-2 pi i x y / k)`` and
     ``T[x][x] = exp(pi i x^2 / k)``; see the module docstring for why the
-    Fourier kernel carries the minus sign.
+    Fourier kernel carries the minus sign.  Both read the shared root
+    tables, which equal :func:`unit_phase_eval` bit for bit.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError("level k must be an even integer >= 2")
-    data = CyclicQuadraticData(k)
-    s = np.empty((k, k), dtype=complex)
-    for x in range(k):
-        for y in range(x, k):
-            s[y][x] = s[x][y] = unit_phase_eval(
-                bicharacter(data, x, y).conjugate())
-    s /= math.sqrt(k)
-    t = np.zeros((k, k), dtype=complex)
-    for x in range(k):
-        t[x][x] = unit_phase_eval(data.twist_phase(x))
+    x = np.arange(k)
+    s = _root_table(k)[np.outer(-x, x) % k] / math.sqrt(k)
+    t = np.diag(_root_table(2 * k)[x * x % (2 * k)])
     return s, t
 
 
@@ -310,25 +305,23 @@ def cylinder_bordism() -> ExtendedBordism:
 # ---------------------------------------------------------------------------
 # Lagrangian frames and the Maslov index
 
-def symplectic_pairing(g: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def symplectic_pairing(g: int, u: Sequence[int], v: Sequence[int]) -> int:
     """Standard symplectic form on Q^{2g}: ``w(e_i, e_{g+i}) = 1``."""
-    acc = Fraction(0)
-    for i in range(g):
-        acc += u[i] * v[g + i] - u[g + i] * v[i]
-    return acc
+    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
 
 
 @dataclass(frozen=True)
 class LagrangianFrame:
-    """A rational basis (2g x g, column-major storage) of a Lagrangian
-    subspace of ``(Q^{2g}, w)``."""
+    """A basis (2g x g, column-major storage) of a Lagrangian subspace of
+    ``(Q^{2g}, w)``.  Columns may be rational; each is stored scaled to
+    integers by the positive lcm of its denominators (same subspace)."""
 
     genus: int
-    columns: Tuple[Tuple[Fraction, ...], ...]
+    columns: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         g = self.genus
-        cols = tuple(tuple(Fraction(x) for x in col) for col in self.columns)
+        cols = tuple(tuple(clear_denominators(col)) for col in self.columns)
         if len(cols) != g or any(len(col) != 2 * g for col in cols):
             raise NotLagrangian("frame must consist of g vectors in Q^{2g}")
         if rational_rank(cols) != g:
@@ -341,15 +334,15 @@ class LagrangianFrame:
 
     @classmethod
     def from_columns(cls, genus: int, columns: Iterable[Iterable]) -> "LagrangianFrame":
-        return cls(genus, tuple(tuple(Fraction(x) for x in col) for col in columns))
+        return cls(genus, tuple(tuple(col) for col in columns))
 
     @classmethod
     def horizontal(cls, genus: int) -> "LagrangianFrame":
         """The span of the first g basis vectors."""
         cols = []
         for i in range(genus):
-            col = [Fraction(0)] * (2 * genus)
-            col[i] = Fraction(1)
+            col = [0] * (2 * genus)
+            col[i] = 1
             cols.append(tuple(col))
         return cls(genus, tuple(cols))
 
@@ -359,10 +352,10 @@ class LagrangianFrame:
         g = len(sym)
         cols = []
         for i in range(g):
-            col = [Fraction(0)] * (2 * g)
-            col[i] = Fraction(1)
+            col = [0] * (2 * g)
+            col[i] = 1
             for j in range(g):
-                col[g + j] = Fraction(sym[j][i])
+                col[g + j] = sym[j][i]
             cols.append(tuple(col))
         return cls(g, tuple(cols))
 
@@ -375,22 +368,18 @@ def maslov_index(l1: LagrangianFrame, l2: LagrangianFrame,
         raise ValueError("frames must share one genus")
     frames = (l1.columns, l2.columns, l3.columns)
     n = 3 * g
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    # Bilinear form of Q(x1,x2,x3) = w(x1,x2) + w(x2,x3) + w(x3,x1):
-    # slot pairs (0,1) and (1,2) enter with +1/2, (0,2) with -1/2.
-    for (a, b, half) in ((0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2)),
-                         (0, 2, Fraction(-1, 2))):
+    gram = [[0] * n for _ in range(n)]
+    # Gram of 2Q for Q(x1,x2,x3) = w(x1,x2) + w(x2,x3) + w(x3,x1): slot
+    # pairs (0,1) and (1,2) enter with +w, (0,2) with -w.  The frames are
+    # integral, and positive column scalings are congruences, so this has
+    # the signature of Q on the rational frames.
+    for (a, b, sign) in ((0, 1, 1), (1, 2, 1), (0, 2, -1)):
         for i, u in enumerate(frames[a]):
             for j, v in enumerate(frames[b]):
-                val = half * symplectic_pairing(g, u, v)
+                val = sign * symplectic_pairing(g, u, v)
                 gram[a * g + i][b * g + j] += val
                 gram[b * g + j][a * g + i] += val
-    lcm = 1
-    for row in gram:
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    scaled = [[int(2 * lcm * x) for x in row] for row in gram]
-    return signature(IntSymMatrix.from_rows(scaled))
+    return signature(gram)
 
 
 def random_lagrangian(rng: random.Random, genus: int,
@@ -403,55 +392,40 @@ def random_lagrangian(rng: random.Random, genus: int,
         for j in range(i, g):
             sym[i][j] = sym[j][i] = Fraction(rng.randint(-3, 3),
                                              rng.randint(1, 3))
-    cols = [list(col) for col in LagrangianFrame.graph(sym).columns]
-
-    def apply(mat: List[List[Fraction]]) -> None:
-        for c, col in enumerate(cols):
-            cols[c] = [sum(mat[i][j] * col[j] for j in range(2 * g))
-                       for i in range(2 * g)]
-
+    cols = LagrangianFrame.graph(sym).columns
     for _ in range(rng.randint(0, moves)):
         kind = rng.randrange(3)
         if kind == 0:
             # J: (a, b) -> (-b, a)
-            mat = [[Fraction(0)] * (2 * g) for _ in range(2 * g)]
+            mat = [[0] * (2 * g) for _ in range(2 * g)]
             for i in range(g):
-                mat[i][g + i] = Fraction(-1)
-                mat[g + i][i] = Fraction(1)
+                mat[i][g + i] = -1
+                mat[g + i][i] = 1
         elif kind == 1:
             # shear [[I, B], [0, I]] with B symmetric integral
-            b = [[0] * g for _ in range(g)]
+            mat = identity_matrix(2 * g)
             for i in range(g):
                 for j in range(i, g):
-                    b[i][j] = b[j][i] = rng.randint(-2, 2)
-            mat = [[Fraction(1 if i == j else 0) for j in range(2 * g)]
-                   for i in range(2 * g)]
-            for i in range(g):
-                for j in range(g):
-                    mat[i][g + j] = Fraction(b[i][j])
+                    mat[i][g + j] = mat[j][g + i] = rng.randint(-2, 2)
         else:
             # block-diagonal GL(g, Z) action [[A, 0], [0, A^{-T}]]
             a = random_unimodular(rng, g, steps=3)
             a_inv_t = mat_transpose(integer_inverse(a))
-            mat = [[Fraction(0)] * (2 * g) for _ in range(2 * g)]
+            mat = [[0] * (2 * g) for _ in range(2 * g)]
             for i in range(g):
                 for j in range(g):
-                    mat[i][j] = Fraction(a[i][j])
-                    mat[g + i][g + j] = Fraction(a_inv_t[i][j])
-        apply(mat)
+                    mat[i][j] = a[i][j]
+                    mat[g + i][g + j] = a_inv_t[i][j]
+        cols = [mat_vec(mat, col) for col in cols]
 
     # rational change of basis inside the subspace
     while True:
         mix = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                 for _ in range(g)] for _ in range(g)]
-        if rational_rank(tuple(tuple(row) for row in mix)) == g:
+        if rational_rank(mix) == g:
             break
-    mixed_cols = []
-    for c in range(g):
-        vec = [sum(mix[r][c] * cols[r][i] for r in range(g))
-               for i in range(2 * g)]
-        mixed_cols.append(tuple(vec))
-    return LagrangianFrame(g, tuple(mixed_cols))
+    # new column c is sum_r mix[r][c] cols[r]
+    return LagrangianFrame(g, mat_mul(mat_transpose(mix), cols))
 
 
 # ---------------------------------------------------------------------------

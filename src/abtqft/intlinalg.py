@@ -1,22 +1,22 @@
 """Exact integer and rational linear algebra on symmetric matrices.
 
-Everything here is exact: matrices are Python integers, rational work uses
-:class:`fractions.Fraction`.  The operations cover what a surgery matrix
-needs homologically,
+Everything here is exact: matrices are Python integers and every elimination
+divides exactly; :class:`fractions.Fraction` appears only in rational inputs
+and results.  The operations cover what a surgery matrix needs homologically,
 
 * Smith normal form by one bounded elimination, which also builds the
   inverse of its row transform and works modulo the determinant when the
   matrix is nonsingular,
 * splitting off the saturated kernel and extracting a nondegenerate
   "regular" block (a nondegenerate matrix is its own),
-* signatures by rational symmetric congruence (no floating eigenvalues;
-  signatures enter invariants as eighth-root-of-unity phases, so they must
-  be exact),
+* signatures by fraction-free symmetric congruence (no floating
+  eigenvalues; signatures enter invariants as eighth-root-of-unity phases,
+  so they must be exact),
 * cyclic decomposition and enumeration of the finite cokernel
   ``Z^rho / L_reg Z^rho``,
 * exact evaluation of the inverse form ``x^T L_reg^{-1} x``,
-* one Gauss-Jordan elimination over the rationals, behind every solve,
-  inverse and rank.
+* one fraction-free Gauss-Jordan elimination (Bareiss, 1968), behind every
+  determinant, solve, inverse and rank.
 
 All functions treat their inputs as immutable and are safe for parallel use.
 Matrices are serialized as JSON arrays of arrays of integers (row-major).
@@ -138,27 +138,45 @@ class IntSymMatrix:
         return cls.from_rows(obj)
 
 
-def determinant(mat) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    a = _to_int_rows(mat)
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
+def _cross(row: List[int], top: List[int], p: int, f: int, prev: int) -> List[int]:
+    """``(row * p - f * top) / prev`` entrywise, the update of both eliminations
+    below; exact (Bareiss, 1968), as every entry stays an integer minor."""
+    return [(x * p - f * y) // prev for x, y in zip(row, top)]
+
+
+def _eliminate(rows: IntRows, ncols: int) -> Tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination in place; returns ``(rank, det)``.
+
+    Row pivots are taken in column order among the first ``ncols`` columns
+    and moved to the top; each pivot turns every other row into its
+    :func:`_cross` with the pivot row.  The pivot rows all end with the last
+    pivot ``p`` on the diagonal, so a nonsingular square ``[A | B]`` ends as
+    ``[p I | p A^{-1} B]``, and ``det = +-p`` (the sign of the row swaps) is
+    ``det A``.  This is the library's only Gauss-Jordan elimination.
+    """
+    rank, prev, sign = 0, 1, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        top = rows[rank]
+        p = top[col]
+        for r, row in enumerate(rows):
+            if r != rank:
+                rows[r] = _cross(row, top, p, row[col], prev)
+        prev = p
+        rank += 1
+    return rank, sign * prev
+
+
+def determinant(mat) -> int:
+    """Exact determinant of a square integer matrix."""
+    a = _to_int_rows(mat)
+    rank, det = _eliminate(a, len(a))
+    return det if rank == len(a) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,63 +279,42 @@ def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
     return u, a, mat_transpose(wt)
 
 
-def _row_reduce(rows: List[List[Fraction]], ncols: int) -> int:
-    """Gauss-Jordan elimination over the rationals, in place; returns the rank.
-
-    Pivots are taken in the first ``ncols`` columns, normalized to 1 and
-    moved to the top in column order, so a nonsingular square block
-    ``[A | B]`` ends as ``[I | A^{-1} B]``.  This is the library's only
-    rational elimination.
-    """
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _solve(mat: Sequence[Sequence[int]], rhs: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Rows of ``mat^{-1} rhs`` for a square ``mat`` and a block ``rhs``."""
+def _solve(mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> Tuple[IntRows, int]:
+    """``(X, p)`` with ``mat^{-1} rhs = X / p`` for a square ``mat`` and an
+    integer block ``rhs``; ``p = +-det mat``."""
     n = len(mat)
-    a = [[Fraction(x) for x in mat[i]] + [Fraction(x) for x in rhs[i]]
-         for i in range(n)]
-    if _row_reduce(a, n) < n:
+    a = [[int(x) for x in mat[i]] + [int(x) for x in rhs[i]] for i in range(n)]
+    if _eliminate(a, n)[0] < n:
         raise DegenerateMatrix("matrix is singular")
-    return [row[n:] for row in a]
+    return [row[n:] for row in a], (a[0][0] if n else 1)
+
+
+def clear_denominators(values: Iterable) -> List[int]:
+    """Integers or fractions times the positive lcm of their denominators."""
+    fracs = [Fraction(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (scale // x.denominator) for x in fracs]
 
 
 def rational_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals of a matrix of integers or fractions."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    return _row_reduce(a, len(a[0]) if a else 0)
+    a = [clear_denominators(row) for row in rows]
+    return _eliminate(a, len(a[0]) if a else 0)[0]
 
 
 def integer_inverse(mat: Sequence[Sequence[int]]) -> IntRows:
     """Inverse of a unimodular integer matrix, returned over the integers."""
-    inv = _solve(mat, identity_matrix(len(mat)))
-    out: IntRows = []
-    for row in inv:
-        int_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            int_row.append(x.numerator)
-        out.append(int_row)
-    return out
+    inv, p = _solve(mat, identity_matrix(len(mat)))
+    if abs(p) != 1:
+        raise ValueError("matrix is not unimodular")
+    return [[x * p for x in row] for row in inv]
 
 
 def solve_rational(mat: Sequence[Sequence[int]], rhs: Sequence) -> List[Fraction]:
     """Solve ``mat @ y = rhs`` exactly over the rationals."""
-    return [row[0] for row in _solve(mat, [[x] for x in rhs])]
+    *col, scale = clear_denominators([*rhs, 1])  # scale * rhs, then scale
+    sol, p = _solve(mat, [[x] for x in col])
+    return [Fraction(row[0], p * scale) for row in sol]
 
 
 # ---------------------------------------------------------------------------
@@ -377,37 +374,32 @@ def regular_decomposition(L: IntSymMatrix) -> RegularDecomposition:
 def signature(L) -> int:
     """Signature of a symmetric integer matrix, computed exactly.
 
-    Rational symmetric congruence diagonalization: nonzero diagonal entries
-    are used as pivots; a zero diagonal with a nonzero row entry is repaired
-    by adding (or subtracting) the partner row and column, which realizes the
-    hyperbolic 2x2 block as two opposite-sign pivots.  The radical
-    contributes nothing.
+    Symmetric congruence diagonalization with diagonal pivots, fraction-free:
+    the trailing block holds ``prev`` times the rational Schur complement
+    (``prev`` the last pivot taken), so each step is :func:`_cross` and the
+    rational pivot ``p / prev`` counts ``sign(p) sign(prev)``.  A zero
+    diagonal with a nonzero row entry is repaired by adding (or subtracting)
+    the partner row and column, which realizes the hyperbolic 2x2 block as
+    two opposite-sign pivots.  The radical contributes nothing.
     """
-    rows = _to_int_rows(L)
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    sig = 0
+    a = _to_int_rows(L)
+    n = len(a)
+    sig, prev = 0, 1
     for i in range(n):
         if a[i][i] == 0:
             partner = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
             if partner is None:
                 continue  # row lies in the radical
-            for s in (1, -1):
-                if a[i][i] + 2 * s * a[i][partner] + a[partner][partner] != 0:
-                    for col in range(n):
-                        a[i][col] += s * a[partner][col]
-                    for row in range(n):
-                        a[row][i] += s * a[row][partner]
-                    break
-        pivot = a[i][i]
-        sig += 1 if pivot > 0 else -1
+            # the new diagonal is 2 s a[i][partner] + a[partner][partner]
+            s = 1 if 2 * a[i][partner] + a[partner][partner] else -1
+            a[i][i:] = [x + s * y for x, y in zip(a[i][i:], a[partner][i:])]
+            for row in a[i:]:
+                row[i] += s * row[partner]
+        p = a[i][i]
+        sig += 1 if (p > 0) == (prev > 0) else -1
         for r in range(i + 1, n):
-            if a[r][i] != 0:
-                factor = a[r][i] / pivot
-                for c in range(n):
-                    a[r][c] -= factor * a[i][c]
-                for c in range(n):
-                    a[c][r] -= factor * a[c][i]
+            a[r][i + 1:] = _cross(a[r][i + 1:], a[i][i + 1:], p, a[r][i], prev)
+        prev = p
     return sig
 
 
@@ -478,7 +470,5 @@ def inverse_form_value(L_reg: IntSymMatrix, x: Sequence[int]) -> Fraction:
     """Exact rational ``x^T L_reg^{-1} x`` (via one linear solve)."""
     if len(x) != L_reg.m:
         raise ValueError("vector dimension mismatch")
-    if L_reg.m == 0:
-        return Fraction(0)
-    y = solve_rational(L_reg.rows(), list(x))
-    return sum((Fraction(xi) * yi for xi, yi in zip(x, y)), Fraction(0))
+    sol, p = _solve(L_reg.rows(), [[xi] for xi in x])
+    return Fraction(sum(xi * row[0] for xi, row in zip(x, sol)), p)

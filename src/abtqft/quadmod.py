@@ -140,10 +140,12 @@ class FiniteQuadraticModule:
         return cls(group, tuple(tuple(row) for row in gram))
 
 
-def _integral(x: Fraction) -> int:
-    if x.denominator != 1:
+def _integral(num, den: int = 1) -> int:
+    """``num / den`` for an integer or fraction ``num``; it must be whole."""
+    q, r = divmod(num, den)
+    if r:
         raise ValueError("quadratic data must have denominator dividing 2e")
-    return x.numerator
+    return q
 
 
 def from_surgery(L: IntSymMatrix, cap: int = GROUP_ENUMERATION_CAP) -> FiniteQuadraticModule:
@@ -157,7 +159,8 @@ def from_regular_block(reg: IntSymMatrix,
     """Finite quadratic module of a nondegenerate symmetric block.
 
     The Gram matrix is ``G = e R^T L_reg^{-1} R`` for the matrix ``R`` of
-    generator lifts, from one rational solve, reduced mod ``2e``.
+    generator lifts, reduced mod ``2e``: one fraction-free solve gives
+    ``L_reg^{-1} R = X / p``, and ``G = e R^T X / p`` divides exactly.
     """
     group = cokernel(reg)
     if group.order > cap:
@@ -166,9 +169,9 @@ def from_regular_block(reg: IntSymMatrix,
     e = math.lcm(*group.cyclic_orders)
     gens = group.generator_reps
     lifts = [[g[r] for g in gens] for r in range(reg.m)]
-    solved = _solve(reg.rows(), lifts)  # L_reg^{-1} R, column j for g_j
+    solved, p = _solve(reg.rows(), lifts)  # L_reg^{-1} R = X / p
     gram = tuple(
-        tuple(_integral(e * sum(x * row[j] for x, row in zip(g, solved)))
+        tuple(_integral(e * sum(x * row[j] for x, row in zip(g, solved)), p)
               % (2 * e) for j in range(len(gens)))
         for g in gens)
     return FiniteQuadraticModule(group, gram, reg)

@@ -152,6 +152,15 @@ class SurgeryPresentation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SurgeryPresentation":
+        """Presentation from JSON; entries of ``L``, ``B``, ``C`` and ``h`` must
+        be JSON integers (``int()`` would make ``1.5`` or ``"3"`` another matrix)."""
+        if not isinstance(obj, dict):
+            raise ValueError("a presentation must be a JSON object")
+        for key in ("L", "B", "C", "h"):
+            value = obj.get(key) or []
+            for x in value if key == "h" else [x for row in value for x in row]:
+                if type(x) is not int:
+                    raise ValueError(f"entry {x!r} of {key} is not an integer")
         L = IntSymMatrix.from_json(obj.get("L", []))
         C = IntSymMatrix.from_json(obj.get("C", []))
         B = obj.get("B")

@@ -210,6 +210,52 @@ def test_case_count_below_one_is_usage_error(capsys, argv):
     assert "--cases" in err
 
 
+def assert_one_line_usage_error(code, out, err, prefix="error: "):
+    assert code == 2
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", ["1.5", "true", '"3"', "1e300"])
+@pytest.mark.parametrize("template", [
+    '{"L": [[%s]]}',
+    '{"L": [[1]], "B": [[%s]], "C": [[0]], "h": [1]}',
+    '{"L": [[1]], "B": [[1]], "C": [[%s]], "h": [1]}',
+    '{"L": [[1]], "B": [[1]], "C": [[0]], "h": [%s]}',
+], ids=["L", "B", "C", "h"])
+def test_non_integer_presentation_entry_is_usage_error(capsys, template, entry):
+    code, out, err = run(capsys, "invariant", template % entry, "--k", "2")
+    assert_one_line_usage_error(code, out, err,
+                                "error: malformed presentation JSON: ")
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "not json",
+    '{"entries": [{"name": "X"}]}',
+], ids=["missing", "not-json", "no-presentation"])
+@pytest.mark.parametrize("argv", [("invariant", "S3", "--k", "2"),
+                                  ("catalog", "list")], ids=["invariant", "catalog"])
+def test_unreadable_catalog_is_usage_error(capsys, tmp_path, argv, content):
+    path = tmp_path / "catalog.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, *argv, "--catalog", str(path))
+    assert_one_line_usage_error(code, out, err, "error: cannot load catalog ")
+
+
+def test_directory_source_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "invariant", str(tmp_path), "--k", "2")
+    assert_one_line_usage_error(code, out, err, "error: cannot read ")
+
+
+def test_unwritable_phase_table_out_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "table.json"
+    code, out, err = run(capsys, "phase-table", "build", "--cases", "1",
+                         "--out", str(out_path))
+    assert_one_line_usage_error(code, out, err, "error: cannot write ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["invariant"])  # missing required --k

@@ -17,6 +17,7 @@ from abtqft.intlinalg import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    rational_rank,
     regular_decomposition,
     signature,
     smith_normal_form,
@@ -175,6 +176,61 @@ def test_snf_bounded_elimination_property(rows):
             # denominators of L^{-1} g
             sol = solve_rational(rows, list(rep))
             assert math.lcm(*(x.denominator for x in sol)) == order
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free elimination
+
+@st.composite
+def elimination_matrices(draw, max_m=12, bound=4):
+    """Symmetric ``S`` or, half the time, the degenerate ``B^T S B`` with
+    ``B`` of shape n x m, n < m; half the ``S`` have an all-zero diagonal,
+    so that the signature's partner repair runs."""
+    m = draw(st.integers(1, max_m))
+    degenerate = m >= 2 and draw(st.booleans())
+    n = draw(st.integers(1, m - 1)) if degenerate else m
+    zero_diagonal = draw(st.booleans())
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            s[i][j] = s[j][i] = draw(st.integers(-bound, bound))
+    if not degenerate:
+        return s
+    b = [[draw(st.integers(-2, 2)) for _ in range(m)] for _ in range(n)]
+    return mat_mul(mat_mul(mat_transpose(b), s), b)
+
+
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def charpoly_signature(rows):
+    """Exact oracle: the characteristic polynomial of a symmetric matrix is
+    real-rooted, so Descartes' rule counts its positive roots exactly, and
+    those of ``p(-x)`` count the negative ones."""
+    coeffs = Matrix(rows).charpoly().all_coeffs()
+    deg = len(coeffs) - 1
+    mirrored = [c * (-1) ** (deg - i) for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs) - sign_changes(mirrored)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elimination_matrices(), st.data())
+def test_elimination_property(rows, data):
+    m = len(rows)
+    ref = Matrix(rows)
+    det = determinant(rows)
+    assert det == ref.det()
+    assert rational_rank(rows) == ref.rank()
+    denominators = data.draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    scaled = [[Fraction(x, d) for x in row] for row, d in zip(rows, denominators)]
+    assert rational_rank(scaled) == ref.rank()
+    assert signature(rows) == charpoly_signature(rows)
+    if det:
+        rhs = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+        want = ref.LUsolve(Matrix(rhs))
+        assert solve_rational(rows, rhs) == [Fraction(int(x.p), int(x.q)) for x in want]
 
 
 # ---------------------------------------------------------------------------
