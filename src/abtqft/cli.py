@@ -149,6 +149,7 @@ def _suite_kirby(args) -> dict:
     rng = random.Random(args.seed)
     levels = (2, 4, 6, 8)
     deviations: List[float] = []
+    margin = 0.0
     worst = None
     failures = 0
     for case in range(args.cases):
@@ -160,6 +161,7 @@ def _suite_kirby(args) -> dict:
         after = rt_raw_closed(q, k)
         dev = abs(after - before)
         tol = sum_tolerance(k ** max(p.m, q.m), args.tol)
+        margin = max(margin, dev / tol)
         if dev > tol:
             failures += 1
             if worst is None:
@@ -169,7 +171,8 @@ def _suite_kirby(args) -> dict:
         deviations.append(dev)
     report = {"suite": "kirby", "seed": args.seed, "cases": args.cases,
               "max_dev": max(deviations, default=0.0), "failures": failures,
-              "deviations": deviations}
+              "deviations": deviations, "tolerance_base": args.tol,
+              "worst_margin": margin}
     if worst:
         report["first_failure"] = worst
     return report
@@ -180,13 +183,16 @@ def _suite_reciprocity(args) -> dict:
     failures = 0
     worst = None
     deviations: List[float] = []
+    margin = 0.0
     for case in range(args.cases):
         L = compare.random_nondegenerate(rng, 3, 4)
         r = rng.choice((2, 4, 6))
         chk = compare.verify_reciprocity_dt(L, r)
         dev = abs(chk.lhs - chk.rhs)
         deviations.append(dev)
-        if dev > sum_tolerance(r ** L.m, args.tol):
+        tol = sum_tolerance(r ** L.m, args.tol)
+        margin = max(margin, dev / tol)
+        if dev > tol:
             failures += 1
             worst = worst or {"case": case, "L": L.to_json(), "r": r,
                               "lhs": approx_to_json(chk.lhs),
@@ -198,7 +204,9 @@ def _suite_reciprocity(args) -> dict:
         chk = compare.verify_reciprocity_degenerate(L, r, "full_nullity")
         dev = abs(chk.lhs - chk.rhs)
         deviations.append(dev)
-        if dev > sum_tolerance(r ** L.m, args.tol):
+        tol = sum_tolerance(r ** L.m, args.tol)
+        margin = max(margin, dev / tol)
+        if dev > tol:
             degenerate_failures += 1
     # The half-kernel normalization is expected to fail on [[0]], r = 2;
     # reproducing that mismatch is part of the check.
@@ -208,6 +216,7 @@ def _suite_reciprocity(args) -> dict:
               "max_dev": max(deviations, default=0.0),
               "deviations": deviations,
               "degenerate_failures": degenerate_failures,
+              "tolerance_base": args.tol, "worst_margin": margin,
               "paper_half_zero_matrix": {
                   "lhs": approx_to_json(half.lhs),
                   "rhs": approx_to_json(half.rhs),
@@ -290,6 +299,9 @@ def cmd_verify(args) -> int:
     lines = [f"suite {args.suite}: {'PASS' if passed else 'FAIL'}"]
     if "max_dev" in report:
         lines.append(f"max deviation {report['max_dev']:.3e}")
+    if "worst_margin" in report:
+        lines.append(f"worst margin  {report['worst_margin']:.3e} "
+                     f"(deviation / ({report['tolerance_base']:g} * sqrt(#terms)))")
     if not passed and "first_failure" in report:
         lines.append(f"first failure: {json.dumps(report['first_failure'], sort_keys=True)}")
     emit(report, args.json, lines)

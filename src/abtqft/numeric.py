@@ -18,8 +18,9 @@ Conventions used throughout the library:
   complex number.
 * Every exponential sum of the library (coloring sums, torsion Gauss sums,
   the reciprocity right side, ``A+-``) goes through the one kernel
-  :func:`quadratic_phase_sum`, which counts residues exactly and contracts
-  the counts against the values :func:`unit_phase_eval` gives.
+  :func:`quadratic_phase_sum`.  It reads every phase from a table equal to
+  :func:`unit_phase_eval`, and sums over a trailing block of coordinates
+  for all leading points at once by one inverse DFT (split-Fourier).
 """
 
 from __future__ import annotations
@@ -115,9 +116,13 @@ def _root_table(n: int) -> np.ndarray:
     return table
 
 
-#: Points of the trailing block that :func:`quadratic_phase_sum` enumerates
-#: at once; bounds its working memory.
+#: Largest root table :func:`quadratic_phase_sum` keeps in the cache; a
+#: table holds 16 bytes per entry, so larger ones are built per call.
 _BLOCK = 1 << 16
+
+#: Groups of at most this many points are summed unsplit: below it the
+#: fixed cost of a DFT outweighs what the split saves.
+_UNSPLIT_MAX = 1 << 8
 
 
 def _grid(moduli: Sequence[int]) -> np.ndarray:
@@ -130,6 +135,25 @@ def _grid(moduli: Sequence[int]) -> np.ndarray:
     return points
 
 
+def _split_point(moduli: Sequence[int]) -> int:
+    """Number of leading coordinates :func:`quadratic_phase_sum` splits off:
+    none for a group of at most ``_UNSPLIT_MAX`` points, else the most that
+    keep the leading block no larger than the square root of the group."""
+    total = math.prod(moduli)
+    s, lead = 0, 1
+    if total > _UNSPLIT_MAX:
+        while lead * moduli[s] * lead * moduli[s] <= total:
+            lead *= moduli[s]
+            s += 1
+    return s
+
+
+def _values(points: np.ndarray, g: np.ndarray, b: np.ndarray, c: int,
+            n: int) -> np.ndarray:
+    """``x^T G x + b.x + c mod n`` for every row ``x`` of ``points``."""
+    return (((points @ g + b) % n * points).sum(axis=1) + c) % n
+
+
 def quadratic_phase_sum(gram: Sequence[Sequence[int]], moduli: Sequence[int],
                         modulus: int, linear: Optional[Sequence[int]] = None,
                         constant: int = 0) -> complex:
@@ -139,31 +163,54 @@ def quadratic_phase_sum(gram: Sequence[Sequence[int]], moduli: Sequence[int],
     ``moduli``; ``N`` is the ``modulus``.  ``G``, ``b`` and ``c`` are reduced
     mod ``N`` as Python integers before they reach int64, and every product
     is reduced mod ``N`` before the next one, so intermediates stay below
-    ``(m + 2) max(n_i, N)^2``, far inside int64 under the caps.  The
-    quadratic values of a trailing block of coordinates (at most ``_BLOCK``
-    points, at least the last coordinate) are computed once; each point of
-    the leading coordinates only shifts them by a linear term and a constant.
+    ``(m + 2) max(n_i, N)^2``, far inside int64 under the caps.
+
+    Split-Fourier evaluation: write ``x = (x1, x2)`` with ``x1`` the first
+    ``s`` coordinates (:func:`_split_point`).  The cross term of the form is
+    ``y.x2`` with ``y = (G12 + G21^T)^T x1``, so the sum is
+
+        sum_x1 w^{Q(x1) + b1.x1 + c} * F(y),
+        F(y) = sum_x2 f(x2) w^{y.x2},   f(x2) = w^{Q(x2) + b2.x2},
+
+    ``w = exp(2 pi i / N)``.  On trailing axis ``j`` the character
+    ``w^{y_j x_j}`` has period ``P_j = N / d_j``, ``d_j`` the gcd of ``N``
+    and the cross coefficients of ``j``; folding ``f`` onto ``P_j`` (after
+    zero-padding to a multiple of ``P_j``, which a form well defined on the
+    group never needs) turns ``F`` into one n-dimensional inverse DFT, read
+    at ``y_j / d_j``.  With ``s = 0`` every period is 1 and the sum is
+    ``f.sum()``.  This is exact algebra: every phase comes from the exact
+    root table, and only the DFT and the sums round.  For ``T`` terms the
+    worst-case float error is about ``eps * T * log2(T)`` (``eps`` the
+    double-precision unit), below the ``1e-9 * sqrt(T)`` budget for every
+    ``T`` up to about ``10**10``.
     """
     n = modulus
     m = len(moduli)
     g = np.array([[int(x) % n for x in row] for row in gram],
                  dtype=np.int64).reshape(m, m)
     b = np.array([int(x) % n for x in (linear or [0] * m)], dtype=np.int64)
-    s = max(m - 1, 0)
-    block = moduli[s] if m else 1
-    while s > 0 and block * moduli[s - 1] <= _BLOCK:
-        s -= 1
-        block *= moduli[s]
-    inner, outer = _grid(moduli[s:]), _grid(moduli[:s])
-    inner_q = (((inner @ g[s:, s:] % n) * inner).sum(axis=1) + inner @ b[s:]) % n
-    outer_q = (((outer @ g[:s, :s] % n) * outer).sum(axis=1) + outer @ b[:s]
-               + int(constant) % n) % n
-    shifts = outer @ ((g[:s, s:] + g[s:, :s].T) % n) % n
-    counts = np.zeros(n, dtype=np.int64)
-    for q0, shift in zip(outer_q, shifts):
-        counts += np.bincount((inner_q + inner @ shift + q0) % n, minlength=n)
+    s = _split_point(moduli)
     table = _root_table(n) if n <= _BLOCK else _root_table.__wrapped__(n)
-    return complex(counts @ table)
+    sizes = tuple(moduli[s:])
+    # Fold each trailing axis onto the period of its character.
+    cross = (g[:s, s:] + g[s:, :s].T) % n
+    steps = [math.gcd(n, *col) for col in cross.T.tolist()]
+    periods = [n // d for d in steps]
+    folds = [-(-size // p) for size, p in zip(sizes, periods)]
+    f = np.zeros([r * p for r, p in zip(folds, periods)], dtype=complex)
+    f[tuple(slice(size) for size in sizes)] = table[
+        _values(_grid(sizes), g[s:, s:], b[s:], 0, n)].reshape(sizes)
+    f = f.reshape([x for pair in zip(folds, periods) for x in pair]).sum(
+        axis=tuple(range(0, 2 * len(sizes), 2)))
+    if f.size > 1:  # a one-point DFT is the identity; skip its fixed cost
+        f = np.fft.ifftn(f, norm="forward")
+    # Read the DFT at each leading point's shift and contract.
+    strides = [math.prod(periods[j + 1:]) for j in range(len(sizes))]
+    lead = _grid(moduli[:s])
+    shifts = (lead @ cross % n) // np.array(steps, dtype=np.int64) @ np.array(
+        strides, dtype=np.int64)
+    return complex(table[_values(lead, g[:s, :s], b[:s], int(constant) % n, n)]
+                   @ f.ravel()[shifts])
 
 
 @dataclass(frozen=True)

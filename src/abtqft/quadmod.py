@@ -22,7 +22,9 @@ even ``k`` the combination ``k * q`` is well defined mod 1, which is exactly
 what the level-``k`` Gauss sum consumes.  That sum goes through the
 library's one exponential-sum kernel,
 :func:`abtqft.numeric.quadratic_phase_sum`, with the orders of the cyclic
-factors as moduli and ``2e`` as modulus.
+factors as moduli and ``2e`` as modulus; for a group of more than a few
+hundred elements it sums over the trailing cyclic factors by one inverse
+DFT (split-Fourier) instead of element by element.
 
 Phase convention: a stored exponent ``e`` denotes the complex number
 ``exp(2*pi*i*e)``.

@@ -30,10 +30,12 @@ The enumeration over ``(Z_k)^m`` is capped (default ``10**7`` colorings,
 overridable through the ``ABTQFT_MAX_ENUM`` environment variable).  The
 coloring sum and ``A+-`` are evaluated by the library's one exponential-sum
 kernel, :func:`abtqft.numeric.quadratic_phase_sum`, with moduli ``k`` and
-modulus ``2k``: it counts the integer quadratic values modulo ``2k`` and
-sums count-weighted exact root-of-unity evaluations, so the floating error
-stays far below the ``1e-9 * sqrt(k^m)`` budget.  Per-term exact-phase
-loops are kept in the tests as oracles.
+modulus ``2k``: it sums over the trailing colors for every leading coloring
+at once by one inverse DFT of exact root-of-unity values (split-Fourier),
+so the floating error stays far below the ``1e-9 * sqrt(k^m)`` budget.
+This is exact algebra, not reciprocity, so the coloring sum stays an
+independent check of the torsion route.  Per-term exact-phase loops are
+kept in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationTooLarge, IndexOutOfRange
@@ -238,6 +241,13 @@ def normalization_prefactor(m: int, sigma: int, k: int) -> PolarValue:
     return PolarValue(Fraction(1, k ** (m + 1)), UnitPhase(Fraction(-sigma, 8)))
 
 
+@lru_cache(maxsize=256)
+def _approx_prefactor(m: int, sigma_mod_8: int, k: int) -> complex:
+    """:func:`normalization_prefactor` in double precision; its phase
+    depends on ``sigma`` only mod 8, so the cache keys on that."""
+    return polar_to_approx(normalization_prefactor(m, sigma_mod_8, k))
+
+
 def rt_raw_closed(p: SurgeryPresentation, k: int,
                   max_terms: Optional[int] = None) -> complex:
     """Raw closed surgery invariant at even level ``k``.
@@ -255,8 +265,7 @@ def rt_raw_closed(p: SurgeryPresentation, k: int,
             const += p.insertion_colors[i] * sum(
                 C[i][j] * p.insertion_colors[j] for j in range(p.r))
     total = quadratic_exponential_sum(p.surgery.rows(), k, lin, const, max_terms)
-    pref = normalization_prefactor(p.m, signature(p.surgery), k)
-    return polar_to_approx(pref) * total
+    return _approx_prefactor(p.m, signature(p.surgery) % 8, k) * total
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,21 @@ def test_verify_reciprocity_reports_half_mode_mismatch(capsys):
         [math.sqrt(2), 0.0])
 
 
+@pytest.mark.parametrize("suite", ["kirby", "reciprocity"])
+def test_verify_reports_tolerance_base_and_worst_margin(capsys, suite):
+    args = ("verify", suite, "--seed", "3", "--cases", "20", "--json")
+    code, report, _ = run_json(capsys, *args)
+    assert code == 0 and report["pass"] is True
+    assert report["tolerance_base"] == 1e-9
+    assert 0 < report["worst_margin"] <= 1
+    # The margin is deviation / tolerance: a base 1e21 times smaller makes
+    # it 1e21 times larger, and the suite fails.
+    code, tight, _ = run_json(capsys, *args, "--tol", "1e-30")
+    assert code == 1 and tight["pass"] is False
+    assert tight["tolerance_base"] == 1e-30
+    assert tight["worst_margin"] == pytest.approx(report["worst_margin"] * 1e21)
+
+
 def test_verify_equivalence_matches_fixture(capsys):
     code, report, _ = run_json(capsys, "verify", "equivalence", "--cases",
                                "120", "--json")

@@ -168,6 +168,37 @@ def test_phase_sum_mixed_moduli_matches_per_term_loop(block, monkeypatch):
         assert abs(got - want) <= sum_tolerance(2 * 4 * 12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_phase_sum_every_split_point_matches_per_term_loop(seed, monkeypatch):
+    # Random integer forms, neither symmetric nor well defined on the group:
+    # moduli include 1, the modulus need not be a multiple of them (so a
+    # trailing axis may be zero-padded before it is folded), and cross terms
+    # are odd as often as even.  Each split point is forced in turn.
+    rng = random.Random(seed)
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        moduli = [rng.choice((1, 2, 3, 4, 5, 6, 8, 12)) for _ in range(m)]
+        modulus = rng.choice((2, 6, 7, 8, 9, 10, 12, 24))
+        gram = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(m)]
+        linear = [rng.randint(-20, 20) for _ in range(m)]
+        constant = rng.randint(-9, 9)
+        want = phase_sum_per_term(gram, moduli, modulus, linear, constant)
+        for s in range(m):
+            monkeypatch.setattr(numeric, "_split_point", lambda moduli, s=s: s)
+            got = quadratic_phase_sum(gram, moduli, modulus, linear, constant)
+            assert abs(got - want) <= sum_tolerance(math.prod(moduli))
+
+
+def test_split_point_is_unsplit_when_small_and_balanced_when_large():
+    assert numeric._split_point([4] * 4) == 0
+    for moduli in ([6] * 8, [8] * 7, [16] * 5, [2, 3, 5, 7, 11], [3, 1000],
+                   [5000]):
+        s = numeric._split_point(moduli)
+        lead, total = math.prod(moduli[:s]), math.prod(moduli)
+        assert 0 <= s < len(moduli)
+        assert lead ** 2 <= total < (lead * moduli[s]) ** 2
+
+
 def test_phase_sum_empty_product_is_the_constant_phase():
     assert quadratic_phase_sum([], [], 8, [], 3) == unit_phase_eval(
         UnitPhase(Fraction(3, 8)))

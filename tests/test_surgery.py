@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from abtqft import surgery
+from abtqft.compare import E8_ROWS
 from abtqft.errors import EnumerationTooLarge, IndexOutOfRange
 from abtqft.intlinalg import IntSymMatrix, signature
 from abtqft.numeric import polar_to_approx, sum_tolerance, unit_phase_eval
@@ -299,3 +301,28 @@ def test_block_symmetry_enforced():
     with pytest.raises(ValueError):
         SurgeryPresentation(IntSymMatrix.from_rows([[1]]), ((1,),),
                             IntSymMatrix.from_rows([[0]]), ())
+
+
+# ---------------------------------------------------------------------------
+# Large coloring sums
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_e8_raw_invariant_is_k_to_the_minus_half(k, monkeypatch, time_limit):
+    # E8 is even, unimodular and of signature 8, so its coloring sum is
+    # k^4 and the raw invariant k^{-1/2}.  8^8 colorings exceed the default
+    # cap; a per-term enumeration of either sum would not fit the time
+    # limit.  The prefactor has magnitude k^{-9/2}, so the sum's budget
+    # carried through it is far below 1e-9 * sqrt(k^8).
+    monkeypatch.setenv("ABTQFT_MAX_ENUM", str(2 * 10 ** 7))
+    e8 = closed(E8_ROWS)
+    total = quadratic_exponential_sum(E8_ROWS, k)
+    assert abs(total - k ** 4) <= sum_tolerance(k ** 8)
+    assert abs(rt_raw_closed(e8, k) - k ** -0.5) <= k ** -4.5 * sum_tolerance(k ** 8)
+
+
+def test_cached_prefactor_is_bit_identical_to_the_exact_one():
+    for m in range(9):
+        for sigma in range(-m, m + 1):
+            for k in LEVELS:
+                assert surgery._approx_prefactor(m, sigma % 8, k) == \
+                    polar_to_approx(normalization_prefactor(m, sigma, k))
