@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from .compare import E8_ROWS
 from .intlinalg import IntSymMatrix
@@ -107,9 +107,3 @@ def load_catalog(path: str) -> Dict[str, CatalogEntry]:
         raise ValueError("catalog names must be unique")
     return {e.name: e for e in entries}
 
-
-def save_catalog(entries: List[CatalogEntry], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"entries": [e.to_json() for e in entries]}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")

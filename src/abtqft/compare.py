@@ -64,6 +64,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import DegenerateMatrix, InconsistentPhase, ZeroDenominator
 from .intlinalg import (
     IntSymMatrix,
+    RegularDecomposition,
     determinant,
     mat_mul,
     mat_transpose,
@@ -77,7 +78,7 @@ from .numeric import (
     sum_tolerance,
     unit_phase_eval,
 )
-from .quadmod import from_regular_block, gauss_sum
+from .quadmod import from_decomposition, gauss_sum
 from .surgery import (
     SurgeryPresentation,
     quadratic_exponential_sum,
@@ -113,7 +114,7 @@ def cs_closed(L: IntSymMatrix, k: int, convention: str = "dt") -> CsClosedResult
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     rd = regular_decomposition(L)
-    module = from_regular_block(rd.regular)
+    module = from_decomposition(rd)
     gauss = gauss_sum(module, k)
     if convention == "dt":
         gauss = gauss.conjugate()
@@ -343,28 +344,30 @@ class ReciprocityCheck:
     tolerance: float
 
 
-def _dt_right_side(L: IntSymMatrix, r: int) -> complex:
-    """``r^{m/2} e^{pi i sigma/4} |det L|^{-1/2} sum_l e^{-pi i r l^T L^{-1} l}``.
+def _dt_right_side(rd: RegularDecomposition, r: int) -> complex:
+    """``r^{rho/2} e^{pi i sigma/4} |det L_reg|^{-1/2} sum_l e^{-pi i r l^T L_reg^{-1} l}``
+    for the regular block ``L_reg`` of rank ``rho``.
 
     The cokernel sum is ``sqrt|T|`` times the conjugate of the normalized
-    level-``r`` torsion Gauss sum of ``L``, with ``|T| = |det L|``; well
-    defined for even ``r``.
+    level-``r`` torsion Gauss sum, with ``|T| = |det L_reg|``; well defined
+    for even ``r``.
     """
-    sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(L), 8)))
-    gauss = gauss_sum(from_regular_block(L), r).conjugate()
-    return math.sqrt(float(r) ** L.m) * sig_phase * gauss
+    reg = rd.regular
+    sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(reg), 8)))
+    gauss = gauss_sum(from_decomposition(rd), r).conjugate()
+    return math.sqrt(float(r) ** reg.m) * sig_phase * gauss
 
 
-def verify_reciprocity_dt(L: IntSymMatrix, r: int,
-                          max_terms: Optional[int] = None) -> ReciprocityCheck:
+def verify_reciprocity_dt(L: IntSymMatrix, r: int) -> ReciprocityCheck:
     """Check the explicit-signature reciprocity identity on nondegenerate
     ``L`` by enumerating both sides."""
     if r < 2 or r % 2 != 0:
         raise ValueError("r must be an even integer >= 2")
-    if L.m and determinant(L) == 0:
+    rd = regular_decomposition(L)
+    if rd.nullity:
         raise DegenerateMatrix("reciprocity in this form needs det != 0")
-    lhs = quadratic_exponential_sum(L.rows(), r, max_terms=max_terms)
-    rhs = _dt_right_side(L, r)
+    lhs = quadratic_exponential_sum(L.rows(), r)
+    rhs = _dt_right_side(rd, r)
     tol = sum_tolerance(r ** L.m)
     return ReciprocityCheck(lhs, rhs, abs(lhs - rhs) <= tol, tol)
 
@@ -374,7 +377,6 @@ NULL_EXPONENT_MODES = ("paper_half", "full_nullity")
 
 def verify_reciprocity_degenerate(L: IntSymMatrix, r: int,
                                   null_exponent_mode: str = "full_nullity",
-                                  max_terms: Optional[int] = None,
                                   ) -> ReciprocityCheck:
     """Check the degenerate reciprocity identity.
 
@@ -389,9 +391,9 @@ def verify_reciprocity_degenerate(L: IntSymMatrix, r: int,
         raise ValueError("r must be an even integer >= 2")
     if null_exponent_mode not in NULL_EXPONENT_MODES:
         raise ValueError(f"unknown mode {null_exponent_mode!r}")
-    lhs = quadratic_exponential_sum(L.rows(), r, max_terms=max_terms)
+    lhs = quadratic_exponential_sum(L.rows(), r)
     rd = regular_decomposition(L)
-    base = _dt_right_side(rd.regular, r)
+    base = _dt_right_side(rd, r)
     if null_exponent_mode == "full_nullity":
         factor = float(r) ** rd.nullity
     else:

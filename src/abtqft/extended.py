@@ -62,7 +62,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -263,13 +263,13 @@ class ExtendedBordism:
         raise ValueError(f"unknown filling mode {mode!r}")
 
 
-def boundary_vector(b: ExtendedBordism, k: int, mode: str = "meridian",
-                    max_terms: Optional[int] = None) -> TorusStateVector:
+def boundary_vector(b: ExtendedBordism, k: int,
+                    mode: str = "meridian") -> TorusStateVector:
     """State vector of a one-boundary bordism: slot ``x`` holds the closed
     evaluation of the presentation filled at ``x``."""
     if b.boundary_count != 1:
         raise ValueError("boundary_vector needs exactly one boundary component")
-    coeffs = {(x,): rt_raw_closed(b.fill((x,), mode), k, max_terms)
+    coeffs = {(x,): rt_raw_closed(b.fill((x,), mode), k)
               for x in range(k)}
     return TorusStateVector(k, 1, coeffs)
 
@@ -336,29 +336,6 @@ class LagrangianFrame:
     def from_columns(cls, genus: int, columns: Iterable[Iterable]) -> "LagrangianFrame":
         return cls(genus, tuple(tuple(col) for col in columns))
 
-    @classmethod
-    def horizontal(cls, genus: int) -> "LagrangianFrame":
-        """The span of the first g basis vectors."""
-        cols = []
-        for i in range(genus):
-            col = [0] * (2 * genus)
-            col[i] = 1
-            cols.append(tuple(col))
-        return cls(genus, tuple(cols))
-
-    @classmethod
-    def graph(cls, sym: Sequence[Sequence]) -> "LagrangianFrame":
-        """Graph Lagrangian ``{(x, S x)}`` of a symmetric rational matrix."""
-        g = len(sym)
-        cols = []
-        for i in range(g):
-            col = [0] * (2 * g)
-            col[i] = 1
-            for j in range(g):
-                col[g + j] = sym[j][i]
-            cols.append(tuple(col))
-        return cls(g, tuple(cols))
-
 
 def maslov_index(l1: LagrangianFrame, l2: LagrangianFrame,
                  l3: LagrangianFrame) -> int:
@@ -382,17 +359,31 @@ def maslov_index(l1: LagrangianFrame, l2: LagrangianFrame,
     return signature(gram)
 
 
+def _scaled_columns(entries: Sequence[Sequence[Tuple[int, int]]]) -> List[List[int]]:
+    """The matrix of fractions ``n / d``, given as pairs ``(n, d)``, with each
+    column multiplied by the lcm of its denominators: integral, with the
+    same column spans."""
+    scales = [math.lcm(*(d for _, d in col)) for col in zip(*entries)]
+    return [[n * (s // d) for (n, d), s in zip(row, scales)] for row in entries]
+
+
 def random_lagrangian(rng: random.Random, genus: int,
                       moves: int = 3) -> LagrangianFrame:
     """Seeded random rational Lagrangian: a graph frame pushed around by a
-    few integral symplectic moves and a rational change of basis."""
+    few integral symplectic moves and a rational change of basis.
+
+    The rational entries are drawn as ``(numerator, denominator)`` pairs and
+    every column is scaled to integers by :func:`_scaled_columns`, which
+    changes no subspace; only the final frame is built and validated.
+    """
     g = genus
-    sym = [[Fraction(0)] * g for _ in range(g)]
+    sym = [[(0, 1)] * g for _ in range(g)]
     for i in range(g):
         for j in range(i, g):
-            sym[i][j] = sym[j][i] = Fraction(rng.randint(-3, 3),
-                                             rng.randint(1, 3))
-    cols = LagrangianFrame.graph(sym).columns
+            sym[i][j] = sym[j][i] = (rng.randint(-3, 3), rng.randint(1, 3))
+    # graph {(x, S x)}: column i is e_i + sum_j S[j][i] e_{g+j}
+    graph = [[(int(i == j), 1) for j in range(g)] for i in range(g)] + sym
+    cols = mat_transpose(_scaled_columns(graph))
     for _ in range(rng.randint(0, moves)):
         kind = rng.randrange(3)
         if kind == 0:
@@ -420,8 +411,8 @@ def random_lagrangian(rng: random.Random, genus: int,
 
     # rational change of basis inside the subspace
     while True:
-        mix = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-                for _ in range(g)] for _ in range(g)]
+        mix = _scaled_columns([[(rng.randint(-2, 2), rng.randint(1, 2))
+                                for _ in range(g)] for _ in range(g)])
         if rational_rank(mix) == g:
             break
     # new column c is sum_r mix[r][c] cols[r]

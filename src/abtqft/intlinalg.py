@@ -7,13 +7,14 @@ and results.  The operations cover what a surgery matrix needs homologically,
 * Smith normal form by one bounded elimination, which also builds the
   inverse of its row transform and works modulo the determinant when the
   matrix is nonsingular,
-* splitting off the saturated kernel and extracting a nondegenerate
-  "regular" block (a nondegenerate matrix is its own),
+* the regular decomposition, one Smith form that yields everything the
+  torsion route needs: the nondegenerate "regular" block (a nondegenerate
+  matrix is its own), the nullity, and the cyclic decomposition of the
+  finite cokernel ``Z^rho / L_reg Z^rho`` with one generator lift per
+  cyclic factor,
 * signatures by fraction-free symmetric congruence (no floating
   eigenvalues; signatures enter invariants as eighth-root-of-unity phases,
   so they must be exact),
-* cyclic decomposition and enumeration of the finite cokernel
-  ``Z^rho / L_reg Z^rho``,
 * exact evaluation of the inverse form ``x^T L_reg^{-1} x``,
 * one fraction-free Gauss-Jordan elimination (Bareiss, 1968), behind every
   determinant, solve, inverse and rank.
@@ -30,10 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .errors import DegenerateMatrix, GroupTooLarge
-
-#: Largest torsion group the library will enumerate element by element.
-GROUP_ENUMERATION_CAP = 10 ** 6
+from .errors import DegenerateMatrix
 
 IntRows = List[List[int]]
 
@@ -318,57 +316,89 @@ def solve_rational(mat: Sequence[Sequence[int]], rhs: Sequence) -> List[Fraction
 
 
 # ---------------------------------------------------------------------------
-# Regular decomposition
+# Regular decomposition and torsion
+
+@dataclass(frozen=True)
+class CokernelGroup:
+    """``Z^rho / L_reg Z^rho`` in cyclic form ``Z/d1 + ... + Z/dt``.
+
+    ``cyclic_orders`` keeps only the orders >= 2 (with d1 | d2 | ...);
+    ``generator_reps`` holds one integer column vector ``g_i`` in ``Z^rho``
+    of order ``d_i`` per cyclic factor.  Elements are addressed by
+    coefficient tuples ``(a1, ..., at)`` with ``0 <= ai < di``.
+    """
+
+    cyclic_orders: Tuple[int, ...]
+    generator_reps: Tuple[Tuple[int, ...], ...]
+    ambient_dim: int
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.cyclic_orders)
+
+    def elements(self) -> Iterator[Tuple[int, ...]]:
+        return itertools.product(*(range(d) for d in self.cyclic_orders))
+
+    def lift(self, element: Sequence[int]) -> List[int]:
+        """An integer vector in ``Z^rho`` representing the element."""
+        vec = [0] * self.ambient_dim
+        for coeff, rep in zip(element, self.generator_reps):
+            for i in range(self.ambient_dim):
+                vec[i] += coeff * rep[i]
+        return vec
+
 
 @dataclass(frozen=True)
 class RegularDecomposition:
-    """Splitting of ``Z^m`` into a saturated kernel and a complement.
+    """The torsion data of a surgery matrix ``L``.
 
-    ``complement_basis`` (m x rank) and ``kernel_basis`` (m x nullity) are
-    column blocks of a single unimodular matrix; ``regular`` is the
-    nondegenerate symmetric form induced on the complement,
-    ``regular = C^T L C``.
+    ``regular`` is the nondegenerate form ``L_reg`` induced on a complement
+    of the saturated kernel of ``L``, ``nullity`` the rank of that kernel,
+    and ``torsion`` the cyclic decomposition of ``Z^rho / L_reg Z^rho``.
     """
 
-    complement_basis: Tuple[Tuple[int, ...], ...]
-    kernel_basis: Tuple[Tuple[int, ...], ...]
     regular: IntSymMatrix
-    rank: int
     nullity: int
+    torsion: CokernelGroup
 
 
-def _column_block(vectors: Sequence[Sequence[int]], m: int) -> Tuple[Tuple[int, ...], ...]:
-    """The ``vectors`` of ``Z^m`` as the columns of an m-row block."""
-    return tuple(tuple(vec[i] for vec in vectors) for i in range(m))
+def regular_decomposition(L) -> RegularDecomposition:
+    """Regular block, nullity and torsion of ``L`` from one Smith form.
 
+    With ``U L V = D`` the Smith form and ``d_i`` its diagonal, the torsion
+    orders are the nonzero ``d_i > 1``; the generator lifts depend on the
+    rank of ``L``.
 
-def regular_decomposition(L: IntSymMatrix) -> RegularDecomposition:
-    """Split off the saturated kernel of ``L`` and extract its regular block.
+    * Nondegenerate ``L`` is its own regular block.  ``y -> U y`` maps
+      ``Z^m / L Z^m`` onto ``+ Z/d_i``, and column ``i`` of ``W = U^{-1}``
+      (mod ``|det L|``) maps to ``e_i``, so it generates the factor
+      ``Z/d_i``.
+    * Degenerate ``L``: symmetry gives ``U L U^T = D N'`` with ``N' =
+      V^{-1} U^T`` unimodular.  Its rows at zero ``d_i`` vanish, so by
+      symmetry its columns there vanish too: those rows of the unimodular
+      ``U`` span the saturated kernel, and the other rows ``C`` give
+      ``L_reg = C L C^T = D_r N`` with ``N`` the leading block of the
+      block-triangular ``N'``, itself unimodular.  Hence ``Z^rho / L_reg
+      Z^rho = + Z/d_i`` on the standard basis vectors ``e_i``.
 
-    A nondegenerate ``L`` is its own regular block, with the identity as
-    complement, and no elimination runs.  Otherwise, with ``U L V = D`` the
-    Smith form, symmetry gives ``V^T L U^T = D``: the rows of ``U`` at zero
-    invariant factors span the saturated kernel, and the other rows of the
-    unimodular ``U`` complete it to a basis of ``Z^m``.  Only the congruence
-    class of the regular block is canonical; the concrete matrices are
-    deterministic so regression tests can pin them.
+    Only the congruence class of the regular block is canonical; the
+    concrete matrices are deterministic so regression tests can pin them.
     """
     L = IntSymMatrix.from_rows(L.rows() if isinstance(L, IntSymMatrix) else L)
-    m = L.m
-    if determinant(L) != 0:
-        return RegularDecomposition(_column_block(identity_matrix(m), m),
-                                    _column_block([], m), L, m, 0)
-    u, d, _ = smith_normal_form(L.rows())
-    complement = [u[i] for i in range(m) if d[i][i] != 0]
-    kernel = [u[i] for i in range(m) if d[i][i] == 0]
-    regular = mat_mul(mat_mul(complement, L.rows()), mat_transpose(complement))
-    return RegularDecomposition(
-        complement_basis=_column_block(complement, m),
-        kernel_basis=_column_block(kernel, m),
-        regular=IntSymMatrix.from_rows(regular),
-        rank=len(complement),
-        nullity=len(kernel),
-    )
+    rows = L.rows()
+    u, d, w = smith_normal_form(rows)
+    orders = [d[i][i] for i in range(L.m) if d[i][i]]
+    rank = len(orders)
+    keep = [i for i in range(rank) if orders[i] > 1]
+    if rank == L.m:
+        regular = L
+        gens = tuple(tuple(w[r][i] for r in range(rank)) for i in keep)
+    else:
+        c = u[:rank]
+        regular = IntSymMatrix.from_rows(mat_mul(mat_mul(c, rows), mat_transpose(c)))
+        gens = tuple(tuple(int(r == i) for r in range(rank)) for i in keep)
+    torsion = CokernelGroup(tuple(orders[i] for i in keep), gens, rank)
+    return RegularDecomposition(regular, L.m - rank, torsion)
 
 
 def signature(L) -> int:
@@ -401,69 +431,6 @@ def signature(L) -> int:
             a[r][i + 1:] = _cross(a[r][i + 1:], a[i][i + 1:], p, a[r][i], prev)
         prev = p
     return sig
-
-
-# ---------------------------------------------------------------------------
-# Cokernel
-
-@dataclass(frozen=True)
-class CokernelGroup:
-    """``Z^rho / L_reg Z^rho`` in cyclic form ``Z/d1 + ... + Z/dt``.
-
-    ``cyclic_orders`` keeps only the orders >= 2 (with d1 | d2 | ...);
-    ``generator_reps`` holds one integer column vector ``g_i`` in ``Z^rho``
-    of order ``d_i`` per cyclic factor.  Elements are addressed by
-    coefficient tuples ``(a1, ..., at)`` with ``0 <= ai < di``.
-    """
-
-    cyclic_orders: Tuple[int, ...]
-    generator_reps: Tuple[Tuple[int, ...], ...]
-    ambient_dim: int
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.cyclic_orders:
-            n *= d
-        return n
-
-    def elements(self, cap: int = GROUP_ENUMERATION_CAP) -> Iterator[Tuple[int, ...]]:
-        if self.order > cap:
-            raise GroupTooLarge(
-                f"torsion group of order {self.order} exceeds cap {cap}")
-        return itertools.product(*(range(d) for d in self.cyclic_orders))
-
-    def lift(self, element: Sequence[int]) -> List[int]:
-        """An integer vector in ``Z^rho`` representing the element."""
-        vec = [0] * self.ambient_dim
-        for coeff, rep in zip(element, self.generator_reps):
-            for i in range(self.ambient_dim):
-                vec[i] += coeff * rep[i]
-        return vec
-
-    @staticmethod
-    def trivial(ambient_dim: int = 0) -> "CokernelGroup":
-        return CokernelGroup((), (), ambient_dim)
-
-
-def cokernel(L_reg: IntSymMatrix) -> CokernelGroup:
-    """Cyclic decomposition of ``Z^rho / L_reg Z^rho`` (requires det != 0).
-
-    With ``(U, D, W)`` the Smith form, ``y -> U y`` maps the group onto
-    ``+ Z/d_i``, and column ``i`` of ``W = U^{-1}`` (mod ``|det|``) maps to
-    the standard generator ``e_i``, so it is a generator of order ``d_i``.
-    """
-    rho = L_reg.m
-    if rho == 0:
-        return CokernelGroup.trivial(0)
-    _, d, w = smith_normal_form(L_reg.rows())
-    if any(d[i][i] == 0 for i in range(rho)):
-        raise DegenerateMatrix("cokernel requires a nondegenerate matrix")
-    keep = [i for i in range(rho) if d[i][i] > 1]
-    return CokernelGroup(
-        tuple(d[i][i] for i in keep),
-        tuple(tuple(w[r][i] for r in range(rho)) for i in keep),
-        rho)
 
 
 def inverse_form_value(L_reg: IntSymMatrix, x: Sequence[int]) -> Fraction:

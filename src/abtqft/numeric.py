@@ -63,9 +63,6 @@ class UnitPhase:
     def __mul__(self, other: "UnitPhase") -> "UnitPhase":
         return UnitPhase(self.angle + other.angle)
 
-    def __pow__(self, n: int) -> "UnitPhase":
-        return UnitPhase(n * self.angle)
-
     def conjugate(self) -> "UnitPhase":
         return UnitPhase(-self.angle)
 
@@ -244,9 +241,6 @@ class PolarValue:
 
     def conjugate(self) -> "PolarValue":
         return PolarValue(self.magnitude_squared, self.phase.conjugate())
-
-    def is_zero(self) -> bool:
-        return self.magnitude_squared == 0
 
     @staticmethod
     def zero() -> "PolarValue":

@@ -10,7 +10,11 @@ For a surgery matrix with regular block ``L_reg`` the module lives on
 ``T = Z^rho / L_reg Z^rho`` with
 
     q([x])      = (1/2) x^T L_reg^{-1} x   (mod 1),
-    lam([x],[y]) =        x^T L_reg^{-1} y (mod 1).
+    lam([x],[y]) =        x^T L_reg^{-1} y (mod 1);
+
+the regular block, the cyclic orders of ``T`` and one generator lift per
+order all come from the one Smith form of
+:func:`abtqft.intlinalg.regular_decomposition`.
 
 Every module has one representation: an integer Gram matrix ``G`` in the
 coordinates of the cyclic generators, over the group exponent ``e``, with
@@ -39,15 +43,17 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import GroupTooLarge
 from .intlinalg import (
-    GROUP_ENUMERATION_CAP,
     CokernelGroup,
     IntSymMatrix,
+    RegularDecomposition,
     _solve,
-    cokernel,
     inverse_form_value,
     regular_decomposition,
 )
 from .numeric import UnitPhase, quadratic_phase_sum, rational_from_json, rational_to_json
+
+#: Largest torsion group :func:`gauss_sum` sums over.
+GROUP_ENUMERATION_CAP = 10 ** 6
 
 
 def _form(gram: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]) -> int:
@@ -91,8 +97,8 @@ class FiniteQuadraticModule:
     def exponent(self) -> int:
         return math.lcm(*self.group.cyclic_orders)
 
-    def elements(self, cap: int = GROUP_ENUMERATION_CAP):
-        return self.group.elements(cap)
+    def elements(self):
+        return self.group.elements()
 
     def q(self, element: Sequence[int]) -> Fraction:
         """Quadratic value of a group element, reduced into [0, 1)."""
@@ -150,24 +156,20 @@ def _integral(num, den: int = 1) -> int:
     return q
 
 
-def from_surgery(L: IntSymMatrix, cap: int = GROUP_ENUMERATION_CAP) -> FiniteQuadraticModule:
+def from_surgery(L: IntSymMatrix) -> FiniteQuadraticModule:
     """Finite quadratic module of a surgery matrix (degenerate ``L`` allowed;
     only the regular block enters)."""
-    return from_regular_block(regular_decomposition(L).regular, cap)
+    return from_decomposition(regular_decomposition(L))
 
 
-def from_regular_block(reg: IntSymMatrix,
-                       cap: int = GROUP_ENUMERATION_CAP) -> FiniteQuadraticModule:
-    """Finite quadratic module of a nondegenerate symmetric block.
+def from_decomposition(rd: RegularDecomposition) -> FiniteQuadraticModule:
+    """Finite quadratic module of a regular decomposition.
 
     The Gram matrix is ``G = e R^T L_reg^{-1} R`` for the matrix ``R`` of
     generator lifts, reduced mod ``2e``: one fraction-free solve gives
     ``L_reg^{-1} R = X / p``, and ``G = e R^T X / p`` divides exactly.
     """
-    group = cokernel(reg)
-    if group.order > cap:
-        raise GroupTooLarge(
-            f"torsion group of order {group.order} exceeds cap {cap}")
+    reg, group = rd.regular, rd.torsion
     e = math.lcm(*group.cyclic_orders)
     gens = group.generator_reps
     lifts = [[g[r] for g in gens] for r in range(reg.m)]
@@ -179,17 +181,17 @@ def from_regular_block(reg: IntSymMatrix,
     return FiniteQuadraticModule(group, gram, reg)
 
 
-def gauss_sum(module: FiniteQuadraticModule, k: int,
-              cap: int = GROUP_ENUMERATION_CAP) -> complex:
+def gauss_sum(module: FiniteQuadraticModule, k: int) -> complex:
     """Normalized level-``k`` Gauss sum ``|T|^{-1/2} sum_x exp(2 pi i k q(x))``.
 
-    Requires even ``k`` (oddness would make ``k * q`` ill defined on cosets).
+    Requires even ``k`` (oddness would make ``k * q`` ill defined on cosets)
+    and ``|T|`` at most :data:`GROUP_ENUMERATION_CAP`.
     """
     if k <= 0 or k % 2 != 0:
         raise ValueError("level k must be a positive even integer")
-    if module.order > cap:
-        raise GroupTooLarge(
-            f"torsion group of order {module.order} exceeds cap {cap}")
+    if module.order > GROUP_ENUMERATION_CAP:
+        raise GroupTooLarge(f"torsion group of order {module.order} "
+                            f"exceeds cap {GROUP_ENUMERATION_CAP}")
     scaled = [[k * x for x in row] for row in module.gram]
     total = quadratic_phase_sum(scaled, module.group.cyclic_orders,
                                 2 * module.exponent)

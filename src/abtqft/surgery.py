@@ -216,15 +216,15 @@ def rt_link_eval(p: SurgeryPresentation, g: Sequence[int], k: int) -> UnitPhase:
 
 def quadratic_exponential_sum(rows: Sequence[Sequence[int]], k: int,
                               linear: Optional[Sequence[int]] = None,
-                              constant: int = 0,
-                              max_terms: Optional[int] = None) -> complex:
+                              constant: int = 0) -> complex:
     """``sum over n in (Z_k)^m of exp( (pi i / k)(n^T A n + linear.n + const) )``.
 
     The coloring sum: :func:`abtqft.numeric.quadratic_phase_sum` with moduli
-    ``k`` and modulus ``2k``, behind the enumeration cap.
+    ``k`` and modulus ``2k``, behind the enumeration cap
+    (:func:`max_enumeration`), which is checked here and nowhere else.
     """
     m = len(rows)
-    cap = max_terms if max_terms is not None else max_enumeration()
+    cap = max_enumeration()
     if k ** m > cap:
         raise EnumerationTooLarge(
             f"{k}^{m} colorings exceed the enumeration cap {cap}")
@@ -248,8 +248,7 @@ def _approx_prefactor(m: int, sigma_mod_8: int, k: int) -> complex:
     return polar_to_approx(normalization_prefactor(m, sigma_mod_8, k))
 
 
-def rt_raw_closed(p: SurgeryPresentation, k: int,
-                  max_terms: Optional[int] = None) -> complex:
+def rt_raw_closed(p: SurgeryPresentation, k: int) -> complex:
     """Raw closed surgery invariant at even level ``k``.
 
     Computes ``k^{-1/2} A+^{(-m-sigma)/2} A-^{(-m+sigma)/2} * sum_g <link(g)>``
@@ -264,7 +263,7 @@ def rt_raw_closed(p: SurgeryPresentation, k: int,
         if p.insertion_colors[i]:
             const += p.insertion_colors[i] * sum(
                 C[i][j] * p.insertion_colors[j] for j in range(p.r))
-    total = quadratic_exponential_sum(p.surgery.rows(), k, lin, const, max_terms)
+    total = quadratic_exponential_sum(p.surgery.rows(), k, lin, const)
     return _approx_prefactor(p.m, signature(p.surgery) % 8, k) * total
 
 
@@ -349,18 +348,17 @@ def random_kirby_move(rng: random.Random, m: int) -> KirbyMove:
 
 
 def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
-               max_components: int = 6,
-               max_terms: Optional[int] = None) -> FuzzReport:
+               max_components: int = 6) -> FuzzReport:
     """Random walk through Kirby moves, recording invariant drift.
 
     Stabilizations that would push the enumeration past the cap (or the
     component bound) are skipped and logged rather than applied.
     """
     _check_level(k)
-    cap = max_terms if max_terms is not None else max_enumeration()
+    cap = max_enumeration()
     rng = random.Random(seed)
     current = p
-    value = rt_raw_closed(current, k, cap)
+    value = rt_raw_closed(current, k)
     max_dev = 0.0
     log: List[dict] = []
     skipped = 0
@@ -372,7 +370,7 @@ def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
             log.append({"move": move.to_json(), "skipped": True})
             continue
         current = apply_kirby(current, move)
-        new_value = rt_raw_closed(current, k, cap)
+        new_value = rt_raw_closed(current, k)
         dev = abs(new_value - value)
         max_dev = max(max_dev, dev)
         log.append({"move": move.to_json(), "deviation": dev})

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from abtqft.compare import (
     verify_reciprocity_dt,
     verify_reciprocity_degenerate,
 )
+from abtqft import intlinalg
 from abtqft.errors import DegenerateMatrix, InconsistentPhase, ZeroDenominator
 from abtqft.intlinalg import IntSymMatrix, regular_decomposition
 from abtqft.numeric import UnitPhase, sum_tolerance
@@ -271,3 +273,32 @@ def test_random_degenerate_really_degenerate():
     for _ in range(20):
         L = random_degenerate(rng)
         assert regular_decomposition(L).nullity >= 1
+
+
+# ---------------------------------------------------------------------------
+# Work per torsion evaluation
+
+NONDEGENERATE = [[11, -20, 3], [-20, 7, 14], [3, 14, -9]]
+DEGENERATE = [[6, 3, 0, 0], [3, 6, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("evaluate, rows", [
+    (cs_closed, NONDEGENERATE),
+    (cs_closed, DEGENERATE),
+    (verify_reciprocity_dt, NONDEGENERATE),
+    (verify_reciprocity_degenerate, NONDEGENERATE),
+    (verify_reciprocity_degenerate, DEGENERATE),
+], ids=["cs-nondegenerate", "cs-degenerate", "dt-nondegenerate",
+        "degenerate-nondegenerate", "degenerate-degenerate"])
+def test_torsion_evaluation_runs_one_smith_form_and_two_eliminations(
+        evaluate, rows, monkeypatch):
+    # The determinant inside the Smith form and the Gram solve are the only
+    # eliminations; the torsion data comes from the one Smith form of L.
+    calls = Counter()
+    for name in ("smith_normal_form", "_eliminate"):
+        def counted(*args, _name=name, _fn=getattr(intlinalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(intlinalg, name, counted)
+    evaluate(sym(rows), 2)
+    assert calls == {"smith_normal_form": 1, "_eliminate": 2}

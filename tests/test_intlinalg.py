@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
-from abtqft.errors import DegenerateMatrix, GroupTooLarge
+from abtqft.errors import DegenerateMatrix
 from abtqft.intlinalg import (
     IntSymMatrix,
-    cokernel,
     determinant,
     integer_inverse,
     inverse_form_value,
@@ -169,7 +168,7 @@ def test_snf_bounded_elimination_property(rows):
     assert [d[i][i] for i in range(m)] == sympy_invariant_factors(rows, m, m)
     det = check_transforms(rows, u, w)
     if det:
-        group = cokernel(IntSymMatrix.from_rows(rows))
+        group = regular_decomposition(rows).torsion
         assert group.order == det
         for order, rep in zip(group.cyclic_orders, group.generator_reps):
             # the order of [g] in Z^m / L Z^m is the lcm of the
@@ -238,16 +237,18 @@ def test_elimination_property(rows, data):
 
 def test_regular_decomposition_examples():
     rd = regular_decomposition(IntSymMatrix.from_rows([[1, 0], [0, 0]]))
-    assert (rd.rank, rd.nullity) == (1, 1)
+    assert (rd.regular.m, rd.nullity) == (1, 1)
     assert abs(determinant(rd.regular)) == 1
 
     rd = regular_decomposition(IntSymMatrix.from_rows([[2, 2], [2, 2]]))
-    assert (rd.rank, rd.nullity) == (1, 1)
+    assert (rd.regular.m, rd.nullity) == (1, 1)
     assert abs(determinant(rd.regular)) == 2
+    assert rd.torsion.cyclic_orders == (2,)
+    assert rd.torsion.generator_reps == ((1,),)
 
     rd = regular_decomposition(IntSymMatrix.from_rows([[0]]))
-    assert (rd.rank, rd.nullity) == (0, 1)
-    assert rd.regular.m == 0
+    assert (rd.regular.m, rd.nullity) == (0, 1)
+    assert rd.torsion.order == 1
 
 
 def test_regular_decomposition_invariants():
@@ -262,17 +263,11 @@ def test_regular_decomposition_invariants():
                  for i in range(n - 1)]
             L = IntSymMatrix.from_rows(mat_mul(mat_mul(mat_transpose(b), s), b))
         rd = regular_decomposition(L)
-        assert rd.rank + rd.nullity == n
-        if rd.nullity and n:
-            kernel = [list(row) for row in rd.kernel_basis]
-            assert all(all(x == 0 for x in row)
-                       for row in mat_mul(L.rows(), kernel))
-        if n:
-            joined = [list(rc) + list(rk)
-                      for rc, rk in zip(rd.complement_basis, rd.kernel_basis)]
-            assert abs(determinant(joined)) == 1
         factors = [x for x in sympy_invariant_factors(L.rows(), n, n) if x]
+        assert rd.regular.m + rd.nullity == n
+        assert rd.regular.m == len(factors)
         assert abs(determinant(rd.regular)) == math.prod(factors) != 0
+        assert rd.torsion.cyclic_orders == tuple(x for x in factors if x > 1)
         assert signature(L) == signature(rd.regular)
 
 
@@ -313,31 +308,20 @@ def test_signature_matches_float_eigenvalues():
 
 
 # ---------------------------------------------------------------------------
-# Cokernel
+# Torsion of the regular block
 
 def test_cokernel_examples():
-    g = cokernel(IntSymMatrix.from_rows([[3]]))
+    g = regular_decomposition(IntSymMatrix.from_rows([[3]])).torsion
     assert g.cyclic_orders == (3,)
     assert sorted(g.elements()) == [(0,), (1,), (2,)]
 
-    g = cokernel(IntSymMatrix.from_rows([[2, 0], [0, 2]]))
+    g = regular_decomposition(IntSymMatrix.from_rows([[2, 0], [0, 2]])).torsion
     assert g.cyclic_orders == (2, 2)
 
-    g = cokernel(IntSymMatrix.empty())
+    g = regular_decomposition(IntSymMatrix.empty()).torsion
     assert g.cyclic_orders == ()
     assert g.order == 1
     assert list(g.elements()) == [()]
-
-
-def test_cokernel_rejects_degenerate():
-    with pytest.raises(DegenerateMatrix):
-        cokernel(IntSymMatrix.from_rows([[0]]))
-
-
-def test_cokernel_enumeration_cap():
-    g = cokernel(IntSymMatrix.from_rows([[1009, 0], [0, 1013]]))
-    with pytest.raises(GroupTooLarge):
-        list(g.elements(cap=1000))
 
 
 def bfs_cokernel_order(L):
@@ -374,27 +358,55 @@ def test_cokernel_order_matches_determinant_on_100_randoms():
         det = determinant(L)
         if det == 0 or abs(det) > 200:
             continue
-        group = cokernel(L)
+        group = regular_decomposition(L).torsion
         assert group.order == abs(det)
         assert bfs_cokernel_order(L) == abs(det)
         done += 1
 
 
-def test_generator_reps_have_stated_orders():
+def degenerate_draw(rng, m, s=None):
+    """``(B^T S B, S)`` of rank ``m - 2``: ``S`` the given nondegenerate
+    (m - 2) x (m - 2) matrix or a random symmetric one with entries in
+    [-4, 4], and ``B = [I | V]`` with ``V`` in [-2, 2].  The torsion of its
+    regular block is that of ``S``, of order ``|det S|``."""
+    n = m - 2
+    while s is None or determinant(s) == 0:
+        s = random_symmetric(rng, n, 4)
+    b = [[int(i == j) for j in range(n)] + [rng.randint(-2, 2) for _ in range(2)]
+         for i in range(n)]
+    return IntSymMatrix.from_rows(mat_mul(mat_mul(mat_transpose(b), s), b)), s
+
+
+def test_generator_reps_have_stated_orders(time_limit):
+    # Nondegenerate L, and degenerate B^T S B of rank m - 2 up to m = 12,
+    # whose lifts are the standard basis vectors e_i of the regular block,
+    # with the orders of a second Smith form of that block.
     rng = random.Random(19)
+    decompositions = []
     for _ in range(50):
         n = rng.randint(1, 3)
         L = IntSymMatrix.from_rows(random_symmetric(rng, n, 4))
-        if determinant(L) == 0:
-            continue
-        group = cokernel(L)
-        for order, rep in zip(group.cyclic_orders, group.generator_reps):
-            # order * rep lies in the column lattice, no smaller multiple does
-            sol = solve_rational(L.rows(), [order * x for x in rep])
-            assert all(s.denominator == 1 for s in sol)
-            if order > 1:
-                sol = solve_rational(L.rows(), list(rep))
-                assert any(s.denominator != 1 for s in sol)
+        if determinant(L) != 0:
+            decompositions.append(regular_decomposition(L))
+    for m in range(3, 13):
+        for _ in range(3):
+            L, s = degenerate_draw(rng, m)
+            rd = regular_decomposition(L)
+            assert (rd.regular.m, rd.nullity) == (m - 2, 2)
+            assert rd.torsion.order == abs(determinant(s))
+            _, d, _ = smith_normal_form(rd.regular.rows())
+            assert rd.torsion.cyclic_orders == tuple(
+                d[i][i] for i in range(m - 2) if d[i][i] > 1)
+            for rep in rd.torsion.generator_reps:
+                assert sorted(rep) == [0] * (m - 3) + [1]
+            decompositions.append(rd)
+    for rd in decompositions:
+        for order, rep in zip(rd.torsion.cyclic_orders,
+                              rd.torsion.generator_reps):
+            # order * rep lies in the column lattice, no smaller multiple
+            # does: the lcm of the denominators of L_reg^{-1} rep is order
+            sol = solve_rational(rd.regular.rows(), list(rep))
+            assert math.lcm(*(x.denominator for x in sol)) == order
 
 
 # ---------------------------------------------------------------------------

@@ -153,37 +153,33 @@ def phase_sum_per_term(gram, moduli, modulus, linear, constant):
     return total
 
 
-@pytest.mark.parametrize("block", [1, 8, 48, 1 << 16])
-def test_phase_sum_mixed_moduli_matches_per_term_loop(block, monkeypatch):
-    # Odd off-diagonals, entries beyond the modulus, a nonzero linear term
-    # and constant; small blocks force every split into leading and
-    # trailing coordinates.
-    monkeypatch.setattr(numeric, "_BLOCK", block)
-    moduli = (2, 4, 12)
-    gram = [[3, 5, -7], [5, 2, 9], [-7, 9, 10 ** 30 + 1]]
-    linear = [1, -3, 10 ** 20 + 5]
-    for modulus, constant in ((24, 7), (48, -5), (10, 3)):
-        want = phase_sum_per_term(gram, moduli, modulus, linear, constant)
-        got = quadratic_phase_sum(gram, moduli, modulus, linear, constant)
-        assert abs(got - want) <= sum_tolerance(2 * 4 * 12)
+#: Moduli (2, 4, 12) with odd off-diagonals, entries beyond the modulus, a
+#: nonzero linear term and constant, at three ``(modulus, constant)`` pairs.
+MIXED_MODULI_CASES = [
+    ([[3, 5, -7], [5, 2, 9], [-7, 9, 10 ** 30 + 1]], (2, 4, 12), modulus,
+     [1, -3, 10 ** 20 + 5], constant)
+    for modulus, constant in ((24, 7), (48, -5), (10, 3))]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_phase_sum_every_split_point_matches_per_term_loop(seed, monkeypatch):
-    # Random integer forms, neither symmetric nor well defined on the group:
-    # moduli include 1, the modulus need not be a multiple of them (so a
-    # trailing axis may be zero-padded before it is folded), and cross terms
-    # are odd as often as even.  Each split point is forced in turn.
+    # The mixed-moduli cases, then random integer forms, neither symmetric
+    # nor well defined on the group: moduli include 1, the modulus need not
+    # be a multiple of them (so a trailing axis may be zero-padded before it
+    # is folded), and cross terms are odd as often as even.  Each split
+    # point is forced in turn.
     rng = random.Random(seed)
+    cases = list(MIXED_MODULI_CASES)
     for _ in range(30):
         m = rng.randint(1, 4)
         moduli = [rng.choice((1, 2, 3, 4, 5, 6, 8, 12)) for _ in range(m)]
         modulus = rng.choice((2, 6, 7, 8, 9, 10, 12, 24))
         gram = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(m)]
         linear = [rng.randint(-20, 20) for _ in range(m)]
-        constant = rng.randint(-9, 9)
+        cases.append((gram, moduli, modulus, linear, rng.randint(-9, 9)))
+    for gram, moduli, modulus, linear, constant in cases:
         want = phase_sum_per_term(gram, moduli, modulus, linear, constant)
-        for s in range(m):
+        for s in range(len(moduli)):
             monkeypatch.setattr(numeric, "_split_point", lambda moduli, s=s: s)
             got = quadratic_phase_sum(gram, moduli, modulus, linear, constant)
             assert abs(got - want) <= sum_tolerance(math.prod(moduli))

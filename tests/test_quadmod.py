@@ -7,16 +7,24 @@ import pytest
 
 from abtqft import numeric
 from abtqft.errors import GroupTooLarge
-from abtqft.intlinalg import IntSymMatrix, determinant
+from abtqft.intlinalg import (
+    IntSymMatrix,
+    determinant,
+    mat_mul,
+    mat_transpose,
+    regular_decomposition,
+)
 from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
 from abtqft.quadmod import (
     CyclicQuadraticData,
     FiniteQuadraticModule,
     bicharacter,
-    from_regular_block,
+    from_decomposition,
     from_surgery,
     gauss_sum,
 )
+from abtqft.surgery import random_unimodular
+from test_intlinalg import degenerate_draw
 
 
 def sym(rows):
@@ -61,8 +69,11 @@ def test_from_surgery_ignores_null_directions():
 
 
 def test_from_surgery_group_cap():
-    with pytest.raises(GroupTooLarge):
-        from_surgery(sym([[1009, 0], [0, 1013]]), cap=10 ** 5)
+    # |T| = 1009 * 1013 = 1022117: the module builds, its Gauss sum refuses
+    mod = from_surgery(sym([[1009, 0], [0, 1013]]))
+    with pytest.raises(GroupTooLarge,
+                       match="^torsion group of order 1022117 exceeds cap 1000000$"):
+        gauss_sum(mod, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +103,27 @@ def gauss_sum_per_element(mod, k):
     return total / math.sqrt(mod.order)
 
 
-def test_gauss_sum_matches_per_element_sum():
+def test_gauss_sum_matches_per_element_sum(time_limit):
     rng = random.Random(37)
     blocks = [sym(rows) for rows in SMALL_MATRICES]
     while len(blocks) < len(SMALL_MATRICES) + 30:
         L = random_symmetric(rng, rng.randint(1, 3))
         if determinant(L) != 0:
             blocks.append(L)
+    # Degenerate B^T S B of rank m - 2 up to m = 12, whose generators are
+    # standard basis vectors of the regular block; S = P^T D P with P
+    # unimodular and D = +-1 but for two entries keeps |T| = |det D| small
+    # enough to enumerate.
+    for m in range(3, 13):
+        n = m - 2
+        d = [rng.choice((-1, 1)) for _ in range(n)]
+        d[0], d[-1] = rng.choice((-2, 3, 4)), rng.choice((2, -3, 6))
+        p = random_unimodular(rng, n, steps=2 * n)
+        s = mat_mul(mat_mul(mat_transpose(p), [[d[i] * (i == j) for j in range(n)]
+                                               for i in range(n)]), p)
+        blocks.append(degenerate_draw(rng, m, s=s)[0])
     for L in blocks:
-        mod = from_regular_block(L)
+        mod = from_surgery(L)
         for k in (2, 4, 6, 8):
             want = gauss_sum_per_element(mod, k)
             assert abs(gauss_sum(mod, k) - want) <= sum_tolerance(mod.order)
@@ -207,8 +230,7 @@ def test_q_is_lift_sensitive_on_odd_blocks_but_weighted_q_descends():
 
 
 def test_level_weighted_q_constant_on_cosets():
-    from abtqft.intlinalg import mat_vec, regular_decomposition
-    from abtqft.quadmod import from_regular_block
+    from abtqft.intlinalg import mat_vec
 
     rng = random.Random(31)
     checked = 0
@@ -217,8 +239,9 @@ def test_level_weighted_q_constant_on_cosets():
         L = random_symmetric(rng, n)
         if determinant(L) == 0:
             continue
-        reg = regular_decomposition(L).regular
-        mod = from_regular_block(reg)
+        rd = regular_decomposition(L)
+        reg = rd.regular
+        mod = from_decomposition(rd)
         k = rng.choice((2, 4, 6, 8))
         element = tuple(rng.randrange(d) for d in mod.group.cyclic_orders)
         base = mod.group.lift(element)

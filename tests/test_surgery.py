@@ -146,9 +146,10 @@ def test_quadratic_sum_fast_vs_exact_with_linear_terms():
         assert abs(fast - slow) < 1e-10
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("ABTQFT_MAX_ENUM", "10")
     with pytest.raises(EnumerationTooLarge):
-        rt_raw_closed(closed([[1, 0], [0, 1]]), 8, max_terms=10)
+        rt_raw_closed(closed([[1, 0], [0, 1]]), 8)
 
 
 def test_env_override_controls_cap(monkeypatch):
@@ -266,12 +267,15 @@ def test_fuzz_hundred_moves():
     assert report.max_deviation < 1e-7
 
 
-def test_fuzz_skips_over_cap_stabilizations():
+def test_fuzz_skips_over_cap_stabilizations(monkeypatch):
     report = kirby_fuzz(closed([[1]]), 8, 30, seed=5, max_components=2)
     assert report.skipped > 0
     assert all("skipped" in entry or "deviation" in entry
                for entry in report.moves)
     assert report.max_deviation < 1e-7
+    # 8^2 colorings fit a cap of 64 and 8^3 do not: the same walk
+    monkeypatch.setenv("ABTQFT_MAX_ENUM", "64")
+    assert kirby_fuzz(closed([[1]]), 8, 30, seed=5) == report
 
 
 def test_fuzz_report_json_shape():
