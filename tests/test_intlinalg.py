@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
-from abtqft.errors import DegenerateMatrix
+from abtqft import quadmod
+from abtqft.errors import DegenerateMatrix, GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
     determinant,
@@ -322,6 +323,19 @@ def test_cokernel_examples():
     assert g.cyclic_orders == ()
     assert g.order == 1
     assert list(g.elements()) == [()]
+
+
+def test_cokernel_enumeration_cap(monkeypatch):
+    # The torsion group itself enumerates lazily; the one cap on walking
+    # it is the Gauss sum's, checked before any element is produced.
+    L = IntSymMatrix.from_rows([[1009, 0], [0, 1013]])
+    g = regular_decomposition(L).torsion
+    assert g.order == 1009 * 1013
+    assert next(g.elements()) == (0,) * len(g.cyclic_orders)
+    monkeypatch.setattr(quadmod, "GROUP_ENUMERATION_CAP", 1000)
+    with pytest.raises(GroupTooLarge,
+                       match="^torsion group of order 1022117 exceeds cap 1000$"):
+        quadmod.gauss_sum(quadmod.from_surgery(L), 2)
 
 
 def bfs_cokernel_order(L):

@@ -161,6 +161,17 @@ MIXED_MODULI_CASES = [
     for modulus, constant in ((24, 7), (48, -5), (10, 3))]
 
 
+@pytest.mark.parametrize("block", [1, 8, 48, 1 << 16])
+def test_phase_sum_mixed_moduli_matches_per_term_loop(block, monkeypatch):
+    # The default split point, with the root table of the modulus taken
+    # from the cache (large blocks) or built per call (small blocks).
+    monkeypatch.setattr(numeric, "_BLOCK", block)
+    for gram, moduli, modulus, linear, constant in MIXED_MODULI_CASES:
+        want = phase_sum_per_term(gram, moduli, modulus, linear, constant)
+        got = quadratic_phase_sum(gram, moduli, modulus, linear, constant)
+        assert abs(got - want) <= sum_tolerance(2 * 4 * 12)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_phase_sum_every_split_point_matches_per_term_loop(seed, monkeypatch):
     # The mixed-moduli cases, then random integer forms, neither symmetric
