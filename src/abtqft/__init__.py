@@ -14,7 +14,6 @@ from .errors import (
     InconsistentPhase,
     IndexOutOfRange,
     NotLagrangian,
-    ZeroDenominator,
 )
 from .intlinalg import IntSymMatrix
 from .numeric import ApproxComplex, PolarValue, Rational, UnitPhase, approx_eq
@@ -37,7 +36,6 @@ __all__ = [
     "Rational",
     "SurgeryPresentation",
     "UnitPhase",
-    "ZeroDenominator",
     "approx_eq",
     "rt_raw_closed",
     "__version__",

@@ -17,13 +17,14 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error
 overrides the default enumeration cap of 10**7 colorings.
 
 Tolerances default to ``base * sqrt(number_of_summed_terms)`` with base
-1e-9; ``--tol`` overrides the base.
+1e-9; ``--tol`` overrides the base with a positive finite number.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -201,7 +202,7 @@ def _suite_reciprocity(args) -> dict:
     for case in range(args.cases // 2):
         L = compare.random_degenerate(rng)
         r = rng.choice((2, 4))
-        chk = compare.verify_reciprocity_degenerate(L, r, "full_nullity")
+        chk = compare.verify_reciprocity_dt(L, r)
         dev = abs(chk.lhs - chk.rhs)
         deviations.append(dev)
         tol = sum_tolerance(r ** L.m, args.tol)
@@ -210,7 +211,7 @@ def _suite_reciprocity(args) -> dict:
             degenerate_failures += 1
     # The half-kernel normalization is expected to fail on [[0]], r = 2;
     # reproducing that mismatch is part of the check.
-    half = compare.verify_reciprocity_degenerate(
+    half = compare.verify_reciprocity_dt(
         IntSymMatrix.from_rows([[0]]), 2, "paper_half")
     report = {"suite": "reciprocity", "seed": args.seed, "cases": args.cases,
               "max_dev": max(deviations, default=0.0),
@@ -251,8 +252,10 @@ def _suite_modular(args) -> dict:
     failures = 0
     max_dev = 0.0
     details = {}
+    if args.kmax < 2:
+        raise InputError(f"--kmax must be at least 2, got {args.kmax}")
     levels = range(2, args.kmax + 1, 2)
-    if levels and levels[-1] > extended.ANOMALY_LEVEL_CAP:
+    if levels[-1] > extended.ANOMALY_LEVEL_CAP:
         raise InputError(f"--kmax {args.kmax} exceeds the anomaly-check cap "
                          f"k = {extended.ANOMALY_LEVEL_CAP}")
     for k in levels:
@@ -409,6 +412,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "cases", None) is not None and args.cases < 1:
             raise InputError(f"--cases must be at least 1, got {args.cases}")
+        if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
+            raise InputError("--tol must be a positive finite number, "
+                             f"got {args.tol}")
         if getattr(args, "cases", None) is None and hasattr(args, "suite"):
             args.cases = _SUITE_CASE_DEFAULTS[args.suite]
         return args.fn(args)

@@ -6,50 +6,49 @@ Two independent ground truths are computed for every closed presentation:
   phases (the brute-force route), and
 * :func:`cs_closed` evaluates the torsion formula
 
-      value = k^{(nu - 1)/2} * |T|^{-1/2} * sum_{x in T} exp(-+ 2 pi i k q(x)),
+      value = k^{(nu - 1)/2} * |T|^{-1/2} * sum_{x in T} exp(-2 pi i k q(x)),
 
   where ``nu`` is the nullity of the surgery matrix, ``T`` the torsion group
   of its regular block, and ``q`` the quadratic refinement of the torsion
   linking form.
 
-Sign convention of the torsion exponent
----------------------------------------
+Sign of the torsion exponent
+----------------------------
 The exponent sign in the cokernel sum is not forced by the definitions of
-``q`` and ``T`` alone, and the two candidate conventions are *not*
-interchangeable:
+``q`` and ``T`` alone.  :func:`cs_closed` uses ``exp(-2 pi i k q(x))``, the
+conjugate of :func:`abtqft.quadmod.gauss_sum`: it is the exponent produced
+by substituting the explicit-signature reciprocity identity (Deloup and
+Turaev, "On reciprocity", 2007) into the brute-force sum.  With it the two
+routes agree exactly, so the equivalence ratio is 1 for every presentation
+and in particular constant on signature classes.  The positive exponent is
+not an equivalent choice: its rt/cs ratio depends on more than the
+signature mod 8 (already ``[[3]]`` and ``[[5]]`` at ``k = 2`` give ratios
+-1 and +1 with equal signature), so no signature-indexed phase table exists
+for it and :func:`build_phase_table` raises :class:`InconsistentPhase` on
+such ratios.
 
-* ``convention="dt"`` (default) uses ``exp(-2 pi i k q(x))``, the exponent
-  produced by substituting the explicit-signature reciprocity identity into
-  the brute-force sum.  With it the two routes agree exactly, so the
-  equivalence ratio is 1 for every presentation and in particular constant
-  on signature classes.
-* ``convention="plus"`` uses ``exp(+2 pi i k q(x))``.  Empirically the
-  rt/cs ratio then depends on more than the signature mod 8 (already
-  ``[[3]]`` and ``[[5]]`` at ``k = 2`` give ratios -1 and +1 with equal
-  signature), so a signature-indexed phase table cannot exist;
-  :func:`build_phase_table` raises :class:`InconsistentPhase`.
-
-The resolution is empirical and frozen: the shipped phase-table fixture is
-built under ``"dt"`` and pins the all-ones table.  A closed-form signature
-phase ``exp(-pi i sigma/4)`` between the two routes is deliberately *not*
-asserted anywhere; it fails the sanity check on ``[[1]]`` (both routes give
-``k^{-1/2}``, ratio 1, at signature 1).
+The resolution is empirical and frozen: the shipped phase-table fixture
+pins the all-ones table.  A closed-form signature phase ``exp(-pi i
+sigma/4)`` between the two routes is deliberately *not* asserted anywhere;
+it fails the sanity check on ``[[1]]`` (both routes give ``k^{-1/2}``,
+ratio 1, at signature 1).
 
 Reciprocity
 -----------
 :func:`verify_reciprocity_dt` checks, by enumeration of both sides,
 
     sum_{n in Z_r^m} e^{(pi i/r) n^T L n}
-        = r^{m/2} e^{pi i sigma(L)/4} |det L|^{-1/2}
-          sum_{l in Z^m / L Z^m} e^{-pi i r l^T L^{-1} l}
+        = r^d r^{rho/2} e^{pi i sigma(L)/4} |det L_reg|^{-1/2}
+          sum_{l in Z^rho / L_reg Z^rho} e^{-pi i r l^T L_reg^{-1} l}
 
-for nondegenerate ``L`` and even ``r``.  The square-root branch of the
-determinant factor is always taken through this explicit-signature form.
-For degenerate ``L`` the left side factors over the saturated kernel and
-picks up ``r^nu``; :func:`verify_reciprocity_degenerate` implements the
-null-direction factor in both candidate normalizations (``r^nu`` and
-``r^{nu/2}``) so the discrepancy between them is reproducible: already
-``L = [[0]], r = 2`` gives 2 versus sqrt(2).
+for even ``r``, with ``L_reg`` the regular block of rank ``rho`` and ``d``
+the null-direction exponent (``d = 0`` for nondegenerate ``L``).  The
+square-root branch of the determinant factor is always taken through this
+explicit-signature form.  For degenerate ``L`` the left side factors over
+the saturated kernel and picks up ``r^nu``; the check takes ``d = nu``
+(``"full_nullity"``) or ``d = nu/2`` (``"paper_half"``), so the discrepancy
+between the two normalizations is reproducible: already ``L = [[0]], r =
+2`` gives 2 versus sqrt(2).
 """
 
 from __future__ import annotations
@@ -61,10 +60,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DegenerateMatrix, InconsistentPhase, ZeroDenominator
+from .errors import InconsistentPhase
 from .intlinalg import (
     IntSymMatrix,
-    RegularDecomposition,
     determinant,
     mat_mul,
     mat_transpose,
@@ -87,12 +85,14 @@ from .surgery import (
     rt_raw_closed,
 )
 
-CONVENTIONS = ("dt", "plus")
-
 #: Below this magnitude a torsion Gauss sum counts as vanishing and ratio
 #: statistics must skip the presentation (nonvanishing normalized sums at
 #: desk scale have magnitude >= 1e-3, float noise sits near 1e-13).
 ZERO_GAUSS_TOLERANCE = 1e-8
+
+#: Largest distance of an equivalence ratio from the phase of its signature
+#: class before :func:`build_phase_table` refuses the table.
+PHASE_CLASS_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,11 @@ class CsClosedResult:
     value: complex
 
 
-def cs_closed(L: IntSymMatrix, k: int, convention: str = "dt") -> CsClosedResult:
+def cs_closed(L: IntSymMatrix, k: int) -> CsClosedResult:
     """Evaluate the torsion-formula invariant of a closed presentation."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     rd = regular_decomposition(L)
     module = from_decomposition(rd)
-    gauss = gauss_sum(module, k)
-    if convention == "dt":
-        gauss = gauss.conjugate()
+    gauss = gauss_sum(module, k).conjugate()
     nu = rd.nullity
     free_factor = math.sqrt(float(k) ** (nu - 1))
     return CsClosedResult(
@@ -148,26 +144,10 @@ def _complete_case(L: IntSymMatrix, k: int, cs: CsClosedResult) -> EquivalenceCa
     return EquivalenceCase(L, k, signature(L), ratio)
 
 
-def evaluate_case(L: IntSymMatrix, k: int, convention: str = "dt") -> EquivalenceCase:
+def evaluate_case(L: IntSymMatrix, k: int) -> EquivalenceCase:
     """Evaluate one pair: the torsion route, then the brute-force route
     unless the torsion Gauss sum vanishes."""
-    return _complete_case(L, k, cs_closed(L, k, convention))
-
-
-def equivalence_ratio(L: IntSymMatrix, k: int, convention: str = "dt",
-                      ) -> Tuple[complex, int]:
-    """Ratio of the brute-force route to the torsion route, with the
-    signature of the regular block.
-
-    Raises :class:`ZeroDenominator` when the torsion Gauss sum vanishes;
-    callers building statistics must skip such presentations (the invariant
-    itself is 0 on both routes there).
-    """
-    case = evaluate_case(L, k, convention)
-    if case.ratio is None:
-        raise ZeroDenominator(
-            f"vanishing torsion Gauss sum for level {k}; ratio undefined")
-    return case.ratio, case.sigma_reg
+    return _complete_case(L, k, cs_closed(L, k))
 
 
 @dataclass(frozen=True)
@@ -182,7 +162,6 @@ class PhaseTable:
     corpus_size: int
     max_deviation: float
     skipped: int
-    convention: str
 
     def to_json(self) -> dict:
         return {
@@ -197,7 +176,7 @@ class PhaseTable:
         mapping = {int(s): UnitPhase(rational_from_json(v))
                    for s, v in obj["sigma_mod_8"].items()}
         return cls(mapping, int(obj["corpus_size"]), float(obj["max_dev"]),
-                   skipped=0, convention="dt")
+                   skipped=0)
 
     def same_phases(self, other: "PhaseTable") -> bool:
         return self.mapping == other.mapping
@@ -208,16 +187,13 @@ def _snap_to_eighth_root(z: complex) -> UnitPhase:
     return UnitPhase(Fraction(round(8 * angle) % 8, 8))
 
 
-def build_phase_table(cases: Iterable[EquivalenceCase],
-                      convention: str = "dt",
-                      class_tol: float = 1e-7) -> PhaseTable:
+def build_phase_table(cases: Iterable[EquivalenceCase]) -> PhaseTable:
     """Group equivalence ratios by ``sigma(L_reg) mod 8`` and snap each class
     to an eighth root of unity.
 
-    ``cases`` are evaluated under ``convention`` (see :func:`evaluate_case`).
     Cases with vanishing Gauss sum are skipped and counted.  If any ratio
-    sits further than ``class_tol`` from its class phase the table is
-    refused with :class:`InconsistentPhase`: that means the two routes do not
+    sits further than :data:`PHASE_CLASS_TOL` from its class phase the table
+    is refused with :class:`InconsistentPhase`: that means the two routes do not
     differ by a constant on the class and no signature-indexed table exists.
     """
     classes: Dict[int, List[complex]] = {}
@@ -237,14 +213,14 @@ def build_phase_table(cases: Iterable[EquivalenceCase],
         target = unit_phase_eval(snapped)
         for ratio in ratios:
             dev = abs(ratio - target)
-            if dev > class_tol:
+            if dev > PHASE_CLASS_TOL:
                 raise InconsistentPhase(
                     f"ratio {ratio} deviates by {dev:.3e} from {target} "
                     f"in class sigma = {residue} (mod 8); no well-defined "
-                    f"phase table under convention {convention!r}")
+                    "phase table")
             max_dev = max(max_dev, dev)
         mapping[residue] = snapped
-    return PhaseTable(mapping, total, max_dev, skipped, convention)
+    return PhaseTable(mapping, total, max_dev, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -344,48 +320,24 @@ class ReciprocityCheck:
     tolerance: float
 
 
-def _dt_right_side(rd: RegularDecomposition, r: int) -> complex:
-    """``r^{rho/2} e^{pi i sigma/4} |det L_reg|^{-1/2} sum_l e^{-pi i r l^T L_reg^{-1} l}``
-    for the regular block ``L_reg`` of rank ``rho``.
-
-    The cokernel sum is ``sqrt|T|`` times the conjugate of the normalized
-    level-``r`` torsion Gauss sum, with ``|T| = |det L_reg|``; well defined
-    for even ``r``.
-    """
-    reg = rd.regular
-    sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(reg), 8)))
-    gauss = gauss_sum(from_decomposition(rd), r).conjugate()
-    return math.sqrt(float(r) ** reg.m) * sig_phase * gauss
-
-
-def verify_reciprocity_dt(L: IntSymMatrix, r: int) -> ReciprocityCheck:
-    """Check the explicit-signature reciprocity identity on nondegenerate
-    ``L`` by enumerating both sides."""
-    if r < 2 or r % 2 != 0:
-        raise ValueError("r must be an even integer >= 2")
-    rd = regular_decomposition(L)
-    if rd.nullity:
-        raise DegenerateMatrix("reciprocity in this form needs det != 0")
-    lhs = quadratic_exponential_sum(L.rows(), r)
-    rhs = _dt_right_side(rd, r)
-    tol = sum_tolerance(r ** L.m)
-    return ReciprocityCheck(lhs, rhs, abs(lhs - rhs) <= tol, tol)
-
-
 NULL_EXPONENT_MODES = ("paper_half", "full_nullity")
 
 
-def verify_reciprocity_degenerate(L: IntSymMatrix, r: int,
-                                  null_exponent_mode: str = "full_nullity",
-                                  ) -> ReciprocityCheck:
-    """Check the degenerate reciprocity identity.
+def verify_reciprocity_dt(L: IntSymMatrix, r: int,
+                          null_exponent_mode: str = "full_nullity",
+                          ) -> ReciprocityCheck:
+    """Check the explicit-signature reciprocity identity by enumerating both
+    sides.
 
-    The right side is assembled from the regular block via the
-    explicit-signature identity times a null-direction factor ``r^d``:
-    ``d = nullity`` in ``"full_nullity"`` mode (the factorization that is
-    actually true: each saturated null direction contributes a full factor
-    ``r``) or ``d = nullity / 2`` in ``"paper_half"`` mode (the half-kernel
-    normalization, kept so its failure is reproducible).
+    The right side is assembled from the regular block ``L_reg`` of rank
+    ``rho``: ``r^{rho/2} e^{pi i sigma/4}`` times the conjugate of the
+    normalized level-``r`` torsion Gauss sum (the cokernel sum is ``sqrt|T|``
+    times it, and ``|T| = |det L_reg|``), times a null-direction factor
+    ``r^d``.  ``d = nullity`` in ``"full_nullity"`` mode (the factorization
+    that is actually true: each saturated null direction contributes a full
+    factor ``r``) or ``d = nullity / 2`` in ``"paper_half"`` mode (the
+    half-kernel normalization, kept so its failure is reproducible).  For
+    nondegenerate ``L`` the factor is 1 in both modes.
     """
     if r < 2 or r % 2 != 0:
         raise ValueError("r must be an even integer >= 2")
@@ -393,12 +345,14 @@ def verify_reciprocity_degenerate(L: IntSymMatrix, r: int,
         raise ValueError(f"unknown mode {null_exponent_mode!r}")
     lhs = quadratic_exponential_sum(L.rows(), r)
     rd = regular_decomposition(L)
-    base = _dt_right_side(rd, r)
-    if null_exponent_mode == "full_nullity":
-        factor = float(r) ** rd.nullity
-    else:
-        factor = math.sqrt(float(r) ** rd.nullity)
-    rhs = factor * base
+    reg = rd.regular
+    sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(reg), 8)))
+    gauss = gauss_sum(from_decomposition(rd), r).conjugate()
+    rhs = math.sqrt(float(r) ** reg.m) * sig_phase * gauss
+    if rd.nullity:  # a complex product with 1.0 could flip the sign of a 0
+        power = float(r) ** rd.nullity
+        half = null_exponent_mode == "paper_half"
+        rhs = (math.sqrt(power) if half else power) * rhs
     tol = sum_tolerance(r ** L.m)
     return ReciprocityCheck(lhs, rhs, abs(lhs - rhs) <= tol, tol)
 

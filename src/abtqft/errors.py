@@ -17,10 +17,6 @@ class EnumerationTooLarge(AbtqftError):
     """A coloring enumeration k^m would exceed the configured cap."""
 
 
-class ZeroDenominator(AbtqftError):
-    """A ratio against a (numerically) vanishing Gauss sum was requested."""
-
-
 class InconsistentPhase(AbtqftError):
     """Equivalence ratios within one signature class disagree.
 

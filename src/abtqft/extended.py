@@ -28,7 +28,7 @@ block linking matrix over [surgery | colored insertions | boundary]
 components, the boundary components carrying framing data instead of colors.
 Filling a boundary component at label ``x`` (:meth:`ExtendedBordism.fill`)
 produces an honest closed presentation and the boundary state vector is the
-table of closed evaluations over ``x``.  Two filling conventions are
+table of closed evaluations over ``x``.  Two filling modes are
 implemented:
 
 * ``"meridian"`` (default): the flagged component becomes a colored
@@ -148,10 +148,14 @@ class AnomalyCheck:
 
 ANOMALY_PHASE = complex(math.sqrt(0.5), math.sqrt(0.5))  # exp(pi i / 4)
 
+#: Largest deviation of the anomaly phase from :data:`ANOMALY_PHASE`; each
+#: entry of ``(S T)^3 - phase S^2`` may deviate by ``k`` times it.
+ANOMALY_TOLERANCE = 1e-9
+
 ANOMALY_LEVEL_CAP = 64
 
 
-def anomaly_check(k: int, tol: float = 1e-9) -> AnomalyCheck:
+def anomaly_check(k: int) -> AnomalyCheck:
     """Verify ``(S T)^3 = exp(pi i/4) S^2`` and that ``S^2`` is charge
     conjugation, at level ``k <= ANOMALY_LEVEL_CAP``."""
     if k > ANOMALY_LEVEL_CAP:
@@ -162,7 +166,8 @@ def anomaly_check(k: int, tol: float = 1e-9) -> AnomalyCheck:
     rhs = s @ s
     phase = lhs[0][0] / rhs[0][0]   # (S^2)[0][0] = 1 exactly
     max_dev = float(np.max(np.abs(lhs - phase * rhs)))
-    ok = abs(phase - ANOMALY_PHASE) <= tol and max_dev <= tol * k
+    ok = abs(phase - ANOMALY_PHASE) <= ANOMALY_TOLERANCE \
+        and max_dev <= ANOMALY_TOLERANCE * k
     return AnomalyCheck(lhs, rhs, phase, ok, max_dev)
 
 

@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra on symmetric matrices.
 
 Everything here is exact: matrices are Python integers and every elimination
-divides exactly; :class:`fractions.Fraction` appears only in rational inputs
-and results.  The operations cover what a surgery matrix needs homologically,
+divides exactly; :class:`fractions.Fraction` appears only in the rational
+inputs of :func:`rational_rank` and :func:`clear_denominators`.  The
+operations cover what a surgery matrix needs homologically,
 
 * Smith normal form by one bounded elimination, which also builds the
   inverse of its row transform and works modulo the determinant when the
@@ -15,9 +16,10 @@ and results.  The operations cover what a surgery matrix needs homologically,
 * signatures by fraction-free symmetric congruence (no floating
   eigenvalues; signatures enter invariants as eighth-root-of-unity phases,
   so they must be exact),
-* exact evaluation of the inverse form ``x^T L_reg^{-1} x``,
 * one fraction-free Gauss-Jordan elimination (Bareiss, 1968), behind every
-  determinant, solve, inverse and rank.
+  determinant, rank and inverse and behind the one solve, ``L_reg^{-1} R``
+  for the generator lifts ``R``, that gives a torsion module its Gram
+  matrix (:func:`abtqft.quadmod.from_decomposition`).
 
 All functions treat their inputs as immutable and are safe for parallel use.
 Matrices are serialized as JSON arrays of arrays of integers (row-major).
@@ -206,7 +208,7 @@ def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
 
     For square nonsingular ``M`` the elimination works modulo
     ``d = |det M|`` (Domich, Kannan and Trotter, 1987): ``d Z^n`` lies in
-    the column lattice of ``M``, so the work matrix, ``U`` and ``W`` are
+    the column span ``M Z^n``, so the work matrix, ``U`` and ``W`` are
     reduced into ``[0, d)`` and each pivot becomes ``gcd(pivot, d)``.  Then
     ``U W = I`` holds mod ``d``, which is all the cokernel ``Z^n / M Z^n``
     needs; otherwise ``U`` is unimodular and ``U W = I`` exactly.  The pivot
@@ -263,7 +265,7 @@ def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
             if any(a[i][t] for i in range(t + 1, n)):
                 continue
             # Row and column t are clear, so column t is pivot * e_t, which
-            # generates the same lattice mod d as gcd(pivot, d) * e_t.
+            # generates the same subgroup mod d as gcd(pivot, d) * e_t.
             if det:
                 a[t][t] = math.gcd(a[t][t], det)
             elif a[t][t] < 0:
@@ -308,13 +310,6 @@ def integer_inverse(mat: Sequence[Sequence[int]]) -> IntRows:
     return [[x * p for x in row] for row in inv]
 
 
-def solve_rational(mat: Sequence[Sequence[int]], rhs: Sequence) -> List[Fraction]:
-    """Solve ``mat @ y = rhs`` exactly over the rationals."""
-    *col, scale = clear_denominators([*rhs, 1])  # scale * rhs, then scale
-    sol, p = _solve(mat, [[x] for x in col])
-    return [Fraction(row[0], p * scale) for row in sol]
-
-
 # ---------------------------------------------------------------------------
 # Regular decomposition and torsion
 
@@ -330,7 +325,6 @@ class CokernelGroup:
 
     cyclic_orders: Tuple[int, ...]
     generator_reps: Tuple[Tuple[int, ...], ...]
-    ambient_dim: int
 
     @property
     def order(self) -> int:
@@ -338,14 +332,6 @@ class CokernelGroup:
 
     def elements(self) -> Iterator[Tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.cyclic_orders))
-
-    def lift(self, element: Sequence[int]) -> List[int]:
-        """An integer vector in ``Z^rho`` representing the element."""
-        vec = [0] * self.ambient_dim
-        for coeff, rep in zip(element, self.generator_reps):
-            for i in range(self.ambient_dim):
-                vec[i] += coeff * rep[i]
-        return vec
 
 
 @dataclass(frozen=True)
@@ -397,7 +383,7 @@ def regular_decomposition(L) -> RegularDecomposition:
         c = u[:rank]
         regular = IntSymMatrix.from_rows(mat_mul(mat_mul(c, rows), mat_transpose(c)))
         gens = tuple(tuple(int(r == i) for r in range(rank)) for i in keep)
-    torsion = CokernelGroup(tuple(orders[i] for i in keep), gens, rank)
+    torsion = CokernelGroup(tuple(orders[i] for i in keep), gens)
     return RegularDecomposition(regular, L.m - rank, torsion)
 
 
@@ -432,10 +418,3 @@ def signature(L) -> int:
         prev = p
     return sig
 
-
-def inverse_form_value(L_reg: IntSymMatrix, x: Sequence[int]) -> Fraction:
-    """Exact rational ``x^T L_reg^{-1} x`` (via one linear solve)."""
-    if len(x) != L_reg.m:
-        raise ValueError("vector dimension mismatch")
-    sol, p = _solve(L_reg.rows(), [[xi] for xi in x])
-    return Fraction(sum(xi * row[0] for xi, row in zip(x, sol)), p)

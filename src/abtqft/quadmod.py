@@ -30,7 +30,13 @@ factors as moduli and ``2e`` as modulus; for a group of more than a few
 hundred elements it sums over the trailing cyclic factors by one inverse
 DFT (split-Fourier) instead of element by element.
 
-Phase convention: a stored exponent ``e`` denotes the complex number
+:func:`gauss_sum` is the sum with the positive exponent ``exp(+2 pi i k
+q)``.  The torsion route of :func:`abtqft.compare.cs_closed` and the
+reciprocity check take its complex conjugate, the sign that
+explicit-signature reciprocity produces; :mod:`abtqft.compare` says why the
+positive sign cannot be used there.
+
+Phase encoding: a stored exponent ``e`` denotes the complex number
 ``exp(2*pi*i*e)``.
 """
 
@@ -39,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import GroupTooLarge
 from .intlinalg import (
@@ -47,7 +53,6 @@ from .intlinalg import (
     IntSymMatrix,
     RegularDecomposition,
     _solve,
-    inverse_form_value,
     regular_decomposition,
 )
 from .numeric import UnitPhase, quadratic_phase_sum, rational_from_json, rational_to_json
@@ -69,8 +74,7 @@ class FiniteQuadraticModule:
     ``lam(a, b) = a^T G b / e`` (mod 1) on coefficient tuples against the
     cyclic generators, ``e`` the exponent of the group; it is stored reduced
     mod ``2e``.  For a module from a surgery matrix, ``G_ij = e * g_i^T
-    L_reg^{-1} g_j`` for the generator lifts ``g_i``, and ``lattice`` keeps
-    ``L_reg`` so that values of explicit lifts can be checked against it.
+    L_reg^{-1} g_j`` for the generator lifts ``g_i``.
 
     ``q`` is a function of the tuple through its integer lift: on blocks
     with odd diagonal, ``q`` itself changes by half-integers across other
@@ -87,7 +91,6 @@ class FiniteQuadraticModule:
 
     group: CokernelGroup
     gram: Tuple[Tuple[int, ...], ...]
-    lattice: Optional[IntSymMatrix] = None
 
     @property
     def order(self) -> int:
@@ -103,12 +106,6 @@ class FiniteQuadraticModule:
     def q(self, element: Sequence[int]) -> Fraction:
         """Quadratic value of a group element, reduced into [0, 1)."""
         return Fraction(_form(self.gram, element, element), 2 * self.exponent) % 1
-
-    def q_of_lift(self, x: Sequence[int]) -> Fraction:
-        """Quadratic value of an explicit integer lift in ``Z^rho``."""
-        if self.lattice is None:
-            raise ValueError("module carries no ambient lattice data")
-        return (inverse_form_value(self.lattice, x) / 2) % 1
 
     def linking(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
         """Linking pairing lam(u, v), reduced into [0, 1)."""
@@ -144,7 +141,7 @@ class FiniteQuadraticModule:
         for i, j, val in obj["lambda_gen"]:
             if i != j:
                 gram[i][j] = gram[j][i] = _integral(e * rational_from_json(val))
-        group = CokernelGroup(orders, ((),) * len(orders), 0)
+        group = CokernelGroup(orders, ((),) * len(orders))
         return cls(group, tuple(tuple(row) for row in gram))
 
 
@@ -178,7 +175,7 @@ def from_decomposition(rd: RegularDecomposition) -> FiniteQuadraticModule:
         tuple(_integral(e * sum(x * row[j] for x, row in zip(g, solved)), p)
               % (2 * e) for j in range(len(gens)))
         for g in gens)
-    return FiniteQuadraticModule(group, gram, reg)
+    return FiniteQuadraticModule(group, gram)
 
 
 def gauss_sum(module: FiniteQuadraticModule, k: int) -> complex:

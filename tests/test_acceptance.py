@@ -14,7 +14,6 @@ from abtqft.compare import (
     load_fixture_table,
     random_degenerate,
     random_nondegenerate,
-    verify_reciprocity_degenerate,
     verify_reciprocity_dt,
 )
 from abtqft.extended import (
@@ -210,10 +209,9 @@ def test_criterion_12_degenerate_reciprocity_modes():
     for _ in range(100):
         L = random_degenerate(rng)
         r = rng.choice((2, 4))
-        if not verify_reciprocity_degenerate(L, r, "full_nullity").ok:
+        if not verify_reciprocity_dt(L, r, "full_nullity").ok:
             failures += 1
-    half = verify_reciprocity_degenerate(IntSymMatrix.from_rows([[0]]), 2,
-                                         "paper_half")
+    half = verify_reciprocity_dt(IntSymMatrix.from_rows([[0]]), 2, "paper_half")
     mismatch = (not half.ok and abs(half.lhs - 2) < 1e-12
                 and abs(half.rhs - math.sqrt(2)) < 1e-12)
     print(f"[acceptance] half-kernel normalization on [[0]], r=2: "

@@ -89,6 +89,14 @@ def test_verify_modular_above_level_cap_is_usage_error(capsys):
     assert "64" in err
 
 
+@pytest.mark.parametrize("kmax", ["1", "0", "-4"])
+def test_verify_modular_below_first_level_is_usage_error(capsys, kmax):
+    # no even level would be checked, so PASS would assert nothing
+    code, out, err = run(capsys, "verify", "modular", f"--kmax={kmax}")
+    assert_one_line_usage_error(code, out, err)
+    assert "--kmax" in err
+
+
 def test_verify_modular(capsys):
     code, report, _ = run_json(capsys, "verify", "modular", "--kmax", "8",
                                "--json")
@@ -229,6 +237,15 @@ def assert_one_line_usage_error(code, out, err, prefix="error: "):
     assert code == 2
     assert out == ""
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["kirby", "reciprocity"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tolerance_base_not_positive_finite_is_usage_error(capsys, suite, tol):
+    # 0 divided the worst margin by zero; nan and inf passed every case
+    code, out, err = run(capsys, "verify", suite, "--cases", "3", f"--tol={tol}")
+    assert_one_line_usage_error(code, out, err)
+    assert "--tol" in err
 
 
 @pytest.mark.parametrize("entry", ["1.5", "true", '"3"', "1e300"])

@@ -7,22 +7,22 @@ import pytest
 
 from abtqft.compare import (
     E8_ROWS,
+    EquivalenceCase,
     PhaseTable,
     build_phase_table,
     cs_closed,
     default_corpus,
-    equivalence_ratio,
     evaluate_case,
     load_fixture_table,
     random_degenerate,
     random_nondegenerate,
     verify_reciprocity_dt,
-    verify_reciprocity_degenerate,
 )
 from abtqft import intlinalg
-from abtqft.errors import DegenerateMatrix, InconsistentPhase, ZeroDenominator
-from abtqft.intlinalg import IntSymMatrix, regular_decomposition
+from abtqft.errors import InconsistentPhase
+from abtqft.intlinalg import IntSymMatrix, regular_decomposition, signature
 from abtqft.numeric import UnitPhase, sum_tolerance
+from abtqft.quadmod import from_surgery, gauss_sum
 from abtqft.surgery import SurgeryPresentation, rt_raw_closed
 
 LEVELS = (2, 4, 6, 8)
@@ -71,17 +71,16 @@ def test_cs_closed_value_decomposition():
 @pytest.mark.parametrize("k", (2, 4))
 def test_ratio_examples(k):
     for rows, sigma in (([[1]], 1), ([[0]], 0)):
-        ratio, sigma_reg = equivalence_ratio(sym(rows), k)
-        assert abs(ratio - 1) < 1e-10
-        assert sigma_reg == sigma
-    ratio, sigma_reg = equivalence_ratio(E8, k)
-    assert abs(ratio - 1) < 1e-9
-    assert sigma_reg == 8
+        case = evaluate_case(sym(rows), k)
+        assert abs(case.ratio - 1) < 1e-10
+        assert case.sigma_reg == sigma
+    case = evaluate_case(E8, k)
+    assert abs(case.ratio - 1) < 1e-9
+    assert case.sigma_reg == 8
 
 
 def test_ratio_skips_vanishing_gauss_sum():
-    with pytest.raises(ZeroDenominator):
-        equivalence_ratio(sym([[2]]), 2)
+    assert evaluate_case(sym([[2]]), 2).ratio is None
 
 
 def test_two_sided_zero_when_gauss_sum_vanishes():
@@ -99,26 +98,32 @@ def test_default_convention_gives_unit_ratio_everywhere():
     while checked < 80:
         L = random_symmetric_matrix(rng, rng.randint(1, 4), 4)
         k = rng.choice(LEVELS)
-        try:
-            ratio, _ = equivalence_ratio(L, k)
-        except ZeroDenominator:
+        ratio = evaluate_case(L, k).ratio
+        if ratio is None:
             continue
         assert abs(ratio - 1) < 1e-7
         checked += 1
 
 
+def positive_exponent_case(L, k):
+    """The pair evaluated with the unconjugated torsion Gauss sum:
+    ``rt / (sqrt(k^(nu - 1)) * gauss_sum)``."""
+    nu = regular_decomposition(L).nullity
+    cs = math.sqrt(float(k) ** (nu - 1)) * gauss_sum(from_surgery(L), k)
+    rt = rt_raw_closed(SurgeryPresentation.closed(L), k)
+    return EquivalenceCase(L, k, signature(L), rt / cs)
+
+
 def test_positive_exponent_convention_is_signature_inconsistent():
     # Same signature class, different ratios: the positive-exponent reading
     # of the torsion sum admits no signature-indexed phase table.
-    r3, s3 = equivalence_ratio(sym([[3]]), 2, convention="plus")
-    r5, s5 = equivalence_ratio(sym([[5]]), 2, convention="plus")
-    assert s3 == s5 == 1
-    assert abs(r3 + 1) < 1e-10
-    assert abs(r5 - 1) < 1e-10
+    c3 = positive_exponent_case(sym([[3]]), 2)
+    c5 = positive_exponent_case(sym([[5]]), 2)
+    assert c3.sigma_reg == c5.sigma_reg == 1
+    assert abs(c3.ratio + 1) < 1e-10
+    assert abs(c5.ratio - 1) < 1e-10
     with pytest.raises(InconsistentPhase):
-        build_phase_table([evaluate_case(sym([[3]]), 2, "plus"),
-                           evaluate_case(sym([[5]]), 2, "plus")],
-                          convention="plus")
+        build_phase_table([c3, c5])
 
 
 def test_magnitude_matches_on_degenerate_presentations():
@@ -222,8 +227,8 @@ def test_reciprocity_vanishing_both_sides():
 
 
 def test_reciprocity_rejects_degenerate_and_odd():
-    with pytest.raises(DegenerateMatrix):
-        verify_reciprocity_dt(sym([[0]]), 2)
+    # degenerate L is checked with its null-direction factor (below); an
+    # odd level has no reciprocity identity
     with pytest.raises(ValueError):
         verify_reciprocity_dt(sym([[1]]), 3)
 
@@ -241,15 +246,15 @@ def test_reciprocity_random_corpus():
 # Reciprocity, degenerate
 
 def test_degenerate_zero_matrix_modes():
-    full = verify_reciprocity_degenerate(sym([[0]]), 2, "full_nullity")
+    full = verify_reciprocity_dt(sym([[0]]), 2, "full_nullity")
     assert abs(full.lhs - 2) < 1e-12 and abs(full.rhs - 2) < 1e-12 and full.ok
-    half = verify_reciprocity_degenerate(sym([[0]]), 2, "paper_half")
+    half = verify_reciprocity_dt(sym([[0]]), 2, "paper_half")
     assert abs(half.rhs - math.sqrt(2)) < 1e-12
     assert not half.ok
 
 
 def test_degenerate_block_example():
-    chk = verify_reciprocity_degenerate(sym([[1, 0], [0, 0]]), 2, "full_nullity")
+    chk = verify_reciprocity_dt(sym([[1, 0], [0, 0]]), 2)
     assert abs(chk.lhs - 2 * (1 + 1j)) < 1e-12
     assert chk.ok
 
@@ -259,13 +264,13 @@ def test_degenerate_random_constructed_corpus():
     for _ in range(100):
         L = random_degenerate(rng)
         r = rng.choice((2, 4))
-        chk = verify_reciprocity_degenerate(L, r, "full_nullity")
+        chk = verify_reciprocity_dt(L, r)
         assert chk.ok, (L.entries, r)
 
 
 def test_degenerate_mode_validation():
     with pytest.raises(ValueError):
-        verify_reciprocity_degenerate(sym([[0]]), 2, "thirds")
+        verify_reciprocity_dt(sym([[0]]), 2, "thirds")
 
 
 def test_random_degenerate_really_degenerate():
@@ -286,10 +291,9 @@ DEGENERATE = [[6, 3, 0, 0], [3, 6, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     (cs_closed, NONDEGENERATE),
     (cs_closed, DEGENERATE),
     (verify_reciprocity_dt, NONDEGENERATE),
-    (verify_reciprocity_degenerate, NONDEGENERATE),
-    (verify_reciprocity_degenerate, DEGENERATE),
+    (verify_reciprocity_dt, DEGENERATE),
 ], ids=["cs-nondegenerate", "cs-degenerate", "dt-nondegenerate",
-        "degenerate-nondegenerate", "degenerate-degenerate"])
+        "dt-degenerate"])
 def test_torsion_evaluation_runs_one_smith_form_and_two_eliminations(
         evaluate, rows, monkeypatch):
     # The determinant inside the Smith form and the Gram solve are the only

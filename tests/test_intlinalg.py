@@ -12,8 +12,8 @@ from abtqft.errors import DegenerateMatrix, GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
     determinant,
+    _solve,
     integer_inverse,
-    inverse_form_value,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -21,7 +21,6 @@ from abtqft.intlinalg import (
     regular_decomposition,
     signature,
     smith_normal_form,
-    solve_rational,
 )
 
 E8_ROWS = [
@@ -102,6 +101,27 @@ def sympy_invariant_factors(mat, n, m):
     return [int(ref[i, i]) for i in range(min(n, m))]
 
 
+def exact_inverse(rows):
+    """``rows^{-1}`` as rows of fractions, from sympy's exact inverse: an
+    oracle that shares no code with the library's elimination."""
+    inv = Matrix(rows).inv()
+    return [[Fraction(int(x.p), int(x.q)) for x in inv.row(i)]
+            for i in range(inv.rows)]
+
+
+def inverse_form(inverse, x):
+    """``x^T M^{-1} x`` for ``inverse = M^{-1}``, as a fraction."""
+    return sum((a * c * b for a, row in zip(x, inverse) for c, b in zip(row, x)),
+               Fraction(0))
+
+
+def cokernel_order_of(inverse, rep):
+    """Order of ``[rep]`` in ``Z^m / M Z^m`` for ``inverse = M^{-1}``: the
+    lcm of the denominators of ``M^{-1} rep``."""
+    return math.lcm(*(sum(c * x for c, x in zip(row, rep)).denominator
+                      for row in inverse))
+
+
 def check_transforms(mat, u, w):
     """``U W = I``, exactly with unimodular ``U`` for singular or non-square
     input, and mod ``|det|`` with ``W`` reduced into ``[0, |det|)`` for
@@ -171,11 +191,9 @@ def test_snf_bounded_elimination_property(rows):
     if det:
         group = regular_decomposition(rows).torsion
         assert group.order == det
+        inverse = exact_inverse(rows)
         for order, rep in zip(group.cyclic_orders, group.generator_reps):
-            # the order of [g] in Z^m / L Z^m is the lcm of the
-            # denominators of L^{-1} g
-            sol = solve_rational(rows, list(rep))
-            assert math.lcm(*(x.denominator for x in sol)) == order
+            assert cokernel_order_of(inverse, rep) == order
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +248,10 @@ def test_elimination_property(rows, data):
     if det:
         rhs = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
         want = ref.LUsolve(Matrix(rhs))
-        assert solve_rational(rows, rhs) == [Fraction(int(x.p), int(x.q)) for x in want]
+        sol, p = _solve(rows, [[x] for x in rhs])
+        assert abs(p) == abs(det)
+        assert [Fraction(row[0], p) for row in sol] \
+            == [Fraction(int(x.p), int(x.q)) for x in want]
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +363,7 @@ def bfs_cokernel_order(L):
     """Independent enumeration: reachable residue classes of Z^m / L Z^m,
     canonicalized through the fractional parts of L^{-1} x."""
     m = L.m
-    cols = [solve_rational(L.rows(), [1 if i == j else 0 for i in range(m)])
-            for j in range(m)]
+    cols = [list(col) for col in zip(*exact_inverse(L.rows()))]
 
     def key(vec):
         return tuple(x % 1 for x in vec)
@@ -415,28 +435,15 @@ def test_generator_reps_have_stated_orders(time_limit):
                 assert sorted(rep) == [0] * (m - 3) + [1]
             decompositions.append(rd)
     for rd in decompositions:
+        # order * rep lies in the column lattice, no smaller multiple does
+        inverse = exact_inverse(rd.regular.rows())
         for order, rep in zip(rd.torsion.cyclic_orders,
                               rd.torsion.generator_reps):
-            # order * rep lies in the column lattice, no smaller multiple
-            # does: the lcm of the denominators of L_reg^{-1} rep is order
-            sol = solve_rational(rd.regular.rows(), list(rep))
-            assert math.lcm(*(x.denominator for x in sol)) == order
+            assert cokernel_order_of(inverse, rep) == order
 
 
 # ---------------------------------------------------------------------------
 # Inverse form values
-
-def test_inverse_form_examples():
-    assert inverse_form_value(IntSymMatrix.from_rows([[2]]), [1]) == Fraction(1, 2)
-    assert inverse_form_value(IntSymMatrix.from_rows([[2, 1], [1, 2]]), [1, 0]) \
-        == Fraction(2, 3)
-    assert inverse_form_value(IntSymMatrix.from_rows([[2, 1], [1, 2]]), [0, 0]) == 0
-
-
-def test_inverse_form_rejects_degenerate():
-    with pytest.raises(DegenerateMatrix):
-        inverse_form_value(IntSymMatrix.from_rows([[1, 1], [1, 1]]), [1, 0])
-
 
 def test_even_level_coset_invariance():
     # k * [q(x + L z) - q(x)] must be an even integer for even k
@@ -450,7 +457,8 @@ def test_even_level_coset_invariance():
         x = [rng.randint(-4, 4) for _ in range(n)]
         z = [rng.randint(-3, 3) for _ in range(n)]
         shifted = [a + b for a, b in zip(x, mat_vec(L.rows(), z))]
-        diff = k * (inverse_form_value(L, shifted) - inverse_form_value(L, x))
+        inverse = exact_inverse(L.rows())
+        diff = k * (inverse_form(inverse, shifted) - inverse_form(inverse, x))
         assert diff.denominator == 1 and diff.numerator % 2 == 0
 
 
@@ -471,5 +479,3 @@ def test_integer_inverse_errors():
         integer_inverse([[2, 0], [0, 1]])
     with pytest.raises(DegenerateMatrix):
         integer_inverse([[1, 2], [2, 4]])
-    with pytest.raises(DegenerateMatrix):
-        solve_rational([[1, 2], [2, 4]], [1, 0])

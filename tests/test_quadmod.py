@@ -19,12 +19,11 @@ from abtqft.quadmod import (
     CyclicQuadraticData,
     FiniteQuadraticModule,
     bicharacter,
-    from_decomposition,
     from_surgery,
     gauss_sum,
 )
 from abtqft.surgery import random_unimodular
-from test_intlinalg import degenerate_draw
+from test_intlinalg import degenerate_draw, exact_inverse, inverse_form
 
 
 def sym(rows):
@@ -92,15 +91,28 @@ def test_gauss_sum_order_three_level_two_is_i():
     assert abs(val - 1j) < 1e-12
 
 
-def gauss_sum_per_element(mod, k):
-    """Per-element reference: one exact phase per group element, taken from
-    the lift through the regular block rather than from the Gram matrix."""
+def lift(rd, element):
+    """The lift ``sum a_i g_i`` in ``Z^rho`` of a torsion element through the
+    generator reps of a regular decomposition."""
+    reps = rd.torsion.generator_reps
+    return [sum(a * g[r] for a, g in zip(element, reps))
+            for r in range(rd.regular.m)]
+
+
+def lift_q_values(rd):
+    """``q`` of every torsion element, ``(1/2) x^T L_reg^{-1} x`` mod 1 at its
+    lift ``x``, from sympy's exact inverse rather than the Gram matrix."""
+    inverse = exact_inverse(rd.regular.rows())
+    return {element: (inverse_form(inverse, lift(rd, element)) / 2) % 1
+            for element in rd.torsion.elements()}
+
+
+def gauss_sum_per_element(q_values, k):
+    """Per-element reference: one exact phase per group element."""
     total = 0j
-    for element in mod.elements():
-        q = mod.q_of_lift(mod.group.lift(element))
-        assert q == mod.q(element)
+    for q in q_values.values():
         total += unit_phase_eval(UnitPhase(k * q))
-    return total / math.sqrt(mod.order)
+    return total / math.sqrt(len(q_values))
 
 
 def test_gauss_sum_matches_per_element_sum(time_limit):
@@ -124,8 +136,10 @@ def test_gauss_sum_matches_per_element_sum(time_limit):
         blocks.append(degenerate_draw(rng, m, s=s)[0])
     for L in blocks:
         mod = from_surgery(L)
+        q_values = lift_q_values(regular_decomposition(L))
+        assert q_values == {x: mod.q(x) for x in mod.elements()}
         for k in (2, 4, 6, 8):
-            want = gauss_sum_per_element(mod, k)
+            want = gauss_sum_per_element(q_values, k)
             assert abs(gauss_sum(mod, k) - want) <= sum_tolerance(mod.order)
 
 
@@ -222,11 +236,15 @@ def test_q_vanishes_at_zero():
 def test_q_is_lift_sensitive_on_odd_blocks_but_weighted_q_descends():
     # On an odd block the raw quadratic value moves by 1/2 across lifts of
     # one coset; every even-level multiple of it is coset-independent.
-    mod = from_surgery(sym([[3]]))
-    assert mod.q_of_lift([0]) == 0
-    assert mod.q_of_lift([3]) == Fraction(1, 2)
+    inverse = exact_inverse([[3]])
+
+    def q_of_lift(x):
+        return (inverse_form(inverse, x) / 2) % 1
+
+    assert from_surgery(sym([[3]])).q((0,)) == q_of_lift([0]) == 0
+    assert q_of_lift([3]) == Fraction(1, 2)
     for k in (2, 4, 6, 8):
-        assert (k * mod.q_of_lift([3])) % 1 == (k * mod.q_of_lift([0])) % 1
+        assert (k * q_of_lift([3])) % 1 == (k * q_of_lift([0])) % 1
 
 
 def test_level_weighted_q_constant_on_cosets():
@@ -241,13 +259,13 @@ def test_level_weighted_q_constant_on_cosets():
             continue
         rd = regular_decomposition(L)
         reg = rd.regular
-        mod = from_decomposition(rd)
         k = rng.choice((2, 4, 6, 8))
-        element = tuple(rng.randrange(d) for d in mod.group.cyclic_orders)
-        base = mod.group.lift(element)
+        element = tuple(rng.randrange(d) for d in rd.torsion.cyclic_orders)
+        base = lift(rd, element)
         z = [rng.randint(-3, 3) for _ in range(reg.m)]
         shifted = [a + b for a, b in zip(base, mat_vec(reg.rows(), z))]
-        delta = k * (mod.q_of_lift(shifted) - mod.q_of_lift(base))
+        inverse = exact_inverse(reg.rows())
+        delta = k * (inverse_form(inverse, shifted) - inverse_form(inverse, base)) / 2
         assert delta.denominator == 1
         checked += 1
 
