@@ -287,13 +287,20 @@ NONDEGENERATE = [[11, -20, 3], [-20, 7, 14], [3, 14, -9]]
 DEGENERATE = [[6, 3, 0, 0], [3, 6, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
 
 
+def verify_reciprocity_half(L, r):
+    """The degenerate identity in its half-kernel ``"paper_half"`` mode."""
+    return verify_reciprocity_dt(L, r, null_exponent_mode="paper_half")
+
+
 @pytest.mark.parametrize("evaluate, rows", [
     (cs_closed, NONDEGENERATE),
     (cs_closed, DEGENERATE),
     (verify_reciprocity_dt, NONDEGENERATE),
     (verify_reciprocity_dt, DEGENERATE),
+    (verify_reciprocity_half, NONDEGENERATE),
+    (verify_reciprocity_half, DEGENERATE),
 ], ids=["cs-nondegenerate", "cs-degenerate", "dt-nondegenerate",
-        "dt-degenerate"])
+        "dt-degenerate", "degenerate-nondegenerate", "degenerate-degenerate"])
 def test_torsion_evaluation_runs_one_smith_form_and_two_eliminations(
         evaluate, rows, monkeypatch):
     # The determinant inside the Smith form and the Gram solve are the only
