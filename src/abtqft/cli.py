@@ -13,7 +13,9 @@ fixed seed and flag set produces byte-identical output; the human-readable
 rendering is a formatting layer over the same report structure.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(including enumeration caps).  The environment variable ``ABTQFT_MAX_ENUM``
+(including enumeration caps), 141 (128 + SIGPIPE) when the reader closes
+standard output before the report is written, with nothing on standard
+error.  The environment variable ``ABTQFT_MAX_ENUM``
 overrides the default enumeration cap of 10**7 colorings.
 
 Tolerances default to ``base * sqrt(number_of_summed_terms)`` with base
@@ -40,6 +42,7 @@ from .surgery import SurgeryPresentation, rt_raw_closed
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 128 + 13  # the shell's status for a death by SIGPIPE
 
 VERIFY_SUITES = ("kirby", "reciprocity", "equivalence", "modular", "maslov")
 
@@ -153,23 +156,30 @@ def _suite_kirby(args) -> dict:
     margin = 0.0
     worst = None
     failures = 0
-    for case in range(args.cases):
-        p = surgery.random_presentation(rng, max_components=4, entry_bound=4)
-        k = rng.choice(levels)
-        before = rt_raw_closed(p, k)
-        move = surgery.random_kirby_move(rng, p.m)
-        q = surgery.apply_kirby(p, move)
-        after = rt_raw_closed(q, k)
-        dev = abs(after - before)
-        tol = sum_tolerance(k ** max(p.m, q.m), args.tol)
-        margin = max(margin, dev / tol)
-        if dev > tol:
-            failures += 1
-            if worst is None:
-                worst = {"case": case, "move": move.to_json(),
-                         "deviation": dev, "tolerance": tol,
-                         "L": p.surgery.to_json(), "k": k}
-        deviations.append(dev)
+    # No draw depends on a value: draw a block of cases, then evaluate both
+    # sides of every case in one batch.
+    for start in range(0, args.cases, surgery.KIRBY_BLOCK):
+        drawn = []
+        for _ in range(min(surgery.KIRBY_BLOCK, args.cases - start)):
+            p = surgery.random_presentation(rng, max_components=4,
+                                            entry_bound=4)
+            k = rng.choice(levels)
+            move = surgery.random_kirby_move(rng, p.m)
+            drawn.append((p, k, move, surgery.apply_kirby(p, move)))
+        values = surgery.rt_raw_closed_many(
+            [pair for p, k, _, q in drawn for pair in ((p, k), (q, k))])
+        for case, ((p, k, move, q), before, after) in enumerate(
+                zip(drawn, values[::2], values[1::2]), start):
+            dev = abs(after - before)
+            tol = sum_tolerance(k ** max(p.m, q.m), args.tol)
+            margin = max(margin, dev / tol)
+            if dev > tol:
+                failures += 1
+                if worst is None:
+                    worst = {"case": case, "move": move.to_json(),
+                             "deviation": dev, "tolerance": tol,
+                             "L": p.surgery.to_json(), "k": k}
+            deviations.append(dev)
     report = {"suite": "kirby", "seed": args.seed, "cases": args.cases,
               "max_dev": max(deviations, default=0.0), "failures": failures,
               "deviations": deviations, "tolerance_base": args.tol,
@@ -199,7 +209,7 @@ def _suite_reciprocity(args) -> dict:
                               "lhs": approx_to_json(chk.lhs),
                               "rhs": approx_to_json(chk.rhs)}
     degenerate_failures = 0
-    for case in range(args.cases // 2):
+    for case in range((args.cases + 1) // 2):
         L = compare.random_degenerate(rng)
         r = rng.choice((2, 4))
         chk = compare.verify_reciprocity_dt(L, r)
@@ -417,7 +427,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              f"got {args.tol}")
         if getattr(args, "cases", None) is None and hasattr(args, "suite"):
             args.cases = _SUITE_CASE_DEFAULTS[args.suite]
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to the null
+        # device, so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (InputError, EnumerationTooLarge, GroupTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

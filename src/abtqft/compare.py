@@ -83,6 +83,7 @@ from .surgery import (
     random_symmetric_matrix,
     random_unimodular,
     rt_raw_closed,
+    rt_raw_closed_many,
 )
 
 #: Below this magnitude a torsion Gauss sum counts as vanishing and ratio
@@ -137,17 +138,14 @@ class EquivalenceCase:
     ratio: Optional[complex]
 
 
-def _complete_case(L: IntSymMatrix, k: int, cs: CsClosedResult) -> EquivalenceCase:
+def evaluate_case(L: IntSymMatrix, k: int) -> EquivalenceCase:
+    """Evaluate one pair: the torsion route, then the brute-force route
+    unless the torsion Gauss sum vanishes."""
+    cs = cs_closed(L, k)
     ratio = None
     if abs(cs.value) > ZERO_GAUSS_TOLERANCE:
         ratio = rt_raw_closed(SurgeryPresentation.closed(L), k) / cs.value
     return EquivalenceCase(L, k, signature(L), ratio)
-
-
-def evaluate_case(L: IntSymMatrix, k: int) -> EquivalenceCase:
-    """Evaluate one pair: the torsion route, then the brute-force route
-    unless the torsion Gauss sum vanishes."""
-    return _complete_case(L, k, cs_closed(L, k))
 
 
 @dataclass(frozen=True)
@@ -268,16 +266,17 @@ def default_corpus(seed: int = 0, size: int = 300,
     Starts with the catalog classics (covering every signature residue
     mod 8) and pads with seeded random symmetric matrices, m <= 4 and
     entries in [-4, 4], until ``size`` usable pairs are collected.  Each
-    candidate is evaluated once: the torsion route decides whether it is
-    usable, and only usable pairs go on to the brute-force route.
+    candidate is evaluated once: the torsion route alone decides whether it
+    is usable, and the usable pairs then go on to the brute-force route in
+    one :func:`rt_raw_closed_many` batch.
     """
-    corpus: List[EquivalenceCase] = []
+    usable: List[Tuple[IntSymMatrix, int, CsClosedResult]] = []
 
     def consider(L: IntSymMatrix, k: int) -> None:
         cs = cs_closed(L, k)
         if cs.torsion_order <= _CORPUS_TORSION_BOUND \
                 and abs(cs.value) > ZERO_GAUSS_TOLERANCE:
-            corpus.append(_complete_case(L, k, cs))
+            usable.append((L, k, cs))
 
     for rows in _CLASSIC_ROWS:
         L = IntSymMatrix.from_rows(rows)
@@ -290,13 +289,16 @@ def default_corpus(seed: int = 0, size: int = 300,
 
     rng = random.Random(seed)
     level_cycle = 0
-    while len(corpus) < size:
+    while len(usable) < size:
         m = rng.randint(1, 4)
         L = random_symmetric_matrix(rng, m, 4)
         k = levels[level_cycle % len(levels)]
         level_cycle += 1
         consider(L, k)
-    return corpus
+    rts = rt_raw_closed_many([(SurgeryPresentation.closed(L), k)
+                              for L, k, _ in usable])
+    return [EquivalenceCase(L, k, signature(L), rt / cs.value)
+            for (L, k, cs), rt in zip(usable, rts)]
 
 
 def fixture_path() -> str:

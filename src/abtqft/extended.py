@@ -71,7 +71,7 @@ from .intlinalg import (IntSymMatrix, clear_denominators, identity_matrix, integ
                         mat_mul, mat_transpose, mat_vec, rational_rank, signature)
 from .numeric import UnitPhase, _root_table, approx_to_json, unit_phase_eval
 from .quadmod import CyclicQuadraticData, bicharacter
-from .surgery import SurgeryPresentation, random_unimodular, rt_raw_closed
+from .surgery import SurgeryPresentation, random_unimodular, rt_raw_closed_many
 
 
 def hopf_pairing(k: int, x: int, y: int) -> UnitPhase:
@@ -274,9 +274,9 @@ def boundary_vector(b: ExtendedBordism, k: int,
     evaluation of the presentation filled at ``x``."""
     if b.boundary_count != 1:
         raise ValueError("boundary_vector needs exactly one boundary component")
-    coeffs = {(x,): rt_raw_closed(b.fill((x,), mode), k)
-              for x in range(k)}
-    return TorusStateVector(k, 1, coeffs)
+    values = rt_raw_closed_many([(b.fill((x,), mode), k) for x in range(k)])
+    return TorusStateVector(k, 1, {(x,): value
+                                   for x, value in enumerate(values)})
 
 
 def solid_torus_bordism(core_color: int, core_framing: int = 0,

@@ -18,9 +18,13 @@ Conventions used throughout the library:
   complex number.
 * Every exponential sum of the library (coloring sums, torsion Gauss sums,
   the reciprocity right side, ``A+-``) goes through the one kernel
-  :func:`quadratic_phase_sum`.  It reads every phase from a table equal to
-  :func:`unit_phase_eval`, and sums over a trailing block of coordinates
-  for all leading points at once by one inverse DFT (split-Fourier).
+  :func:`quadratic_phase_sums`, which evaluates a batch of forms on one
+  group; :func:`quadratic_phase_sum` is its batch of one.  It reads every
+  phase from a table equal to :func:`unit_phase_eval`, and sums over a
+  trailing block of coordinates for all leading points at once by one
+  inverse DFT (split-Fourier).  The forms of a batch are grouped by the
+  periods of their trailing characters, and each group is one stacked
+  numpy pass; a form's value is the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,7 +104,7 @@ def _root_table(n: int) -> np.ndarray:
     """``exp(2 pi i r / n)`` for ``r`` in ``range(n)``, equal bit for bit to
     :func:`unit_phase_eval` of ``r / n`` (same quarter-turn split, same
     float operations, vectorised).  A table holds 16 bytes per entry, so
-    :func:`quadratic_phase_sum` caches only tables of at most ``_BLOCK``
+    :func:`quadratic_phase_sums` caches only tables of at most ``_BLOCK``
     entries and builds larger ones per call through ``__wrapped__``."""
     r = np.arange(n, dtype=np.int64)
     quarter = (4 * r) // n
@@ -113,8 +117,10 @@ def _root_table(n: int) -> np.ndarray:
     return table
 
 
-#: Largest root table :func:`quadratic_phase_sum` keeps in the cache; a
-#: table holds 16 bytes per entry, so larger ones are built per call.
+#: Largest root table :func:`quadratic_phase_sums` keeps in the cache (a
+#: table holds 16 bytes per entry, so larger ones are built per call), and
+#: the most form-points (forms times trailing points) one stacked pass of
+#: a batch holds.
 _BLOCK = 1 << 16
 
 #: Groups of at most this many points are summed unsplit: below it the
@@ -122,18 +128,30 @@ _BLOCK = 1 << 16
 _UNSPLIT_MAX = 1 << 8
 
 
-def _grid(moduli: Sequence[int]) -> np.ndarray:
-    """All points of ``prod Z/n_i`` as rows, last coordinate fastest."""
+@lru_cache(maxsize=64)
+def _grid(moduli: Tuple[int, ...]) -> np.ndarray:
+    """All points of ``prod Z/n_i`` as rows, last coordinate fastest.  A
+    grid holds 8 bytes per coordinate, so :func:`quadratic_phase_sums`
+    caches only grids of at most ``_BLOCK`` coordinates and builds larger
+    ones per call through ``__wrapped__``."""
     count = math.prod(moduli)
     points = np.empty((count, len(moduli)), dtype=np.int64)
     rem = np.arange(count, dtype=np.int64)
     for pos in range(len(moduli) - 1, -1, -1):
         rem, points[:, pos] = np.divmod(rem, moduli[pos])
+    points.flags.writeable = False  # shared by every caller through the cache
     return points
 
 
+def _points(moduli: Tuple[int, ...]) -> np.ndarray:
+    """:func:`_grid`, from the cache when it is small enough to keep."""
+    if math.prod(moduli) * len(moduli) <= _BLOCK:
+        return _grid(moduli)
+    return _grid.__wrapped__(moduli)
+
+
 def _split_point(moduli: Sequence[int]) -> int:
-    """Number of leading coordinates :func:`quadratic_phase_sum` splits off:
+    """Number of leading coordinates :func:`quadratic_phase_sums` splits off:
     none for a group of at most ``_UNSPLIT_MAX`` points, else the most that
     keep the leading block no larger than the square root of the group."""
     total = math.prod(moduli)
@@ -145,21 +163,38 @@ def _split_point(moduli: Sequence[int]) -> int:
     return s
 
 
-def _values(points: np.ndarray, g: np.ndarray, b: np.ndarray, c: int,
-            n: int) -> np.ndarray:
-    """``x^T G x + b.x + c mod n`` for every row ``x`` of ``points``."""
-    return (((points @ g + b) % n * points).sum(axis=1) + c) % n
+def _values(points: np.ndarray, g: np.ndarray, b: np.ndarray,
+            c: Union[np.ndarray, int], n: int) -> np.ndarray:
+    """``x^T G x + b.x + c mod n`` for every row ``x`` of ``points``: one
+    row per form of the stacked ``g`` and ``b`` (one row vector per form),
+    with ``c`` a column of constants or one constant for every form."""
+    return (((points @ g + b) % n * points).sum(axis=-1) + c) % n
 
 
 def quadratic_phase_sum(gram: Sequence[Sequence[int]], moduli: Sequence[int],
                         modulus: int, linear: Optional[Sequence[int]] = None,
                         constant: int = 0) -> complex:
-    """``sum over x in prod Z/n_i of exp(2 pi i (x^T G x + b.x + c) / N)``.
+    """:func:`quadratic_phase_sums` of the one form ``(gram, linear,
+    constant)``."""
+    return quadratic_phase_sums([gram], moduli, modulus, [linear],
+                                [constant])[0]
+
+
+def quadratic_phase_sums(grams: Sequence[Sequence[Sequence[int]]],
+                         moduli: Sequence[int], modulus: int,
+                         linears: Optional[Sequence[Optional[Sequence[int]]]]
+                         = None,
+                         constants: Optional[Sequence[int]] = None,
+                         ) -> List[complex]:
+    """``sum over x in prod Z/n_i of exp(2 pi i (x^T G x + b.x + c) / N)``
+    for each form ``(G, b, c)`` of a batch on one group.
 
     ``x`` runs over the representatives ``0 <= x_i < n_i`` of the
-    ``moduli``; ``N`` is the ``modulus``.  ``G``, ``b`` and ``c`` are reduced
-    mod ``N`` as Python integers before they reach int64, and every product
-    is reduced mod ``N`` before the next one, so intermediates stay below
+    ``moduli``; ``N`` is the ``modulus``.  Form ``j`` is ``grams[j]``,
+    ``linears[j]`` (``None`` for zero) and ``constants[j]``; both lists
+    default to zero forms.  ``G``, ``b`` and ``c`` are reduced mod ``N`` as
+    Python integers before they reach int64, and every product is reduced
+    mod ``N`` before the next one, so intermediates stay below
     ``(m + 2) max(n_i, N)^2``, far inside int64 under the caps.
 
     Split-Fourier evaluation: write ``x = (x1, x2)`` with ``x1`` the first
@@ -180,34 +215,76 @@ def quadratic_phase_sum(gram: Sequence[Sequence[int]], moduli: Sequence[int],
     worst-case float error is about ``eps * T * log2(T)`` (``eps`` the
     double-precision unit), below the ``1e-9 * sqrt(T)`` budget for every
     ``T`` up to about ``10**10``.
+
+    Batching: the forms are grouped by their tuple of periods, and each
+    group runs as one stacked pass (trailing values, table lookup, fold,
+    one ``ifftn`` over the non-batch axes, leading shifts) in chunks of at
+    most ``_BLOCK`` form-points (forms times trailing points).  Every step
+    acts on each form's own slice of the stack and each form ends in its own
+    1-D contraction, so a form's value does not depend on the batch it came
+    in: a batch of one is the single-form evaluation.
     """
     n = modulus
     m = len(moduli)
-    g = np.array([[int(x) % n for x in row] for row in gram],
-                 dtype=np.int64).reshape(m, m)
-    b = np.array([int(x) % n for x in (linear or [0] * m)], dtype=np.int64)
+    count = len(grams)
+    g = np.array([[int(x) % n for row in gram for x in row] for gram in grams],
+                 dtype=np.int64).reshape(count, m, m)
+    b = np.array([[int(x) % n for x in (linear or [0] * m)]
+                  for linear in (linears or [None] * count)],
+                 dtype=np.int64).reshape(count, 1, m)
+    c = np.array([int(x) % n for x in (constants or [0] * count)],
+                 dtype=np.int64).reshape(count, 1)
     s = _split_point(moduli)
     table = _root_table(n) if n <= _BLOCK else _root_table.__wrapped__(n)
     sizes = tuple(moduli[s:])
-    # Fold each trailing axis onto the period of its character.
-    cross = (g[:s, s:] + g[s:, :s].T) % n
-    steps = [math.gcd(n, *col) for col in cross.T.tolist()]
-    periods = [n // d for d in steps]
-    folds = [-(-size // p) for size, p in zip(sizes, periods)]
-    f = np.zeros([r * p for r, p in zip(folds, periods)], dtype=complex)
-    f[tuple(slice(size) for size in sizes)] = table[
-        _values(_grid(sizes), g[s:, s:], b[s:], 0, n)].reshape(sizes)
-    f = f.reshape([x for pair in zip(folds, periods) for x in pair]).sum(
-        axis=tuple(range(0, 2 * len(sizes), 2)))
-    if f.size > 1:  # a one-point DFT is the identity; skip its fixed cost
-        f = np.fft.ifftn(f, norm="forward")
-    # Read the DFT at each leading point's shift and contract.
-    strides = [math.prod(periods[j + 1:]) for j in range(len(sizes))]
-    lead = _grid(moduli[:s])
-    shifts = (lead @ cross % n) // np.array(steps, dtype=np.int64) @ np.array(
-        strides, dtype=np.int64)
-    return complex(table[_values(lead, g[:s, :s], b[:s], int(constant) % n, n)]
-                   @ f.ravel()[shifts])
+    trailing, lead = _points(sizes), _points(tuple(moduli[:s]))
+    # Each trailing axis folds onto the period of its character.
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    if s:
+        cross = (g[:, :s, s:] + g[:, s:, :s].transpose(0, 2, 1)) % n
+        steps = np.gcd.reduce(cross, axis=1, initial=n, keepdims=True)
+        for j, periods in enumerate((n // steps).reshape(count, -1).tolist()):
+            groups.setdefault(tuple(periods), []).append(j)
+    else:  # unsplit: every period is 1, the one leading point is empty
+        groups[(1,) * m] = list(range(count))
+    chunk = max(1, _BLOCK // len(trailing))
+    sums = [0j] * count
+    for periods, members in groups.items():
+        folds = [-(-size // p) for size, p in zip(sizes, periods)]
+        shape = tuple(r * p for r, p in zip(folds, periods))
+        strides = np.array([math.prod(periods[j + 1:])
+                            for j in range(len(sizes))], dtype=np.int64)
+        for start in range(0, len(members), chunk):
+            rows = members[start:start + chunk]
+            # A run of consecutive forms is taken as a view, not a copy.
+            pick = slice(rows[0], rows[-1] + 1) \
+                if rows[-1] - rows[0] == len(rows) - 1 else rows
+            gs, bs = g[pick], b[pick]
+            f = table[_values(trailing, gs[:, s:, s:], bs[:, :, s:], 0, n)
+                      ].reshape((len(rows),) + sizes)
+            if shape != sizes:  # zero-pad each axis to whole periods
+                padded = np.zeros((len(rows),) + shape, dtype=complex)
+                padded[(slice(None),) + tuple(map(slice, sizes))] = f
+                f = padded
+            f = f.reshape([len(rows)] + [x for pair in zip(folds, periods)
+                                         for x in pair]).sum(
+                axis=tuple(range(1, 2 * len(sizes), 2)))
+            if math.prod(periods) > 1:  # a one-point DFT is the identity
+                # ``ifftn`` over the non-batch axes, run axis by axis from
+                # the last as ``ifftn`` runs it, without its set-up cost.
+                for axis in range(len(sizes), 0, -1):
+                    f = np.fft.ifft(f, axis=axis, norm="forward")
+            # Read each form's DFT at its leading points' shifts.
+            if s:
+                shifts = (lead @ cross[pick] % n) // steps[pick] @ strides
+                heads = table[_values(lead, gs[:, :s, :s], bs[:, :, :s],
+                                      c[pick], n)]
+            else:
+                shifts, heads = np.zeros((len(rows), 1), np.int64), table[c[pick]]
+            f = f.reshape(len(rows), -1)
+            for row, j in enumerate(rows):
+                sums[j] = complex(heads[row] @ f[row, shifts[row]])
+    return sums
 
 
 @dataclass(frozen=True)

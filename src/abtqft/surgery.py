@@ -29,13 +29,20 @@ insertions.
 The enumeration over ``(Z_k)^m`` is capped (default ``10**7`` colorings,
 overridable through the ``ABTQFT_MAX_ENUM`` environment variable).  The
 coloring sum and ``A+-`` are evaluated by the library's one exponential-sum
-kernel, :func:`abtqft.numeric.quadratic_phase_sum`, with moduli ``k`` and
+kernel, :func:`abtqft.numeric.quadratic_phase_sums`, with moduli ``k`` and
 modulus ``2k``: it sums over the trailing colors for every leading coloring
 at once by one inverse DFT of exact root-of-unity values (split-Fourier),
 so the floating error stays far below the ``1e-9 * sqrt(k^m)`` budget.
 This is exact algebra, not reciprocity, so the coloring sum stays an
 independent check of the torsion route.  Per-term exact-phase loops are
 kept in the tests as oracles.
+
+Many presentations are evaluated at once by :func:`rt_raw_closed_many`: the
+coloring sums of each ``(m, k)`` class share one group and go to the kernel
+as one batch, and every value equals the :func:`rt_raw_closed` one bit for
+bit.  :func:`kirby_fuzz` and ``verify kirby`` draw their cases first (no
+draw depends on a value) and evaluate them in blocks of
+:data:`KIRBY_BLOCK` cases.
 """
 
 from __future__ import annotations
@@ -45,11 +52,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationTooLarge, IndexOutOfRange
 from .intlinalg import IntSymMatrix, mat_mul, mat_transpose, signature
-from .numeric import PolarValue, UnitPhase, polar_to_approx, quadratic_phase_sum
+from .numeric import (PolarValue, UnitPhase, polar_to_approx, quadratic_phase_sum,
+                      quadratic_phase_sums)
 
 DEFAULT_ENUMERATION_CAP = 10 ** 7
 _ENUMERATION_ENV = "ABTQFT_MAX_ENUM"
@@ -214,20 +222,26 @@ def rt_link_eval(p: SurgeryPresentation, g: Sequence[int], k: int) -> UnitPhase:
     return UnitPhase(Fraction(quad, 2 * k))
 
 
+def _check_enumeration(k: int, m: int) -> None:
+    """Refuse ``k^m`` colorings above the cap (:func:`max_enumeration`)."""
+    cap = max_enumeration()
+    if k ** m > cap:
+        raise EnumerationTooLarge(
+            f"{k}^{m} colorings exceed the enumeration cap {cap}")
+
+
 def quadratic_exponential_sum(rows: Sequence[Sequence[int]], k: int,
                               linear: Optional[Sequence[int]] = None,
                               constant: int = 0) -> complex:
     """``sum over n in (Z_k)^m of exp( (pi i / k)(n^T A n + linear.n + const) )``.
 
-    The coloring sum: :func:`abtqft.numeric.quadratic_phase_sum` with moduli
-    ``k`` and modulus ``2k``, behind the enumeration cap
-    (:func:`max_enumeration`), which is checked here and nowhere else.
+    The coloring sum: :func:`abtqft.numeric.quadratic_phase_sums` with
+    moduli ``k`` and modulus ``2k``, behind the enumeration cap
+    (:func:`max_enumeration`), which is checked here and in
+    :func:`rt_raw_closed_many`.
     """
     m = len(rows)
-    cap = max_enumeration()
-    if k ** m > cap:
-        raise EnumerationTooLarge(
-            f"{k}^{m} colorings exceed the enumeration cap {cap}")
+    _check_enumeration(k, m)
     return quadratic_phase_sum(rows, [k] * m, 2 * k, linear, constant)
 
 
@@ -248,6 +262,19 @@ def _approx_prefactor(m: int, sigma_mod_8: int, k: int) -> complex:
     return polar_to_approx(normalization_prefactor(m, sigma_mod_8, k))
 
 
+def _insertion_terms(p: SurgeryPresentation) -> Tuple[List[int], int]:
+    """Linear term ``2 B h`` and constant ``h^T C h`` of the coloring sum."""
+    h = p.insertion_colors
+    linear = [2 * sum(row[j] * h[j] for j in range(p.r))
+              for row in p.insertion_mixed] if p.m else []
+    constant = 0
+    C = p.insertion_self.entries
+    for i in range(p.r):
+        if h[i]:
+            constant += h[i] * sum(C[i][j] * h[j] for j in range(p.r))
+    return linear, constant
+
+
 def rt_raw_closed(p: SurgeryPresentation, k: int) -> complex:
     """Raw closed surgery invariant at even level ``k``.
 
@@ -255,16 +282,38 @@ def rt_raw_closed(p: SurgeryPresentation, k: int) -> complex:
     with ``sigma = signature(L)``.
     """
     _check_level(k)
-    lin = [2 * sum(row[j] * p.insertion_colors[j] for j in range(p.r))
-           for row in p.insertion_mixed] if p.m else []
-    const = 0
-    C = p.insertion_self.entries
-    for i in range(p.r):
-        if p.insertion_colors[i]:
-            const += p.insertion_colors[i] * sum(
-                C[i][j] * p.insertion_colors[j] for j in range(p.r))
-    total = quadratic_exponential_sum(p.surgery.rows(), k, lin, const)
+    linear, constant = _insertion_terms(p)
+    total = quadratic_exponential_sum(p.surgery.rows(), k, linear, constant)
     return _approx_prefactor(p.m, signature(p.surgery) % 8, k) * total
+
+
+def rt_raw_closed_many(cases: Sequence[Tuple[SurgeryPresentation, int]]
+                       ) -> List[complex]:
+    """:func:`rt_raw_closed` of each ``(presentation, k)`` pair, equal bit
+    for bit, with the coloring sums of each ``(m, k)`` class evaluated as one
+    batch of the kernel.
+
+    Levels and the enumeration cap are checked in the order of ``cases``
+    (the cap once per class, at its first pair) before any sum runs, so the
+    first refused pair is the one a loop of :func:`rt_raw_closed` refuses.
+    """
+    classes: Dict[Tuple[int, int], List[int]] = {}
+    for i, (p, k) in enumerate(cases):
+        _check_level(k)
+        if (p.m, k) not in classes:
+            _check_enumeration(k, p.m)
+            classes[p.m, k] = []
+        classes[p.m, k].append(i)
+    values = [0j] * len(cases)
+    for (m, k), members in classes.items():
+        presentations = [cases[i][0] for i in members]
+        terms = [_insertion_terms(p) for p in presentations]
+        sums = quadratic_phase_sums(
+            [p.surgery.rows() for p in presentations], [k] * m, 2 * k,
+            [linear for linear, _ in terms], [constant for _, constant in terms])
+        for i, p, total in zip(members, presentations, sums):
+            values[i] = _approx_prefactor(m, signature(p.surgery) % 8, k) * total
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +396,21 @@ def random_kirby_move(rng: random.Random, m: int) -> KirbyMove:
     return KirbyMove("K1", rng.choice((1, -1)))
 
 
+#: Kirby cases drawn, then evaluated as one :func:`rt_raw_closed_many` call,
+#: by :func:`kirby_fuzz` and ``verify kirby``: large enough that the default
+#: 500 cases are one block, small enough that a long run never holds every
+#: presentation at once.
+KIRBY_BLOCK = 500
+
+
 def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
                max_components: int = 6) -> FuzzReport:
     """Random walk through Kirby moves, recording invariant drift.
 
     Stabilizations that would push the enumeration past the cap (or the
-    component bound) are skipped and logged rather than applied.
+    component bound) are skipped and logged rather than applied.  No draw
+    depends on a value, so the walk is drawn in blocks of
+    :data:`KIRBY_BLOCK` moves and each block is evaluated in one batch.
     """
     _check_level(k)
     cap = max_enumeration()
@@ -362,19 +420,25 @@ def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
     max_dev = 0.0
     log: List[dict] = []
     skipped = 0
-    for _ in range(walk_length):
-        m = current.m
-        move = random_kirby_move(rng, m)
-        if move.kind == "K1" and (m + 1 > max_components or k ** (m + 1) > cap):
-            skipped += 1
-            log.append({"move": move.to_json(), "skipped": True})
-            continue
-        current = apply_kirby(current, move)
-        new_value = rt_raw_closed(current, k)
-        dev = abs(new_value - value)
-        max_dev = max(max_dev, dev)
-        log.append({"move": move.to_json(), "deviation": dev})
-        value = new_value
+    for start in range(0, walk_length, KIRBY_BLOCK):
+        applied: List[Tuple[SurgeryPresentation, dict]] = []
+        for _ in range(min(KIRBY_BLOCK, walk_length - start)):
+            m = current.m
+            move = random_kirby_move(rng, m)
+            if move.kind == "K1" and (m + 1 > max_components
+                                      or k ** (m + 1) > cap):
+                skipped += 1
+                log.append({"move": move.to_json(), "skipped": True})
+                continue
+            current = apply_kirby(current, move)
+            log.append({"move": move.to_json()})
+            applied.append((current, log[-1]))
+        new_values = rt_raw_closed_many([(q, k) for q, _ in applied])
+        for (_, entry), new_value in zip(applied, new_values):
+            dev = abs(new_value - value)
+            max_dev = max(max_dev, dev)
+            entry["deviation"] = dev
+            value = new_value
     return FuzzReport(seed, tuple(log), max_dev, skipped)
 
 

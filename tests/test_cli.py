@@ -1,12 +1,22 @@
 import itertools
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import abtqft
+from abtqft import surgery
 from abtqft.cli import main
 from abtqft.numeric import sum_tolerance
+from abtqft.surgery import rt_raw_closed
+
+#: The ``src`` directory holding ``abtqft``, for interpreters started here.
+SRC = os.path.dirname(os.path.dirname(abtqft.__file__))
 
 
 def run(capsys, *argv):
@@ -143,6 +153,83 @@ def test_verify_reports_tolerance_base_and_worst_margin(capsys, suite):
     assert code == 1 and tight["pass"] is False
     assert tight["tolerance_base"] == 1e-30
     assert tight["worst_margin"] == pytest.approx(report["worst_margin"] * 1e21)
+
+
+def kirby_report_reference(seed, cases, tol=1e-9):
+    """``verify kirby --json`` built from one :func:`rt_raw_closed` call per
+    side of each case, drawn and evaluated one case at a time."""
+    rng = random.Random(seed)
+    deviations, margin, failures = [], 0.0, 0
+    for _ in range(cases):
+        p = surgery.random_presentation(rng, max_components=4, entry_bound=4)
+        k = rng.choice((2, 4, 6, 8))
+        before = rt_raw_closed(p, k)
+        move = surgery.random_kirby_move(rng, p.m)
+        q = surgery.apply_kirby(p, move)
+        dev = abs(rt_raw_closed(q, k) - before)
+        budget = sum_tolerance(k ** max(p.m, q.m), tol)
+        margin = max(margin, dev / budget)
+        failures += dev > budget
+        deviations.append(dev)
+    return {"suite": "kirby", "seed": seed, "cases": cases,
+            "max_dev": max(deviations), "failures": failures,
+            "deviations": deviations, "tolerance_base": tol,
+            "worst_margin": margin, "pass": failures == 0}
+
+
+def test_verify_kirby_report_equals_one_call_per_case(capsys):
+    # More cases than one block, so the last block is a partial one.
+    cases = surgery.KIRBY_BLOCK + 30
+    code, report, _ = run_json(capsys, "verify", "kirby", "--seed", "3",
+                               "--cases", str(cases), "--json")
+    assert code == 0
+    assert report == kirby_report_reference(3, cases)
+
+
+def test_verify_kirby_cap_message_names_the_first_refused_case(capsys,
+                                                               monkeypatch):
+    # Case 0 of seed 0 is a 4x4 at k = 4; case 7 is a 3x3 at k = 8, whose
+    # 8^3 colorings exceed the cap too but come later.
+    monkeypatch.setenv("ABTQFT_MAX_ENUM", "64")
+    code, out, err = run(capsys, "verify", "kirby", "--seed", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: 4^4 colorings exceed the enumeration cap 64\n"
+
+
+@pytest.mark.parametrize("cases, degenerate", [(1, 1), (2, 1), (3, 2)])
+def test_verify_reciprocity_checks_a_degenerate_matrix_at_every_count(
+        capsys, cases, degenerate):
+    # --cases 1 once ran no degenerate check and still reported
+    # "degenerate_failures": 0
+    code, report, _ = run_json(capsys, "verify", "reciprocity", "--seed", "1",
+                               "--cases", str(cases), "--json")
+    assert code == 0 and report["pass"] is True
+    assert len(report["deviations"]) == cases + degenerate
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "abtqft.cli", "verify", "modular", "--kmax",
+         "3", "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    proc.stdout.close()  # before the interpreter has started writing
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_catalog_list_imports_neither_numpy_fft_nor_sympy():
+    # The benchmark's set-up time is a fresh interpreter running exactly
+    # this; numpy.fft is reached inside the kernel, sympy only by tests.
+    code = ("import contextlib, io, sys, abtqft.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert abtqft.cli.main(['catalog', 'list']) == 0\n"
+            "print(sorted({'numpy.fft', 'sympy'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_verify_equivalence_matches_fixture(capsys):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from abtqft import numeric
 from abtqft.numeric import (
@@ -18,6 +18,7 @@ from abtqft.numeric import (
     polar_to_approx,
     polar_to_json,
     quadratic_phase_sum,
+    quadratic_phase_sums,
     rational_from_json,
     rational_to_json,
     sum_tolerance,
@@ -216,3 +217,92 @@ def test_phase_table_equals_unit_phase_eval_bit_for_bit():
         table = numeric._root_table(n)
         for r in range(n):
             assert table[r] == unit_phase_eval(UnitPhase(Fraction(r, n)))
+
+
+# ---------------------------------------------------------------------------
+# Batches of forms
+
+#: Entries small and beyond int64, reduced mod the modulus before int64.
+batch_entries = st.one_of(st.integers(-40, 40), st.integers(-10 ** 30, 10 ** 30))
+
+
+#: Groups of 257 to 800 points, which the kernel splits by default.
+SPLIT_GROUPS = [moduli for size in (2, 3, 4)
+                for moduli in itertools.product((2, 3, 4, 6, 8, 12), repeat=size)
+                if 256 < math.prod(moduli) <= 800]
+
+
+@st.composite
+def form_batches(draw, groups=st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 12)),
+                                       min_size=1, max_size=4)):
+    """Forms on one group (at most 800 points) whose cross terms are scaled
+    by different divisors of the modulus, so the trailing characters of one
+    batch have different periods; with linear terms and constants, some of
+    them omitted."""
+    moduli = list(draw(groups))
+    assume(math.prod(moduli) <= 800)
+    modulus = draw(st.sampled_from((2, 6, 8, 12, 24, 48)))
+    divisors = [d for d in range(1, modulus + 1) if modulus % d == 0]
+    m = len(moduli)
+    grams, linears, constants = [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        scale = draw(st.sampled_from(divisors))
+        grams.append([[draw(batch_entries) * (scale if i != j else 1)
+                       for j in range(m)] for i in range(m)])
+        linears.append(draw(st.one_of(
+            st.none(), st.lists(batch_entries, min_size=m, max_size=m))))
+        constants.append(draw(batch_entries))
+    return grams, moduli, modulus, linears, constants
+
+
+def check_batch_against_batches_of_one(grams, moduli, modulus, linears,
+                                       constants):
+    """Each value of the batch is its batch-of-one value bit for bit, and
+    that value is within budget of the per-term loop."""
+    batch = quadratic_phase_sums(grams, moduli, modulus, linears, constants)
+    assert len(batch) == len(grams)
+    for value, gram, linear, constant in zip(batch, grams, linears, constants):
+        one = quadratic_phase_sums([gram], moduli, modulus, [linear], [constant])
+        assert one == [value]
+        want = phase_sum_per_term(gram, moduli, modulus,
+                                  linear or [0] * len(moduli), constant)
+        assert abs(value - want) <= sum_tolerance(math.prod(moduli))
+
+
+@given(form_batches(st.sampled_from(SPLIT_GROUPS)))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_batch_values_equal_batches_of_one(batch):
+    check_batch_against_batches_of_one(*batch)
+
+
+@given(form_batches(), st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_batch_values_equal_batches_of_one_at_every_split_point(batch, data):
+    s = data.draw(st.integers(0, len(batch[1]) - 1), label="split point")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "_split_point", lambda moduli: s)
+        check_batch_against_batches_of_one(*batch)
+
+
+@pytest.mark.parametrize("moduli", [(4, 4, 4), (4, 4, 4, 8)],
+                         ids=["unsplit", "split"])
+def test_batch_chunk_boundaries_keep_every_value(moduli, monkeypatch):
+    # Cross terms alternate between two scales, so the forms of a period
+    # class are not consecutive; a block of two forms' trailing points cuts
+    # each class into chunks of two and one.
+    rng = random.Random(len(moduli))
+    m = len(moduli)
+    grams = [[[rng.randint(-9, 9) * (2 if i != j and f % 2 else 1)
+               for j in range(m)] for i in range(m)] for f in range(9)]
+    linears = [[rng.randint(-9, 9) for _ in range(m)] for _ in grams]
+    constants = [rng.randint(-9, 9) for _ in grams]
+    one_by_one = [quadratic_phase_sum(*form) for form in
+                  zip(grams, [moduli] * 9, [8] * 9, linears, constants)]
+    trailing = math.prod(moduli[numeric._split_point(moduli):])
+    monkeypatch.setattr(numeric, "_BLOCK", 2 * trailing)
+    assert quadratic_phase_sums(grams, moduli, 8, linears,
+                                constants) == one_by_one
+
+
+def test_empty_batch_is_empty():
+    assert quadratic_phase_sums([], [4, 4], 8) == []

@@ -161,6 +161,17 @@ def test_root_table_cache_keeps_no_large_table():
     assert numeric._root_table.cache_info().currsize == 1
 
 
+def test_grid_cache_keeps_no_large_grid():
+    # An unsplit cyclic group of order p has a trailing grid of 8 p bytes;
+    # only its empty leading grid is small enough to keep.
+    numeric._grid.cache_clear()
+    for p in (999983, 999979):
+        gauss_sum(from_surgery(sym([[p]])), 2)
+    assert numeric._grid.cache_info().currsize == 1
+    gauss_sum(from_surgery(sym([[3]])), 2)
+    assert numeric._grid.cache_info().currsize == 2
+
+
 def test_gauss_sum_requires_even_level():
     with pytest.raises(ValueError):
         gauss_sum(from_surgery(sym([[3]])), 3)

@@ -22,6 +22,7 @@ from abtqft.surgery import (
     random_presentation,
     rt_link_eval,
     rt_raw_closed,
+    rt_raw_closed_many,
 )
 from test_numeric import phase_sum_per_term
 
@@ -276,6 +277,74 @@ def test_fuzz_skips_over_cap_stabilizations(monkeypatch):
     # 8^2 colorings fit a cap of 64 and 8^3 do not: the same walk
     monkeypatch.setenv("ABTQFT_MAX_ENUM", "64")
     assert kirby_fuzz(closed([[1]]), 8, 30, seed=5) == report
+
+
+def kirby_fuzz_reference(p, k, walk_length, seed, max_components=6):
+    """Step-by-step reference of :func:`kirby_fuzz`: each presentation of
+    the walk is evaluated by its own :func:`rt_raw_closed` call as soon as
+    it is reached."""
+    cap = max_enumeration()
+    rng = random.Random(seed)
+    value = rt_raw_closed(p, k)
+    log, max_dev, skipped = [], 0.0, 0
+    for _ in range(walk_length):
+        move = surgery.random_kirby_move(rng, p.m)
+        if move.kind == "K1" and (p.m + 1 > max_components
+                                  or k ** (p.m + 1) > cap):
+            skipped += 1
+            log.append({"move": move.to_json(), "skipped": True})
+            continue
+        p = apply_kirby(p, move)
+        new_value = rt_raw_closed(p, k)
+        log.append({"move": move.to_json(), "deviation": abs(new_value - value)})
+        max_dev = max(max_dev, abs(new_value - value))
+        value = new_value
+    return surgery.FuzzReport(seed, tuple(log), max_dev, skipped)
+
+
+@pytest.mark.parametrize("rows, k, walk_length, seed, max_components", [
+    ([[1]], 2, 2 * surgery.KIRBY_BLOCK + 17, 11, 4),
+    ([[3, 1], [1, -2]], 4, 60, 4, 5),
+    ([[1]], 8, 40, 5, 3),
+    ([[0, 2], [2, 1]], 6, 1, 9, 6),
+])
+def test_fuzz_equals_step_by_step_walk(rows, k, walk_length, seed,
+                                       max_components):
+    # The batched walk crosses block boundaries in the first case.
+    args = (closed(rows), k, walk_length, seed, max_components)
+    assert kirby_fuzz(*args) == kirby_fuzz_reference(*args)
+
+
+def test_rt_raw_closed_many_equals_one_call_per_presentation():
+    # Mixed sizes and levels, with and without colored insertions, in an
+    # order that interleaves the (m, k) classes.
+    rng = random.Random(17)
+    cases = []
+    for _ in range(120):
+        m, r, k = rng.randint(0, 4), rng.randint(0, 2), rng.choice(LEVELS)
+        L = surgery.random_symmetric_matrix(rng, m, 4)
+        C = surgery.random_symmetric_matrix(rng, r, 3)
+        B = tuple(tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(m))
+        h = tuple(rng.randint(-9, 9) for _ in range(r))
+        cases.append((SurgeryPresentation(L, B, C, h), k))
+    assert rt_raw_closed_many(cases) == [rt_raw_closed(p, k) for p, k in cases]
+    assert rt_raw_closed_many([]) == []
+
+
+def test_rt_raw_closed_many_refuses_the_first_pair_a_loop_refuses(monkeypatch):
+    monkeypatch.setenv("ABTQFT_MAX_ENUM", "100")
+    ok = closed([[1]])
+    p3, p4 = (SurgeryPresentation.closed(IntSymMatrix.diagonal([1] * m))
+              for m in (3, 4))
+    # 4^4 comes before 6^3 in the caller's order, though its class is
+    # larger in m; both exceed the cap.
+    with pytest.raises(EnumerationTooLarge, match=r"^4\^4 colorings"):
+        rt_raw_closed_many([(ok, 2), (p4, 4), (p3, 6)])
+    # A bad level after a refused pair is not reached, one before it is.
+    with pytest.raises(EnumerationTooLarge, match=r"^6\^3 colorings"):
+        rt_raw_closed_many([(p3, 6), (ok, 3)])
+    with pytest.raises(ValueError, match="level"):
+        rt_raw_closed_many([(ok, 3), (p3, 6)])
 
 
 def test_fuzz_report_json_shape():
