@@ -3,7 +3,8 @@
 Two independent ground truths are computed for every closed presentation:
 
 * :func:`abtqft.surgery.rt_raw_closed` sums ``k^m`` exact link-evaluation
-  phases (the brute-force route), and
+  phases (the brute-force route, through the one coloring-sum function
+  :func:`abtqft.surgery.coloring_sums`), and
 * :func:`cs_closed` evaluates the torsion formula
 
       value = k^{(nu - 1)/2} * |T|^{-1/2} * sum_{x in T} exp(-2 pi i k q(x)),
@@ -79,7 +80,7 @@ from .numeric import (
 from .quadmod import from_decomposition, gauss_sum
 from .surgery import (
     SurgeryPresentation,
-    quadratic_exponential_sum,
+    coloring_sums,
     random_symmetric_matrix,
     random_unimodular,
     rt_raw_closed,
@@ -331,7 +332,9 @@ def verify_reciprocity_dt(L: IntSymMatrix, r: int,
     """Check the explicit-signature reciprocity identity by enumerating both
     sides.
 
-    The right side is assembled from the regular block ``L_reg`` of rank
+    The left side is the coloring sum of ``L`` at level ``r``, a batch of one
+    of :func:`abtqft.surgery.coloring_sums` (so it is capped like every other
+    coloring sum).  The right side is assembled from the regular block ``L_reg`` of rank
     ``rho``: ``r^{rho/2} e^{pi i sigma/4}`` times the conjugate of the
     normalized level-``r`` torsion Gauss sum (the cokernel sum is ``sqrt|T|``
     times it, and ``|T| = |det L_reg|``), times a null-direction factor
@@ -345,7 +348,7 @@ def verify_reciprocity_dt(L: IntSymMatrix, r: int,
         raise ValueError("r must be an even integer >= 2")
     if null_exponent_mode not in NULL_EXPONENT_MODES:
         raise ValueError(f"unknown mode {null_exponent_mode!r}")
-    lhs = quadratic_exponential_sum(L.rows(), r)
+    lhs = coloring_sums([(SurgeryPresentation.closed(L), r)])[0]
     rd = regular_decomposition(L)
     reg = rd.regular
     sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(reg), 8)))

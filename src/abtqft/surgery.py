@@ -37,11 +37,14 @@ This is exact algebra, not reciprocity, so the coloring sum stays an
 independent check of the torsion route.  Per-term exact-phase loops are
 kept in the tests as oracles.
 
-Many presentations are evaluated at once by :func:`rt_raw_closed_many`: the
-coloring sums of each ``(m, k)`` class share one group and go to the kernel
-as one batch, and every value equals the :func:`rt_raw_closed` one bit for
-bit.  :func:`kirby_fuzz` and ``verify kirby`` draw their cases first (no
-draw depends on a value) and evaluate them in blocks of
+Every coloring sum goes through one function, :func:`coloring_sums`: it
+checks the levels and the cap, and sends the sums of each ``(m, k)`` class
+to the kernel as one batch, so a value is the same bits in any batch.
+:func:`rt_raw_closed_many` is the prefactor times those sums,
+:func:`rt_raw_closed` its batch of one, and the reciprocity left side
+(:func:`abtqft.compare.verify_reciprocity_dt`) a batch of one of
+:func:`coloring_sums`.  :func:`kirby_fuzz` and ``verify kirby`` draw their
+cases first (no draw depends on a value) and evaluate them in blocks of
 :data:`KIRBY_BLOCK` cases.
 """
 
@@ -55,7 +58,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationTooLarge, IndexOutOfRange
-from .intlinalg import IntSymMatrix, mat_mul, mat_transpose, signature
+from .intlinalg import IntSymMatrix, signature
 from .numeric import (PolarValue, UnitPhase, polar_to_approx, quadratic_phase_sum,
                       quadratic_phase_sums)
 
@@ -114,7 +117,7 @@ class SurgeryPresentation:
 
     @classmethod
     def closed(cls, L: IntSymMatrix) -> "SurgeryPresentation":
-        return cls(L, tuple(() for _ in range(L.m)), IntSymMatrix.empty(), ())
+        return cls(L, ((),) * L.m)
 
     @classmethod
     def from_linking_rows(cls, rows: Iterable[Iterable[int]]) -> "SurgeryPresentation":
@@ -205,20 +208,13 @@ def rt_link_eval(p: SurgeryPresentation, g: Sequence[int], k: int) -> UnitPhase:
     if len(g) != p.m:
         raise ValueError("one color per surgery component required")
     L = p.surgery.entries
-    quad = 0
+    linear, quad = _insertion_terms(p)
+    linear = linear or [0] * p.m
     for i in range(p.m):
         gi = g[i]
         if gi:
             row = L[i]
-            quad += gi * sum(row[j] * g[j] for j in range(p.m))
-    h = p.insertion_colors
-    for i in range(p.m):
-        if g[i]:
-            quad += 2 * g[i] * sum(p.insertion_mixed[i][j] * h[j] for j in range(p.r))
-    C = p.insertion_self.entries
-    for i in range(p.r):
-        if h[i]:
-            quad += h[i] * sum(C[i][j] * h[j] for j in range(p.r))
+            quad += gi * (linear[i] + sum(row[j] * g[j] for j in range(p.m)))
     return UnitPhase(Fraction(quad, 2 * k))
 
 
@@ -228,21 +224,6 @@ def _check_enumeration(k: int, m: int) -> None:
     if k ** m > cap:
         raise EnumerationTooLarge(
             f"{k}^{m} colorings exceed the enumeration cap {cap}")
-
-
-def quadratic_exponential_sum(rows: Sequence[Sequence[int]], k: int,
-                              linear: Optional[Sequence[int]] = None,
-                              constant: int = 0) -> complex:
-    """``sum over n in (Z_k)^m of exp( (pi i / k)(n^T A n + linear.n + const) )``.
-
-    The coloring sum: :func:`abtqft.numeric.quadratic_phase_sums` with
-    moduli ``k`` and modulus ``2k``, behind the enumeration cap
-    (:func:`max_enumeration`), which is checked here and in
-    :func:`rt_raw_closed_many`.
-    """
-    m = len(rows)
-    _check_enumeration(k, m)
-    return quadratic_phase_sum(rows, [k] * m, 2 * k, linear, constant)
 
 
 def normalization_prefactor(m: int, sigma: int, k: int) -> PolarValue:
@@ -262,11 +243,15 @@ def _approx_prefactor(m: int, sigma_mod_8: int, k: int) -> complex:
     return polar_to_approx(normalization_prefactor(m, sigma_mod_8, k))
 
 
-def _insertion_terms(p: SurgeryPresentation) -> Tuple[List[int], int]:
-    """Linear term ``2 B h`` and constant ``h^T C h`` of the coloring sum."""
+def _insertion_terms(p: SurgeryPresentation) -> Tuple[Optional[List[int]], int]:
+    """Linear term ``2 B h`` and constant ``h^T C h`` of the coloring sum;
+    without insertions the linear term is ``None``, which the kernel reads
+    as zero."""
+    if not p.r:
+        return None, 0
     h = p.insertion_colors
     linear = [2 * sum(row[j] * h[j] for j in range(p.r))
-              for row in p.insertion_mixed] if p.m else []
+              for row in p.insertion_mixed]
     constant = 0
     C = p.insertion_self.entries
     for i in range(p.r):
@@ -275,27 +260,17 @@ def _insertion_terms(p: SurgeryPresentation) -> Tuple[List[int], int]:
     return linear, constant
 
 
-def rt_raw_closed(p: SurgeryPresentation, k: int) -> complex:
-    """Raw closed surgery invariant at even level ``k``.
+def coloring_sums(cases: Sequence[Tuple[SurgeryPresentation, int]]
+                  ) -> List[complex]:
+    """``sum_g <link(g)>`` over ``g in (Z_k)^m`` for each ``(presentation,
+    k)`` pair: the one path of every coloring sum in the library.
 
-    Computes ``k^{-1/2} A+^{(-m-sigma)/2} A-^{(-m+sigma)/2} * sum_g <link(g)>``
-    with ``sigma = signature(L)``.
-    """
-    _check_level(k)
-    linear, constant = _insertion_terms(p)
-    total = quadratic_exponential_sum(p.surgery.rows(), k, linear, constant)
-    return _approx_prefactor(p.m, signature(p.surgery) % 8, k) * total
-
-
-def rt_raw_closed_many(cases: Sequence[Tuple[SurgeryPresentation, int]]
-                       ) -> List[complex]:
-    """:func:`rt_raw_closed` of each ``(presentation, k)`` pair, equal bit
-    for bit, with the coloring sums of each ``(m, k)`` class evaluated as one
-    batch of the kernel.
-
-    Levels and the enumeration cap are checked in the order of ``cases``
-    (the cap once per class, at its first pair) before any sum runs, so the
-    first refused pair is the one a loop of :func:`rt_raw_closed` refuses.
+    Levels and the enumeration cap (:func:`max_enumeration`) are checked in
+    the order of ``cases`` (the cap once per ``(m, k)`` class, at its first
+    pair) before any sum runs, so the first refused pair is the one a loop
+    over batches of one refuses.  Each class then goes to
+    :func:`abtqft.numeric.quadratic_phase_sums` as one batch, with moduli
+    ``k`` and modulus ``2k``; a value is the same bits in any batch.
     """
     classes: Dict[Tuple[int, int], List[int]] = {}
     for i, (p, k) in enumerate(cases):
@@ -304,16 +279,30 @@ def rt_raw_closed_many(cases: Sequence[Tuple[SurgeryPresentation, int]]
             _check_enumeration(k, p.m)
             classes[p.m, k] = []
         classes[p.m, k].append(i)
-    values = [0j] * len(cases)
+    sums = [0j] * len(cases)
     for (m, k), members in classes.items():
-        presentations = [cases[i][0] for i in members]
-        terms = [_insertion_terms(p) for p in presentations]
-        sums = quadratic_phase_sums(
-            [p.surgery.rows() for p in presentations], [k] * m, 2 * k,
+        terms = [_insertion_terms(cases[i][0]) for i in members]
+        values = quadratic_phase_sums(
+            [cases[i][0].surgery.rows() for i in members], [k] * m, 2 * k,
             [linear for linear, _ in terms], [constant for _, constant in terms])
-        for i, p, total in zip(members, presentations, sums):
-            values[i] = _approx_prefactor(m, signature(p.surgery) % 8, k) * total
-    return values
+        for i, total in zip(members, values):
+            sums[i] = total
+    return sums
+
+
+def rt_raw_closed_many(cases: Sequence[Tuple[SurgeryPresentation, int]]
+                       ) -> List[complex]:
+    """Raw closed surgery invariant of each ``(presentation, k)`` pair:
+    ``k^{-1/2} A+^{(-m-sigma)/2} A-^{(-m+sigma)/2}`` times its
+    :func:`coloring_sums` value, with ``sigma = signature(L)``."""
+    return [_approx_prefactor(p.m, signature(p.surgery) % 8, k) * total
+            for (p, k), total in zip(cases, coloring_sums(cases))]
+
+
+def rt_raw_closed(p: SurgeryPresentation, k: int) -> complex:
+    """Raw closed surgery invariant at even level ``k``: the batch of one
+    of :func:`rt_raw_closed_many`."""
+    return rt_raw_closed_many([(p, k)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +314,10 @@ class KirbyMove:
 
     For ``K2`` the slide of component ``source`` over component ``target``
     with sign ``s`` acts by the unimodular congruence ``A = I + s E[target,
-    source]``: ``L -> A^T L A`` and ``B -> A^T B``.  Indices are 0-based.
+    source]``: ``L -> A^T L A`` and ``B -> A^T B``, that is, row ``source``
+    of ``L`` gains ``s`` times row ``target`` and then column ``source`` gains
+    ``s`` times column ``target``, and row ``source`` of ``B`` gains ``s``
+    times row ``target``.  Indices are 0-based.
     """
 
     kind: str
@@ -357,15 +349,14 @@ def apply_kirby(p: SurgeryPresentation, move: KirbyMove) -> SurgeryPresentation:
     m = p.m
     if not (0 <= i < m and 0 <= j < m) or i == j:
         raise IndexOutOfRange(f"invalid handle slide ({i} over {j}) for m={m}")
-    a = [[1 if r == c else 0 for c in range(m)] for r in range(m)]
-    a[j][i] = move.sign
-    at = mat_transpose(a)
-    new_L = IntSymMatrix.from_rows(mat_mul(mat_mul(at, p.surgery.rows()), a))
-    if p.r:
-        new_B = tuple(tuple(row) for row in
-                      mat_mul(at, [list(r) for r in p.insertion_mixed]))
-    else:
-        new_B = tuple(() for _ in range(m))
+    s = move.sign
+    rows = p.surgery.rows()
+    rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
+    for row in rows:
+        row[i] += s * row[j]
+    new_L = IntSymMatrix.from_rows(rows)
+    new_B = list(p.insertion_mixed)
+    new_B[i] = tuple(x + s * y for x, y in zip(new_B[i], new_B[j]))
     return SurgeryPresentation(new_L, new_B, p.insertion_self, p.insertion_colors)
 
 

@@ -196,6 +196,15 @@ def test_verify_kirby_cap_message_names_the_first_refused_case(capsys,
     assert err == "error: 4^4 colorings exceed the enumeration cap 64\n"
 
 
+def test_verify_reciprocity_cap_message(capsys, monkeypatch):
+    # The left sides go through the same capped coloring sum as every other
+    # brute-force evaluation; seed 0 reaches a 3x3 at r = 6 first.
+    monkeypatch.setenv("ABTQFT_MAX_ENUM", "64")
+    code, out, err = run(capsys, "verify", "reciprocity", "--seed", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: 6^3 colorings exceed the enumeration cap 64\n"
+
+
 @pytest.mark.parametrize("cases, degenerate", [(1, 1), (2, 1), (3, 2)])
 def test_verify_reciprocity_checks_a_degenerate_matrix_at_every_count(
         capsys, cases, degenerate):

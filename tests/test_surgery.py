@@ -8,17 +8,18 @@ import pytest
 from abtqft import surgery
 from abtqft.compare import E8_ROWS
 from abtqft.errors import EnumerationTooLarge, IndexOutOfRange
-from abtqft.intlinalg import IntSymMatrix, signature
-from abtqft.numeric import polar_to_approx, sum_tolerance, unit_phase_eval
+from abtqft.intlinalg import IntSymMatrix, mat_mul, mat_transpose, signature
+from abtqft.numeric import (polar_to_approx, quadratic_phase_sum, sum_tolerance,
+                            unit_phase_eval)
 from abtqft.surgery import (
     KirbyMove,
     SurgeryPresentation,
     a_gauss,
     apply_kirby,
+    coloring_sums,
     kirby_fuzz,
     max_enumeration,
     normalization_prefactor,
-    quadratic_exponential_sum,
     random_presentation,
     rt_link_eval,
     rt_raw_closed,
@@ -29,9 +30,10 @@ from test_numeric import phase_sum_per_term
 LEVELS = (2, 4, 6, 8)
 
 
-def quadratic_exponential_sum_exact(rows, k, linear=None, constant=0):
-    """Per-term reference of :func:`quadratic_exponential_sum`: one exact
-    rational phase per coloring."""
+def coloring_sum_exact(rows, k, linear=None, constant=0):
+    """Per-term reference of a coloring sum, ``sum over n in (Z_k)^m of
+    exp((pi i / k)(n^T A n + linear.n + constant))``: one exact rational
+    phase per coloring."""
     m = len(rows)
     return phase_sum_per_term(rows, [k] * m, 2 * k, linear or [0] * m, constant)
 
@@ -108,6 +110,29 @@ def test_link_eval_includes_mixed_block():
     assert rt_link_eval(p, (1,), 4).angle == Fraction(1, 4)
 
 
+def random_presentation_with_insertions(rng, m, r):
+    L = surgery.random_symmetric_matrix(rng, m, 4)
+    C = surgery.random_symmetric_matrix(rng, r, 3)
+    B = tuple(tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(m))
+    h = tuple(rng.randint(-9, 9) for _ in range(r))
+    return SurgeryPresentation(L, B, C, h)
+
+
+def test_link_eval_is_the_full_quadratic_exponent():
+    # <g, L g> + 2 <g, B h> + <h, C h> over 2k, written out entrywise.
+    rng = random.Random(19)
+    for _ in range(200):
+        m, r, k = rng.randint(0, 3), rng.randint(0, 3), rng.choice(LEVELS)
+        p = random_presentation_with_insertions(rng, m, r)
+        g = [rng.randrange(k) for _ in range(m)]
+        L, B, C, h = (p.surgery.entries, p.insertion_mixed,
+                      p.insertion_self.entries, p.insertion_colors)
+        exponent = sum(g[i] * L[i][j] * g[j] for i in range(m) for j in range(m)) \
+            + 2 * sum(g[i] * B[i][j] * h[j] for i in range(m) for j in range(r)) \
+            + sum(h[i] * C[i][j] * h[j] for i in range(r) for j in range(r))
+        assert rt_link_eval(p, g, k).angle == Fraction(exponent, 2 * k) % 1
+
+
 # ---------------------------------------------------------------------------
 # Closed invariant
 
@@ -142,8 +167,10 @@ def test_quadratic_sum_fast_vs_exact_with_linear_terms():
         lin = [rng.randint(-6, 6) for _ in range(m)]
         const = rng.randint(-5, 5)
         k = rng.choice((2, 4, 6))
-        fast = quadratic_exponential_sum(rows, k, lin, const)
-        slow = quadratic_exponential_sum_exact(rows, k, lin, const)
+        # Odd linear terms, which no presentation produces, straight to the
+        # kernel with the coloring sum's moduli k and modulus 2k.
+        fast = quadratic_phase_sum(rows, [k] * m, 2 * k, lin, const)
+        slow = coloring_sum_exact(rows, k, lin, const)
         assert abs(fast - slow) < 1e-10
 
 
@@ -180,6 +207,28 @@ def test_k1_minus_preserves_value():
     stabilized = apply_kirby(base, KirbyMove("K1", -1))
     assert abs(rt_raw_closed(base, 4) - 0.5) < 1e-12
     assert abs(rt_raw_closed(stabilized, 4) - 0.5) < 1e-12
+
+
+def test_k2_equals_the_full_congruence():
+    # The slide updates one row and one column; the oracle is A^T L A and
+    # A^T B with A = I + s E[target, source].
+    rng = random.Random(23)
+    for _ in range(300):
+        m, r = rng.randint(2, 5), rng.randint(0, 3)
+        p = random_presentation_with_insertions(rng, m, r)
+        move = surgery.random_kirby_move(rng, m)
+        if move.kind != "K2":
+            continue
+        a = [[int(row == col) for col in range(m)] for row in range(m)]
+        a[move.target][move.source] = move.sign
+        at = mat_transpose(a)
+        want_L = mat_mul(mat_mul(at, p.surgery.rows()), a)
+        want_B = mat_mul(at, [list(row) for row in p.insertion_mixed])
+        q = apply_kirby(p, move)
+        assert q.surgery.rows() == want_L
+        assert [list(row) for row in q.insertion_mixed] == want_B
+        assert (q.insertion_self, q.insertion_colors) == \
+            (p.insertion_self, p.insertion_colors)
 
 
 def test_k2_requires_distinct_valid_indices():
@@ -322,11 +371,7 @@ def test_rt_raw_closed_many_equals_one_call_per_presentation():
     cases = []
     for _ in range(120):
         m, r, k = rng.randint(0, 4), rng.randint(0, 2), rng.choice(LEVELS)
-        L = surgery.random_symmetric_matrix(rng, m, 4)
-        C = surgery.random_symmetric_matrix(rng, r, 3)
-        B = tuple(tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(m))
-        h = tuple(rng.randint(-9, 9) for _ in range(r))
-        cases.append((SurgeryPresentation(L, B, C, h), k))
+        cases.append((random_presentation_with_insertions(rng, m, r), k))
     assert rt_raw_closed_many(cases) == [rt_raw_closed(p, k) for p, k in cases]
     assert rt_raw_closed_many([]) == []
 
@@ -388,7 +433,7 @@ def test_e8_raw_invariant_is_k_to_the_minus_half(k, monkeypatch, time_limit):
     # carried through it is far below 1e-9 * sqrt(k^8).
     monkeypatch.setenv("ABTQFT_MAX_ENUM", str(2 * 10 ** 7))
     e8 = closed(E8_ROWS)
-    total = quadratic_exponential_sum(E8_ROWS, k)
+    total = coloring_sums([(e8, k)])[0]
     assert abs(total - k ** 4) <= sum_tolerance(k ** 8)
     assert abs(rt_raw_closed(e8, k) - k ** -0.5) <= k ** -4.5 * sum_tolerance(k ** 8)
 
