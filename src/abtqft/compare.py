@@ -43,7 +43,8 @@ Reciprocity
           sum_{l in Z^rho / L_reg Z^rho} e^{-pi i r l^T L_reg^{-1} l}
 
 for even ``r``, with ``L_reg`` the regular block of rank ``rho`` and ``d``
-the null-direction exponent (``d = 0`` for nondegenerate ``L``).  The
+the null-direction exponent (``d = 0`` for nondegenerate ``L``).  The left
+side is a coloring sum and the right side comes from :func:`cs_closed`.  The
 square-root branch of the determinant factor is always taken through this
 explicit-signature form.  For degenerate ``L`` the left side factors over
 the saturated kernel and picks up ``r^nu``; the check takes ``d = nu``
@@ -102,13 +103,17 @@ class CsClosedResult:
     """Torsion-formula invariant broken into its factors.
 
     ``value = k^{m_exponent} * gauss`` with ``gauss`` the normalized torsion
-    Gauss sum and ``m_exponent = (nu - 1)/2`` the free-rank exponent.
+    Gauss sum and ``m_exponent = (nu - 1)/2``, ``nu`` the ``nullity``.
     """
 
-    m_exponent: Fraction
+    nullity: int
     torsion_order: int
     gauss: complex
     value: complex
+
+    @property
+    def m_exponent(self) -> Fraction:
+        return Fraction(self.nullity - 1, 2)
 
 
 def cs_closed(L: IntSymMatrix, k: int) -> CsClosedResult:
@@ -119,7 +124,7 @@ def cs_closed(L: IntSymMatrix, k: int) -> CsClosedResult:
     nu = rd.nullity
     free_factor = math.sqrt(float(k) ** (nu - 1))
     return CsClosedResult(
-        m_exponent=Fraction(nu - 1, 2),
+        nullity=nu,
         torsion_order=module.order,
         gauss=gauss,
         value=free_factor * gauss,
@@ -334,28 +339,23 @@ def verify_reciprocity_dt(L: IntSymMatrix, r: int,
 
     The left side is the coloring sum of ``L`` at level ``r``, a batch of one
     of :func:`abtqft.surgery.coloring_sums` (so it is capped like every other
-    coloring sum).  The right side is assembled from the regular block ``L_reg`` of rank
-    ``rho``: ``r^{rho/2} e^{pi i sigma/4}`` times the conjugate of the
-    normalized level-``r`` torsion Gauss sum (the cokernel sum is ``sqrt|T|``
-    times it, and ``|T| = |det L_reg|``), times a null-direction factor
-    ``r^d``.  ``d = nullity`` in ``"full_nullity"`` mode (the factorization
-    that is actually true: each saturated null direction contributes a full
-    factor ``r``) or ``d = nullity / 2`` in ``"paper_half"`` mode (the
-    half-kernel normalization, kept so its failure is reproducible).  For
-    nondegenerate ``L`` the factor is 1 in both modes.
+    coloring sum).  The right side is ``r^{rho/2} e^{pi i sigma/4}`` times
+    the Gauss sum of :func:`cs_closed` (the cokernel sum over ``sqrt|T|``),
+    ``rho = m - nullity`` and ``sigma(L) = sigma(L_reg)`` (Sylvester), times
+    a null-direction factor ``r^d``.  ``d = nullity`` in ``"full_nullity"``
+    mode (the factorization that is actually true: each saturated null
+    direction contributes a full factor ``r``) or ``d = nullity / 2`` in
+    ``"paper_half"`` mode (the half-kernel normalization, kept so its failure
+    is reproducible).  For nondegenerate ``L`` the factor is 1 in both modes.
     """
-    if r < 2 or r % 2 != 0:
-        raise ValueError("r must be an even integer >= 2")
     if null_exponent_mode not in NULL_EXPONENT_MODES:
         raise ValueError(f"unknown mode {null_exponent_mode!r}")
     lhs = coloring_sums([(SurgeryPresentation.closed(L), r)])[0]
-    rd = regular_decomposition(L)
-    reg = rd.regular
-    sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(reg), 8)))
-    gauss = gauss_sum(from_decomposition(rd), r).conjugate()
-    rhs = math.sqrt(float(r) ** reg.m) * sig_phase * gauss
-    if rd.nullity:  # a complex product with 1.0 could flip the sign of a 0
-        power = float(r) ** rd.nullity
+    cs = cs_closed(L, r)
+    sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(L), 8)))
+    rhs = math.sqrt(float(r) ** (L.m - cs.nullity)) * sig_phase * cs.gauss
+    if cs.nullity:  # a complex product with 1.0 could flip the sign of a 0
+        power = float(r) ** cs.nullity
         half = null_exponent_mode == "paper_half"
         rhs = (math.sqrt(power) if half else power) * rhs
     tol = sum_tolerance(r ** L.m)

@@ -11,7 +11,9 @@ Modular data
 ------------
 On one torus the modular operators in the label basis are fixed as
 
-    S[y][x] = k^{-1/2} exp(-2 pi i x y / k),      T[x][x] = exp(pi i x^2 / k).
+    S[y][x] = k^{-1/2} exp(-2 pi i x y / k),      T[x][x] = exp(pi i x^2 / k),
+
+the linking and ``q`` of :func:`abtqft.quadmod.cyclic_module`.
 
 ``S^2`` is the charge-conjugation permutation ``e_x -> e_{-x}`` for either
 sign of the Fourier kernel, but only this sign pairing satisfies the
@@ -70,13 +72,13 @@ from .errors import NotLagrangian
 from .intlinalg import (IntSymMatrix, clear_denominators, identity_matrix, integer_inverse,
                         mat_mul, mat_transpose, mat_vec, rational_rank, signature)
 from .numeric import UnitPhase, _root_table, approx_to_json, unit_phase_eval
-from .quadmod import CyclicQuadraticData, bicharacter
+from .quadmod import check_level, cyclic_module
 from .surgery import SurgeryPresentation, random_unimodular, rt_raw_closed_many
 
 
 def hopf_pairing(k: int, x: int, y: int) -> UnitPhase:
     """Pairing phase of dual label ``x`` against label ``y``: ``x y / k``."""
-    return bicharacter(CyclicQuadraticData(k), x % k, y % k)
+    return UnitPhase(cyclic_module(k).linking((x,), (y,)))
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,7 @@ def modular_rep(k: int) -> Tuple[np.ndarray, np.ndarray]:
     Fourier kernel carries the minus sign.  Both read the shared root
     tables, which equal :func:`unit_phase_eval` bit for bit.
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError("level k must be an even integer >= 2")
+    check_level(k)
     x = np.arange(k)
     s = _root_table(k)[np.outer(-x, x) % k] / math.sqrt(k)
     t = np.diag(_root_table(2 * k)[x * x % (2 * k)])
@@ -134,7 +135,7 @@ def modular_rep(k: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def twist_phase(k: int, x: int) -> UnitPhase:
     """Exact twist phase of label ``x``: exponent ``x^2 / (2k)`` mod 1."""
-    return CyclicQuadraticData(k).twist_phase(x % k)
+    return UnitPhase(cyclic_module(k).q((x,)))
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ class IntSymMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntSymMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def empty(cls) -> "IntSymMatrix":
@@ -370,7 +370,8 @@ def regular_decomposition(L) -> RegularDecomposition:
     Only the congruence class of the regular block is canonical; the
     concrete matrices are deterministic so regression tests can pin them.
     """
-    L = IntSymMatrix.from_rows(L.rows() if isinstance(L, IntSymMatrix) else L)
+    if not isinstance(L, IntSymMatrix):
+        L = IntSymMatrix.from_rows(L)
     rows = L.rows()
     u, d, w = smith_normal_form(rows)
     orders = [d[i][i] for i in range(L.m) if d[i][i]]

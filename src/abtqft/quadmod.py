@@ -30,6 +30,9 @@ factors as moduli and ``2e`` as modulus; for a group of more than a few
 hundred elements it sums over the trailing cyclic factors by one inverse
 DFT (split-Fourier) instead of element by element.
 
+Even levels are the one level rule, :func:`check_level`.  The standard
+module ``(Z_k, q_k)`` is :func:`cyclic_module`, that of the ``k``-framed unknot.
+
 :func:`gauss_sum` is the sum with the positive exponent ``exp(+2 pi i k
 q)``.  The torsion route of :func:`abtqft.compare.cs_closed` and the
 reciprocity check take its complex conjugate, the sign that
@@ -55,10 +58,17 @@ from .intlinalg import (
     _solve,
     regular_decomposition,
 )
-from .numeric import UnitPhase, quadratic_phase_sum, rational_from_json, rational_to_json
+from .numeric import quadratic_phase_sum, rational_from_json, rational_to_json
 
 #: Largest torsion group :func:`gauss_sum` sums over.
 GROUP_ENUMERATION_CAP = 10 ** 6
+
+
+def check_level(k: int) -> None:
+    """Refuse levels other than even ``k >= 2``: exactly those where ``q_k``
+    is well defined on ``Z_k`` and ``k * q`` on every torsion module."""
+    if k < 2 or k % 2 != 0:
+        raise ValueError("level k must be an even integer >= 2")
 
 
 def _form(gram: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]) -> int:
@@ -181,11 +191,10 @@ def from_decomposition(rd: RegularDecomposition) -> FiniteQuadraticModule:
 def gauss_sum(module: FiniteQuadraticModule, k: int) -> complex:
     """Normalized level-``k`` Gauss sum ``|T|^{-1/2} sum_x exp(2 pi i k q(x))``.
 
-    Requires even ``k`` (oddness would make ``k * q`` ill defined on cosets)
-    and ``|T|`` at most :data:`GROUP_ENUMERATION_CAP`.
+    Requires an even level (:func:`check_level`) and ``|T|`` at most
+    :data:`GROUP_ENUMERATION_CAP`.
     """
-    if k <= 0 or k % 2 != 0:
-        raise ValueError("level k must be a positive even integer")
+    check_level(k)
     if module.order > GROUP_ENUMERATION_CAP:
         raise GroupTooLarge(f"torsion group of order {module.order} "
                             f"exceeds cap {GROUP_ENUMERATION_CAP}")
@@ -195,30 +204,9 @@ def gauss_sum(module: FiniteQuadraticModule, k: int) -> complex:
     return total / math.sqrt(module.order)
 
 
-@dataclass(frozen=True)
-class CyclicQuadraticData:
-    """The standard cyclic module at even level ``k``.
-
-    The labels are ``Z_k``; the twist exponent of label ``x`` is
-    ``x^2 / (2k)`` mod 1 (so the twist is ``exp(pi i x^2 / k)``) and the
-    braiding bicharacter exponent is ``x y / k`` mod 1.
-    """
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k <= 0 or self.k % 2 != 0:
-            raise ValueError("level k must be a positive even integer")
-
-    def twist_exponent(self, x: int) -> Fraction:
-        return Fraction(x * x, 2 * self.k) % 1
-
-    def twist_phase(self, x: int) -> UnitPhase:
-        return UnitPhase(self.twist_exponent(x))
-
-
-def bicharacter(data: CyclicQuadraticData, x: int, y: int) -> UnitPhase:
-    """The nondegenerate pairing phase ``x y / k`` mod 1 on ``Z_k``."""
-    if not (0 <= x < data.k and 0 <= y < data.k):
-        raise ValueError("labels must lie in range(k)")
-    return UnitPhase(Fraction(x * y, data.k))
+def cyclic_module(k: int) -> FiniteQuadraticModule:
+    """``(Z_k, q_k)``, equal to ``from_surgery([[k]])``: ``q((x,)) = x^2 / (2k)``
+    and ``lam((x,), (y,)) = x y / k`` mod 1, well defined mod ``k`` at even
+    ``k``."""
+    check_level(k)
+    return FiniteQuadraticModule(CokernelGroup((k,), ((1,),)), ((1,),))

@@ -61,6 +61,7 @@ from .errors import EnumerationTooLarge, IndexOutOfRange
 from .intlinalg import IntSymMatrix, signature
 from .numeric import (PolarValue, UnitPhase, polar_to_approx, quadratic_phase_sum,
                       quadratic_phase_sums)
+from .quadmod import check_level
 
 DEFAULT_ENUMERATION_CAP = 10 ** 7
 _ENUMERATION_ENV = "ABTQFT_MAX_ENUM"
@@ -77,11 +78,6 @@ def max_enumeration() -> int:
     except ValueError:
         raise EnumerationTooLarge(
             f"{_ENUMERATION_ENV} must be an integer cap, got {raw!r}") from None
-
-
-def _check_level(k: int) -> None:
-    if k < 2 or k % 2 != 0:
-        raise ValueError("level k must be an even integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -193,7 +189,7 @@ def a_gauss(k: int, sign: int) -> Tuple[complex, PolarValue]:
     Returns ``(sum_{s in Z_k} exp(+- pi i s^2 / k),  sqrt(k) e^{+- pi i/4})``;
     the pair agrees within ``1e-9 * sqrt(k)`` for even ``k``.
     """
-    _check_level(k)
+    check_level(k)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     brute = quadratic_phase_sum([[sign]], [k], 2 * k)
@@ -204,7 +200,7 @@ def a_gauss(k: int, sign: int) -> Tuple[complex, PolarValue]:
 def rt_link_eval(p: SurgeryPresentation, g: Sequence[int], k: int) -> UnitPhase:
     """Exact link-evaluation phase for one coloring ``g`` of the surgery
     components (insertion colors come from the presentation)."""
-    _check_level(k)
+    check_level(k)
     if len(g) != p.m:
         raise ValueError("one color per surgery component required")
     L = p.surgery.entries
@@ -219,9 +215,13 @@ def rt_link_eval(p: SurgeryPresentation, g: Sequence[int], k: int) -> UnitPhase:
 
 
 def _check_enumeration(k: int, m: int) -> None:
-    """Refuse ``k^m`` colorings above the cap (:func:`max_enumeration`)."""
+    """Refuse ``k^max(m, 1)`` above the cap (:func:`max_enumeration`); at
+    ``m = 0`` the kernel still builds a root table of ``2k`` entries."""
     cap = max_enumeration()
-    if k ** m > cap:
+    if k ** max(m, 1) > cap:
+        if not m:
+            raise EnumerationTooLarge(
+                f"level {k} exceeds the enumeration cap {cap}")
         raise EnumerationTooLarge(
             f"{k}^{m} colorings exceed the enumeration cap {cap}")
 
@@ -274,7 +274,7 @@ def coloring_sums(cases: Sequence[Tuple[SurgeryPresentation, int]]
     """
     classes: Dict[Tuple[int, int], List[int]] = {}
     for i, (p, k) in enumerate(cases):
-        _check_level(k)
+        check_level(k)
         if (p.m, k) not in classes:
             _check_enumeration(k, p.m)
             classes[p.m, k] = []
@@ -403,7 +403,7 @@ def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
     depends on a value, so the walk is drawn in blocks of
     :data:`KIRBY_BLOCK` moves and each block is evaluated in one batch.
     """
-    _check_level(k)
+    check_level(k)
     cap = max_enumeration()
     rng = random.Random(seed)
     current = p

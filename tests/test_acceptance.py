@@ -6,6 +6,7 @@ Each criterion is one test that prints a single pass/fail line (visible with
 
 import math
 import random
+from fractions import Fraction
 
 from abtqft.compare import (
     build_phase_table,
@@ -26,7 +27,7 @@ from abtqft.extended import (
     random_lagrangian,
 )
 from abtqft.intlinalg import IntSymMatrix, determinant
-from abtqft.quadmod import CyclicQuadraticData, bicharacter
+from abtqft.numeric import UnitPhase
 from abtqft.surgery import (
     KirbyMove,
     SurgeryPresentation,
@@ -160,10 +161,9 @@ def test_criterion_08_state_space_dimension():
 def test_criterion_09_hopf_pairing_matrix():
     ok = True
     for k in LEVELS:
-        data = CyclicQuadraticData(k)
         for x in range(k):
             for y in range(k):
-                ok &= hopf_pairing(k, x, y) == bicharacter(data, x, y)
+                ok &= hopf_pairing(k, x, y) == UnitPhase(Fraction(x * y, k))
     report(9, ok, "Hopf pairing matrix equals the bicharacter matrix, exact")
 
 

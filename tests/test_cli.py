@@ -205,6 +205,27 @@ def test_verify_reciprocity_cap_message(capsys, monkeypatch):
     assert err == "error: 6^3 colorings exceed the enumeration cap 64\n"
 
 
+@pytest.mark.parametrize("k, code, err", [
+    ("64", 0, ""),
+    ("66", 2, "error: level 66 exceeds the enumeration cap 64\n"),
+])
+def test_invariant_empty_presentation_level_is_capped(capsys, monkeypatch,
+                                                      k, code, err):
+    # S3 has no coloring to enumerate, but its sum still builds a root table
+    # of 2k entries, so the level itself is held to the cap
+    monkeypatch.setenv("ABTQFT_MAX_ENUM", "64")
+    result = run(capsys, "invariant", "S3", "--k", k, "--side", "rt")
+    assert (result[0], result[2]) == (code, err)
+
+
+def test_invariant_huge_level_exits_2_without_allocating(capsys, monkeypatch):
+    monkeypatch.delenv("ABTQFT_MAX_ENUM", raising=False)
+    code, out, err = run(capsys, "invariant", "S3", "--k", "1000000000",
+                         "--side", "rt")
+    assert (code, out) == (2, "")
+    assert err == "error: level 1000000000 exceeds the enumeration cap 10000000\n"
+
+
 @pytest.mark.parametrize("cases, degenerate", [(1, 1), (2, 1), (3, 2)])
 def test_verify_reciprocity_checks_a_degenerate_matrix_at_every_count(
         capsys, cases, degenerate):

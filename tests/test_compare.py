@@ -21,8 +21,8 @@ from abtqft.compare import (
 from abtqft import intlinalg
 from abtqft.errors import InconsistentPhase
 from abtqft.intlinalg import IntSymMatrix, regular_decomposition, signature
-from abtqft.numeric import UnitPhase, sum_tolerance
-from abtqft.quadmod import from_surgery, gauss_sum
+from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
+from abtqft.quadmod import from_decomposition, from_surgery, gauss_sum
 from abtqft.surgery import SurgeryPresentation, rt_raw_closed
 
 LEVELS = (2, 4, 6, 8)
@@ -271,6 +271,35 @@ def test_degenerate_random_constructed_corpus():
 def test_degenerate_mode_validation():
     with pytest.raises(ValueError):
         verify_reciprocity_dt(sym([[0]]), 2, "thirds")
+
+
+def reciprocity_rhs_oracle(L, r, mode):
+    """The right side as written out from the regular decomposition: the
+    signature of ``L_reg``, its rank and the conjugated Gauss sum of its
+    torsion module, times the null-direction factor."""
+    rd = regular_decomposition(L)
+    reg = rd.regular
+    sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(reg), 8)))
+    gauss = gauss_sum(from_decomposition(rd), r).conjugate()
+    rhs = math.sqrt(float(r) ** reg.m) * sig_phase * gauss
+    if rd.nullity:
+        power = float(r) ** rd.nullity
+        rhs = (math.sqrt(power) if mode == "paper_half" else power) * rhs
+    return rhs
+
+
+@pytest.mark.parametrize("mode", ["full_nullity", "paper_half"])
+def test_reciprocity_right_side_is_the_regular_block_expression(mode):
+    # the right side comes from cs_closed; it must be the same bits as the
+    # expression in the regular block it stands for
+    rng = random.Random(89)
+    draws = [random_nondegenerate(rng, 3, 4) for _ in range(40)]
+    draws += [random_degenerate(rng) for _ in range(40)]
+    for L in draws:
+        r = rng.choice((2, 4, 6))
+        chk = verify_reciprocity_dt(L, r, mode)
+        assert repr(chk.rhs) == repr(reciprocity_rhs_oracle(L, r, mode)), \
+            (L.entries, r)
 
 
 def test_random_degenerate_really_degenerate():

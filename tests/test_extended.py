@@ -28,8 +28,7 @@ from abtqft.extended import (
     walker_correct,
 )
 from abtqft.intlinalg import IntSymMatrix
-from abtqft.numeric import unit_phase_eval
-from abtqft.quadmod import CyclicQuadraticData, bicharacter
+from abtqft.numeric import UnitPhase, unit_phase_eval
 from abtqft.surgery import SurgeryPresentation, rt_raw_closed, random_symmetric_matrix
 
 LEVELS = (2, 4, 6, 8)
@@ -46,10 +45,10 @@ def test_hopf_pairing_examples():
 
 @pytest.mark.parametrize("k", LEVELS)
 def test_hopf_pairing_matrix_equals_bicharacter_matrix(k):
-    data = CyclicQuadraticData(k)
-    for x in range(k):
+    # labels outside range(k) too: x y / k is well defined mod k
+    for x in range(-k, 2 * k):
         for y in range(k):
-            assert hopf_pairing(k, x, y) == bicharacter(data, x, y)
+            assert hopf_pairing(k, x, y) == UnitPhase(Fraction(x * y, k))
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +63,10 @@ def test_modular_rep_level_two():
 def test_twist_phase_exact():
     assert twist_phase(2, 1).angle == Fraction(1, 4)
     assert twist_phase(8, 2).angle == Fraction(1, 4)
+    # x^2 / 2k is well defined mod k at even k, so any representative works
+    for k in LEVELS:
+        for x in range(-k, 2 * k):
+            assert twist_phase(k, x) == UnitPhase(Fraction(x * x, 2 * k))
 
 
 @pytest.mark.parametrize("k", range(2, 17, 2))

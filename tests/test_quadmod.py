@@ -15,13 +15,15 @@ from abtqft.intlinalg import (
     regular_decomposition,
 )
 from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
+from abtqft.compare import verify_reciprocity_dt
+from abtqft.extended import modular_rep
 from abtqft.quadmod import (
-    CyclicQuadraticData,
     FiniteQuadraticModule,
-    bicharacter,
+    cyclic_module,
     from_surgery,
     gauss_sum,
 )
+from abtqft.surgery import SurgeryPresentation, a_gauss, coloring_sums
 from abtqft.surgery import random_unimodular
 from test_intlinalg import degenerate_draw, exact_inverse, inverse_form
 
@@ -177,31 +179,60 @@ def test_gauss_sum_requires_even_level():
         gauss_sum(from_surgery(sym([[3]])), 3)
 
 
+LEVEL_MESSAGE = "level k must be an even integer >= 2"
+
+LEVEL_TAKING = {
+    "coloring_sums": lambda k: coloring_sums(
+        [(SurgeryPresentation.closed(sym([[1]])), k)]),
+    "gauss_sum": lambda k: gauss_sum(from_surgery(sym([[3]])), k),
+    "cyclic_module": cyclic_module,
+    "modular_rep": modular_rep,
+    "a_gauss": lambda k: a_gauss(k, 1),
+    "verify_reciprocity_dt": lambda k: verify_reciprocity_dt(sym([[1]]), k),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_TAKING))
+@pytest.mark.parametrize("k", [0, 1, 3, -2])
+def test_every_level_taking_function_has_the_one_level_rule(name, k):
+    with pytest.raises(ValueError) as info:
+        LEVEL_TAKING[name](k)
+    assert str(info.value) == LEVEL_MESSAGE
+
+
 # ---------------------------------------------------------------------------
-# Bicharacter
+# The standard cyclic module (Z_k, q_k)
+
+@pytest.mark.parametrize("k", range(2, 65, 2))
+def test_cyclic_module_is_the_module_of_the_k_framed_unknot(k):
+    assert cyclic_module(k) == from_surgery(sym([[k]]))
+
 
 def test_bicharacter_examples():
-    data = CyclicQuadraticData(4)
-    assert bicharacter(data, 1, 2).angle == Fraction(1, 2)
-    assert bicharacter(data, 0, 3).angle == 0
-    data2 = CyclicQuadraticData(2)
-    assert bicharacter(data2, 1, 1).angle == Fraction(1, 2)
+    assert cyclic_module(4).linking((1,), (2,)) == Fraction(1, 2)
+    assert cyclic_module(4).linking((0,), (3,)) == 0
+    assert cyclic_module(2).linking((1,), (1,)) == Fraction(1, 2)
 
 
-def test_bicharacter_rejects_out_of_range_labels():
-    with pytest.raises(ValueError):
-        bicharacter(CyclicQuadraticData(4), 4, 0)
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_cyclic_module_values_on_every_representative(k):
+    # q and the linking are well defined mod k at even k, so every integer
+    # representative gives the reduced Fraction of x^2/2k and xy/k
+    module = cyclic_module(k)
+    for x in range(-2 * k, 2 * k):
+        assert module.q((x,)) == Fraction(x * x, 2 * k) % 1
+        for y in range(-k, k):
+            assert module.linking((x,), (y,)) == Fraction(x * y, k) % 1
 
 
 def test_cyclic_data_requires_even_level():
     with pytest.raises(ValueError):
-        CyclicQuadraticData(3)
+        cyclic_module(3)
 
 
 def test_twist_exponent():
-    data = CyclicQuadraticData(4)
-    assert data.twist_exponent(1) == Fraction(1, 8)
-    assert data.twist_exponent(2) == Fraction(1, 2)
+    assert cyclic_module(4).q((1,)) == Fraction(1, 8)
+    assert cyclic_module(4).q((2,)) == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +314,18 @@ def test_level_weighted_q_constant_on_cosets():
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8])
 def test_bicharacter_rows_are_orthogonal(k):
-    data = CyclicQuadraticData(k)
-    mat = np.array([[unit_phase_eval(bicharacter(data, x, y)) for y in range(k)]
-                    for x in range(k)])
+    module = cyclic_module(k)
+    mat = np.array([[unit_phase_eval(UnitPhase(module.linking((x,), (y,))))
+                     for y in range(k)] for x in range(k)])
     gram = mat @ mat.conj().T
     assert np.max(np.abs(gram - k * np.eye(k))) < 1e-10
 
 
 def test_nondegeneracy_of_bicharacter():
     for k in (2, 4, 6, 8):
-        data = CyclicQuadraticData(k)
+        module = cyclic_module(k)
         for x in range(1, k):
-            assert any(bicharacter(data, x, y).angle != 0 for y in range(k))
+            assert any(module.linking((x,), (y,)) != 0 for y in range(k))
 
 
 # ---------------------------------------------------------------------------
