@@ -37,6 +37,7 @@ from .catalog import CatalogEntry, builtin_catalog, load_catalog
 from .errors import AbtqftError, EnumerationTooLarge, GroupTooLarge
 from .intlinalg import IntSymMatrix, rational_rank, signature
 from .numeric import approx_to_json, rational_to_json, sum_tolerance
+from .quadmod import check_level
 from .surgery import SurgeryPresentation, rt_raw_closed
 
 EXIT_OK = 0
@@ -102,8 +103,10 @@ def resolve_presentation(source: str, catalog_path: Optional[str]
 def cmd_invariant(args) -> int:
     p = resolve_presentation(args.source, args.catalog)
     k = args.k
-    if k is None or k < 2 or k % 2:
-        raise InputError("--k must be an even integer >= 2")
+    try:
+        check_level(k)
+    except ValueError:
+        raise InputError("--k must be an even integer >= 2") from None
     L = p.surgery
     # The regular block is congruent to L plus a zero block, so it has the
     # signature of L; its nullity is the corank of L.
@@ -196,14 +199,18 @@ def _suite_reciprocity(args) -> dict:
     deviations: List[float] = []
     margin = 0.0
     # The nondegenerate draws come first, then (cases + 1) // 2 degenerate
-    # ones; only a nondegenerate failure is reported as first_failure.
+    # ones; only a nondegenerate failure is reported as first_failure.  No
+    # draw depends on a value: draw every case, then check them in one batch.
+    drawn = []
     for case in range(args.cases + (args.cases + 1) // 2):
-        degenerate = case >= args.cases
-        if degenerate:
-            L, r = compare.random_degenerate(rng), rng.choice((2, 4))
+        if case >= args.cases:
+            drawn.append((compare.random_degenerate(rng), rng.choice((2, 4))))
         else:
-            L, r = compare.random_nondegenerate(rng, 3, 4), rng.choice((2, 4, 6))
-        chk = compare.verify_reciprocity_dt(L, r)
+            drawn.append((compare.random_nondegenerate(rng, 3, 4),
+                          rng.choice((2, 4, 6))))
+    checks = compare.verify_reciprocity_dt_many(drawn)
+    for case, ((L, r), chk) in enumerate(zip(drawn, checks)):
+        degenerate = case >= args.cases
         dev = abs(chk.lhs - chk.rhs)
         deviations.append(dev)
         tol = sum_tolerance(r ** L.m, args.tol)

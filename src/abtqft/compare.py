@@ -5,13 +5,19 @@ Two independent ground truths are computed for every closed presentation:
 * :func:`abtqft.surgery.rt_raw_closed` sums ``k^m`` exact link-evaluation
   phases (the brute-force route, through the one coloring-sum function
   :func:`abtqft.surgery.coloring_sums`), and
-* :func:`cs_closed` evaluates the torsion formula
+* :func:`cs_closed_many` evaluates the torsion formula
 
       value = k^{(nu - 1)/2} * |T|^{-1/2} * sum_{x in T} exp(-2 pi i k q(x)),
 
   where ``nu`` is the nullity of the surgery matrix, ``T`` the torsion group
   of its regular block, and ``q`` the quadratic refinement of the torsion
-  linking form.
+  linking form.  A batch of ``(L, k)`` pairs runs one regular decomposition
+  per distinct ``L`` and one :func:`abtqft.quadmod.gauss_sums` call, one
+  kernel batch per group; :func:`cs_closed` is its batch of one, as
+  :func:`abtqft.surgery.rt_raw_closed` is of
+  :func:`abtqft.surgery.rt_raw_closed_many`.  The equivalence corpus and the
+  reciprocity check evaluate in such batches, and a value is the same bits
+  in any batch.
 
 Sign of the torsion exponent
 ----------------------------
@@ -36,7 +42,7 @@ ratio 1, at signature 1).
 
 Reciprocity
 -----------
-:func:`verify_reciprocity_dt` checks, by enumeration of both sides,
+:func:`verify_reciprocity_dt_many` checks, by enumeration of both sides,
 
     sum_{n in Z_r^m} e^{(pi i/r) n^T L n}
         = r^d r^{rho/2} e^{pi i sigma(L)/4} |det L_reg|^{-1/2}
@@ -44,13 +50,14 @@ Reciprocity
 
 for even ``r``, with ``L_reg`` the regular block of rank ``rho`` and ``d``
 the null-direction exponent (``d = 0`` for nondegenerate ``L``).  The left
-side is a coloring sum and the right side comes from :func:`cs_closed`.  The
-square-root branch of the determinant factor is always taken through this
-explicit-signature form.  For degenerate ``L`` the left side factors over
-the saturated kernel and picks up ``r^nu``; the check takes ``d = nu``
-(``"full_nullity"``) or ``d = nu/2`` (``"paper_half"``), so the discrepancy
-between the two normalizations is reproducible: already ``L = [[0]], r =
-2`` gives 2 versus sqrt(2).
+sides are one :func:`abtqft.surgery.coloring_sums` batch and the right sides
+one :func:`cs_closed_many` batch; :func:`verify_reciprocity_dt` is the batch
+of one.  The square-root branch of the determinant factor is always taken
+through this explicit-signature form.  For degenerate ``L`` the left side
+factors over the saturated kernel and picks up ``r^nu``; the check takes
+``d = nu`` (``"full_nullity"``) or ``d = nu/2`` (``"paper_half"``), so the
+discrepancy between the two normalizations is reproducible: already ``L =
+[[0]], r = 2`` gives 2 versus sqrt(2).
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ from .numeric import (
     sum_tolerance,
     unit_phase_eval,
 )
-from .quadmod import from_decomposition, gauss_sum
+from .quadmod import FiniteQuadraticModule, from_decomposition, gauss_sums
 from .surgery import (
     SurgeryPresentation,
     coloring_sums,
@@ -116,19 +123,40 @@ class CsClosedResult:
         return Fraction(self.nullity - 1, 2)
 
 
+def cs_closed_many(pairs: Sequence[Tuple[IntSymMatrix, int]]
+                   ) -> List[CsClosedResult]:
+    """Torsion-formula invariant of each ``(L, k)`` pair.
+
+    Each distinct ``L`` gets one regular decomposition and one module, and
+    each distinct ``(L, k)`` one Gauss sum, all of them in one
+    :func:`abtqft.quadmod.gauss_sums` batch; its checks run in the order of
+    ``pairs``, so a batch refuses the pair a loop of :func:`cs_closed` would.
+    """
+    decomposed: Dict[IntSymMatrix, Tuple[int, FiniteQuadraticModule]] = {}
+    for L, _ in pairs:
+        if L not in decomposed:
+            rd = regular_decomposition(L)
+            decomposed[L] = rd.nullity, from_decomposition(rd)
+    keys = list(dict.fromkeys((L, k) for L, k in pairs))
+    gauss = dict(zip(keys, gauss_sums([(decomposed[L][1], k)
+                                       for L, k in keys])))
+    results = []
+    for L, k in pairs:
+        nu, module = decomposed[L]
+        conj = gauss[L, k].conjugate()
+        results.append(CsClosedResult(
+            nullity=nu,
+            torsion_order=module.order,
+            gauss=conj,
+            value=math.sqrt(float(k) ** (nu - 1)) * conj,
+        ))
+    return results
+
+
 def cs_closed(L: IntSymMatrix, k: int) -> CsClosedResult:
-    """Evaluate the torsion-formula invariant of a closed presentation."""
-    rd = regular_decomposition(L)
-    module = from_decomposition(rd)
-    gauss = gauss_sum(module, k).conjugate()
-    nu = rd.nullity
-    free_factor = math.sqrt(float(k) ** (nu - 1))
-    return CsClosedResult(
-        nullity=nu,
-        torsion_order=module.order,
-        gauss=gauss,
-        value=free_factor * gauss,
-    )
+    """Evaluate the torsion-formula invariant of a closed presentation: the
+    batch of one of :func:`cs_closed_many`."""
+    return cs_closed_many([(L, k)])[0]
 
 
 @dataclass(frozen=True)
@@ -274,33 +302,35 @@ def default_corpus(seed: int = 0, size: int = 300,
     entries in [-4, 4], until ``size`` usable pairs are collected.  Each
     candidate is evaluated once: the torsion route alone decides whether it
     is usable, and the usable pairs then go on to the brute-force route in
-    one :func:`rt_raw_closed_many` batch.
+    one :func:`rt_raw_closed_many` batch.  The classics are one
+    :func:`cs_closed_many` batch; the random candidates are drawn in blocks
+    of as many as are still needed, each block one batch.  No draw depends
+    on a value and each candidate adds at most one usable pair, so a block
+    never draws past the candidate that completes the corpus.
     """
     usable: List[Tuple[IntSymMatrix, int, CsClosedResult]] = []
 
-    def consider(L: IntSymMatrix, k: int) -> None:
-        cs = cs_closed(L, k)
-        if cs.torsion_order <= _CORPUS_TORSION_BOUND \
-                and abs(cs.value) > ZERO_GAUSS_TOLERANCE:
-            usable.append((L, k, cs))
+    def consider(candidates: List[Tuple[IntSymMatrix, int]]) -> None:
+        for (L, k), cs in zip(candidates, cs_closed_many(candidates)):
+            if cs.torsion_order <= _CORPUS_TORSION_BOUND \
+                    and abs(cs.value) > ZERO_GAUSS_TOLERANCE:
+                usable.append((L, k, cs))
 
-    for rows in _CLASSIC_ROWS:
-        L = IntSymMatrix.from_rows(rows)
-        for k in levels:
-            consider(L, k)
     E8 = IntSymMatrix.from_rows(E8_ROWS)
-    for k in levels:
-        if k ** 8 <= 10 ** 7:
-            consider(E8, k)
+    consider([(IntSymMatrix.from_rows(rows), k) for rows in _CLASSIC_ROWS
+              for k in levels]
+             + [(E8, k) for k in levels if k ** 8 <= 10 ** 7])
 
     rng = random.Random(seed)
     level_cycle = 0
     while len(usable) < size:
-        m = rng.randint(1, 4)
-        L = random_symmetric_matrix(rng, m, 4)
-        k = levels[level_cycle % len(levels)]
-        level_cycle += 1
-        consider(L, k)
+        block = []
+        for _ in range(size - len(usable)):
+            m = rng.randint(1, 4)
+            block.append((random_symmetric_matrix(rng, m, 4),
+                          levels[level_cycle % len(levels)]))
+            level_cycle += 1
+        consider(block)
     rts = rt_raw_closed_many([(SurgeryPresentation.closed(L), k)
                               for L, k, _ in usable])
     return [EquivalenceCase(L, k, signature(L), rt / cs.value)
@@ -331,35 +361,47 @@ class ReciprocityCheck:
 NULL_EXPONENT_MODES = ("paper_half", "full_nullity")
 
 
-def verify_reciprocity_dt(L: IntSymMatrix, r: int,
-                          null_exponent_mode: str = "full_nullity",
-                          ) -> ReciprocityCheck:
-    """Check the explicit-signature reciprocity identity by enumerating both
-    sides.
+def verify_reciprocity_dt_many(cases: Sequence[Tuple[IntSymMatrix, int]],
+                               null_exponent_mode: str = "full_nullity",
+                               ) -> List[ReciprocityCheck]:
+    """Check the explicit-signature reciprocity identity for each ``(L, r)``
+    case by enumerating both sides.
 
-    The left side is the coloring sum of ``L`` at level ``r``, a batch of one
-    of :func:`abtqft.surgery.coloring_sums` (so it is capped like every other
-    coloring sum).  The right side is ``r^{rho/2} e^{pi i sigma/4}`` times
-    the Gauss sum of :func:`cs_closed` (the cokernel sum over ``sqrt|T|``),
-    ``rho = m - nullity`` and ``sigma(L) = sigma(L_reg)`` (Sylvester), times
-    a null-direction factor ``r^d``.  ``d = nullity`` in ``"full_nullity"``
-    mode (the factorization that is actually true: each saturated null
-    direction contributes a full factor ``r``) or ``d = nullity / 2`` in
-    ``"paper_half"`` mode (the half-kernel normalization, kept so its failure
-    is reproducible).  For nondegenerate ``L`` the factor is 1 in both modes.
+    The left sides are one :func:`abtqft.surgery.coloring_sums` batch (so
+    they are capped like every other coloring sum, and checked first).  The
+    right side is ``r^{rho/2} e^{pi i sigma/4}`` times the torsion Gauss
+    sum (the cokernel sum over ``sqrt|T|``), all of them from one
+    :func:`cs_closed_many` batch, with ``rho = m - nullity`` and ``sigma(L)
+    = sigma(L_reg)`` (Sylvester), times a null-direction factor ``r^d``.
+    ``d = nullity`` in ``"full_nullity"`` mode (the factorization that is
+    actually true: each saturated null direction contributes a full factor
+    ``r``) or ``d = nullity / 2`` in ``"paper_half"`` mode (the half-kernel
+    normalization, kept so its failure is reproducible).  For nondegenerate
+    ``L`` the factor is 1 in both modes.  A check is the same bits in any
+    batch.
     """
     if null_exponent_mode not in NULL_EXPONENT_MODES:
         raise ValueError(f"unknown mode {null_exponent_mode!r}")
-    lhs = coloring_sums([(SurgeryPresentation.closed(L), r)])[0]
-    cs = cs_closed(L, r)
-    sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(L), 8)))
-    rhs = math.sqrt(float(r) ** (L.m - cs.nullity)) * sig_phase * cs.gauss
-    if cs.nullity:  # a complex product with 1.0 could flip the sign of a 0
-        power = float(r) ** cs.nullity
-        half = null_exponent_mode == "paper_half"
-        rhs = (math.sqrt(power) if half else power) * rhs
-    tol = sum_tolerance(r ** L.m)
-    return ReciprocityCheck(lhs, rhs, abs(lhs - rhs) <= tol, tol)
+    lhs = coloring_sums([(SurgeryPresentation.closed(L), r) for L, r in cases])
+    checks = []
+    for (L, r), left, cs in zip(cases, lhs, cs_closed_many(cases)):
+        sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(L), 8)))
+        rhs = math.sqrt(float(r) ** (L.m - cs.nullity)) * sig_phase * cs.gauss
+        if cs.nullity:  # a complex product with 1.0 could flip the sign of a 0
+            power = float(r) ** cs.nullity
+            half = null_exponent_mode == "paper_half"
+            rhs = (math.sqrt(power) if half else power) * rhs
+        tol = sum_tolerance(r ** L.m)
+        checks.append(ReciprocityCheck(left, rhs, abs(left - rhs) <= tol, tol))
+    return checks
+
+
+def verify_reciprocity_dt(L: IntSymMatrix, r: int,
+                          null_exponent_mode: str = "full_nullity",
+                          ) -> ReciprocityCheck:
+    """Check the reciprocity identity for one ``(L, r)``: the batch of one
+    of :func:`verify_reciprocity_dt_many`."""
+    return verify_reciprocity_dt_many([(L, r)], null_exponent_mode)[0]
 
 
 def random_nondegenerate(rng: random.Random, max_components: int = 3,

@@ -17,9 +17,10 @@ operations cover what a surgery matrix needs homologically,
   eigenvalues; signatures enter invariants as eighth-root-of-unity phases,
   so they must be exact),
 * one fraction-free Gauss-Jordan elimination (Bareiss, 1968), behind every
-  determinant, rank and inverse and behind the one solve, ``L_reg^{-1} R``
-  for the generator lifts ``R``, that gives a torsion module its Gram
-  matrix (:func:`abtqft.quadmod.from_decomposition`).
+  rank and inverse and behind the one solve, ``L_reg^{-1} R`` for the
+  generator lifts ``R``, that gives a torsion module its Gram matrix
+  (:func:`abtqft.quadmod.from_decomposition`); determinants run its
+  triangular (forward-only) mode.
 
 All functions treat their inputs as immutable and are safe for parallel use.
 Matrices are serialized as JSON arrays of arrays of integers (row-major).
@@ -144,7 +145,8 @@ def _cross(row: List[int], top: List[int], p: int, f: int, prev: int) -> List[in
     return [(x * p - f * y) // prev for x, y in zip(row, top)]
 
 
-def _eliminate(rows: IntRows, ncols: int) -> Tuple[int, int]:
+def _eliminate(rows: IntRows, ncols: int, triangular: bool = False
+               ) -> Tuple[int, int]:
     """Fraction-free Gauss-Jordan elimination in place; returns ``(rank, det)``.
 
     Row pivots are taken in column order among the first ``ncols`` columns
@@ -152,7 +154,11 @@ def _eliminate(rows: IntRows, ncols: int) -> Tuple[int, int]:
     :func:`_cross` with the pivot row.  The pivot rows all end with the last
     pivot ``p`` on the diagonal, so a nonsingular square ``[A | B]`` ends as
     ``[p I | p A^{-1} B]``, and ``det = +-p`` (the sign of the row swaps) is
-    ``det A``.  This is the library's only Gauss-Jordan elimination.
+    ``det A``.  With ``triangular`` each pivot turns only the rows below it
+    (forward-only Bareiss): the matrix ends in echelon form, every entry
+    still an integer minor, and the last pivot, so ``rank`` and ``det``, is
+    the same, for about a third of the work.  This is the library's only
+    Gauss-Jordan elimination.
     """
     rank, prev, sign = 0, 1, 1
     for col in range(ncols):
@@ -164,18 +170,19 @@ def _eliminate(rows: IntRows, ncols: int) -> Tuple[int, int]:
             sign = -sign
         top = rows[rank]
         p = top[col]
-        for r, row in enumerate(rows):
+        for r in range(rank + 1 if triangular else 0, len(rows)):
             if r != rank:
-                rows[r] = _cross(row, top, p, row[col], prev)
+                rows[r] = _cross(rows[r], top, p, rows[r][col], prev)
         prev = p
         rank += 1
     return rank, sign * prev
 
 
 def determinant(mat) -> int:
-    """Exact determinant of a square integer matrix."""
+    """Exact determinant of a square integer matrix, by the triangular mode
+    of :func:`_eliminate`."""
     a = _to_int_rows(mat)
-    rank, det = _eliminate(a, len(a))
+    rank, det = _eliminate(a, len(a), True)
     return det if rank == len(a) else 0
 
 

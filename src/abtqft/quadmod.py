@@ -23,18 +23,21 @@ coordinates of the cyclic generators, over the group exponent ``e``, with
 
 ``q`` itself is only well defined on cosets up to half-integers; for every
 even ``k`` the combination ``k * q`` is well defined mod 1, which is exactly
-what the level-``k`` Gauss sum consumes.  That sum goes through the
-library's one exponential-sum kernel,
-:func:`abtqft.numeric.quadratic_phase_sum`, with the orders of the cyclic
-factors as moduli and ``2e`` as modulus; for a group of more than a few
-hundred elements it sums over the trailing cyclic factors by one inverse
-DFT (split-Fourier) instead of element by element.
+what the level-``k`` Gauss sum consumes.  Every Gauss sum goes through one
+function, :func:`gauss_sums`, which takes a batch of ``(module, k)`` pairs:
+it checks the level and the group cap of every pair first, then sends the
+pairs of each group (one tuple of cyclic orders) to the library's one
+exponential-sum kernel, :func:`abtqft.numeric.quadratic_phase_sums`, as one
+batch, with the cyclic orders as moduli and ``2e`` as modulus; for a group
+of more than a few hundred elements the kernel sums over the trailing
+cyclic factors by one inverse DFT (split-Fourier) instead of element by
+element.  :func:`gauss_sum` is its batch of one.
 
 Even levels are the one level rule, :func:`check_level`.  The standard
 module ``(Z_k, q_k)`` is :func:`cyclic_module`, that of the ``k``-framed unknot.
 
-:func:`gauss_sum` is the sum with the positive exponent ``exp(+2 pi i k
-q)``.  The torsion route of :func:`abtqft.compare.cs_closed` and the
+:func:`gauss_sums` is the sum with the positive exponent ``exp(+2 pi i k
+q)``.  The torsion route of :func:`abtqft.compare.cs_closed_many` and the
 reciprocity check take its complex conjugate, the sign that
 explicit-signature reciprocity produces; :mod:`abtqft.compare` says why the
 positive sign cannot be used there.
@@ -48,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import GroupTooLarge
 from .intlinalg import (
@@ -58,9 +61,9 @@ from .intlinalg import (
     _solve,
     regular_decomposition,
 )
-from .numeric import quadratic_phase_sum, rational_from_json, rational_to_json
+from .numeric import quadratic_phase_sums, rational_from_json, rational_to_json
 
-#: Largest torsion group :func:`gauss_sum` sums over.
+#: Largest torsion group :func:`gauss_sums` sums over.
 GROUP_ENUMERATION_CAP = 10 ** 6
 
 
@@ -188,20 +191,41 @@ def from_decomposition(rd: RegularDecomposition) -> FiniteQuadraticModule:
     return FiniteQuadraticModule(group, gram)
 
 
-def gauss_sum(module: FiniteQuadraticModule, k: int) -> complex:
-    """Normalized level-``k`` Gauss sum ``|T|^{-1/2} sum_x exp(2 pi i k q(x))``.
+def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
+               ) -> List[complex]:
+    """Normalized level-``k`` Gauss sum ``|T|^{-1/2} sum_x exp(2 pi i k
+    q(x))`` of each ``(module, k)`` pair.
 
-    Requires an even level (:func:`check_level`) and ``|T|`` at most
-    :data:`GROUP_ENUMERATION_CAP`.
+    Every pair must have an even level (:func:`check_level`) and ``|T|`` at
+    most :data:`GROUP_ENUMERATION_CAP`; both are checked for every pair, in
+    the order of ``pairs``, before any sum runs, so the first refused pair
+    is the one a loop over batches of one refuses.  The pairs of one group,
+    that is of one tuple of cyclic orders (which fixes the modulus ``2e``),
+    then go to :func:`abtqft.numeric.quadratic_phase_sums` as one batch; a
+    value is the same bits in any batch.
     """
-    check_level(k)
-    if module.order > GROUP_ENUMERATION_CAP:
-        raise GroupTooLarge(f"torsion group of order {module.order} "
-                            f"exceeds cap {GROUP_ENUMERATION_CAP}")
-    scaled = [[k * x for x in row] for row in module.gram]
-    total = quadratic_phase_sum(scaled, module.group.cyclic_orders,
-                                2 * module.exponent)
-    return total / math.sqrt(module.order)
+    classes: Dict[Tuple[int, ...], List[int]] = {}
+    for i, (module, k) in enumerate(pairs):
+        check_level(k)
+        if module.order > GROUP_ENUMERATION_CAP:
+            raise GroupTooLarge(f"torsion group of order {module.order} "
+                                f"exceeds cap {GROUP_ENUMERATION_CAP}")
+        classes.setdefault(module.group.cyclic_orders, []).append(i)
+    sums = [0j] * len(pairs)
+    for orders, members in classes.items():
+        batch = [pairs[i] for i in members]
+        values = quadratic_phase_sums(
+            [[[k * x for x in row] for row in module.gram] for module, k in batch],
+            orders, 2 * math.lcm(*orders))
+        for i, (module, _), total in zip(members, batch, values):
+            sums[i] = total / math.sqrt(module.order)
+    return sums
+
+
+def gauss_sum(module: FiniteQuadraticModule, k: int) -> complex:
+    """Normalized level-``k`` Gauss sum of one module: the batch of one of
+    :func:`gauss_sums`."""
+    return gauss_sums([(module, k)])[0]
 
 
 def cyclic_module(k: int) -> FiniteQuadraticModule:

@@ -41,8 +41,8 @@ Every coloring sum goes through one function, :func:`coloring_sums`: it
 checks the levels and the cap, and sends the sums of each ``(m, k)`` class
 to the kernel as one batch, so a value is the same bits in any batch.
 :func:`rt_raw_closed_many` is the prefactor times those sums,
-:func:`rt_raw_closed` its batch of one, and the reciprocity left side
-(:func:`abtqft.compare.verify_reciprocity_dt`) a batch of one of
+:func:`rt_raw_closed` its batch of one, and the reciprocity left sides
+(:func:`abtqft.compare.verify_reciprocity_dt_many`) one batch of
 :func:`coloring_sums`.  :func:`kirby_fuzz` and ``verify kirby`` draw their
 cases first (no draw depends on a value) and evaluate them in blocks of
 :data:`KIRBY_BLOCK` cases.
@@ -226,6 +226,15 @@ def _check_enumeration(k: int, m: int) -> None:
             f"{k}^{m} colorings exceed the enumeration cap {cap}")
 
 
+def _within_cap(k: int, m: int) -> bool:
+    """Whether :func:`_check_enumeration` lets ``k^m`` colorings run."""
+    try:
+        _check_enumeration(k, m)
+    except EnumerationTooLarge:
+        return False
+    return True
+
+
 def normalization_prefactor(m: int, sigma: int, k: int) -> PolarValue:
     """Exact value of ``k^{-1/2} A+^{(-m-sigma)/2} A-^{(-m+sigma)/2}``.
 
@@ -404,7 +413,6 @@ def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
     :data:`KIRBY_BLOCK` moves and each block is evaluated in one batch.
     """
     check_level(k)
-    cap = max_enumeration()
     rng = random.Random(seed)
     current = p
     value = rt_raw_closed(current, k)
@@ -417,7 +425,7 @@ def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
             m = current.m
             move = random_kirby_move(rng, m)
             if move.kind == "K1" and (m + 1 > max_components
-                                      or k ** (m + 1) > cap):
+                                      or not _within_cap(k, m + 1)):
                 skipped += 1
                 log.append({"move": move.to_json(), "skipped": True})
                 continue

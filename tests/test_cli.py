@@ -77,6 +77,13 @@ def test_invariant_odd_level_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", ["0", "1", "3", "-2", "-4"])
+def test_invariant_level_message_is_the_contract(capsys, k):
+    # The rule is quadmod.check_level's; the message is the CLI's.
+    code, out, err = run(capsys, "invariant", "S3", "--k", k)
+    assert (code, out, err) == (2, "", "error: --k must be an even integer >= 2\n")
+
+
 def test_invariant_cap_exceeded_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("ABTQFT_MAX_ENUM", "2")
     code, _, err = run(capsys, "invariant", "E8", "--k", "4", "--side", "rt")

@@ -9,21 +9,27 @@ from abtqft.compare import (
     E8_ROWS,
     EquivalenceCase,
     PhaseTable,
+    ZERO_GAUSS_TOLERANCE,
+    _CLASSIC_ROWS,
+    _CORPUS_TORSION_BOUND,
     build_phase_table,
     cs_closed,
+    cs_closed_many,
     default_corpus,
     evaluate_case,
     load_fixture_table,
     random_degenerate,
     random_nondegenerate,
     verify_reciprocity_dt,
+    verify_reciprocity_dt_many,
 )
-from abtqft import intlinalg
-from abtqft.errors import InconsistentPhase
+from abtqft import compare, intlinalg, quadmod
+from abtqft.errors import GroupTooLarge, InconsistentPhase
 from abtqft.intlinalg import IntSymMatrix, regular_decomposition, signature
 from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
 from abtqft.quadmod import from_decomposition, from_surgery, gauss_sum
-from abtqft.surgery import SurgeryPresentation, rt_raw_closed
+from abtqft.surgery import (SurgeryPresentation, random_symmetric_matrix,
+                            rt_raw_closed)
 
 LEVELS = (2, 4, 6, 8)
 
@@ -342,3 +348,103 @@ def test_torsion_evaluation_runs_one_smith_form_and_two_eliminations(
         monkeypatch.setattr(intlinalg, name, counted)
     evaluate(sym(rows), 2)
     assert calls == {"smith_normal_form": 1, "_eliminate": 2}
+
+
+# ---------------------------------------------------------------------------
+# Batches of the torsion route
+
+#: Duplicate ``L`` at several levels, a duplicate ``(L, k)``, groups of
+#: several shapes (trivial, Z/2, Z/3, Z/2 + Z/2, Z/5 at two framings),
+#: degenerate ``L`` and the empty matrix.
+MIXED_BATCH = [
+    ([[3]], 2), ([[2, 1], [1, 2]], 4), ([[3]], 4), ([], 2), ([[2, 0], [0, 2]], 2),
+    ([[3]], 2), ([[0]], 6), ([[1, 0], [0, 0]], 2), ([[5]], 2), ([[-5]], 4),
+    ([[6, 3, 0, 0], [3, 6, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 2),
+    ([[2, 1], [1, 2]], 4), (list(map(list, E8_ROWS)), 2), ([], 8), ([[2]], 2),
+]
+
+
+def test_cs_closed_many_is_cs_closed_bit_for_bit():
+    pairs = [(sym(rows), k) for rows, k in MIXED_BATCH]
+    batch = cs_closed_many(pairs)
+    assert [repr(res) for res in batch] \
+        == [repr(cs_closed(L, k)) for L, k in pairs]
+    assert cs_closed_many([]) == []
+
+
+def test_cs_closed_many_decomposes_each_distinct_L_once(monkeypatch):
+    decomposed, summed = [], []
+
+    def counted(L, _fn=compare.regular_decomposition):
+        decomposed.append(L)
+        return _fn(L)
+
+    def batched(pairs, _fn=compare.gauss_sums):
+        summed.append(len(pairs))
+        return _fn(pairs)
+
+    monkeypatch.setattr(compare, "regular_decomposition", counted)
+    monkeypatch.setattr(compare, "gauss_sums", batched)
+    pairs = [(sym(rows), k) for rows, k in MIXED_BATCH]
+    cs_closed_many(pairs)
+    assert decomposed == list(dict.fromkeys(L for L, _ in pairs))
+    assert summed == [len(set(pairs))]
+
+
+@pytest.mark.parametrize("large_first, raised, message", [
+    (False, ValueError, "^level k must be an even integer >= 2$"),
+    (True, GroupTooLarge, "^torsion group of order 7 exceeds cap 4$"),
+])
+def test_cs_closed_many_refuses_the_first_refused_pair(
+        large_first, raised, message, monkeypatch):
+    monkeypatch.setattr(quadmod, "GROUP_ENUMERATION_CAP", 4)
+    refused = [(sym([[3]]), 3), (sym([[7]]), 2)]  # odd level, |T| over the cap
+    pairs = [(sym([[3]]), 2)] + (refused[::-1] if large_first else refused)
+    with pytest.raises(raised, match=message):
+        cs_closed_many(pairs)
+
+
+@pytest.mark.parametrize("mode", ["full_nullity", "paper_half"])
+def test_verify_reciprocity_dt_many_is_a_loop_bit_for_bit(mode):
+    rng = random.Random(97)
+    cases = [(random_nondegenerate(rng, 3, 4), rng.choice((2, 4, 6)))
+             for _ in range(60)]
+    cases += [(random_degenerate(rng), rng.choice((2, 4))) for _ in range(30)]
+    cases += [(sym(rows), k) for rows, k in MIXED_BATCH]
+    batch = verify_reciprocity_dt_many(cases, mode)
+    loop = [verify_reciprocity_dt(L, r, mode) for L, r in cases]
+    assert [repr(chk) for chk in batch] == [repr(chk) for chk in loop]
+    assert verify_reciprocity_dt_many([], mode) == []
+
+
+def sequential_corpus_pairs(seed, size, levels=LEVELS):
+    """The ``(L, k)`` pairs of :func:`default_corpus` drawn one candidate at
+    a time, each evaluated alone, until ``size`` pairs are usable."""
+    pairs = []
+
+    def consider(L, k):
+        cs = cs_closed(L, k)
+        if cs.torsion_order <= _CORPUS_TORSION_BOUND \
+                and abs(cs.value) > ZERO_GAUSS_TOLERANCE:
+            pairs.append((L, k))
+
+    for rows in _CLASSIC_ROWS:
+        for k in levels:
+            consider(sym(rows), k)
+    for k in levels:
+        if k ** 8 <= 10 ** 7:
+            consider(E8, k)
+    rng = random.Random(seed)
+    drawn = 0
+    while len(pairs) < size:
+        m = rng.randint(1, 4)
+        consider(random_symmetric_matrix(rng, m, 4), levels[drawn % len(levels)])
+        drawn += 1
+    return pairs
+
+
+@pytest.mark.parametrize("seed, size", [(0, 40), (3, 150), (5, 301)])
+def test_default_corpus_blocks_draw_what_a_sequential_loop_draws(seed, size):
+    corpus = default_corpus(seed=seed, size=size)
+    assert [(case.L, case.k) for case in corpus] \
+        == sequential_corpus_pairs(seed, size)

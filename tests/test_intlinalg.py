@@ -12,6 +12,7 @@ from abtqft.errors import DegenerateMatrix, GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
     determinant,
+    _eliminate,
     _solve,
     integer_inverse,
     mat_mul,
@@ -252,6 +253,24 @@ def test_elimination_property(rows, data):
         assert abs(p) == abs(det)
         assert [Fraction(row[0], p) for row in sol] \
             == [Fraction(int(x.p), int(x.q)) for x in want]
+
+
+def test_triangular_elimination_keeps_rank_and_determinant():
+    # Forward-only Bareiss ends in echelon form with the same last pivot as
+    # the full Gauss-Jordan run, on square matrices singular or not.
+    rng = random.Random(101)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[-1] = [2 * x for x in rows[0]]
+        full, tri = [row[:] for row in rows], [row[:] for row in rows]
+        assert _eliminate(tri, n, True) == _eliminate(full, n)
+        assert determinant(rows) == Matrix(rows).det()
+        leads = [next((j for j, x in enumerate(row) if x), n) for row in tri]
+        nonzero = [j for j in leads if j < n]
+        assert leads == nonzero + [n] * (n - len(nonzero))
+        assert nonzero == sorted(set(nonzero))
 
 
 # ---------------------------------------------------------------------------

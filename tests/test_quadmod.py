@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abtqft import numeric
+from abtqft import numeric, quadmod
 from abtqft.errors import GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
@@ -22,6 +22,7 @@ from abtqft.quadmod import (
     cyclic_module,
     from_surgery,
     gauss_sum,
+    gauss_sums,
 )
 from abtqft.surgery import SurgeryPresentation, a_gauss, coloring_sums
 from abtqft.surgery import random_unimodular
@@ -172,6 +173,61 @@ def test_grid_cache_keeps_no_large_grid():
     assert numeric._grid.cache_info().currsize == 1
     gauss_sum(from_surgery(sym([[3]])), 2)
     assert numeric._grid.cache_info().currsize == 2
+
+
+#: Modules of several groups, some sharing one: trivial (two of them),
+#: Z/3 (three Grams), Z/2, Z/2 + Z/2, Z/5 (two Grams) and a degenerate L.
+BATCH_MATRICES = [[[3]], [[1]], [[2, 1], [1, 2]], [[2]], [[-3]], [],
+                  [[2, 0], [0, 2]], [[5]], [[-5]], [[1, 0], [0, 0]],
+                  [[6, 3, 0], [3, 6, 0], [0, 0, 0]]]
+
+
+def batch_pairs():
+    modules = [from_surgery(sym(rows)) for rows in BATCH_MATRICES]
+    return [(mod, k) for k in (2, 4, 6) for mod in modules] \
+        + [(modules[0], 2), (modules[2], 4)]
+
+
+def test_gauss_sums_is_gauss_sum_bit_for_bit():
+    pairs = batch_pairs()
+    assert [repr(z) for z in gauss_sums(pairs)] \
+        == [repr(gauss_sum(mod, k)) for mod, k in pairs]
+    assert gauss_sums([]) == []
+
+
+def test_gauss_sums_runs_one_kernel_call_per_group(monkeypatch):
+    groups = []
+
+    def counted(grams, moduli, modulus, _fn=quadmod.quadratic_phase_sums):
+        groups.append(tuple(moduli))
+        return _fn(grams, moduli, modulus)
+
+    monkeypatch.setattr(quadmod, "quadratic_phase_sums", counted)
+    pairs = batch_pairs()
+    gauss_sums(pairs)
+    assert groups == list(dict.fromkeys(mod.group.cyclic_orders
+                                        for mod, _ in pairs))
+
+
+REFUSALS = [
+    (False, ValueError, "^level k must be an even integer >= 2$"),
+    (True, GroupTooLarge, "^torsion group of order 7 exceeds cap 4$"),
+]
+
+
+@pytest.mark.parametrize("large_first, raised, message", REFUSALS)
+def test_gauss_sums_refuses_the_first_refused_pair_before_any_sum(
+        large_first, raised, message, monkeypatch):
+    def never(*args):
+        raise AssertionError("a sum ran before every pair was checked")
+
+    monkeypatch.setattr(quadmod, "GROUP_ENUMERATION_CAP", 4)
+    monkeypatch.setattr(quadmod, "quadratic_phase_sums", never)
+    small, large = from_surgery(sym([[3]])), from_surgery(sym([[7]]))
+    refused = [(small, 3), (large, 2)]  # an odd level, a group over the cap
+    pairs = [(small, 2)] + (refused[::-1] if large_first else refused)
+    with pytest.raises(raised, match=message):
+        gauss_sums(pairs)
 
 
 def test_gauss_sum_requires_even_level():
