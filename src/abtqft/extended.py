@@ -54,7 +54,10 @@ the signature of the standard three-slot quadratic form
 
 on their direct sum, computed exactly (this classical construction is not
 fixed by the invariants themselves; it is validated here through its
-antisymmetry, vanishing and cocycle properties).
+antisymmetry, vanishing and cocycle properties).  Each
+:class:`LagrangianFrame` stores the symplectic image ``J v = (b, -a)`` of
+every column ``v = (a, b)`` once, since ``w(u, v) = u . J v``: its
+isotropy check and every Maslov Gram are then plain dot products.
 """
 
 from __future__ import annotations
@@ -62,15 +65,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NotLagrangian
-from .intlinalg import (IntSymMatrix, clear_denominators, identity_matrix, integer_inverse,
-                        mat_mul, mat_transpose, mat_vec, rational_rank, signature)
+from .intlinalg import (IntSymMatrix, clear_denominators, integer_inverse, mat_mul,
+                        mat_transpose, mat_vec, rational_rank, signature)
 from .numeric import UnitPhase, _root_table, approx_to_json, unit_phase_eval
 from .quadmod import check_level, cyclic_module
 from .surgery import SurgeryPresentation, random_unimodular, rt_raw_closed_many
@@ -311,19 +314,28 @@ def cylinder_bordism() -> ExtendedBordism:
 # ---------------------------------------------------------------------------
 # Lagrangian frames and the Maslov index
 
+def _symplectic_image(g: int, v: Sequence[int]) -> Tuple[int, ...]:
+    """``J v = (b, -a)`` for ``v = (a, b)``, so that ``w(u, v) = u . J v``."""
+    return tuple(v[g:]) + tuple(-x for x in v[:g])
+
+
 def symplectic_pairing(g: int, u: Sequence[int], v: Sequence[int]) -> int:
     """Standard symplectic form on Q^{2g}: ``w(e_i, e_{g+i}) = 1``."""
-    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
+    return mat_vec((_symplectic_image(g, v),), u)[0]
 
 
 @dataclass(frozen=True)
 class LagrangianFrame:
     """A basis (2g x g, column-major storage) of a Lagrangian subspace of
     ``(Q^{2g}, w)``.  Columns may be rational; each is stored scaled to
-    integers by the positive lcm of its denominators (same subspace)."""
+    integers by the positive lcm of its denominators (same subspace).
+    ``images`` holds the symplectic image ``J v`` of each stored column, so
+    that ``w(u, v) = u . J v`` is one dot product."""
 
     genus: int
     columns: Tuple[Tuple[int, ...], ...]
+    images: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self) -> None:
         g = self.genus
@@ -332,11 +344,11 @@ class LagrangianFrame:
             raise NotLagrangian("frame must consist of g vectors in Q^{2g}")
         if rational_rank(cols) != g:
             raise NotLagrangian("frame columns are linearly dependent")
-        for i in range(g):
-            for j in range(i + 1, g):
-                if symplectic_pairing(g, cols[i], cols[j]) != 0:
-                    raise NotLagrangian("frame is not isotropic")
+        images = tuple(_symplectic_image(g, col) for col in cols)
+        if any(any(mat_vec(images[i + 1:], col)) for i, col in enumerate(cols)):
+            raise NotLagrangian("frame is not isotropic")
         object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def from_columns(cls, genus: int, columns: Iterable[Iterable]) -> "LagrangianFrame":
@@ -349,28 +361,30 @@ def maslov_index(l1: LagrangianFrame, l2: LagrangianFrame,
     g = l1.genus
     if l2.genus != g or l3.genus != g:
         raise ValueError("frames must share one genus")
-    frames = (l1.columns, l2.columns, l3.columns)
-    n = 3 * g
-    gram = [[0] * n for _ in range(n)]
     # Gram of 2Q for Q(x1,x2,x3) = w(x1,x2) + w(x2,x3) + w(x3,x1): slot
-    # pairs (0,1) and (1,2) enter with +w, (0,2) with -w.  The frames are
-    # integral, and positive column scalings are congruences, so this has
-    # the signature of Q on the rational frames.
-    for (a, b, sign) in ((0, 1, 1), (1, 2, 1), (0, 2, -1)):
-        for i, u in enumerate(frames[a]):
-            for j, v in enumerate(frames[b]):
-                val = sign * symplectic_pairing(g, u, v)
-                gram[a * g + i][b * g + j] += val
-                gram[b * g + j][a * g + i] += val
+    # pairs (0,1) and (1,2) enter with +w, (0,2) with -w, and the diagonal
+    # blocks vanish.  The frames are integral, and positive column scalings
+    # are congruences, so this has the signature of Q on the rational
+    # frames.
+    w12 = [mat_vec(l2.images, u) for u in l1.columns]
+    w23 = [mat_vec(l3.images, u) for u in l2.columns]
+    w31 = [[-x for x in mat_vec(l3.images, u)] for u in l1.columns]
+    zero = [0] * g
+    gram = [zero + w12[i] + w31[i] for i in range(g)]
+    gram += [list(c12) + zero + w23[i] for i, c12 in enumerate(zip(*w12))]
+    gram += [list(c31 + c23) + zero for c31, c23 in zip(zip(*w31), zip(*w23))]
     return signature(gram)
 
 
 def _scaled_columns(entries: Sequence[Sequence[Tuple[int, int]]]) -> List[List[int]]:
-    """The matrix of fractions ``n / d``, given as pairs ``(n, d)``, with each
-    column multiplied by the lcm of its denominators: integral, with the
-    same column spans."""
-    scales = [math.lcm(*(d for _, d in col)) for col in zip(*entries)]
-    return [[n * (s // d) for (n, d), s in zip(row, scales)] for row in entries]
+    """The columns of the matrix of fractions ``n / d``, given as pairs
+    ``(n, d)``, each multiplied by the lcm of its denominators: integral,
+    with the same spans."""
+    cols = []
+    for col in zip(*entries):
+        scale = math.lcm(*[d for _, d in col])
+        cols.append([n * (scale // d) for n, d in col])
+    return cols
 
 
 def random_lagrangian(rng: random.Random, genus: int,
@@ -380,7 +394,8 @@ def random_lagrangian(rng: random.Random, genus: int,
 
     The rational entries are drawn as ``(numerator, denominator)`` pairs and
     every column is scaled to integers by :func:`_scaled_columns`, which
-    changes no subspace; only the final frame is built and validated.
+    changes no subspace; only the final frame is built and validated.  Each
+    move acts on the halves ``(a, b)`` of every column directly.
     """
     g = genus
     sym = [[(0, 1)] * g for _ in range(g)]
@@ -389,31 +404,26 @@ def random_lagrangian(rng: random.Random, genus: int,
             sym[i][j] = sym[j][i] = (rng.randint(-3, 3), rng.randint(1, 3))
     # graph {(x, S x)}: column i is e_i + sum_j S[j][i] e_{g+j}
     graph = [[(int(i == j), 1) for j in range(g)] for i in range(g)] + sym
-    cols = mat_transpose(_scaled_columns(graph))
+    halves = [(col[:g], col[g:]) for col in _scaled_columns(graph)]
     for _ in range(rng.randint(0, moves)):
         kind = rng.randrange(3)
         if kind == 0:
             # J: (a, b) -> (-b, a)
-            mat = [[0] * (2 * g) for _ in range(2 * g)]
-            for i in range(g):
-                mat[i][g + i] = -1
-                mat[g + i][i] = 1
+            halves = [([-x for x in b], a) for a, b in halves]
         elif kind == 1:
-            # shear [[I, B], [0, I]] with B symmetric integral
-            mat = identity_matrix(2 * g)
+            # shear [[I, B], [0, I]] with B symmetric integral: a -> a + B b
+            shear = [[0] * g for _ in range(g)]
             for i in range(g):
                 for j in range(i, g):
-                    mat[i][g + j] = mat[j][g + i] = rng.randint(-2, 2)
+                    shear[i][j] = shear[j][i] = rng.randint(-2, 2)
+            halves = [([x + y for x, y in zip(a, mat_vec(shear, b))], b)
+                      for a, b in halves]
         else:
             # block-diagonal GL(g, Z) action [[A, 0], [0, A^{-T}]]
-            a = random_unimodular(rng, g, steps=3)
-            a_inv_t = mat_transpose(integer_inverse(a))
-            mat = [[0] * (2 * g) for _ in range(2 * g)]
-            for i in range(g):
-                for j in range(g):
-                    mat[i][j] = a[i][j]
-                    mat[g + i][g + j] = a_inv_t[i][j]
-        cols = [mat_vec(mat, col) for col in cols]
+            a_mat = random_unimodular(rng, g, steps=3)
+            a_inv_t = mat_transpose(integer_inverse(a_mat))
+            halves = [(mat_vec(a_mat, a), mat_vec(a_inv_t, b)) for a, b in halves]
+    cols = [a + b for a, b in halves]
 
     # rational change of basis inside the subspace
     while True:
@@ -421,8 +431,8 @@ def random_lagrangian(rng: random.Random, genus: int,
                                 for _ in range(g)] for _ in range(g)])
         if rational_rank(mix) == g:
             break
-    # new column c is sum_r mix[r][c] cols[r]
-    return LagrangianFrame(g, mat_mul(mat_transpose(mix), cols))
+    # new column c is sum_r mix[c][r] cols[r]
+    return LagrangianFrame(g, mat_mul(mix, cols))
 
 
 # ---------------------------------------------------------------------------

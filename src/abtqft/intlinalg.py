@@ -13,14 +13,14 @@ operations cover what a surgery matrix needs homologically,
   matrix is its own), the nullity, and the cyclic decomposition of the
   finite cokernel ``Z^rho / L_reg Z^rho`` with one generator lift per
   cyclic factor,
-* signatures by fraction-free symmetric congruence (no floating
-  eigenvalues; signatures enter invariants as eighth-root-of-unity phases,
-  so they must be exact),
+* signatures by fraction-free symmetric congruence on the upper triangle
+  (no floating eigenvalues; signatures enter invariants as
+  eighth-root-of-unity phases, so they must be exact),
 * one fraction-free Gauss-Jordan elimination (Bareiss, 1968), behind every
-  rank and inverse and behind the one solve, ``L_reg^{-1} R`` for the
-  generator lifts ``R``, that gives a torsion module its Gram matrix
-  (:func:`abtqft.quadmod.from_decomposition`); determinants run its
-  triangular (forward-only) mode.
+  inverse and behind the one solve, ``L_reg^{-1} R`` for the generator
+  lifts ``R``, that gives a torsion module its Gram matrix
+  (:func:`abtqft.quadmod.from_decomposition`); determinants and
+  :func:`rational_rank` run its triangular (forward-only) mode.
 
 All functions treat their inputs as immutable and are safe for parallel use.
 Matrices are serialized as JSON arrays of arrays of integers (row-major).
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Sequence, Tuple
@@ -42,7 +43,7 @@ IntRows = List[List[int]]
 def _to_int_rows(mat) -> IntRows:
     if isinstance(mat, IntSymMatrix):
         return [list(row) for row in mat.entries]
-    return [[int(x) for x in row] for row in mat]
+    return [list(map(int, row)) for row in mat]
 
 
 def identity_matrix(n: int) -> IntRows:
@@ -72,7 +73,7 @@ def mat_transpose(a: Sequence[Sequence[int]]) -> IntRows:
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 @dataclass(frozen=True)
@@ -297,16 +298,20 @@ def _solve(mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> Tuple[
 
 
 def clear_denominators(values: Iterable) -> List[int]:
-    """Integers or fractions times the positive lcm of their denominators."""
-    fracs = [Fraction(x) for x in values]
-    scale = math.lcm(*(x.denominator for x in fracs))
+    """Integers or fractions times the positive lcm of their denominators.
+
+    An ``int`` entry is its own numerator over 1, so it is kept as it is
+    rather than converted to a :class:`~fractions.Fraction`."""
+    fracs = [x if isinstance(x, int) else Fraction(x) for x in values]
+    scale = math.lcm(*[x.denominator for x in fracs])
     return [x.numerator * (scale // x.denominator) for x in fracs]
 
 
 def rational_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals of a matrix of integers or fractions."""
+    """Rank over the rationals of a matrix of integers or fractions, by the
+    triangular mode of :func:`_eliminate`."""
     a = [clear_denominators(row) for row in rows]
-    return _eliminate(a, len(a[0]) if a else 0)[0]
+    return _eliminate(a, len(a[0]) if a else 0, True)[0]
 
 
 def integer_inverse(mat: Sequence[Sequence[int]]) -> IntRows:
@@ -405,24 +410,30 @@ def signature(L) -> int:
     diagonal with a nonzero row entry is repaired by adding (or subtracting)
     the partner row and column, which realizes the hyperbolic 2x2 block as
     two opposite-sign pivots.  The radical contributes nothing.
+
+    Only the upper triangle is read and updated: the Schur complement is
+    symmetric, so row ``r`` is updated from column ``r`` on with the
+    multiplier ``a[i][r]``, and an entry below the diagonal is read as its
+    mirror image.  The input must therefore be symmetric, as every caller's
+    is (an :class:`IntSymMatrix` or a Gram matrix).
     """
     a = _to_int_rows(L)
     n = len(a)
     sig, prev = 0, 1
     for i in range(n):
-        if a[i][i] == 0:
-            partner = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+        top = a[i]
+        if top[i] == 0:
+            partner = next((j for j in range(i + 1, n) if top[j] != 0), None)
             if partner is None:
                 continue  # row lies in the radical
-            # the new diagonal is 2 s a[i][partner] + a[partner][partner]
-            s = 1 if 2 * a[i][partner] + a[partner][partner] else -1
-            a[i][i:] = [x + s * y for x, y in zip(a[i][i:], a[partner][i:])]
-            for row in a[i:]:
-                row[i] += s * row[partner]
-        p = a[i][i]
+            x, d = top[partner], a[partner][partner]
+            s = 1 if 2 * x + d else -1  # the new diagonal is 2 s x + d
+            for j in range(i + 1, n):
+                top[j] += s * (a[j][partner] if j < partner else a[partner][j])
+            top[i] = 2 * s * x + d
+        p = top[i]
         sig += 1 if (p > 0) == (prev > 0) else -1
         for r in range(i + 1, n):
-            a[r][i + 1:] = _cross(a[r][i + 1:], a[i][i + 1:], p, a[r][i], prev)
+            a[r][r:] = _cross(a[r][r:], top[r:], p, top[r], prev)
         prev = p
     return sig
-

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import Matrix
 
+from abtqft import extended
 from abtqft.errors import NotLagrangian
 from abtqft.extended import (
     ANOMALY_PHASE,
@@ -27,9 +29,11 @@ from abtqft.extended import (
     twist_phase,
     walker_correct,
 )
-from abtqft.intlinalg import IntSymMatrix
+from abtqft.intlinalg import (IntSymMatrix, identity_matrix, integer_inverse, mat_mul,
+                              mat_transpose, mat_vec, signature)
 from abtqft.numeric import UnitPhase, unit_phase_eval
-from abtqft.surgery import SurgeryPresentation, rt_raw_closed, random_symmetric_matrix
+from abtqft.surgery import (SurgeryPresentation, random_symmetric_matrix, random_unimodular,
+                            rt_raw_closed)
 
 LEVELS = (2, 4, 6, 8)
 
@@ -254,6 +258,157 @@ def test_random_lagrangians_are_lagrangian():
         for i in range(g):
             for j in range(g):
                 assert symplectic_pairing(g, f.columns[i], f.columns[j]) == 0
+
+
+def pairing_by_coordinates(g, u, v):
+    """``w(e_i, e_{g+i}) = 1`` written out coordinate by coordinate."""
+    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
+
+
+def gram_by_pairs(l1, l2, l3):
+    """The Maslov Gram assembled one pairing at a time, as the library
+    once did: slot pairs (0,1) and (1,2) with +w, (0,2) with -w."""
+    g = l1.genus
+    frames = (l1.columns, l2.columns, l3.columns)
+    gram = [[0] * (3 * g) for _ in range(3 * g)]
+    for (a, b, sign) in ((0, 1, 1), (1, 2, 1), (0, 2, -1)):
+        for i, u in enumerate(frames[a]):
+            for j, v in enumerate(frames[b]):
+                val = sign * pairing_by_coordinates(g, u, v)
+                gram[a * g + i][b * g + j] += val
+                gram[b * g + j][a * g + i] += val
+    return gram
+
+
+def test_symplectic_pairing_is_the_coordinate_form():
+    rng = random.Random(307)
+    for _ in range(200):
+        g = rng.randint(1, 4)
+        u = [rng.randint(-5, 5) for _ in range(2 * g)]
+        v = [rng.randint(-5, 5) for _ in range(2 * g)]
+        assert symplectic_pairing(g, u, v) == pairing_by_coordinates(g, u, v)
+        assert symplectic_pairing(g, u, v) == -symplectic_pairing(g, v, u)
+
+
+def test_frame_images_are_hidden_from_equality_and_repr():
+    f = frame([[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert f.images == ((0, 0, -1, 0), (0, 0, 0, -1))
+    assert f == LagrangianFrame(2, ((1, 0, 0, 0), (0, 1, 0, 0)))
+    assert "images" not in repr(f)
+    scaled = frame([[Fraction(1, 2), Fraction(3, 2)]])
+    assert scaled.columns == ((1, 3),) and scaled.images == ((3, -1),)
+
+
+def test_maslov_index_matches_the_pairwise_gram(monkeypatch):
+    # Seeded triples, repeated frames among them, and the same frames
+    # given by rational columns: the Gram handed to ``signature`` is the
+    # pairwise one entry for entry, and so is the index.
+    grams = []
+
+    def recorded(rows):
+        grams.append([list(row) for row in rows])
+        return signature(rows)
+
+    monkeypatch.setattr(extended, "signature", recorded)
+    rng = random.Random(311)
+    for _ in range(60):
+        g = rng.choice((1, 2, 3))
+        f = [random_lagrangian(rng, g) for _ in range(3)]
+        rational = [LagrangianFrame.from_columns(
+            g, [[Fraction(x, d) for x in col]
+                for col, d in zip(fr.columns, (rng.randint(1, 5) for _ in range(g)))])
+            for fr in f]
+        for a, b, c in ((0, 1, 2), (0, 0, 1), (1, 0, 1), (2, 2, 2), (2, 1, 0)):
+            for frames in ((f[a], f[b], f[c]), (rational[a], rational[b], rational[c])):
+                grams.clear()
+                index = maslov_index(*frames)
+                want = gram_by_pairs(*frames)
+                assert grams == [want]
+                assert index == signature(want)
+            assert maslov_index(rational[a], rational[b], rational[c]) \
+                == maslov_index(f[a], f[b], f[c])
+
+
+#: The seven indices of each of the first 20 cases of ``verify maslov
+#: --seed 0`` (m012, m210, m120, m001, m013, m023, m123), recorded before
+#: the Gram was built from stored symplectic images.
+MASLOV_SEED0_INDICES = [
+    (2, -2, 2, 0, 2, -2, -2), (1, -1, 1, 0, 1, -1, -1), (0, 0, 0, 0, 0, -2, -2),
+    (1, -1, 1, 0, -1, -1, 1), (-3, 3, -3, 0, 1, 3, -1), (-1, 1, -1, 0, 1, 1, -1),
+    (-1, 1, -1, 0, -1, 1, 1), (-2, 2, -2, 0, 2, 2, -2), (-1, 1, -1, 0, -1, 1, 1),
+    (-1, 1, -1, 0, 1, -1, -3), (-1, 1, -1, 0, -3, -3, -1), (-1, 1, -1, 0, 1, 1, -1),
+    (-2, 2, -2, 0, -2, -2, -2), (3, -3, 3, 0, 1, -1, 1), (1, -1, 1, 0, 1, -1, -1),
+    (0, 0, 0, 0, 2, 2, 0), (-1, 1, -1, 0, -1, 1, 1), (-2, 2, -2, 0, 0, 0, -2),
+    (-1, 1, -1, 0, 1, 1, -1), (-1, 1, -1, 0, 1, 1, -1),
+]
+
+
+def test_maslov_suite_seed0_indices_are_pinned():
+    rng = random.Random(0)  # the draws of ``verify maslov --seed 0``
+    got = []
+    for _ in range(20):
+        g = rng.choice((1, 2, 3))
+        f = [random_lagrangian(rng, g) for _ in range(4)]
+        got.append(tuple(maslov_index(f[a], f[b], f[c]) for a, b, c in
+                         ((0, 1, 2), (2, 1, 0), (1, 2, 0), (0, 0, 1),
+                          (0, 1, 3), (0, 2, 3), (1, 2, 3))))
+    assert got == MASLOV_SEED0_INDICES
+
+
+def random_lagrangian_by_dense_moves(rng, genus, moves=3):
+    """The former ``random_lagrangian``: each move a dense 2g x 2g matrix
+    applied to every column by ``mat_vec``."""
+    g = genus
+
+    def scaled_columns(entries):
+        scales = [math.lcm(*(d for _, d in col)) for col in zip(*entries)]
+        return [[n * (s // d) for (n, d), s in zip(row, scales)] for row in entries]
+
+    sym = [[(0, 1)] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            sym[i][j] = sym[j][i] = (rng.randint(-3, 3), rng.randint(1, 3))
+    graph = [[(int(i == j), 1) for j in range(g)] for i in range(g)] + sym
+    cols = mat_transpose(scaled_columns(graph))
+    for _ in range(rng.randint(0, moves)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            mat = [[0] * (2 * g) for _ in range(2 * g)]
+            for i in range(g):
+                mat[i][g + i] = -1
+                mat[g + i][i] = 1
+        elif kind == 1:
+            mat = identity_matrix(2 * g)
+            for i in range(g):
+                for j in range(i, g):
+                    mat[i][g + j] = mat[j][g + i] = rng.randint(-2, 2)
+        else:
+            a = random_unimodular(rng, g, steps=3)
+            a_inv_t = mat_transpose(integer_inverse(a))
+            mat = [[0] * (2 * g) for _ in range(2 * g)]
+            for i in range(g):
+                for j in range(g):
+                    mat[i][j] = a[i][j]
+                    mat[g + i][g + j] = a_inv_t[i][j]
+        cols = [mat_vec(mat, col) for col in cols]
+    while True:
+        mix = scaled_columns([[(rng.randint(-2, 2), rng.randint(1, 2))
+                               for _ in range(g)] for _ in range(g)])
+        if Matrix(mix).rank() == g:
+            break
+    return LagrangianFrame(g, mat_mul(mat_transpose(mix), cols))
+
+
+def test_random_lagrangian_matches_dense_moves_draw_for_draw():
+    seeder = random.Random(313)
+    for _ in range(100):  # two calls on each generator: 200 calls
+        seed = seeder.getrandbits(32)
+        g, moves = seeder.choice((1, 2, 3)), seeder.choice((0, 1, 3, 6))
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            assert random_lagrangian(rng, g, moves) \
+                == random_lagrangian_by_dense_moves(ref, g, moves)
+            assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from abtqft import quadmod
 from abtqft.errors import DegenerateMatrix, GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
+    clear_denominators,
     determinant,
     _eliminate,
     _solve,
@@ -346,6 +347,100 @@ def test_signature_matches_float_eigenvalues():
         eig = np.linalg.eigvalsh(np.array(rows, dtype=float))
         want = sum(1 for x in eig if x > 1e-8) - sum(1 for x in eig if x < -1e-8)
         assert signature(rows) == want
+
+
+def maslov_shaped_gram(rng, g, bound=3):
+    """A symmetric 3g x 3g matrix with zero g x g diagonal blocks, the shape
+    of a Maslov Gram."""
+    n = 3 * g
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i // g != j // g:
+                rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+    return rows
+
+
+def test_signature_agrees_with_charpoly_on_maslov_shaped_grams():
+    rng = random.Random(211)
+    for _ in range(150):
+        rows = maslov_shaped_gram(rng, rng.choice((1, 2, 3)))
+        assert signature(rows) == charpoly_signature(rows)
+
+
+def test_signature_agrees_with_charpoly_on_rank_deficient_congruences():
+    # B^T S B with B of shape r x n, r < n: rank at most r, so the repair
+    # and the radical both run.
+    rng = random.Random(223)
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        r = rng.randint(1, n - 1)
+        s = random_symmetric(rng, r, bound=3)
+        if rng.random() < 0.5:
+            for i in range(r):
+                s[i][i] = 0
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        rows = mat_mul(mat_mul(mat_transpose(b), s), b)
+        assert signature(rows) == charpoly_signature(rows)
+
+
+def test_signature_empty_and_one_by_one():
+    assert signature([]) == 0
+    assert signature(IntSymMatrix.empty()) == 0
+    for x, want in ((0, 0), (5, 1), (-3, -1)):
+        assert signature([[x]]) == want == charpoly_signature([[x]])
+
+
+def test_signature_reads_only_the_upper_triangle():
+    rng = random.Random(227)
+    for _ in range(100):
+        rows = (maslov_shaped_gram(rng, rng.choice((1, 2))) if rng.random() < 0.5
+                else random_symmetric(rng, rng.randint(1, 7), bound=3))
+        upper = [[x if j >= i else 0 for j, x in enumerate(row)]
+                 for i, row in enumerate(rows)]
+        before = [row[:] for row in rows]
+        assert signature(upper) == signature(rows) == charpoly_signature(rows)
+        assert rows == before  # the input is not modified
+
+
+# ---------------------------------------------------------------------------
+# Rational rank and denominators
+
+def clear_denominators_by_fractions(values):
+    """The former implementation: every entry through ``Fraction``."""
+    fracs = [Fraction(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (scale // x.denominator) for x in fracs]
+
+
+def test_clear_denominators_matches_the_fraction_implementation():
+    rng = random.Random(229)
+    cases = [[], [0], [3, -4, 0, 12], [Fraction(1, 2)], [Fraction(-6, 4), 3],
+             [Fraction(4, 2), Fraction(0, 5)], [True, False, 2],
+             [Fraction(1, 3), 2, Fraction(-5, 6), 0]]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        kind = rng.randrange(3)
+        cases.append([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                      if kind == 1 or (kind == 2 and rng.random() < 0.5)
+                      else rng.randint(-9, 9) for _ in range(n)])
+    for values in cases:
+        got = clear_denominators(values)
+        assert got == clear_denominators_by_fractions(values)
+        assert all(type(x) is int for x in got)
+        assert clear_denominators(iter(values)) == got
+
+
+def test_triangular_rational_rank_agrees_with_full_elimination_and_sympy():
+    rng = random.Random(233)
+    for _ in range(200):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
+                for _ in range(n)]
+        if n >= 2 and rng.random() < 0.4:
+            rows[-1] = [Fraction(3, 2) * x - y for x, y in zip(rows[0], rows[1])]
+        full = [clear_denominators(row) for row in rows]
+        assert rational_rank(rows) == _eliminate(full, m)[0] == Matrix(rows).rank()
 
 
 # ---------------------------------------------------------------------------
