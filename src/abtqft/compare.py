@@ -306,12 +306,18 @@ def default_corpus(seed: int = 0, size: int = 300,
     :func:`cs_closed_many` batch; the random candidates are drawn in blocks
     of as many as are still needed, each block one batch.  No draw depends
     on a value and each candidate adds at most one usable pair, so a block
-    never draws past the candidate that completes the corpus.
+    never draws past the candidate that completes the corpus.  A pair
+    already evaluated in an earlier block is not evaluated again (a value
+    is the same bits in any batch).
     """
     usable: List[Tuple[IntSymMatrix, int, CsClosedResult]] = []
+    evaluated: Dict[Tuple[IntSymMatrix, int], CsClosedResult] = {}
 
     def consider(candidates: List[Tuple[IntSymMatrix, int]]) -> None:
-        for (L, k), cs in zip(candidates, cs_closed_many(candidates)):
+        fresh = [pair for pair in candidates if pair not in evaluated]
+        evaluated.update(zip(fresh, cs_closed_many(fresh)))
+        for L, k in candidates:
+            cs = evaluated[L, k]
             if cs.torsion_order <= _CORPUS_TORSION_BOUND \
                     and abs(cs.value) > ZERO_GAUSS_TOLERANCE:
                 usable.append((L, k, cs))

@@ -7,7 +7,10 @@ operations cover what a surgery matrix needs homologically,
 
 * Smith normal form by one bounded elimination, which also builds the
   inverse of its row transform and works modulo the determinant when the
-  matrix is nonsingular,
+  matrix is nonsingular; the matrix and its row transform share one row
+  list ``[A | U]``, each new row is reduced in the comprehension that
+  builds it, and a step rebuilds only the rows (or column entries) it
+  changes,
 * the regular decomposition, one Smith form that yields everything the
   torsion route needs: the nondegenerate "regular" block (a nondegenerate
   matrix is its own), the nullity, and the cyclic decomposition of the
@@ -67,9 +70,7 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
 
 
 def mat_transpose(a: Sequence[Sequence[int]]) -> IntRows:
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
+    return [list(col) for col in zip(*a)]
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
@@ -191,14 +192,11 @@ def determinant(mat) -> int:
 # Smith normal form
 
 def _gcd_step(a: int, b: int) -> Tuple[int, int, int, int]:
-    """A determinant-one ``[[x, y], [p, q]]`` taking ``(a, b)`` to ``(g, 0)``.
-
-    When ``a`` divides ``b`` it is a plain elimination that leaves ``a`` in
-    place, so a pivot that divides its row and column is never disturbed.
-    """
-    if a and b % a == 0:
-        return 1, 0, -(b // a), 1
-    g, r, x, y, x1, y1 = a, b, 1, 0, 0, 1  # extended Euclid: g = x a + y b
+    """A determinant-one ``[[x, y], [p, q]]`` taking ``(a, b)`` to ``(g, 0)``
+    by extended Euclid, for a pivot ``a`` that does not divide ``b`` (when it
+    does, :func:`smith_normal_form` takes the plain elimination
+    ``[[1, 0], [-b/a, 1]]``, which leaves ``a`` in place)."""
+    g, r, x, y, x1, y1 = a, b, 1, 0, 0, 1  # g = x a + y b
     while r:
         q = g // r
         g, r, x, y, x1, y1 = r, g - q * r, x1, y1, x - q * x1, y - q * y1
@@ -222,69 +220,114 @@ def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
     needs; otherwise ``U`` is unimodular and ``U W = I`` exactly.  The pivot
     choice (smallest absolute value, earliest position) is fixed, so the
     output is deterministic.
+
+    The work matrix and ``U`` share one list of rows ``[A | U]``, since
+    every row step applies one 2x2 matrix to both, and ``W`` is kept as the
+    rows of ``W^T``; the reduction mod ``d`` is folded into the one
+    comprehension that builds a new row.  A step rebuilds only what it
+    changes.  The plain elimination of an entry that the pivot divides
+    changes row ``i`` of ``[A | U]`` and row ``t`` of ``W^T``; as a column
+    step it changes column ``j`` of ``A`` only where column ``t`` is
+    nonzero, which is ``A[t][j]`` alone until an extended-gcd column step
+    refills column ``t``.  The signed swaps are moves, and a pivot of 1
+    divides every entry, so its divisibility scan is skipped.
     """
     a = _to_int_rows(mat)
     n = len(a)
     m = len(a[0]) if n else 0
     det = abs(determinant(a)) if n == m else 0
+    if det:
+        a = [[x % det for x in row] for row in a]
+    wt = [[0] * n for _ in range(n)]  # rows of W^T
+    for r in range(n):
+        wt[r][r] = int(det != 1)  # 1 mod d
+    rows = [row + unit for row, unit in zip(a, wt)]  # [A | U]
 
-    def reduced(row: List[int]) -> List[int]:
-        return [x % det for x in row] if det else row
+    def lin(x: int, s_row: List[int], y: int, r_row: List[int]) -> List[int]:
+        """``x s_row + y r_row``, reduced when ``d`` is nonzero."""
+        if det:
+            return [(x * s + y * r) % det for s, r in zip(s_row, r_row)]
+        return [x * s + y * r for s, r in zip(s_row, r_row)]
 
-    a = [reduced(row) for row in a]
-    u = [reduced(row) for row in identity_matrix(n)]
-    wt = [reduced(row) for row in identity_matrix(n)]  # rows of W^T
-
-    def mix(rows: IntRows, t: int, i: int, x: int, y: int, p: int, q: int) -> None:
-        """Rows ``t`` and ``i`` of ``rows`` times ``[[x, y], [p, q]]``."""
-        rt, ri = rows[t], rows[i]
-        rows[t] = reduced([x * s + y * r for s, r in zip(rt, ri)])
-        rows[i] = reduced([p * s + q * r for s, r in zip(rt, ri)])
-
-    def row_step(t: int, i: int, x: int, y: int, p: int, q: int) -> None:
-        mix(a, t, i, x, y, p, q)
-        mix(u, t, i, x, y, p, q)
-        mix(wt, t, i, q, -p, -y, x)  # W times the inverse [[q, -y], [-p, x]]
-
-    def col_step(t: int, j: int, x: int, y: int, p: int, q: int) -> None:
-        for row in a:
-            row[t], row[j] = reduced([x * row[t] + y * row[j],
-                                      p * row[t] + q * row[j]])
+    def neg(row: List[int]) -> List[int]:
+        return [-x % det for x in row] if det else [-x for x in row]
 
     for t in range(min(n, m)):
-        best = min(((abs(a[i][j]), i, j) for i in range(t, n)
-                    for j in range(t, m) if a[i][j]), default=None)
-        if best is None:
-            if not det:
-                break
-            best = (0, t, t)  # the block vanishes mod d: its pivots are d
-        _, i, j = best
-        if i != t:
-            row_step(t, i, 0, 1, -1, 0)  # a swap with a sign: determinant one
+        best, i, j = 0, t, t  # smallest nonzero |entry|, earliest row, column
+        for r in range(t, n):
+            block = rows[r][t:m] if det else list(map(abs, rows[r][t:m]))
+            v = min(filter(None, block), default=0)
+            if v and (not best or v < best):
+                best, i, j = v, r, t + block.index(v)
+                if v == 1:
+                    break
+        if not (best or det):
+            break  # otherwise a vanishing block mod d has the pivot d at (t, t)
+        if i != t:  # swaps with a sign: determinant one
+            rows[t], rows[i] = rows[i], neg(rows[t])
+            wt[t], wt[i] = wt[i], neg(wt[t])
         if j != t:
-            col_step(t, j, 0, 1, -1, 0)
+            for row in rows:
+                row[t], row[j] = row[j], (-row[t] % det if det else -row[t])
         while True:
+            pivot = rows[t][t]
             for i in range(t + 1, n):
-                if a[i][t]:
-                    row_step(t, i, *_gcd_step(a[t][t], a[i][t]))
+                b = rows[i][t]
+                if not b:
+                    continue
+                if b % pivot:  # [[x, y], [p, q]] on rows t, i; its inverse on W
+                    x, y, p, q = _gcd_step(pivot, b)
+                    top, row, wtop, wrow = rows[t], rows[i], wt[t], wt[i]
+                    rows[t], rows[i] = lin(x, top, y, row), lin(p, top, q, row)
+                    wt[t], wt[i] = lin(q, wtop, -p, wrow), lin(-y, wtop, x, wrow)
+                    pivot = rows[t][t]
+                else:  # [[1, 0], [-f, 1]]: row i, and row t of W^T, change
+                    f = b // pivot
+                    rows[i] = lin(-f, rows[t], 1, rows[i])
+                    wt[t] = lin(1, wt[t], f, wt[i])
+            top, mixed = rows[t], False
             for j in range(t + 1, m):
-                if a[t][j]:
-                    col_step(t, j, *_gcd_step(a[t][t], a[t][j]))
-            if any(a[i][t] for i in range(t + 1, n)):
+                b = top[j]
+                if not b:
+                    continue
+                if b % pivot:
+                    x, y, p, q = _gcd_step(pivot, b)
+                    for row in rows:
+                        s, r = row[t], row[j]
+                        if s or r:
+                            s, r = x * s + y * r, p * s + q * r
+                            row[t], row[j] = (s % det, r % det) if det else (s, r)
+                    pivot, mixed = top[t], True
+                elif mixed:
+                    f = b // pivot
+                    for row in rows:
+                        s = row[t]
+                        if s:
+                            row[j] = (row[j] - f * s) % det if det else row[j] - f * s
+                else:  # column t is pivot * e_t: only A[t][j] changes
+                    top[j] = 0
+            # Only a mixing column step can refill column t.
+            if mixed and any(rows[i][t] for i in range(t + 1, n)):
                 continue
             # Row and column t are clear, so column t is pivot * e_t, which
             # generates the same subgroup mod d as gcd(pivot, d) * e_t.
             if det:
-                a[t][t] = math.gcd(a[t][t], det)
-            elif a[t][t] < 0:
-                for rows in (a, u, wt):
-                    rows[t] = [-x for x in rows[t]]
+                pivot = rows[t][t] = math.gcd(pivot, det)
+            elif pivot < 0:
+                pivot = -pivot
+                rows[t], wt[t] = neg(rows[t]), neg(wt[t])
+            if pivot == 1:
+                break  # every entry is a multiple of 1
             bad = next((i for i in range(t + 1, n)
-                        if any(a[i][j] % a[t][t] for j in range(t + 1, m))), None)
+                        if any(x % pivot for x in rows[i][t + 1:m])), None)
             if bad is None:
                 break
-            row_step(t, bad, 1, 1, 0, 1)  # brings a non-multiple into row t
-    return u, a, mat_transpose(wt)
+            # [[1, 1], [0, 1]] brings a non-multiple into row t; its inverse
+            # changes only row `bad` of W^T.
+            rows[t] = lin(1, rows[t], 1, rows[bad])
+            wt[bad] = lin(-1, wt[t], 1, wt[bad])
+    u, d = [row[m:] for row in rows], [row[:m] for row in rows]
+    return u, d, mat_transpose(wt)
 
 
 def _solve(mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> Tuple[IntRows, int]:
@@ -416,7 +459,14 @@ def signature(L) -> int:
     multiplier ``a[i][r]``, and an entry below the diagonal is read as its
     mirror image.  The input must therefore be symmetric, as every caller's
     is (an :class:`IntSymMatrix` or a Gram matrix).
+
+    An :class:`IntSymMatrix` keeps its signature once computed (on the
+    instance, outside its fields, so equality, hash and repr are
+    unchanged), and a later call on the same instance returns it.
     """
+    known = getattr(L, "_signature", None)
+    if known is not None:
+        return known
     a = _to_int_rows(L)
     n = len(a)
     sig, prev = 0, 1
@@ -436,4 +486,6 @@ def signature(L) -> int:
         for r in range(i + 1, n):
             a[r][r:] = _cross(a[r][r:], top[r:], p, top[r], prev)
         prev = p
+    if isinstance(L, IntSymMatrix):
+        object.__setattr__(L, "_signature", sig)
     return sig

@@ -5,12 +5,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import abtqft
-from abtqft import surgery
+from abtqft import intlinalg, surgery
 from abtqft.cli import main
 from abtqft.numeric import sum_tolerance
 from abtqft.surgery import rt_raw_closed
@@ -341,6 +342,28 @@ def test_invariant_pinned_8x8_both_sides(capsys, time_limit):
     assert report["torsion_order"] == 594600
     assert abs(complex(*report["rt"]) - want) <= tol
     assert abs(complex(*report["cs"]) - want) <= tol
+
+
+@pytest.mark.parametrize("argv, calls, eliminations", [
+    # 300 corpus pairs on 298 matrices (E8 enters at three levels as one).
+    (("verify", "equivalence", "--seed", "0"), 600, 298),
+    (("invariant", "E8", "--k", "2", "--side", "both"), 2, 1),
+])
+def test_one_signature_elimination_per_matrix(capsys, monkeypatch, argv,
+                                              calls, eliminations):
+    # The report and the brute-force prefactor share the signature that
+    # the matrix keeps after its first elimination.
+    counts, real = Counter(), intlinalg.signature
+
+    def counted(L):
+        counts["calls"] += 1
+        counts["eliminations"] += getattr(L, "_signature", None) is None
+        return real(L)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("abtqft") and getattr(module, "signature", None) is real:
+            monkeypatch.setattr(module, "signature", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert counts == {"calls": calls, "eliminations": eliminations}
 
 
 @pytest.mark.parametrize("argv", [

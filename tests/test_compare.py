@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -23,7 +25,7 @@ from abtqft.compare import (
     verify_reciprocity_dt,
     verify_reciprocity_dt_many,
 )
-from abtqft import compare, intlinalg, quadmod
+from abtqft import cli, compare, intlinalg, quadmod
 from abtqft.errors import GroupTooLarge, InconsistentPhase
 from abtqft.intlinalg import IntSymMatrix, regular_decomposition, signature
 from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
@@ -448,3 +450,66 @@ def test_default_corpus_blocks_draw_what_a_sequential_loop_draws(seed, size):
     corpus = default_corpus(seed=seed, size=size)
     assert [(case.L, case.k) for case in corpus] \
         == sequential_corpus_pairs(seed, size)
+
+
+def test_default_corpus_evaluates_each_pair_once(monkeypatch):
+    # Seed 0 draws 268 (L, k) candidates on 253 distinct L; a pair evaluated
+    # in an earlier block is reused, and an L met again at a new level is
+    # decomposed again, so 255 decompositions remain.
+    decomposed, batched = [], []
+
+    def counted_decomposition(L, _fn=compare.regular_decomposition):
+        decomposed.append(L)
+        return _fn(L)
+
+    def counted_batch(pairs, _fn=compare.cs_closed_many):
+        batched.append(set(pairs))
+        return _fn(pairs)
+    monkeypatch.setattr(compare, "regular_decomposition", counted_decomposition)
+    monkeypatch.setattr(compare, "cs_closed_many", counted_batch)
+    default_corpus(seed=0)
+    assert (len(decomposed), len(set(decomposed))) == (255, 253)
+    # A batch evaluates a repeated pair once; no pair is in two batches.
+    assert sum(map(len, batched)) == len(set().union(*batched))
+
+
+def decomposed_matrices(monkeypatch, run):
+    """The distinct ``L`` that ``run()`` decomposes, in first-seen order."""
+    seen = []
+
+    def record(L, _fn=compare.regular_decomposition):
+        seen.append(L)
+        return _fn(L)
+    with monkeypatch.context() as patch:
+        patch.setattr(compare, "regular_decomposition", record)
+        run()
+    return list(dict.fromkeys(seen))
+
+
+def torsion_digest(matrices):
+    """SHA-256 of the exact torsion data of each matrix: ``L``, nullity,
+    regular block, cyclic orders, generator lifts and Gram matrix.  All of
+    it is integers, so the digest is the same on any platform."""
+    records = []
+    for L in matrices:
+        rd = regular_decomposition(L)
+        records.append([L.to_json(), rd.nullity, rd.regular.to_json(),
+                        list(rd.torsion.cyclic_orders),
+                        [list(g) for g in rd.torsion.generator_reps],
+                        [list(row) for row in from_decomposition(rd).gram]])
+    text = json.dumps(records, separators=(",", ":"))
+    return len(records), hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_torsion_data_of_the_corpus_and_reciprocity_draws_is_golden(
+        monkeypatch, capsys):
+    # Recorded with the Smith form's earlier bookkeeping (separate A, U and
+    # W^T); the generator lifts pin its pivots and 2x2 steps.
+    corpus = decomposed_matrices(monkeypatch, lambda: default_corpus(seed=0))
+    assert torsion_digest(corpus) == (
+        253, "c508a27a6ddcca53445fdaaa0d91fac9319e2e6e9448db9b1335db0d11f7702b")
+    drawn = decomposed_matrices(
+        monkeypatch, lambda: cli.main(["verify", "reciprocity", "--seed", "1"]))
+    capsys.readouterr()
+    assert torsion_digest(drawn) == (
+        247, "ba07407ed307111c1600687b82285cde25012d4ed0577c4b55220a59033b930a")

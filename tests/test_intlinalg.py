@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
-from abtqft import quadmod
+from abtqft import intlinalg, quadmod
 from abtqft.errors import DegenerateMatrix, GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
@@ -196,6 +197,187 @@ def test_snf_bounded_elimination_property(rows):
         inverse = exact_inverse(rows)
         for order, rep in zip(group.cyclic_orders, group.generator_reps):
             assert cokernel_order_of(inverse, rep) == order
+
+
+# ---------------------------------------------------------------------------
+# The Smith form against its straightforward bookkeeping
+
+def reference_gcd_step(a, b):
+    """The 2x2 step of :func:`reference_smith_normal_form`."""
+    if a and b % a == 0:
+        return 1, 0, -(b // a), 1
+    g, r, x, y, x1, y1 = a, b, 1, 0, 0, 1
+    while r:
+        q = g // r
+        g, r, x, y, x1, y1 = r, g - q * r, x1, y1, x - q * x1, y - q * y1
+    return x, y, -(b // g), a // g
+
+
+def reference_smith_normal_form(mat):
+    """The same elimination as :func:`smith_normal_form` (same pivots, same
+    2x2 steps, same order) with plain bookkeeping: separate ``A``, ``U`` and
+    ``W^T``, every step rebuilding both touched rows of all three and then
+    reducing them mod ``d`` in a second pass, and the divisibility scan run
+    for every pivot.  The library's version must return the identical
+    triple."""
+    a = [list(map(int, row))
+         for row in (mat.rows() if isinstance(mat, IntSymMatrix) else mat)]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    det = abs(determinant(a)) if n == m else 0
+
+    def reduced(row):
+        return [x % det for x in row] if det else row
+
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    a = [reduced(row) for row in a]
+    u = [reduced(list(row)) for row in identity]
+    wt = [reduced(list(row)) for row in identity]
+
+    def mix(rows, t, i, x, y, p, q):
+        rt, ri = rows[t], rows[i]
+        rows[t] = reduced([x * s + y * r for s, r in zip(rt, ri)])
+        rows[i] = reduced([p * s + q * r for s, r in zip(rt, ri)])
+
+    def row_step(t, i, x, y, p, q):
+        mix(a, t, i, x, y, p, q)
+        mix(u, t, i, x, y, p, q)
+        mix(wt, t, i, q, -p, -y, x)
+
+    def col_step(t, j, x, y, p, q):
+        for row in a:
+            row[t], row[j] = reduced([x * row[t] + y * row[j],
+                                      p * row[t] + q * row[j]])
+
+    for t in range(min(n, m)):
+        best = min(((abs(a[i][j]), i, j) for i in range(t, n)
+                    for j in range(t, m) if a[i][j]), default=None)
+        if best is None:
+            if not det:
+                break
+            best = (0, t, t)
+        _, i, j = best
+        if i != t:
+            row_step(t, i, 0, 1, -1, 0)
+        if j != t:
+            col_step(t, j, 0, 1, -1, 0)
+        while True:
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    row_step(t, i, *reference_gcd_step(a[t][t], a[i][t]))
+            for j in range(t + 1, m):
+                if a[t][j]:
+                    col_step(t, j, *reference_gcd_step(a[t][t], a[t][j]))
+            if any(a[i][t] for i in range(t + 1, n)):
+                continue
+            if det:
+                a[t][t] = math.gcd(a[t][t], det)
+            elif a[t][t] < 0:
+                for rows in (a, u, wt):
+                    rows[t] = [-x for x in rows[t]]
+            bad = next((i for i in range(t + 1, n)
+                        if any(a[i][j] % a[t][t] for j in range(t + 1, m))), None)
+            if bad is None:
+                break
+            row_step(t, bad, 1, 1, 0, 1)
+    return u, a, mat_transpose(wt)
+
+
+def assert_same_smith_forms(matrices):
+    for mat in matrices:
+        assert smith_normal_form(mat) == reference_smith_normal_form(mat), mat
+
+
+def unimodular(rng, m, steps):
+    """A product of ``steps`` random elementary integer row operations."""
+    rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(steps if m > 1 else 0):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def congruent(p, mat):
+    return mat_mul(mat_mul(mat_transpose(p), mat), p)
+
+
+#: The fifth draw of ``random_symmetric_matrix(random.Random(1), m, 4)`` for
+#: m = 4..8 (det -594600), once a Smith form that did not finish.
+PINNED_8X8 = [[3, -4, 3, -4, 0, 2, -2, -2],
+              [-4, 4, -1, -4, -1, 4, 4, -1],
+              [3, -1, 2, 4, 1, 1, 3, 0],
+              [-4, -4, 4, 4, -4, 2, 4, -2],
+              [0, -1, 1, -4, 4, 4, -1, 2],
+              [2, 4, 1, 2, 4, -4, 3, 1],
+              [-2, 4, 3, 4, -1, 3, 4, -1],
+              [-2, -1, 0, -2, 2, 1, -1, 4]]
+
+
+def test_snf_is_its_reference_on_symmetric_draws():
+    rng = random.Random(14)
+    assert_same_smith_forms(random_symmetric(rng, rng.randint(1, 12), 4)
+                            for _ in range(3000))
+
+
+def test_snf_is_its_reference_on_degenerate_congruences():
+    # B^T S B with B = [I | v]: rank m - 1 or less, so the elimination runs
+    # exactly and its transforms grow with m.
+    rng = random.Random(15)
+    matrices = []
+    for m in range(2, 13):
+        for _ in range(12):
+            s = random_symmetric(rng, m - 1, 4)
+            b = [[int(i == j) for j in range(m - 1)] + [rng.randint(-3, 3)]
+                 for i in range(m - 1)]
+            matrices.append(mat_mul(mat_mul(mat_transpose(b), s), b))
+    assert all(determinant(mat) == 0 for mat in matrices)
+    assert_same_smith_forms(matrices)
+
+
+def test_snf_is_its_reference_on_rectangular_and_small_matrices():
+    rng = random.Random(16)
+    rectangular = [[[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+                   for n, m in ((rng.randint(0, 7), rng.randint(0, 7))
+                                for _ in range(400))]
+    assert any(len(mat) != len(mat[0] if mat else []) for mat in rectangular)
+    small = [[], [[0]], [[0, 0], [0, 0]], [[0, 0, 0]], [[0], [0]]] \
+        + [[[x]] for x in range(-9, 10)]
+    assert_same_smith_forms(rectangular + small
+                            + [IntSymMatrix.from_rows(E8_ROWS), PINNED_8X8])
+
+
+def test_snf_is_its_reference_at_unit_determinant():
+    # Mod |det| = 1 every entry and both transforms are zero.
+    rng = random.Random(17)
+    matrices = [E8_ROWS] + [congruent(unimodular(rng, m, 3 * m),
+                                      [[int(i == j) * rng.choice((1, -1))
+                                        for j in range(m)] for i in range(m)])
+                            for m in range(1, 9) for _ in range(10)]
+    assert all(abs(determinant(mat)) == 1 for mat in matrices)
+    assert_same_smith_forms(matrices)
+    u, d, w = smith_normal_form(E8_ROWS)
+    assert not any(map(any, u + w))
+
+
+def test_snf_is_its_reference_where_blocks_vanish_mod_det():
+    # diag(1, ..., 1, c) and its congruences: after the unit pivots the
+    # trailing block is 0 mod d, so the pivot there is set to d itself.
+    rng = random.Random(18)
+    matrices = []
+    for m in range(1, 7):
+        for c in (2, 3, 5, 12, -7):
+            diag = [[int(i == j) * (c if i == m - 1 else 1) for j in range(m)]
+                    for i in range(m)]
+            matrices += [diag] + [congruent(unimodular(rng, m, 2 * m), diag)
+                                  for _ in range(3)]
+    assert_same_smith_forms(matrices)
+    set_to_d = 0
+    for mat in matrices:
+        det = abs(determinant(mat))
+        _, d, _ = smith_normal_form(mat)
+        set_to_d += det > 1 and d[-1][-1] == det
+    assert set_to_d >= len(matrices) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +583,24 @@ def test_signature_reads_only_the_upper_triangle():
         before = [row[:] for row in rows]
         assert signature(upper) == signature(rows) == charpoly_signature(rows)
         assert rows == before  # the input is not modified
+
+
+def test_signature_is_kept_by_the_matrix_outside_its_fields(monkeypatch):
+    L, fresh = IntSymMatrix.from_rows(E8_ROWS), IntSymMatrix.from_rows(E8_ROWS)
+    assert signature(L) == 8
+    crossed = []
+
+    def counted(*args, _fn=intlinalg._cross):
+        crossed.append(args)
+        return _fn(*args)
+    monkeypatch.setattr(intlinalg, "_cross", counted)
+    assert signature(L) == 8 and not crossed  # no second elimination
+    assert signature(fresh) == 8 and crossed  # another instance eliminates
+    assert (L == fresh, hash(L) == hash(fresh), repr(L) == repr(fresh)) \
+        == (True, True, True)
+    assert [f.name for f in dataclasses.fields(L)] == ["entries"]
+    del crossed[:]
+    assert signature(E8_ROWS) == 8 and crossed  # plain rows keep nothing
 
 
 # ---------------------------------------------------------------------------
