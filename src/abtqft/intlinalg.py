@@ -84,15 +84,12 @@ class IntSymMatrix:
     entries: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(map(int, row)) for row in self.entries)
         m = len(rows)
-        for row in rows:
-            if len(row) != m:
-                raise ValueError("matrix must be square")
-        for i in range(m):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix must be symmetric")
+        if set(map(len, rows)) - {m}:  # a row of another length than m
+            raise ValueError("matrix must be square")
+        if tuple(zip(*rows)) != rows:  # the transpose, as tuples of rows
+            raise ValueError("matrix must be symmetric")
         object.__setattr__(self, "entries", rows)
 
     @classmethod
@@ -124,14 +121,9 @@ class IntSymMatrix:
 
     def direct_sum(self, other: "IntSymMatrix") -> "IntSymMatrix":
         n, p = self.m, other.m
-        rows = [[0] * (n + p) for _ in range(n + p)]
-        for i in range(n):
-            for j in range(n):
-                rows[i][j] = self.entries[i][j]
-        for i in range(p):
-            for j in range(p):
-                rows[n + i][n + j] = other.entries[i][j]
-        return IntSymMatrix.from_rows(rows)
+        return IntSymMatrix.from_rows(
+            [row + (0,) * p for row in self.entries]
+            + [(0,) * n + row for row in other.entries])
 
     def to_json(self) -> list:
         return [list(row) for row in self.entries]

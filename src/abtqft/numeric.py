@@ -22,13 +22,15 @@ Conventions used throughout the library:
   group; :func:`quadratic_phase_sum` is its batch of one.  It reads every
   phase from a table equal to :func:`unit_phase_eval`, and sums over a
   trailing block of coordinates for all leading points at once by one
-  inverse DFT (split-Fourier).  The forms of a batch are grouped by the
-  periods of their trailing characters, and each group is one stacked
-  numpy pass; a form's value is the same bits in any batch.
+  inverse DFT (split-Fourier).  A batch runs in stacked numpy passes: one
+  integer product gives the exponents of a pass, its forms are folded and
+  transformed per period of their trailing characters, and one stacked
+  matmul ends it; a form's value is the same bits in any batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,14 +107,19 @@ def _root_table(n: int) -> np.ndarray:
     :func:`unit_phase_eval` of ``r / n`` (same quarter-turn split, same
     float operations, vectorised).  A table holds 16 bytes per entry, so
     :func:`quadratic_phase_sums` caches only tables of at most ``_BLOCK``
-    entries and builds larger ones per call through ``__wrapped__``."""
-    r = np.arange(n, dtype=np.int64)
-    quarter = (4 * r) // n
-    theta = 2.0 * math.pi * ((4 * r - quarter * n) / (4 * n))
-    c, s = np.cos(theta), np.sin(theta)
+    entries and builds larger ones per call through ``__wrapped__``; it is
+    filled ``_BLOCK`` entries at a time, so its temporaries stay that small
+    (each entry is computed on its own, so the bits do not depend on the
+    blocks)."""
     table = np.empty(n, dtype=complex)
-    table.real = np.choose(quarter, (c, -s, -c, s))
-    table.imag = np.choose(quarter, (s, c, -s, -c))
+    for start in range(0, n, _BLOCK):
+        r = np.arange(start, min(n, start + _BLOCK), dtype=np.int64)
+        quarter = (4 * r) // n
+        theta = 2.0 * math.pi * ((4 * r - quarter * n) / (4 * n))
+        c, s = np.cos(theta), np.sin(theta)
+        block = table[start:start + _BLOCK]
+        block.real = np.choose(quarter, (c, -s, -c, s))
+        block.imag = np.choose(quarter, (s, c, -s, -c))
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 
@@ -171,6 +178,33 @@ def _values(points: np.ndarray, g: np.ndarray, b: np.ndarray,
     return (((points @ g + b) % n * points).sum(axis=-1) + c) % n
 
 
+def _monomials(points: np.ndarray, n: int) -> np.ndarray:
+    """Column ``(x_i x_j mod n for all i, j; x_i; 1)`` of each point ``x``
+    (row of ``points``): a form's exponent at every point is its row of
+    :func:`_coefficients` times these columns, mod ``n``."""
+    x = np.ascontiguousarray(points.T)
+    width, count = x.shape
+    return np.concatenate(((x[:, None] * x).reshape(width * width, count) % n,
+                           x, np.ones((1, count), dtype=np.int64)))
+
+
+def _coefficients(g: np.ndarray, b: np.ndarray, c: np.ndarray,
+                  block: slice) -> np.ndarray:
+    """Row ``(G_ij for all i, j; b_i; c)`` of each form, for the
+    coordinates in ``block``: the factor of :func:`_monomials`."""
+    return np.concatenate((g[:, block, block].reshape(len(g), -1),
+                           b[:, block], c[:, None]), axis=1)
+
+
+def _int64_mod(values: List[int], n: int) -> np.ndarray:
+    """A list of integers as int64, reduced mod ``n``; when an entry is
+    beyond int64, every entry is reduced as a Python integer first."""
+    try:
+        return np.array(values, dtype=np.int64) % n
+    except OverflowError:
+        return np.array([int(x) % n for x in values], dtype=np.int64)
+
+
 def quadratic_phase_sum(gram: Sequence[Sequence[int]], moduli: Sequence[int],
                         modulus: int, linear: Optional[Sequence[int]] = None,
                         constant: int = 0) -> complex:
@@ -192,10 +226,16 @@ def quadratic_phase_sums(grams: Sequence[Sequence[Sequence[int]]],
     ``x`` runs over the representatives ``0 <= x_i < n_i`` of the
     ``moduli``; ``N`` is the ``modulus``.  Form ``j`` is ``grams[j]``,
     ``linears[j]`` (``None`` for zero) and ``constants[j]``; both lists
-    default to zero forms.  ``G``, ``b`` and ``c`` are reduced mod ``N`` as
-    Python integers before they reach int64, and every product is reduced
-    mod ``N`` before the next one, so intermediates stay below
-    ``(m + 2) max(n_i, N)^2``, far inside int64 under the caps.
+    default to zero forms.  ``G``, ``b`` and ``c`` are reduced mod ``N``
+    before any product (as Python integers when an entry is beyond int64).
+    The exponents of a batch of several forms are one integer product of
+    each form's coefficients ``(G_ij, b_i, c)`` by the point monomials
+    ``(x_i x_j mod N, x_i, 1)``: each of its ``m^2 + m + 1`` terms is below
+    ``N max(n_i, N)``, so the exponents stay below ``(m^2 + m + 1) N
+    max(n_i, N)``.  A single form is evaluated directly, each product
+    reduced mod ``N`` before the next, below ``(m + 2) max(n_i, N)^2``.
+    Under the caps (``N <= 2 * 10**7`` for coloring sums, ``2 * 10**6``
+    for torsion sums) both are far inside int64.
 
     Split-Fourier evaluation: write ``x = (x1, x2)`` with ``x1`` the first
     ``s`` coordinates (:func:`_split_point`).  The cross term of the form is
@@ -216,74 +256,101 @@ def quadratic_phase_sums(grams: Sequence[Sequence[Sequence[int]]],
     double-precision unit), below the ``1e-9 * sqrt(T)`` budget for every
     ``T`` up to about ``10**10``.
 
-    Batching: the forms are grouped by their tuple of periods, and each
-    group runs as one stacked pass (trailing values, table lookup, fold,
-    one ``ifftn`` over the non-batch axes, leading shifts) in chunks of at
-    most ``_BLOCK`` form-points (forms times trailing points).  Every step
-    acts on each form's own slice of the stack and each form ends in its own
-    1-D contraction, so a form's value does not depend on the batch it came
-    in: a batch of one is the single-form evaluation.
+    Batching: a batch runs in passes of at most ``_BLOCK`` form-points
+    (forms times trailing points).  A pass forms the exponents of all its
+    forms (one product per block of coordinates against monomial tables
+    built once per call; a call of one form, for which the tables would
+    cost more than they save, evaluates it directly) and looks them up in
+    the root table.  Its forms are then grouped by their tuple of periods:
+    the fold, one ``ifftn`` over the non-batch axes and the read at the
+    leading shifts run once per group.  The pass ends in one stacked matmul
+    of ``(1, lead)`` by ``(lead, 1)`` blocks, which numpy runs as one BLAS
+    dot per block, the dot a single form's 1-D contraction makes.  The
+    exponents are exact integers, the fold and the DFT see each form's own
+    C-ordered values, and each form ends in its own dot, so a form's value
+    does not depend on the batch it came in: a batch of one is the
+    single-form evaluation.
     """
     n = modulus
     m = len(moduli)
     count = len(grams)
-    g = np.array([[int(x) % n for row in gram for x in row] for gram in grams],
-                 dtype=np.int64).reshape(count, m, m)
-    b = np.array([[int(x) % n for x in (linear or [0] * m)]
-                  for linear in (linears or [None] * count)],
-                 dtype=np.int64).reshape(count, 1, m)
-    c = np.array([int(x) % n for x in (constants or [0] * count)],
-                 dtype=np.int64).reshape(count, 1)
+    if not count:
+        return []
+    chain = itertools.chain.from_iterable
+    zero = [0] * m
+    g = _int64_mod(list(chain(chain(grams))), n).reshape(count, m, m)
+    b = _int64_mod(list(chain(linear or zero
+                              for linear in linears or [None] * count)),
+                   n).reshape(count, m)
+    c = _int64_mod(list(constants or [0] * count), n)
     s = _split_point(moduli)
     table = _root_table(n) if n <= _BLOCK else _root_table.__wrapped__(n)
     sizes = tuple(moduli[s:])
     trailing, lead = _points(sizes), _points(tuple(moduli[:s]))
-    # Each trailing axis folds onto the period of its character.
-    groups: Dict[Tuple[int, ...], List[int]] = {}
+    shared = count > 1
+    if shared:  # one table of monomials per block serves every pass
+        trail_coef = _coefficients(g, b, np.zeros_like(c), slice(s, m))
+        lead_coef = _coefficients(g, b, c, slice(0, s))
+        trail_mono, lead_mono = _monomials(trailing, n), _monomials(lead, n)
+    # Trailing axis j folds onto the period ``P_j`` of its character, and a
+    # leading point reads it at ``y_j / d_j``: the cross term with its
+    # coefficients divided by ``d_j``, mod ``P_j``.
     if s:
         cross = (g[:, :s, s:] + g[:, s:, :s].transpose(0, 2, 1)) % n
         steps = np.gcd.reduce(cross, axis=1, initial=n, keepdims=True)
-        for j, periods in enumerate((n // steps).reshape(count, -1).tolist()):
-            groups.setdefault(tuple(periods), []).append(j)
+        cross //= steps
+        periods = [tuple(p) for p in (n // steps).reshape(count, -1).tolist()]
     else:  # unsplit: every period is 1, the one leading point is empty
-        groups[(1,) * m] = list(range(count))
+        periods = [(1,) * m] * count
     chunk = max(1, _BLOCK // len(trailing))
-    sums = [0j] * count
-    for periods, members in groups.items():
-        folds = [-(-size // p) for size, p in zip(sizes, periods)]
-        shape = tuple(r * p for r, p in zip(folds, periods))
-        strides = np.array([math.prod(periods[j + 1:])
-                            for j in range(len(sizes))], dtype=np.int64)
-        for start in range(0, len(members), chunk):
-            rows = members[start:start + chunk]
+    sums: List[complex] = []
+    for start in range(0, count, chunk):
+        part = slice(start, start + chunk)
+        # The exponents of the pass, as C-ordered (forms, points) arrays:
+        # the fold below sums them in the order that fixed every value's
+        # bits.  A call of one form evaluates it directly.
+        if shared:
+            values = table[trail_coef[part] @ trail_mono % n]
+            heads = table[lead_coef[part] @ lead_mono % n]
+        else:
+            values = table[_values(trailing, g[:, s:, s:], b[:, None, s:],
+                                   0, n)]
+            heads = table[_values(lead, g[:, :s, :s], b[:, None, :s],
+                                  c[:, None], n) if s else c[:, None]]
+        reads = np.empty_like(heads)
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for j, key in enumerate(periods[part]):
+            groups.setdefault(key, []).append(j)
+        for key, rows in groups.items():
             # A run of consecutive forms is taken as a view, not a copy.
             pick = slice(rows[0], rows[-1] + 1) \
                 if rows[-1] - rows[0] == len(rows) - 1 else rows
-            gs, bs = g[pick], b[pick]
-            f = table[_values(trailing, gs[:, s:, s:], bs[:, :, s:], 0, n)
-                      ].reshape((len(rows),) + sizes)
+            folds = [-(-size // p) for size, p in zip(sizes, key)]
+            shape = tuple(r * p for r, p in zip(folds, key))
+            f = values[pick].reshape((len(rows),) + sizes)
             if shape != sizes:  # zero-pad each axis to whole periods
                 padded = np.zeros((len(rows),) + shape, dtype=complex)
                 padded[(slice(None),) + tuple(map(slice, sizes))] = f
                 f = padded
-            f = f.reshape([len(rows)] + [x for pair in zip(folds, periods)
+            f = f.reshape([len(rows)] + [x for pair in zip(folds, key)
                                          for x in pair]).sum(
                 axis=tuple(range(1, 2 * len(sizes), 2)))
-            if math.prod(periods) > 1:  # a one-point DFT is the identity
+            if math.prod(key) > 1:  # a one-point DFT is the identity
                 # ``ifftn`` over the non-batch axes, run axis by axis from
                 # the last as ``ifftn`` runs it, without its set-up cost.
                 for axis in range(len(sizes), 0, -1):
                     f = np.fft.ifft(f, axis=axis, norm="forward")
-            # Read each form's DFT at its leading points' shifts.
-            if s:
-                shifts = (lead @ cross[pick] % n) // steps[pick] @ strides
-                heads = table[_values(lead, gs[:, :s, :s], bs[:, :, :s],
-                                      c[pick], n)]
-            else:
-                shifts, heads = np.zeros((len(rows), 1), np.int64), table[c[pick]]
             f = f.reshape(len(rows), -1)
-            for row, j in enumerate(rows):
-                sums[j] = complex(heads[row] @ f[row, shifts[row]])
+            if s:  # each form's DFT at its leading points' shifts, taken
+                # along axis 1 by plain indexing
+                strides = np.array([math.prod(key[j + 1:])
+                                    for j in range(len(sizes))], np.int64)
+                shifts = lead @ cross[part][pick] % np.array(key) @ strides
+                f = f[np.arange(len(rows))[:, None], shifts]
+            reads[pick] = f
+        # Each form ends in its own dot product: the stacked matmul of
+        # (1, lead) by (lead, 1) blocks makes one BLAS dot per block.
+        sums += (heads[:, None, :] @ reads[:, :, None]).ravel().tolist()
     return sums
 
 

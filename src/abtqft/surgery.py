@@ -95,15 +95,15 @@ class SurgeryPresentation:
     insertion_colors: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        mixed = tuple(tuple(int(x) for x in row) for row in self.insertion_mixed)
+        mixed = tuple(tuple(map(int, row)) for row in self.insertion_mixed)
         object.__setattr__(self, "insertion_mixed", mixed)
         object.__setattr__(self, "insertion_colors",
-                           tuple(int(x) for x in self.insertion_colors))
+                           tuple(map(int, self.insertion_colors)))
         r = self.insertion_self.m
         if len(self.insertion_colors) != r:
             raise ValueError("one color per insertion component required")
         if r == 0:
-            if any(len(row) != 0 for row in mixed):
+            if any(mixed):  # a nonempty row
                 raise ValueError("mixed block must have zero width without insertions")
         else:
             if len(mixed) != self.surgery.m:
@@ -292,7 +292,7 @@ def coloring_sums(cases: Sequence[Tuple[SurgeryPresentation, int]]
     for (m, k), members in classes.items():
         terms = [_insertion_terms(cases[i][0]) for i in members]
         values = quadratic_phase_sums(
-            [cases[i][0].surgery.rows() for i in members], [k] * m, 2 * k,
+            [cases[i][0].surgery.entries for i in members], [k] * m, 2 * k,
             [linear for linear, _ in terms], [constant for _, constant in terms])
         for i, total in zip(members, values):
             sums[i] = total
@@ -363,10 +363,12 @@ def apply_kirby(p: SurgeryPresentation, move: KirbyMove) -> SurgeryPresentation:
     rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
     for row in rows:
         row[i] += s * row[j]
-    new_L = IntSymMatrix.from_rows(rows)
-    new_B = list(p.insertion_mixed)
-    new_B[i] = tuple(x + s * y for x, y in zip(new_B[i], new_B[j]))
-    return SurgeryPresentation(new_L, new_B, p.insertion_self, p.insertion_colors)
+    new_B = p.insertion_mixed
+    if p.r:  # without insertions every row of B is empty
+        new_B = list(new_B)
+        new_B[i] = tuple(x + s * y for x, y in zip(new_B[i], new_B[j]))
+    return SurgeryPresentation(IntSymMatrix.from_rows(rows), new_B,
+                               p.insertion_self, p.insertion_colors)
 
 
 @dataclass(frozen=True)
@@ -448,10 +450,15 @@ def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
 
 def random_symmetric_matrix(rng: random.Random, m: int,
                             entry_bound: int = 4) -> IntSymMatrix:
+    """Upper triangle drawn row by row, each entry uniform in
+    ``[-entry_bound, entry_bound]``: ``randrange(2 b + 1) - b`` is the draw
+    ``randint(-b, b)`` makes, without its argument handling."""
     rows = [[0] * m for _ in range(m)]
+    draw, span = rng.randrange, 2 * entry_bound + 1
     for i in range(m):
+        row = rows[i]
         for j in range(i, m):
-            rows[i][j] = rows[j][i] = rng.randint(-entry_bound, entry_bound)
+            row[j] = rows[j][i] = draw(span) - entry_bound
     return IntSymMatrix.from_rows(rows)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -284,6 +285,42 @@ def test_reports_are_byte_identical_for_fixed_seed(capsys):
     _, second, _ = run(capsys, "verify", "kirby", "--seed", "5", "--cases",
                        "40", "--json")
     assert first == second
+
+
+#: SHA-256 of the stdout of fixed commands: a change to the kernel, the
+#: presentation builders or the draws that moves one bit of a report
+#: changes its hash.  ``invariant E8 --k 8`` (8^8 colorings) exits 2 above
+#: the default cap and prints nothing.
+GOLDEN_STDOUT = [
+    *((("verify", "kirby", "--seed", str(seed), "--cases", "400", "--json"),
+       0, digest) for seed, digest in enumerate((
+           "6723c79e0e4b2392bf176df451aba46b02cf8646a45f003c9ab8ef314bc35ef5",
+           "5b6717f6e19daa42812bd3c96be0220f693ccba9bd6a612c239f77c36446b7fb",
+           "a24edda53c145237973d4ece55ad70f3109d80e9ead45e0a279901144e82e9b8",
+           "0e9fcfd0b7354e6d71124218d8def703a5c8f7a0e7a36c453a73b0ecf6a9fc72",
+           "cba8ba51f4af5591374dc2b775dac393ba01e1a820b8a24e349ad1d1a4ca0eb5"),
+           start=5)),
+    (("verify", "kirby", "--json"), 0,
+     "471fa1bb87276df2d6dddad1e484c607e3eb8695bc0668b2666254e6aac3cdae"),
+    (("invariant", "E8", "--k", "6", "--side", "rt", "--json"), 0,
+     "3231ad9d8d76cbaf5bda34e2e240f180c88315f22a88dea3ec5272f681b46778"),
+    (("invariant", "E8", "--k", "8", "--side", "rt", "--json"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("verify", "equivalence", "--seed", "0", "--json"), 0,
+     "67762696d2baecf484ada788482852390db190bc26fd4381b4ec9239bd016c3e"),
+    (("verify", "reciprocity", "--seed", "1", "--json"), 0,
+     "acffa3cff7d0c7f05471c8a1dcb4486ef1fe9022b2d80d794f71496df697447d"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN_STDOUT,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN_STDOUT])
+def test_reports_keep_their_recorded_bytes(capsys, monkeypatch, argv, code,
+                                           digest):
+    monkeypatch.delenv("ABTQFT_MAX_ENUM", raising=False)
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_catalog_list_and_show(capsys):

@@ -47,6 +47,49 @@ def random_symmetric(rng, n, bound=5):
 
 
 # ---------------------------------------------------------------------------
+# The symmetric matrix type
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2], [3]], "matrix must be square"),        # ragged
+    ([[1, 2], [2, 1, 0]], "matrix must be square"),  # ragged, longer row
+    ([[1, 2]], "matrix must be square"),             # one row of two
+    ([[1], [2]], "matrix must be square"),           # two rows of one
+    ([[0, 1], [2, 0]], "matrix must be symmetric"),
+    ([[1, 2, 3], [2, 1, 4], [3, 5, 1]], "matrix must be symmetric"),
+])
+def test_int_sym_matrix_refuses_bad_input_with_its_message(rows, message):
+    with pytest.raises(ValueError) as raised:
+        IntSymMatrix.from_rows(rows)
+    assert str(raised.value) == message
+
+
+def test_int_sym_matrix_converts_entries_with_int():
+    L = IntSymMatrix.from_rows([[True, "3"], [3.7, -2]])
+    assert L.entries == ((1, 3), (3, -2))
+    assert {type(x) for row in L.entries for x in row} == {int}
+    assert L == IntSymMatrix.from_rows(((1, 3), (3, -2)))
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        IntSymMatrix.from_rows([["a"]])
+    with pytest.raises(TypeError):
+        IntSymMatrix.from_rows([[None]])
+    assert IntSymMatrix.from_rows([]).m == IntSymMatrix.empty().m == 0
+
+
+def test_direct_sum_is_the_block_diagonal_join():
+    rng = random.Random(31)
+    for _ in range(100):
+        a, b = (random_symmetric(rng, rng.randint(0, 3)) for _ in range(2))
+        n, p = len(a), len(b)
+        want = [[0] * (n + p) for _ in range(n + p)]
+        for i in range(n):
+            want[i][:n] = a[i]
+        for i in range(p):
+            want[n + i][n:] = b[i]
+        got = IntSymMatrix.from_rows(a).direct_sum(IntSymMatrix.from_rows(b))
+        assert got.rows() == want
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form
 
 def test_snf_couples_coprime_divisors():

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -235,17 +236,17 @@ SPLIT_GROUPS = [moduli for size in (2, 3, 4)
 @st.composite
 def form_batches(draw, groups=st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 12)),
                                        min_size=1, max_size=4)):
-    """Forms on one group (at most 800 points) whose cross terms are scaled
-    by different divisors of the modulus, so the trailing characters of one
-    batch have different periods; with linear terms and constants, some of
-    them omitted."""
+    """Two to five forms on one group (at most 800 points) whose cross terms
+    are scaled by different divisors of the modulus, so the trailing
+    characters of one batch have different periods; with linear terms and
+    constants, some of them omitted."""
     moduli = list(draw(groups))
     assume(math.prod(moduli) <= 800)
     modulus = draw(st.sampled_from((2, 6, 8, 12, 24, 48)))
     divisors = [d for d in range(1, modulus + 1) if modulus % d == 0]
     m = len(moduli)
     grams, linears, constants = [], [], []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(2, 5))):
         scale = draw(st.sampled_from(divisors))
         grams.append([[draw(batch_entries) * (scale if i != j else 1)
                        for j in range(m)] for i in range(m)])
@@ -258,7 +259,10 @@ def form_batches(draw, groups=st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 12)),
 def check_batch_against_batches_of_one(grams, moduli, modulus, linears,
                                        constants):
     """Each value of the batch is its batch-of-one value bit for bit, and
-    that value is within budget of the per-term loop."""
+    that value is within budget of the per-term loop.  A batch of several
+    forms takes its exponents from the monomial tables and a batch of one
+    evaluates its form directly, so this compares both sides of that
+    choice."""
     batch = quadratic_phase_sums(grams, moduli, modulus, linears, constants)
     assert len(batch) == len(grams)
     for value, gram, linear, constant in zip(batch, grams, linears, constants):
@@ -306,3 +310,66 @@ def test_batch_chunk_boundaries_keep_every_value(moduli, monkeypatch):
 
 def test_empty_batch_is_empty():
     assert quadratic_phase_sums([], [4, 4], 8) == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_monomial_exponents_equal_the_direct_evaluation(seed):
+    # The kernel's two exponent paths on random forms, moduli that exceed
+    # the modulus and the largest moduli the caps allow: both are exact, so
+    # they agree entry for entry, as C-ordered (forms, points) arrays.  On
+    # the group of 10**6 points, coefficients near N times a square x^2
+    # pass int64 unless the monomial is reduced mod N first.
+    rng = random.Random(seed)
+    groups = [(tuple(rng.choice((1, 2, 3, 5, 8, 12))
+                     for _ in range(rng.randint(0, 4))),
+               rng.choice((2, 7, 12, 24, 2 * 10 ** 6, 2 * 10 ** 7)), 0)
+              for _ in range(40)] + [((10 ** 6,), 2 * 10 ** 7, 10 ** 7)]
+    for moduli, n, low in groups:
+        width = len(moduli)
+        forms = rng.randint(1, 4)
+        g, b, c = (np.array([rng.randrange(low, n)
+                             for _ in range(math.prod(shape))],
+                            dtype=np.int64).reshape(shape)
+                   for shape in ((forms, width, width), (forms, width),
+                                 (forms,)))
+        points = numeric._points(moduli)
+        product = (numeric._coefficients(g, b, c, slice(0, width))
+                   @ numeric._monomials(points, n) % n)
+        direct = numeric._values(points, g, b[:, None, :], c[:, None], n)
+        assert product.flags.c_contiguous and product.shape == direct.shape
+        assert np.array_equal(product, direct)
+
+
+#: The largest moduli the default caps allow: ``2k`` at the largest level
+#: the coloring cap lets run (``k = 10**7``, one component), and ``2e`` for
+#: a torsion group at the group cap (``|T| = e = 10**6``).  Each group is
+#: small.  The two unsplit ones have a first coordinate whose square passes
+#: the modulus, so monomials and exponents reach their largest values; the
+#: split one (40 x 40 x 5) has cross terms that keep every period within
+#: its axis.
+LARGEST_MODULI = [(2 * 10 ** 7, (4473, 3)), (2 * 10 ** 6, (1415, 5)),
+                  (2 * 10 ** 6, (40, 40, 5))]
+
+
+@pytest.mark.parametrize("modulus, moduli", LARGEST_MODULI,
+                         ids=["coloring", "torsion", "torsion-split"])
+def test_phase_sums_at_the_largest_modulus_of_the_caps(modulus, moduli):
+    rng = random.Random(modulus + len(moduli))
+    m, s = len(moduli), numeric._split_point(moduli)
+    grams, linears, constants = [], [], []
+    for _ in range(2):
+        gram = [[modulus - 1 - rng.randrange(1000) for _ in range(m)]
+                for _ in range(m)]
+        for i in range(s):  # cross terms of the split group
+            for j in range(s, m):
+                gram[i][j] = rng.randrange(5) * modulus // moduli[j]
+                gram[j][i] = 0
+        grams.append(gram)
+        linears.append([modulus - 1 - rng.randrange(1000) for _ in range(m)])
+        constants.append(rng.randrange(modulus))
+    batch = quadratic_phase_sums(grams, moduli, modulus, linears, constants)
+    assert quadratic_phase_sums(grams[:1], moduli, modulus, linears[:1],
+                                constants[:1]) == batch[:1]
+    for value, form in zip(batch, zip(grams, linears, constants)):
+        want = phase_sum_per_term(form[0], moduli, modulus, *form[1:])
+        assert abs(value - want) <= sum_tolerance(math.prod(moduli))

@@ -413,6 +413,28 @@ def test_presentation_json_closed_defaults():
     assert p == closed([[4]])
 
 
+def randint_symmetric_matrix(rng, m, entry_bound):
+    """The reference draw of ``random_symmetric_matrix``: the upper
+    triangle row by row, each entry ``rng.randint(-b, b)``."""
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = rng.randint(-entry_bound, entry_bound)
+    return IntSymMatrix.from_rows(rows)
+
+
+def test_random_symmetric_matrix_draws_what_randint_draws():
+    # Same matrix and same generator state after it, so every later draw
+    # of a seeded report is the same too.
+    for seed in range(200):
+        for m in range(7):
+            for bound in (1, 4, 6):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert surgery.random_symmetric_matrix(rng, m, bound) \
+                    == randint_symmetric_matrix(ref, m, bound)
+                assert rng.getstate() == ref.getstate()
+
+
 def test_block_symmetry_enforced():
     with pytest.raises(ValueError):
         IntSymMatrix.from_rows([[0, 1], [2, 0]])
