@@ -12,7 +12,8 @@ Two independent ground truths are computed for every closed presentation:
   where ``nu`` is the nullity of the surgery matrix, ``T`` the torsion group
   of its regular block, and ``q`` the quadratic refinement of the torsion
   linking form.  A batch of ``(L, k)`` pairs runs one regular decomposition
-  per distinct ``L`` and one :func:`abtqft.quadmod.gauss_sums` call, one
+  per distinct ``L``, refuses a pair on its level or its ``|T|`` before any
+  Gram solve, and makes one :func:`abtqft.quadmod.gauss_sums` call, one
   kernel batch per group; :func:`cs_closed` is its batch of one, as
   :func:`abtqft.surgery.rt_raw_closed` is of
   :func:`abtqft.surgery.rt_raw_closed_many`.  The equivalence corpus and the
@@ -23,7 +24,7 @@ Sign of the torsion exponent
 ----------------------------
 The exponent sign in the cokernel sum is not forced by the definitions of
 ``q`` and ``T`` alone.  :func:`cs_closed` uses ``exp(-2 pi i k q(x))``, the
-conjugate of :func:`abtqft.quadmod.gauss_sum`: it is the exponent produced
+conjugate of :func:`abtqft.quadmod.gauss_sums`: it is the exponent produced
 by substituting the explicit-signature reciprocity identity (Deloup and
 Turaev, "On reciprocity", 2007) into the brute-force sum.  With it the two
 routes agree exactly, so the equivalence ratio is 1 for every presentation
@@ -72,9 +73,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import InconsistentPhase
 from .intlinalg import (
     IntSymMatrix,
-    determinant,
+    RegularDecomposition,
     mat_mul,
     mat_transpose,
+    rank,
     regular_decomposition,
     signature,
 )
@@ -85,13 +87,17 @@ from .numeric import (
     sum_tolerance,
     unit_phase_eval,
 )
-from .quadmod import FiniteQuadraticModule, from_decomposition, gauss_sums
+from .quadmod import (
+    check_group_order,
+    check_level,
+    from_decomposition,
+    gauss_sums,
+)
 from .surgery import (
     SurgeryPresentation,
     coloring_sums,
     random_symmetric_matrix,
     random_unimodular,
-    rt_raw_closed,
     rt_raw_closed_many,
 )
 
@@ -129,24 +135,28 @@ def cs_closed_many(pairs: Sequence[Tuple[IntSymMatrix, int]]
 
     Each distinct ``L`` gets one regular decomposition and one module, and
     each distinct ``(L, k)`` one Gauss sum, all of them in one
-    :func:`abtqft.quadmod.gauss_sums` batch; its checks run in the order of
-    ``pairs``, so a batch refuses the pair a loop of :func:`cs_closed` would.
+    :func:`abtqft.quadmod.gauss_sums` batch.  The level and the group cap
+    of each pair are checked in the order of ``pairs``, right after its
+    decomposition gives ``|T|`` and before any module's Gram solve runs, so
+    a batch refuses the pair a loop of :func:`cs_closed` would, and a
+    refused group costs no solve.
     """
-    decomposed: Dict[IntSymMatrix, Tuple[int, FiniteQuadraticModule]] = {}
-    for L, _ in pairs:
-        if L not in decomposed:
-            rd = regular_decomposition(L)
-            decomposed[L] = rd.nullity, from_decomposition(rd)
+    rds: Dict[IntSymMatrix, RegularDecomposition] = {}
+    for L, k in pairs:
+        if L not in rds:
+            rds[L] = regular_decomposition(L)
+        check_level(k)
+        check_group_order(rds[L].torsion.order)
+    modules = {L: from_decomposition(rd) for L, rd in rds.items()}
     keys = list(dict.fromkeys((L, k) for L, k in pairs))
-    gauss = dict(zip(keys, gauss_sums([(decomposed[L][1], k)
-                                       for L, k in keys])))
+    gauss = dict(zip(keys, gauss_sums([(modules[L], k) for L, k in keys])))
     results = []
     for L, k in pairs:
-        nu, module = decomposed[L]
+        nu = rds[L].nullity
         conj = gauss[L, k].conjugate()
         results.append(CsClosedResult(
             nullity=nu,
-            torsion_order=module.order,
+            torsion_order=modules[L].order,
             gauss=conj,
             value=math.sqrt(float(k) ** (nu - 1)) * conj,
         ))
@@ -170,16 +180,6 @@ class EquivalenceCase:
     k: int
     sigma_reg: int
     ratio: Optional[complex]
-
-
-def evaluate_case(L: IntSymMatrix, k: int) -> EquivalenceCase:
-    """Evaluate one pair: the torsion route, then the brute-force route
-    unless the torsion Gauss sum vanishes."""
-    cs = cs_closed(L, k)
-    ratio = None
-    if abs(cs.value) > ZERO_GAUSS_TOLERANCE:
-        ratio = rt_raw_closed(SurgeryPresentation.closed(L), k) / cs.value
-    return EquivalenceCase(L, k, signature(L), ratio)
 
 
 @dataclass(frozen=True)
@@ -412,11 +412,13 @@ def verify_reciprocity_dt(L: IntSymMatrix, r: int,
 
 def random_nondegenerate(rng: random.Random, max_components: int = 3,
                          entry_bound: int = 4) -> IntSymMatrix:
-    """Seeded nondegenerate symmetric matrix (rejection sampling)."""
+    """Seeded nondegenerate symmetric matrix (rejection sampling).  A draw
+    is accepted on its :func:`abtqft.intlinalg.rank`, so it keeps the
+    signature of that elimination."""
     while True:
         m = rng.randint(1, max_components)
         L = random_symmetric_matrix(rng, m, entry_bound)
-        if determinant(L) != 0:
+        if rank(L) == m:
             return L
 
 

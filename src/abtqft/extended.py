@@ -21,7 +21,9 @@ anomaly identity ``(S T)^3 = exp(pi i / 4) S^2`` entrywise (with the
 ``+2 pi i x y / k`` kernel the triple product collapses to
 ``exp(pi i/4) * Id`` instead, which is not a scalar multiple of ``S^2``).
 Conjugating both kernel and twist flips the anomaly phase to
-``exp(-pi i / 4)``.
+``exp(-pi i / 4)``.  :func:`anomaly_check` checks both identities, the
+anomaly and the charge conjugation, on one ``S``, ``T`` and ``S^2`` per
+level.
 
 Boundary coefficients
 ---------------------
@@ -148,6 +150,7 @@ class AnomalyCheck:
     phase: complex             # scalar ratio lhs / rhs
     ok: bool
     max_entry_deviation: float
+    conjugation_deviation: float  # of S^2 from delta[y, -x]
 
 
 ANOMALY_PHASE = complex(math.sqrt(0.5), math.sqrt(0.5))  # exp(pi i / 4)
@@ -155,6 +158,9 @@ ANOMALY_PHASE = complex(math.sqrt(0.5), math.sqrt(0.5))  # exp(pi i / 4)
 #: Largest deviation of the anomaly phase from :data:`ANOMALY_PHASE`; each
 #: entry of ``(S T)^3 - phase S^2`` may deviate by ``k`` times it.
 ANOMALY_TOLERANCE = 1e-9
+
+#: Largest entry deviation of ``S^2`` from the charge conjugation.
+CONJUGATION_TOLERANCE = 1e-10
 
 ANOMALY_LEVEL_CAP = 64
 
@@ -170,19 +176,14 @@ def anomaly_check(k: int) -> AnomalyCheck:
     rhs = s @ s
     phase = lhs[0][0] / rhs[0][0]   # (S^2)[0][0] = 1 exactly
     max_dev = float(np.max(np.abs(lhs - phase * rhs)))
-    ok = abs(phase - ANOMALY_PHASE) <= ANOMALY_TOLERANCE \
-        and max_dev <= ANOMALY_TOLERANCE * k
-    return AnomalyCheck(lhs, rhs, phase, ok, max_dev)
-
-
-def charge_conjugation_deviation(k: int) -> float:
-    """Max deviation of ``S^2`` from the permutation ``delta[y, -x]``."""
-    s, _ = modular_rep(k)
-    s2 = s @ s
+    x = np.arange(k)
     perm = np.zeros((k, k), dtype=complex)
-    for x in range(k):
-        perm[(-x) % k][x] = 1.0
-    return float(np.max(np.abs(s2 - perm)))
+    perm[-x % k, x] = 1.0
+    conj_dev = float(np.max(np.abs(rhs - perm)))
+    ok = abs(phase - ANOMALY_PHASE) <= ANOMALY_TOLERANCE \
+        and max_dev <= ANOMALY_TOLERANCE * k \
+        and conj_dev <= CONJUGATION_TOLERANCE
+    return AnomalyCheck(lhs, rhs, phase, ok, max_dev, conj_dev)
 
 
 # ---------------------------------------------------------------------------

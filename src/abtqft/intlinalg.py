@@ -18,7 +18,8 @@ operations cover what a surgery matrix needs homologically,
   cyclic factor,
 * signatures by fraction-free symmetric congruence on the upper triangle
   (no floating eigenvalues; signatures enter invariants as
-  eighth-root-of-unity phases, so they must be exact),
+  eighth-root-of-unity phases, so they must be exact); the same elimination
+  counts the rank of a symmetric matrix (:func:`rank`),
 * one fraction-free Gauss-Jordan elimination (Bareiss, 1968), behind every
   inverse and behind the one solve, ``L_reg^{-1} R`` for the generator
   lifts ``R``, that gives a torsion module its Gram matrix
@@ -452,16 +453,18 @@ def signature(L) -> int:
     mirror image.  The input must therefore be symmetric, as every caller's
     is (an :class:`IntSymMatrix` or a Gram matrix).
 
-    An :class:`IntSymMatrix` keeps its signature once computed (on the
-    instance, outside its fields, so equality, hash and repr are
-    unchanged), and a later call on the same instance returns it.
+    Every pivot is nonzero and the radical takes none, so the pivots count
+    the rank.  An :class:`IntSymMatrix` keeps its signature and that rank
+    (:func:`rank`) once computed (on the instance, outside its fields, so
+    equality, hash and repr are unchanged), and a later call on the same
+    instance returns it.
     """
     known = getattr(L, "_signature", None)
     if known is not None:
         return known
     a = _to_int_rows(L)
     n = len(a)
-    sig, prev = 0, 1
+    sig, prev, pivots = 0, 1, 0
     for i in range(n):
         top = a[i]
         if top[i] == 0:
@@ -475,9 +478,20 @@ def signature(L) -> int:
             top[i] = 2 * s * x + d
         p = top[i]
         sig += 1 if (p > 0) == (prev > 0) else -1
+        pivots += 1
         for r in range(i + 1, n):
             a[r][r:] = _cross(a[r][r:], top[r:], p, top[r], prev)
         prev = p
     if isinstance(L, IntSymMatrix):
         object.__setattr__(L, "_signature", sig)
+        object.__setattr__(L, "_rank", pivots)
     return sig
+
+
+def rank(L: IntSymMatrix) -> int:
+    """Rank of ``L``: the pivot count of the elimination of
+    :func:`signature`, which ``L`` keeps beside its signature, so the two
+    together cost one elimination."""
+    if getattr(L, "_rank", None) is None:
+        signature(L)
+    return L._rank

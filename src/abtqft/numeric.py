@@ -16,10 +16,10 @@ Conventions used throughout the library:
   :func:`approx_eq` with an explicit tolerance; the standing budget is
   ``1e-9 * sqrt(number_of_summed_terms)`` because each summand is a unit
   complex number.
-* Every exponential sum of the library (coloring sums, torsion Gauss sums,
-  the reciprocity right side, ``A+-``) goes through the one kernel
-  :func:`quadratic_phase_sums`, which evaluates a batch of forms on one
-  group; :func:`quadratic_phase_sum` is its batch of one.  It reads every
+* Every exponential sum of the library (coloring sums, and the torsion
+  Gauss sums that also give the reciprocity right side) goes through the
+  one kernel :func:`quadratic_phase_sums`, which evaluates a batch of forms
+  on one group; a single form is a batch of one.  It reads every
   phase from a table equal to :func:`unit_phase_eval`, and sums over a
   trailing block of coordinates for all leading points at once by one
   inverse DFT (split-Fourier).  A batch runs in stacked numpy passes: one
@@ -203,15 +203,6 @@ def _int64_mod(values: List[int], n: int) -> np.ndarray:
         return np.array(values, dtype=np.int64) % n
     except OverflowError:
         return np.array([int(x) % n for x in values], dtype=np.int64)
-
-
-def quadratic_phase_sum(gram: Sequence[Sequence[int]], moduli: Sequence[int],
-                        modulus: int, linear: Optional[Sequence[int]] = None,
-                        constant: int = 0) -> complex:
-    """:func:`quadratic_phase_sums` of the one form ``(gram, linear,
-    constant)``."""
-    return quadratic_phase_sums([gram], moduli, modulus, [linear],
-                                [constant])[0]
 
 
 def quadratic_phase_sums(grams: Sequence[Sequence[Sequence[int]]],
@@ -424,14 +415,6 @@ def rational_from_json(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-def unit_phase_to_json(p: UnitPhase) -> dict:
-    return {"angle": rational_to_json(p.angle)}
-
-
-def unit_phase_from_json(obj: dict) -> UnitPhase:
-    return UnitPhase(rational_from_json(obj["angle"]))
-
-
 def polar_to_json(v: PolarValue) -> dict:
     return {"mag2": rational_to_json(v.magnitude_squared),
             "phase": rational_to_json(v.phase.angle)}
@@ -445,7 +428,3 @@ def polar_from_json(obj: dict) -> PolarValue:
 def approx_to_json(z: complex) -> list:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def approx_from_json(pair: list) -> complex:
-    return complex(pair[0], pair[1])

@@ -31,10 +31,14 @@ exponential-sum kernel, :func:`abtqft.numeric.quadratic_phase_sums`, as one
 batch, with the cyclic orders as moduli and ``2e`` as modulus; for a group
 of more than a few hundred elements the kernel sums over the trailing
 cyclic factors by one inverse DFT (split-Fourier) instead of element by
-element.  :func:`gauss_sum` is its batch of one.
+element.
 
-Even levels are the one level rule, :func:`check_level`.  The standard
-module ``(Z_k, q_k)`` is :func:`cyclic_module`, that of the ``k``-framed unknot.
+Even levels are the one level rule, :func:`check_level`, and groups of at
+most :data:`GROUP_ENUMERATION_CAP` elements the one group rule,
+:func:`check_group_order`; :func:`abtqft.compare.cs_closed_many` applies
+both as soon as a decomposition gives ``|T|``, before the Gram solve of
+:func:`from_decomposition`.  The standard module ``(Z_k, q_k)`` is
+:func:`cyclic_module`, that of the ``k``-framed unknot.
 
 :func:`gauss_sums` is the sum with the positive exponent ``exp(+2 pi i k
 q)``.  The torsion route of :func:`abtqft.compare.cs_closed_many` and the
@@ -72,6 +76,14 @@ def check_level(k: int) -> None:
     is well defined on ``Z_k`` and ``k * q`` on every torsion module."""
     if k < 2 or k % 2 != 0:
         raise ValueError("level k must be an even integer >= 2")
+
+
+def check_group_order(order: int) -> None:
+    """Refuse a torsion group of more than :data:`GROUP_ENUMERATION_CAP`
+    elements, the groups :func:`gauss_sums` does not sum over."""
+    if order > GROUP_ENUMERATION_CAP:
+        raise GroupTooLarge(f"torsion group of order {order} "
+                            f"exceeds cap {GROUP_ENUMERATION_CAP}")
 
 
 def _form(gram: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]) -> int:
@@ -197,9 +209,10 @@ def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
     q(x))`` of each ``(module, k)`` pair.
 
     Every pair must have an even level (:func:`check_level`) and ``|T|`` at
-    most :data:`GROUP_ENUMERATION_CAP`; both are checked for every pair, in
-    the order of ``pairs``, before any sum runs, so the first refused pair
-    is the one a loop over batches of one refuses.  The pairs of one group,
+    most :data:`GROUP_ENUMERATION_CAP` (:func:`check_group_order`); both are
+    checked for every pair, in the order of ``pairs``, before any sum runs,
+    so the first refused pair is the one a loop over batches of one
+    refuses.  The pairs of one group,
     that is of one tuple of cyclic orders (which fixes the modulus ``2e``),
     then go to :func:`abtqft.numeric.quadratic_phase_sums` as one batch; a
     value is the same bits in any batch.
@@ -207,9 +220,7 @@ def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
     classes: Dict[Tuple[int, ...], List[int]] = {}
     for i, (module, k) in enumerate(pairs):
         check_level(k)
-        if module.order > GROUP_ENUMERATION_CAP:
-            raise GroupTooLarge(f"torsion group of order {module.order} "
-                                f"exceeds cap {GROUP_ENUMERATION_CAP}")
+        check_group_order(module.order)
         classes.setdefault(module.group.cyclic_orders, []).append(i)
     sums = [0j] * len(pairs)
     for orders, members in classes.items():
@@ -220,12 +231,6 @@ def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
         for i, (module, _), total in zip(members, batch, values):
             sums[i] = total / math.sqrt(module.order)
     return sums
-
-
-def gauss_sum(module: FiniteQuadraticModule, k: int) -> complex:
-    """Normalized level-``k`` Gauss sum of one module: the batch of one of
-    :func:`gauss_sums`."""
-    return gauss_sums([(module, k)])[0]
 
 
 def cyclic_module(k: int) -> FiniteQuadraticModule:

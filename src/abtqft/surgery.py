@@ -28,14 +28,16 @@ insertions.
 
 The enumeration over ``(Z_k)^m`` is capped (default ``10**7`` colorings,
 overridable through the ``ABTQFT_MAX_ENUM`` environment variable).  The
-coloring sum and ``A+-`` are evaluated by the library's one exponential-sum
-kernel, :func:`abtqft.numeric.quadratic_phase_sums`, with moduli ``k`` and
-modulus ``2k``: it sums over the trailing colors for every leading coloring
-at once by one inverse DFT of exact root-of-unity values (split-Fourier),
-so the floating error stays far below the ``1e-9 * sqrt(k^m)`` budget.
-This is exact algebra, not reciprocity, so the coloring sum stays an
-independent check of the torsion route.  Per-term exact-phase loops are
-kept in the tests as oracles.
+coloring sum is evaluated by the library's one exponential-sum kernel,
+:func:`abtqft.numeric.quadratic_phase_sums`, with moduli ``k`` and modulus
+``2k``: it sums over the trailing colors for every leading coloring at once
+by one inverse DFT of exact root-of-unity values (split-Fourier), so the
+floating error stays far below the ``1e-9 * sqrt(k^m)`` budget.  This is
+exact algebra, not reciprocity, so the coloring sum stays an independent
+check of the torsion route.  ``A+-`` enters only through its closed form;
+the tests check it against the one-component coloring sums of ``[[+-1]]``.
+Per-term exact-phase loops, the link evaluation of one coloring among
+them, are kept in the tests as oracles.
 
 Every coloring sum goes through one function, :func:`coloring_sums`: it
 checks the levels and the cap, and sends the sums of each ``(m, k)`` class
@@ -59,8 +61,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationTooLarge, IndexOutOfRange
 from .intlinalg import IntSymMatrix, signature
-from .numeric import (PolarValue, UnitPhase, polar_to_approx, quadratic_phase_sum,
-                      quadratic_phase_sums)
+from .numeric import PolarValue, UnitPhase, polar_to_approx, quadratic_phase_sums
 from .quadmod import check_level
 
 DEFAULT_ENUMERATION_CAP = 10 ** 7
@@ -178,40 +179,6 @@ class SurgeryPresentation:
             B = [[] for _ in range(L.m)] if C.m else [() for _ in range(L.m)]
         h = tuple(obj.get("h", []))
         return cls(L, tuple(tuple(row) for row in B), C, h)
-
-
-# ---------------------------------------------------------------------------
-# Gauss sums
-
-def a_gauss(k: int, sign: int) -> Tuple[complex, PolarValue]:
-    """The stabilization unit ``A+-(k)``: brute-force sum and closed form.
-
-    Returns ``(sum_{s in Z_k} exp(+- pi i s^2 / k),  sqrt(k) e^{+- pi i/4})``;
-    the pair agrees within ``1e-9 * sqrt(k)`` for even ``k``.
-    """
-    check_level(k)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    brute = quadratic_phase_sum([[sign]], [k], 2 * k)
-    closed = PolarValue(Fraction(k), UnitPhase(Fraction(sign, 8)))
-    return brute, closed
-
-
-def rt_link_eval(p: SurgeryPresentation, g: Sequence[int], k: int) -> UnitPhase:
-    """Exact link-evaluation phase for one coloring ``g`` of the surgery
-    components (insertion colors come from the presentation)."""
-    check_level(k)
-    if len(g) != p.m:
-        raise ValueError("one color per surgery component required")
-    L = p.surgery.entries
-    linear, quad = _insertion_terms(p)
-    linear = linear or [0] * p.m
-    for i in range(p.m):
-        gi = g[i]
-        if gi:
-            row = L[i]
-            quad += gi * (linear[i] + sum(row[j] * g[j] for j in range(p.m)))
-    return UnitPhase(Fraction(quad, 2 * k))
 
 
 def _check_enumeration(k: int, m: int) -> None:

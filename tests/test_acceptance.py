@@ -21,7 +21,6 @@ from abtqft.extended import (
     ANOMALY_PHASE,
     TorusStateVector,
     anomaly_check,
-    charge_conjugation_deviation,
     hopf_pairing,
     maslov_index,
     random_lagrangian,
@@ -146,7 +145,7 @@ def test_criterion_07_modular_anomaly_all_even_levels():
     for k in range(2, 17, 2):
         chk = anomaly_check(k)
         worst = max(worst, abs(chk.phase - ANOMALY_PHASE),
-                    chk.max_entry_deviation, charge_conjugation_deviation(k))
+                    chk.max_entry_deviation, chk.conjugation_deviation)
     report(7, worst < 1e-9,
            f"(ST)^3 = e^(i pi/4) S^2 and S^2 = conjugation for k <= 16, "
            f"max dev {worst:.2e}")

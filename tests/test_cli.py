@@ -403,6 +403,26 @@ def test_one_signature_elimination_per_matrix(capsys, monkeypatch, argv,
     assert counts == {"calls": calls, "eliminations": eliminations}
 
 
+def test_invariant_eliminates_its_matrix_once(capsys, monkeypatch):
+    # sigma_reg, b1 and the brute-force prefactor all come from the one
+    # elimination of the signature, which L keeps with its rank.
+    counts, real = Counter(), intlinalg.signature
+
+    def counted(L):
+        counts["signature"] += getattr(L, "_signature", None) is None
+        return real(L)
+
+    def eliminate(*args, _fn=intlinalg._eliminate):
+        counts["_eliminate"] += 1
+        return _fn(*args)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("abtqft") and getattr(module, "signature", None) is real:
+            monkeypatch.setattr(module, "signature", counted)
+    monkeypatch.setattr(intlinalg, "_eliminate", eliminate)
+    assert run(capsys, "invariant", "E8", "--k", "2", "--side", "rt")[0] == 0
+    assert (counts["signature"], counts["_eliminate"]) == (1, 0)
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "kirby", "--cases", "-3"),
     ("verify", "maslov", "--cases", "0"),

@@ -18,7 +18,6 @@ from abtqft.compare import (
     cs_closed,
     cs_closed_many,
     default_corpus,
-    evaluate_case,
     load_fixture_table,
     random_degenerate,
     random_nondegenerate,
@@ -29,7 +28,7 @@ from abtqft import cli, compare, intlinalg, quadmod
 from abtqft.errors import GroupTooLarge, InconsistentPhase
 from abtqft.intlinalg import IntSymMatrix, regular_decomposition, signature
 from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
-from abtqft.quadmod import from_decomposition, from_surgery, gauss_sum
+from abtqft.quadmod import from_decomposition, from_surgery, gauss_sums
 from abtqft.surgery import (SurgeryPresentation, random_symmetric_matrix,
                             rt_raw_closed)
 
@@ -41,6 +40,16 @@ def sym(rows):
 
 
 E8 = sym([list(r) for r in E8_ROWS])
+
+
+def evaluate_case(L, k):
+    """One pair on both routes: the torsion route, then the brute-force
+    route unless the torsion Gauss sum vanishes."""
+    cs = cs_closed(L, k)
+    ratio = None
+    if abs(cs.value) > ZERO_GAUSS_TOLERANCE:
+        ratio = rt_raw_closed(SurgeryPresentation.closed(L), k) / cs.value
+    return EquivalenceCase(L, k, signature(L), ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +126,7 @@ def positive_exponent_case(L, k):
     """The pair evaluated with the unconjugated torsion Gauss sum:
     ``rt / (sqrt(k^(nu - 1)) * gauss_sum)``."""
     nu = regular_decomposition(L).nullity
-    cs = math.sqrt(float(k) ** (nu - 1)) * gauss_sum(from_surgery(L), k)
+    cs = math.sqrt(float(k) ** (nu - 1)) * gauss_sums([(from_surgery(L), k)])[0]
     rt = rt_raw_closed(SurgeryPresentation.closed(L), k)
     return EquivalenceCase(L, k, signature(L), rt / cs)
 
@@ -288,7 +297,7 @@ def reciprocity_rhs_oracle(L, r, mode):
     rd = regular_decomposition(L)
     reg = rd.regular
     sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(reg), 8)))
-    gauss = gauss_sum(from_decomposition(rd), r).conjugate()
+    gauss = gauss_sums([(from_decomposition(rd), r)])[0].conjugate()
     rhs = math.sqrt(float(r) ** reg.m) * sig_phase * gauss
     if rd.nullity:
         power = float(r) ** rd.nullity
@@ -308,6 +317,28 @@ def test_reciprocity_right_side_is_the_regular_block_expression(mode):
         chk = verify_reciprocity_dt(L, r, mode)
         assert repr(chk.rhs) == repr(reciprocity_rhs_oracle(L, r, mode)), \
             (L.entries, r)
+
+
+def test_random_nondegenerate_accepts_the_determinant_rule_draws(monkeypatch):
+    # A draw is accepted on the rank its signature's elimination counts:
+    # the draws are those of the determinant rule, no Gauss-Jordan
+    # elimination runs, and each draw keeps its signature.
+    eliminations = []
+
+    def counted(*args, _fn=intlinalg._eliminate):
+        eliminations.append(len(args[0]))
+        return _fn(*args)
+    rng, ref = random.Random(3), random.Random(3)
+    for _ in range(200):
+        with monkeypatch.context() as patch:
+            patch.setattr(intlinalg, "_eliminate", counted)
+            L = random_nondegenerate(rng, 3, 4)
+        want = None
+        while want is None or intlinalg.determinant(want) == 0:
+            want = random_symmetric_matrix(ref, ref.randint(1, 3), 4)
+        assert L == want
+        assert getattr(L, "_signature", None) == signature(want)
+    assert eliminations == []
 
 
 def test_random_degenerate_really_degenerate():
@@ -404,6 +435,26 @@ def test_cs_closed_many_refuses_the_first_refused_pair(
     pairs = [(sym([[3]]), 2)] + (refused[::-1] if large_first else refused)
     with pytest.raises(raised, match=message):
         cs_closed_many(pairs)
+
+
+@pytest.mark.parametrize("rows", [
+    [[[1009, 0], [0, 1013]]],
+    [[[3]], [[2, 1], [1, 2]], [[1009, 0], [0, 1013]], [[5]]],
+], ids=["one", "mixed"])
+def test_cs_closed_many_refuses_before_any_gram_solve(rows, monkeypatch):
+    # |T| = 1009 * 1013 is over the cap: the refusal comes as soon as the
+    # decomposition gives |T|, before any pair's module is built.
+    solved = []
+
+    def counted(rd, _fn=compare.from_decomposition):
+        solved.append(rd)
+        return _fn(rd)
+
+    monkeypatch.setattr(compare, "from_decomposition", counted)
+    with pytest.raises(GroupTooLarge, match="^torsion group of order 1022117 "
+                                            "exceeds cap 1000000$"):
+        cs_closed_many([(sym(r), 2) for r in rows])
+    assert solved == []
 
 
 @pytest.mark.parametrize("mode", ["full_nullity", "paper_half"])

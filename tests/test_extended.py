@@ -15,7 +15,6 @@ from abtqft.extended import (
     TorusStateVector,
     anomaly_check,
     boundary_vector,
-    charge_conjugation_deviation,
     closure_weight,
     compose_weights,
     cylinder_bordism,
@@ -81,7 +80,13 @@ def test_s_matrix_unitary(k):
 
 @pytest.mark.parametrize("k", range(2, 17, 2))
 def test_s_squared_is_charge_conjugation(k):
-    assert charge_conjugation_deviation(k) < 1e-10
+    # The deviation that anomaly_check reports is that of its own S^2 from
+    # the permutation e_x -> e_{-x}.
+    chk = anomaly_check(k)
+    conjugation = np.eye(k)[-np.arange(k) % k]
+    assert chk.conjugation_deviation \
+        == float(np.max(np.abs(chk.rhs - conjugation)))
+    assert chk.conjugation_deviation < 1e-10
 
 
 @pytest.mark.parametrize("k", range(2, 17, 2))

@@ -20,6 +20,7 @@ from abtqft.intlinalg import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    rank,
     rational_rank,
     regular_decomposition,
     signature,
@@ -472,6 +473,8 @@ def test_elimination_property(rows, data):
     scaled = [[Fraction(x, d) for x in row] for row, d in zip(rows, denominators)]
     assert rational_rank(scaled) == ref.rank()
     assert signature(rows) == charpoly_signature(rows)
+    L = IntSymMatrix.from_rows(rows)
+    assert (rank(L), signature(L)) == (ref.rank(), charpoly_signature(rows))
     if det:
         rhs = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
         want = ref.LUsolve(Matrix(rhs))
@@ -713,7 +716,7 @@ def test_cokernel_enumeration_cap(monkeypatch):
     monkeypatch.setattr(quadmod, "GROUP_ENUMERATION_CAP", 1000)
     with pytest.raises(GroupTooLarge,
                        match="^torsion group of order 1022117 exceeds cap 1000$"):
-        quadmod.gauss_sum(quadmod.from_surgery(L), 2)
+        quadmod.gauss_sums([(quadmod.from_surgery(L), 2)])[0]
 
 
 def bfs_cokernel_order(L):

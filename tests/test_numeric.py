@@ -13,19 +13,15 @@ from abtqft.numeric import (
     PolarValue,
     UnitPhase,
     approx_eq,
-    approx_from_json,
     approx_to_json,
     polar_from_json,
     polar_to_approx,
     polar_to_json,
-    quadratic_phase_sum,
     quadratic_phase_sums,
     rational_from_json,
     rational_to_json,
     sum_tolerance,
     unit_phase_eval,
-    unit_phase_from_json,
-    unit_phase_to_json,
 )
 
 SQRT_HALF = math.sqrt(2) / 2
@@ -133,12 +129,9 @@ def test_sum_tolerance_scales_like_sqrt():
 def test_json_round_trips():
     f = Fraction(-7, 3)
     assert rational_from_json(rational_to_json(f)) == f
-    p = UnitPhase(Fraction(5, 8))
-    assert unit_phase_from_json(unit_phase_to_json(p)) == p
     v = PolarValue(Fraction(3, 2), UnitPhase(Fraction(1, 6)))
     assert polar_from_json(polar_to_json(v)) == v
-    z = 1.25 - 0.5j
-    assert approx_from_json(approx_to_json(z)) == z
+    assert approx_to_json(1.25 - 0.5j) == [1.25, -0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +163,8 @@ def test_phase_sum_mixed_moduli_matches_per_term_loop(block, monkeypatch):
     monkeypatch.setattr(numeric, "_BLOCK", block)
     for gram, moduli, modulus, linear, constant in MIXED_MODULI_CASES:
         want = phase_sum_per_term(gram, moduli, modulus, linear, constant)
-        got = quadratic_phase_sum(gram, moduli, modulus, linear, constant)
+        got = quadratic_phase_sums([gram], moduli, modulus, [linear],
+                                   [constant])[0]
         assert abs(got - want) <= sum_tolerance(2 * 4 * 12)
 
 
@@ -194,7 +188,8 @@ def test_phase_sum_every_split_point_matches_per_term_loop(seed, monkeypatch):
         want = phase_sum_per_term(gram, moduli, modulus, linear, constant)
         for s in range(len(moduli)):
             monkeypatch.setattr(numeric, "_split_point", lambda moduli, s=s: s)
-            got = quadratic_phase_sum(gram, moduli, modulus, linear, constant)
+            got = quadratic_phase_sums([gram], moduli, modulus, [linear],
+                                       [constant])[0]
             assert abs(got - want) <= sum_tolerance(math.prod(moduli))
 
 
@@ -209,7 +204,7 @@ def test_split_point_is_unsplit_when_small_and_balanced_when_large():
 
 
 def test_phase_sum_empty_product_is_the_constant_phase():
-    assert quadratic_phase_sum([], [], 8, [], 3) == unit_phase_eval(
+    assert quadratic_phase_sums([[]], [], 8, [[]], [3])[0] == unit_phase_eval(
         UnitPhase(Fraction(3, 8)))
 
 
@@ -300,8 +295,9 @@ def test_batch_chunk_boundaries_keep_every_value(moduli, monkeypatch):
                for j in range(m)] for i in range(m)] for f in range(9)]
     linears = [[rng.randint(-9, 9) for _ in range(m)] for _ in grams]
     constants = [rng.randint(-9, 9) for _ in grams]
-    one_by_one = [quadratic_phase_sum(*form) for form in
-                  zip(grams, [moduli] * 9, [8] * 9, linears, constants)]
+    one_by_one = [quadratic_phase_sums([gram], moduli, 8, [linear],
+                                       [constant])[0]
+                  for gram, linear, constant in zip(grams, linears, constants)]
     trailing = math.prod(moduli[numeric._split_point(moduli):])
     monkeypatch.setattr(numeric, "_BLOCK", 2 * trailing)
     assert quadratic_phase_sums(grams, moduli, 8, linears,

@@ -21,10 +21,9 @@ from abtqft.quadmod import (
     FiniteQuadraticModule,
     cyclic_module,
     from_surgery,
-    gauss_sum,
     gauss_sums,
 )
-from abtqft.surgery import SurgeryPresentation, a_gauss, coloring_sums
+from abtqft.surgery import SurgeryPresentation, coloring_sums
 from abtqft.surgery import random_unimodular
 from test_intlinalg import degenerate_draw, exact_inverse, inverse_form
 
@@ -75,22 +74,22 @@ def test_from_surgery_group_cap():
     mod = from_surgery(sym([[1009, 0], [0, 1013]]))
     with pytest.raises(GroupTooLarge,
                        match="^torsion group of order 1022117 exceeds cap 1000000$"):
-        gauss_sum(mod, 2)
+        gauss_sums([(mod, 2)])[0]
 
 
 # ---------------------------------------------------------------------------
 # Gauss sums
 
 def test_gauss_sum_trivial_group():
-    assert gauss_sum(from_surgery(sym([[1]])), 2) == pytest.approx(1 + 0j)
+    assert gauss_sums([(from_surgery(sym([[1]])), 2)])[0] == pytest.approx(1 + 0j)
 
 
 def test_gauss_sum_order_two_vanishes_at_level_two():
-    assert abs(gauss_sum(from_surgery(sym([[2]])), 2)) < 1e-12
+    assert abs(gauss_sums([(from_surgery(sym([[2]])), 2)])[0]) < 1e-12
 
 
 def test_gauss_sum_order_three_level_two_is_i():
-    val = gauss_sum(from_surgery(sym([[3]])), 2)
+    val = gauss_sums([(from_surgery(sym([[3]])), 2)])[0]
     assert abs(val - 1j) < 1e-12
 
 
@@ -143,7 +142,7 @@ def test_gauss_sum_matches_per_element_sum(time_limit):
         assert q_values == {x: mod.q(x) for x in mod.elements()}
         for k in (2, 4, 6, 8):
             want = gauss_sum_per_element(q_values, k)
-            assert abs(gauss_sum(mod, k) - want) <= sum_tolerance(mod.order)
+            assert abs(gauss_sums([(mod, k)])[0] - want) <= sum_tolerance(mod.order)
 
 
 def test_gauss_sum_near_group_cap_has_unit_modulus():
@@ -151,16 +150,16 @@ def test_gauss_sum_near_group_cap_has_unit_modulus():
     # a single cyclic factor with modulus 2|T|, where int64 overflow in the
     # quadratic values would show.
     mod = from_surgery(sym([[999983]]))
-    assert abs(abs(gauss_sum(mod, 2)) - 1) <= sum_tolerance(mod.order)
+    assert abs(abs(gauss_sums([(mod, 2)])[0]) - 1) <= sum_tolerance(mod.order)
 
 
 def test_root_table_cache_keeps_no_large_table():
     # A table for modulus N holds 16 N bytes; at the group cap N ~ 2 * 10**6.
     numeric._root_table.cache_clear()
     for p in (999983, 999979):
-        gauss_sum(from_surgery(sym([[p]])), 2)
+        gauss_sums([(from_surgery(sym([[p]])), 2)])[0]
     assert numeric._root_table.cache_info().currsize == 0
-    gauss_sum(from_surgery(sym([[3]])), 2)
+    gauss_sums([(from_surgery(sym([[3]])), 2)])[0]
     assert numeric._root_table.cache_info().currsize == 1
 
 
@@ -169,9 +168,9 @@ def test_grid_cache_keeps_no_large_grid():
     # only its empty leading grid is small enough to keep.
     numeric._grid.cache_clear()
     for p in (999983, 999979):
-        gauss_sum(from_surgery(sym([[p]])), 2)
+        gauss_sums([(from_surgery(sym([[p]])), 2)])[0]
     assert numeric._grid.cache_info().currsize == 1
-    gauss_sum(from_surgery(sym([[3]])), 2)
+    gauss_sums([(from_surgery(sym([[3]])), 2)])[0]
     assert numeric._grid.cache_info().currsize == 2
 
 
@@ -191,7 +190,7 @@ def batch_pairs():
 def test_gauss_sums_is_gauss_sum_bit_for_bit():
     pairs = batch_pairs()
     assert [repr(z) for z in gauss_sums(pairs)] \
-        == [repr(gauss_sum(mod, k)) for mod, k in pairs]
+        == [repr(gauss_sums([(mod, k)])[0]) for mod, k in pairs]
     assert gauss_sums([]) == []
 
 
@@ -232,7 +231,7 @@ def test_gauss_sums_refuses_the_first_refused_pair_before_any_sum(
 
 def test_gauss_sum_requires_even_level():
     with pytest.raises(ValueError):
-        gauss_sum(from_surgery(sym([[3]])), 3)
+        gauss_sums([(from_surgery(sym([[3]])), 3)])[0]
 
 
 LEVEL_MESSAGE = "level k must be an even integer >= 2"
@@ -240,10 +239,9 @@ LEVEL_MESSAGE = "level k must be an even integer >= 2"
 LEVEL_TAKING = {
     "coloring_sums": lambda k: coloring_sums(
         [(SurgeryPresentation.closed(sym([[1]])), k)]),
-    "gauss_sum": lambda k: gauss_sum(from_surgery(sym([[3]])), k),
+    "gauss_sums": lambda k: gauss_sums([(from_surgery(sym([[3]])), k)]),
     "cyclic_module": cyclic_module,
     "modular_rep": modular_rep,
-    "a_gauss": lambda k: a_gauss(k, 1),
     "verify_reciprocity_dt": lambda k: verify_reciprocity_dt(sym([[1]]), k),
 }
 

@@ -9,19 +9,17 @@ from abtqft import surgery
 from abtqft.compare import E8_ROWS
 from abtqft.errors import EnumerationTooLarge, IndexOutOfRange
 from abtqft.intlinalg import IntSymMatrix, mat_mul, mat_transpose, signature
-from abtqft.numeric import (polar_to_approx, quadratic_phase_sum, sum_tolerance,
-                            unit_phase_eval)
+from abtqft.numeric import (PolarValue, UnitPhase, polar_to_approx,
+                            quadratic_phase_sums, sum_tolerance, unit_phase_eval)
 from abtqft.surgery import (
     KirbyMove,
     SurgeryPresentation,
-    a_gauss,
     apply_kirby,
     coloring_sums,
     kirby_fuzz,
     max_enumeration,
     normalization_prefactor,
     random_presentation,
-    rt_link_eval,
     rt_raw_closed,
     rt_raw_closed_many,
 )
@@ -36,6 +34,22 @@ def coloring_sum_exact(rows, k, linear=None, constant=0):
     phase per coloring."""
     m = len(rows)
     return phase_sum_per_term(rows, [k] * m, 2 * k, linear or [0] * m, constant)
+
+
+def rt_link_eval(p, g, k):
+    """Exact link-evaluation phase of one coloring ``g`` of the surgery
+    components, the insertion colors taken from the presentation:
+    ``(<g, L g> + 2 <g, B h> + <h, C h>) / 2k``, with its own insertion
+    terms, so that it shares no code with :func:`coloring_sums`."""
+    assert len(g) == p.m
+    h = p.insertion_colors
+    quad = sum(hi * sum(c * hj for c, hj in zip(row, h))
+               for hi, row in zip(h, p.insertion_self.entries))
+    for gi, row, mixed in zip(g, p.surgery.entries, p.insertion_mixed):
+        if gi:
+            quad += gi * (sum(x * gj for x, gj in zip(row, g))
+                          + 2 * sum(b * hj for b, hj in zip(mixed, h)))
+    return UnitPhase(Fraction(quad, 2 * k))
 
 
 def rt_raw_closed_reference(p, k):
@@ -58,6 +72,14 @@ EMPTY = SurgeryPresentation.closed(IntSymMatrix.empty())
 # ---------------------------------------------------------------------------
 # Stabilization Gauss sums
 
+def a_gauss(k, sign):
+    """``A+-(k) = sum_{s in Z_k} exp(+- pi i s^2 / k)``, the coloring sum of
+    the ``+-1``-framed unknot through the kernel, and its closed form
+    ``sqrt(k) e^{+- pi i/4}``, the one the prefactor expands."""
+    brute = coloring_sums([(closed([[sign]]), k)])[0]
+    return brute, PolarValue(Fraction(k), UnitPhase(Fraction(sign, 8)))
+
+
 def test_a_gauss_level_two_plus():
     brute, closed_form = a_gauss(2, +1)
     assert abs(brute - (1 + 1j)) < 1e-12
@@ -77,6 +99,9 @@ def test_a_gauss_level_four_minus():
 def test_a_gauss_brute_matches_closed_form(k, sign):
     brute, closed_form = a_gauss(k, sign)
     assert abs(brute - polar_to_approx(closed_form)) <= sum_tolerance(k)
+    # The prefactor of [[sign]] is k^{-1/2} A^{-1}: the invariant of S^3.
+    pref = polar_to_approx(normalization_prefactor(1, sign, k))
+    assert abs(pref * brute - 1 / math.sqrt(k)) <= sum_tolerance(k)
 
 
 def test_a_gauss_rejects_odd_level():
@@ -169,7 +194,7 @@ def test_quadratic_sum_fast_vs_exact_with_linear_terms():
         k = rng.choice((2, 4, 6))
         # Odd linear terms, which no presentation produces, straight to the
         # kernel with the coloring sum's moduli k and modulus 2k.
-        fast = quadratic_phase_sum(rows, [k] * m, 2 * k, lin, const)
+        fast = quadratic_phase_sums([rows], [k] * m, 2 * k, [lin], [const])[0]
         slow = coloring_sum_exact(rows, k, lin, const)
         assert abs(fast - slow) < 1e-10
 
