@@ -244,8 +244,6 @@ def _suite_reciprocity(args) -> dict:
 
 
 def _suite_equivalence(args) -> dict:
-    if args.corpus != "default":
-        raise InputError(f"unknown corpus {args.corpus!r}")
     corpus = compare.default_corpus(seed=args.seed, size=args.cases)
     deviations = [abs(abs(case.ratio) - 1.0) for case in corpus
                   if case.ratio is not None]
@@ -390,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--kmax", type=int, default=16)
     p_ver.add_argument("--tol", type=float, default=1e-9,
                        help="base tolerance, scaled by sqrt(#terms)")
-    p_ver.add_argument("--corpus", default="default",
-                       help="corpus selector for the equivalence suite")
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(fn=cmd_verify)
 

@@ -94,6 +94,7 @@ from .quadmod import (
     gauss_sums,
 )
 from .surgery import (
+    DEFAULT_ENUMERATION_CAP,
     SurgeryPresentation,
     coloring_sums,
     random_symmetric_matrix,
@@ -146,7 +147,7 @@ def cs_closed_many(pairs: Sequence[Tuple[IntSymMatrix, int]]
         if L not in rds:
             rds[L] = regular_decomposition(L)
         check_level(k)
-        check_group_order(rds[L].torsion.order)
+        check_group_order(rds[L].order)
     modules = {L: from_decomposition(rd) for L, rd in rds.items()}
     keys = list(dict.fromkeys((L, k) for L, k in pairs))
     gauss = dict(zip(keys, gauss_sums([(modules[L], k) for L, k in keys])))
@@ -291,14 +292,16 @@ E8_ROWS: Tuple[Tuple[int, ...], ...] = (
 #: keep the equivalence sweep inside the desk-scale time budget.
 _CORPUS_TORSION_BOUND = 4000
 
+#: The levels the default corpus cycles through.
+_CORPUS_LEVELS = (2, 4, 6, 8)
 
-def default_corpus(seed: int = 0, size: int = 300,
-                   levels: Sequence[int] = (2, 4, 6, 8),
-                   ) -> List[EquivalenceCase]:
+
+def default_corpus(seed: int = 0, size: int = 300) -> List[EquivalenceCase]:
     """Deterministic corpus of evaluated pairs with nonvanishing Gauss sums.
 
     Starts with the catalog classics (covering every signature residue
-    mod 8) and pads with seeded random symmetric matrices, m <= 4 and
+    mod 8) and E8 at the levels 2, 4, 6, 8 (E8 within the default coloring
+    cap), and pads with seeded random symmetric matrices, m <= 4 and
     entries in [-4, 4], until ``size`` usable pairs are collected.  Each
     candidate is evaluated once: the torsion route alone decides whether it
     is usable, and the usable pairs then go on to the brute-force route in
@@ -324,8 +327,9 @@ def default_corpus(seed: int = 0, size: int = 300,
 
     E8 = IntSymMatrix.from_rows(E8_ROWS)
     consider([(IntSymMatrix.from_rows(rows), k) for rows in _CLASSIC_ROWS
-              for k in levels]
-             + [(E8, k) for k in levels if k ** 8 <= 10 ** 7])
+              for k in _CORPUS_LEVELS]
+             + [(E8, k) for k in _CORPUS_LEVELS
+                if k ** 8 <= DEFAULT_ENUMERATION_CAP])
 
     rng = random.Random(seed)
     level_cycle = 0
@@ -334,7 +338,7 @@ def default_corpus(seed: int = 0, size: int = 300,
         for _ in range(size - len(usable)):
             m = rng.randint(1, 4)
             block.append((random_symmetric_matrix(rng, m, 4),
-                          levels[level_cycle % len(levels)]))
+                          _CORPUS_LEVELS[level_cycle % len(_CORPUS_LEVELS)]))
             level_cycle += 1
         consider(block)
     rts = rt_raw_closed_many([(SurgeryPresentation.closed(L), k)
@@ -422,12 +426,11 @@ def random_nondegenerate(rng: random.Random, max_components: int = 3,
             return L
 
 
-def random_degenerate(rng: random.Random, max_regular: int = 2,
-                      max_nullity: int = 2, entry_bound: int = 3,
-                      ) -> IntSymMatrix:
-    """Seeded degenerate matrix ``U^T (L_reg + 0) U`` with unimodular ``U``."""
-    reg = random_nondegenerate(rng, max_regular, entry_bound)
-    nullity = rng.randint(1, max_nullity)
+def random_degenerate(rng: random.Random) -> IntSymMatrix:
+    """Seeded degenerate matrix ``U^T (L_reg + 0) U`` with unimodular ``U``:
+    ``L_reg`` of size at most 2 with entries in [-3, 3], nullity 1 or 2."""
+    reg = random_nondegenerate(rng, 2, 3)
+    nullity = rng.randint(1, 2)
     m = reg.m + nullity
     padded = reg.direct_sum(IntSymMatrix.diagonal([0] * nullity))
     u = random_unimodular(rng, m, steps=2 * m)

@@ -13,9 +13,9 @@ operations cover what a surgery matrix needs homologically,
   changes,
 * the regular decomposition, one Smith form that yields everything the
   torsion route needs: the nondegenerate "regular" block (a nondegenerate
-  matrix is its own), the nullity, and the cyclic decomposition of the
-  finite cokernel ``Z^rho / L_reg Z^rho`` with one generator lift per
-  cyclic factor,
+  matrix is its own), the nullity, the cyclic orders of the finite
+  cokernel ``Z^rho / L_reg Z^rho`` and one generator lift per cyclic
+  factor,
 * signatures by fraction-free symmetric congruence on the upper triangle
   (no floating eigenvalues; signatures enter invariants as
   eighth-root-of-unity phases, so they must be exact); the same elimination
@@ -32,12 +32,11 @@ Matrices are serialized as JSON arrays of arrays of integers (row-major).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DegenerateMatrix
 
@@ -362,38 +361,27 @@ def integer_inverse(mat: Sequence[Sequence[int]]) -> IntRows:
 # Regular decomposition and torsion
 
 @dataclass(frozen=True)
-class CokernelGroup:
-    """``Z^rho / L_reg Z^rho`` in cyclic form ``Z/d1 + ... + Z/dt``.
-
-    ``cyclic_orders`` keeps only the orders >= 2 (with d1 | d2 | ...);
-    ``generator_reps`` holds one integer column vector ``g_i`` in ``Z^rho``
-    of order ``d_i`` per cyclic factor.  Elements are addressed by
-    coefficient tuples ``(a1, ..., at)`` with ``0 <= ai < di``.
-    """
-
-    cyclic_orders: Tuple[int, ...]
-    generator_reps: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.cyclic_orders)
-
-    def elements(self) -> Iterator[Tuple[int, ...]]:
-        return itertools.product(*(range(d) for d in self.cyclic_orders))
-
-
-@dataclass(frozen=True)
 class RegularDecomposition:
     """The torsion data of a surgery matrix ``L``.
 
     ``regular`` is the nondegenerate form ``L_reg`` induced on a complement
     of the saturated kernel of ``L``, ``nullity`` the rank of that kernel,
-    and ``torsion`` the cyclic decomposition of ``Z^rho / L_reg Z^rho``.
+    and ``cyclic_orders`` the orders ``d1 | d2 | ...`` (only those >= 2) of
+    the cyclic decomposition ``Z/d1 + ... + Z/dt`` of ``T = Z^rho / L_reg
+    Z^rho``.  ``generator_reps`` holds one integer column vector ``g_i`` in
+    ``Z^rho`` per cyclic factor; its class has order ``d_i`` and generates
+    that factor.
     """
 
     regular: IntSymMatrix
     nullity: int
-    torsion: CokernelGroup
+    cyclic_orders: Tuple[int, ...]
+    generator_reps: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        """``|T|``, the product of the cyclic orders."""
+        return math.prod(self.cyclic_orders)
 
 
 def regular_decomposition(L) -> RegularDecomposition:
@@ -432,8 +420,8 @@ def regular_decomposition(L) -> RegularDecomposition:
         c = u[:rank]
         regular = IntSymMatrix.from_rows(mat_mul(mat_mul(c, rows), mat_transpose(c)))
         gens = tuple(tuple(int(r == i) for r in range(rank)) for i in keep)
-    torsion = CokernelGroup(tuple(orders[i] for i in keep), gens)
-    return RegularDecomposition(regular, L.m - rank, torsion)
+    return RegularDecomposition(regular, L.m - rank,
+                                tuple(orders[i] for i in keep), gens)
 
 
 def signature(L) -> int:

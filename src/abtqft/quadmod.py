@@ -16,8 +16,9 @@ the regular block, the cyclic orders of ``T`` and one generator lift per
 order all come from the one Smith form of
 :func:`abtqft.intlinalg.regular_decomposition`.
 
-Every module has one representation: an integer Gram matrix ``G`` in the
-coordinates of the cyclic generators, over the group exponent ``e``, with
+A module is two records: the cyclic orders ``d1 | d2 | ...`` of ``T``,
+from which its order, exponent ``e`` and elements are read, and an integer
+Gram matrix ``G`` in the coordinates of the cyclic generators, with
 
     q(a) = a^T G a / (2e),   lam(a, b) = a^T G b / e   (mod 1).
 
@@ -52,20 +53,20 @@ Phase encoding: a stored exponent ``e`` denotes the complex number
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import GroupTooLarge
 from .intlinalg import (
-    CokernelGroup,
     IntSymMatrix,
     RegularDecomposition,
     _solve,
     regular_decomposition,
 )
-from .numeric import quadratic_phase_sums, rational_from_json, rational_to_json
+from .numeric import quadratic_phase_sums
 
 #: Largest torsion group :func:`gauss_sums` sums over.
 GROUP_ENUMERATION_CAP = 10 ** 6
@@ -95,9 +96,11 @@ def _form(gram: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]) -> 
 class FiniteQuadraticModule:
     """A finite Abelian group with an exact quadratic refinement.
 
-    ``gram`` is the integer matrix ``G`` with ``q(a) = a^T G a / (2e)`` and
-    ``lam(a, b) = a^T G b / e`` (mod 1) on coefficient tuples against the
-    cyclic generators, ``e`` the exponent of the group; it is stored reduced
+    ``cyclic_orders`` are the orders ``d1 | d2 | ...`` of the cyclic
+    factors of the group, and an element is a coefficient tuple ``(a1, ...,
+    at)`` against their generators.  ``gram`` is the integer matrix ``G``
+    with ``q(a) = a^T G a / (2e)`` and ``lam(a, b) = a^T G b / e`` (mod 1)
+    on such tuples, ``e`` the exponent of the group; it is stored reduced
     mod ``2e``.  For a module from a surgery matrix, ``G_ij = e * g_i^T
     L_reg^{-1} g_j`` for the generator lifts ``g_i``.
 
@@ -114,19 +117,21 @@ class FiniteQuadraticModule:
     an exact rational identity on tuples.
     """
 
-    group: CokernelGroup
+    cyclic_orders: Tuple[int, ...]
     gram: Tuple[Tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
-        return self.group.order
+        return math.prod(self.cyclic_orders)
 
     @property
     def exponent(self) -> int:
-        return math.lcm(*self.group.cyclic_orders)
+        return math.lcm(*self.cyclic_orders)
 
-    def elements(self):
-        return self.group.elements()
+    def elements(self) -> Iterator[Tuple[int, ...]]:
+        """Every element as a coefficient tuple ``(a1, ..., at)`` with ``0 <=
+        ai < di``."""
+        return itertools.product(*(range(d) for d in self.cyclic_orders))
 
     def q(self, element: Sequence[int]) -> Fraction:
         """Quadratic value of a group element, reduced into [0, 1)."""
@@ -141,40 +146,18 @@ class FiniteQuadraticModule:
         return tuple(a + b for a, b in zip(u, v))
 
     def zero(self) -> Tuple[int, ...]:
-        return tuple(0 for _ in self.group.cyclic_orders)
-
-    def to_json(self) -> dict:
-        t = len(self.gram)
-        e = self.exponent
-        return {
-            "orders": list(self.group.cyclic_orders),
-            "q_gen": [[i, rational_to_json(Fraction(self.gram[i][i], 2 * e) % 1)]
-                      for i in range(t)],
-            "lambda_gen": [[i, j, rational_to_json(Fraction(self.gram[i][j], e) % 1)]
-                           for i in range(t) for j in range(i, t)],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FiniteQuadraticModule":
-        """Inverse of :meth:`to_json`: ``G_ii = 2e q(g_i)`` and, off the
-        diagonal, ``G_ij = e lam(g_i, g_j)``."""
-        orders = tuple(int(d) for d in obj["orders"])
-        e = math.lcm(*orders)
-        gram = [[0] * len(orders) for _ in orders]
-        for i, val in obj["q_gen"]:
-            gram[i][i] = _integral(2 * e * rational_from_json(val))
-        for i, j, val in obj["lambda_gen"]:
-            if i != j:
-                gram[i][j] = gram[j][i] = _integral(e * rational_from_json(val))
-        group = CokernelGroup(orders, ((),) * len(orders))
-        return cls(group, tuple(tuple(row) for row in gram))
+        return tuple(0 for _ in self.cyclic_orders)
 
 
-def _integral(num, den: int = 1) -> int:
-    """``num / den`` for an integer or fraction ``num``; it must be whole."""
+def _integral(num: int, den: int) -> int:
+    """``num / den``, the division that ends the Gram solve of
+    :func:`from_decomposition`.  It is exact because ``e g_j`` lies in
+    ``L_reg Z^rho`` for every lift ``g_j``, so a remainder means a broken
+    decomposition."""
     q, r = divmod(num, den)
     if r:
-        raise ValueError("quadratic data must have denominator dividing 2e")
+        raise ValueError("the Gram solve of a torsion module "
+                         "did not divide exactly")
     return q
 
 
@@ -191,16 +174,15 @@ def from_decomposition(rd: RegularDecomposition) -> FiniteQuadraticModule:
     generator lifts, reduced mod ``2e``: one fraction-free solve gives
     ``L_reg^{-1} R = X / p``, and ``G = e R^T X / p`` divides exactly.
     """
-    reg, group = rd.regular, rd.torsion
-    e = math.lcm(*group.cyclic_orders)
-    gens = group.generator_reps
+    reg, gens = rd.regular, rd.generator_reps
+    e = math.lcm(*rd.cyclic_orders)
     lifts = [[g[r] for g in gens] for r in range(reg.m)]
     solved, p = _solve(reg.rows(), lifts)  # L_reg^{-1} R = X / p
     gram = tuple(
         tuple(_integral(e * sum(x * row[j] for x, row in zip(g, solved)), p)
               % (2 * e) for j in range(len(gens)))
         for g in gens)
-    return FiniteQuadraticModule(group, gram)
+    return FiniteQuadraticModule(rd.cyclic_orders, gram)
 
 
 def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
@@ -221,7 +203,7 @@ def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
     for i, (module, k) in enumerate(pairs):
         check_level(k)
         check_group_order(module.order)
-        classes.setdefault(module.group.cyclic_orders, []).append(i)
+        classes.setdefault(module.cyclic_orders, []).append(i)
     sums = [0j] * len(pairs)
     for orders, members in classes.items():
         batch = [pairs[i] for i in members]
@@ -238,4 +220,4 @@ def cyclic_module(k: int) -> FiniteQuadraticModule:
     and ``lam((x,), (y,)) = x y / k`` mod 1, well defined mod ``k`` at even
     ``k``."""
     check_level(k)
-    return FiniteQuadraticModule(CokernelGroup((k,), ((1,),)), ((1,),))
+    return FiniteQuadraticModule((k,), ((1,),))

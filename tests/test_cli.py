@@ -310,6 +310,15 @@ GOLDEN_STDOUT = [
      "67762696d2baecf484ada788482852390db190bc26fd4381b4ec9239bd016c3e"),
     (("verify", "reciprocity", "--seed", "1", "--json"), 0,
      "acffa3cff7d0c7f05471c8a1dcb4486ef1fe9022b2d80d794f71496df697447d"),
+    # The torsion route: a degenerate L with T = Z/2 + Z/6 on both sides, and
+    # a 3x3 L with |T| = 6004 alone, the shape of the benchmark's torsion
+    # operations.
+    (("invariant", '{"L": [[2, 4, 2], [4, 2, -2], [2, -2, -4]]}', "--k", "4",
+      "--side", "both", "--json"), 0,
+     "2454864dc4888d6fa8656b1529f38a2ffbb7f86c109ab5b2b8289888aff9590e"),
+    (("invariant", '{"L": [[18, -24, -8], [-24, 13, 17], [-8, 17, 19]]}',
+      "--k", "4", "--side", "cs", "--json"), 0,
+     "1de172b2616f72be00f43e8a036358ebc1519b2f9247ec85ce8c54916c161175"),
 ]
 
 

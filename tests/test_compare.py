@@ -24,13 +24,14 @@ from abtqft.compare import (
     verify_reciprocity_dt,
     verify_reciprocity_dt_many,
 )
-from abtqft import cli, compare, intlinalg, quadmod
+from abtqft import cli, compare, intlinalg, quadmod, surgery
 from abtqft.errors import GroupTooLarge, InconsistentPhase
 from abtqft.intlinalg import IntSymMatrix, regular_decomposition, signature
 from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
 from abtqft.quadmod import from_decomposition, from_surgery, gauss_sums
 from abtqft.surgery import (SurgeryPresentation, random_symmetric_matrix,
                             rt_raw_closed)
+from test_intlinalg import degenerate_draw
 
 LEVELS = (2, 4, 6, 8)
 
@@ -457,6 +458,36 @@ def test_cs_closed_many_refuses_before_any_gram_solve(rows, monkeypatch):
     assert solved == []
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_m28_degenerate_draw_is_refused_before_its_gram_solve(seed,
+                                                              time_limit):
+    # A 28x28 draw of rank 26 whose regular block once took minutes to
+    # solve before the group cap refused it.
+    rng = random.Random(seed)
+    for _ in range(4):
+        s = random_symmetric_matrix(rng, 26, 4)
+        order = abs(intlinalg.determinant(s))
+        L, _ = degenerate_draw(rng, 28, s.rows(), bound=3)
+        message = f"^torsion group of order {order} exceeds cap 1000000$"
+        with pytest.raises(GroupTooLarge, match=message):
+            cs_closed(L, 2)
+
+
+def test_m28_degenerate_draw_with_small_torsion_gets_its_value(time_limit):
+    # S = P^T diag(3, 3, 3, 3, 1, ..., 1) P has T = (Z/3)^4 whatever the
+    # unimodular P, so the Gauss sum is that of diag(3, 3, 3, 3).
+    rng = random.Random(2)
+    p = surgery.random_unimodular(rng, 26, steps=52)
+    d = IntSymMatrix.diagonal([3] * 4 + [1] * 22).rows()
+    s = intlinalg.mat_mul(intlinalg.mat_mul(intlinalg.mat_transpose(p), d), p)
+    L, _ = degenerate_draw(rng, 28, s, bound=3)
+    for k in (2, 4):
+        cs = cs_closed(L, k)
+        want = cs_closed(IntSymMatrix.diagonal([3, 3, 3, 3]), k)
+        assert (cs.nullity, cs.torsion_order) == (2, 81)
+        assert abs(cs.gauss - want.gauss) <= sum_tolerance(81)
+
+
 @pytest.mark.parametrize("mode", ["full_nullity", "paper_half"])
 def test_verify_reciprocity_dt_many_is_a_loop_bit_for_bit(mode):
     rng = random.Random(97)
@@ -545,8 +576,8 @@ def torsion_digest(matrices):
     for L in matrices:
         rd = regular_decomposition(L)
         records.append([L.to_json(), rd.nullity, rd.regular.to_json(),
-                        list(rd.torsion.cyclic_orders),
-                        [list(g) for g in rd.torsion.generator_reps],
+                        list(rd.cyclic_orders),
+                        [list(g) for g in rd.generator_reps],
                         [list(row) for row in from_decomposition(rd).gram]])
     text = json.dumps(records, separators=(",", ":"))
     return len(records), hashlib.sha256(text.encode()).hexdigest()

@@ -236,10 +236,10 @@ def test_snf_bounded_elimination_property(rows):
     assert [d[i][i] for i in range(m)] == sympy_invariant_factors(rows, m, m)
     det = check_transforms(rows, u, w)
     if det:
-        group = regular_decomposition(rows).torsion
-        assert group.order == det
+        rd = regular_decomposition(rows)
+        assert rd.order == det
         inverse = exact_inverse(rows)
-        for order, rep in zip(group.cyclic_orders, group.generator_reps):
+        for order, rep in zip(rd.cyclic_orders, rd.generator_reps):
             assert cokernel_order_of(inverse, rep) == order
 
 
@@ -513,12 +513,12 @@ def test_regular_decomposition_examples():
     rd = regular_decomposition(IntSymMatrix.from_rows([[2, 2], [2, 2]]))
     assert (rd.regular.m, rd.nullity) == (1, 1)
     assert abs(determinant(rd.regular)) == 2
-    assert rd.torsion.cyclic_orders == (2,)
-    assert rd.torsion.generator_reps == ((1,),)
+    assert rd.cyclic_orders == (2,)
+    assert rd.generator_reps == ((1,),)
 
     rd = regular_decomposition(IntSymMatrix.from_rows([[0]]))
     assert (rd.regular.m, rd.nullity) == (0, 1)
-    assert rd.torsion.order == 1
+    assert rd.order == 1
 
 
 def test_regular_decomposition_invariants():
@@ -537,7 +537,7 @@ def test_regular_decomposition_invariants():
         assert rd.regular.m + rd.nullity == n
         assert rd.regular.m == len(factors)
         assert abs(determinant(rd.regular)) == math.prod(factors) != 0
-        assert rd.torsion.cyclic_orders == tuple(x for x in factors if x > 1)
+        assert rd.cyclic_orders == tuple(x for x in factors if x > 1)
         assert signature(L) == signature(rd.regular)
 
 
@@ -693,26 +693,29 @@ def test_triangular_rational_rank_agrees_with_full_elimination_and_sympy():
 # Torsion of the regular block
 
 def test_cokernel_examples():
-    g = regular_decomposition(IntSymMatrix.from_rows([[3]])).torsion
-    assert g.cyclic_orders == (3,)
-    assert sorted(g.elements()) == [(0,), (1,), (2,)]
+    rd = regular_decomposition(IntSymMatrix.from_rows([[3]]))
+    assert rd.cyclic_orders == (3,)
+    assert sorted(quadmod.from_decomposition(rd).elements()) \
+        == [(0,), (1,), (2,)]
 
-    g = regular_decomposition(IntSymMatrix.from_rows([[2, 0], [0, 2]])).torsion
-    assert g.cyclic_orders == (2, 2)
+    rd = regular_decomposition(IntSymMatrix.from_rows([[2, 0], [0, 2]]))
+    assert rd.cyclic_orders == (2, 2)
 
-    g = regular_decomposition(IntSymMatrix.empty()).torsion
-    assert g.cyclic_orders == ()
-    assert g.order == 1
-    assert list(g.elements()) == [()]
+    rd = regular_decomposition(IntSymMatrix.empty())
+    assert rd.cyclic_orders == ()
+    assert rd.order == 1
+    assert list(quadmod.from_decomposition(rd).elements()) == [()]
 
 
 def test_cokernel_enumeration_cap(monkeypatch):
-    # The torsion group itself enumerates lazily; the one cap on walking
-    # it is the Gauss sum's, checked before any element is produced.
+    # The torsion module enumerates lazily; the one cap on walking it is
+    # the Gauss sum's, checked before any element is produced.
     L = IntSymMatrix.from_rows([[1009, 0], [0, 1013]])
-    g = regular_decomposition(L).torsion
-    assert g.order == 1009 * 1013
-    assert next(g.elements()) == (0,) * len(g.cyclic_orders)
+    rd = regular_decomposition(L)
+    assert rd.order == 1009 * 1013
+    mod = quadmod.from_decomposition(rd)
+    assert mod.order == rd.order
+    assert next(mod.elements()) == (0,) * len(mod.cyclic_orders)
     monkeypatch.setattr(quadmod, "GROUP_ENUMERATION_CAP", 1000)
     with pytest.raises(GroupTooLarge,
                        match="^torsion group of order 1022117 exceeds cap 1000$"):
@@ -752,22 +755,22 @@ def test_cokernel_order_matches_determinant_on_100_randoms():
         det = determinant(L)
         if det == 0 or abs(det) > 200:
             continue
-        group = regular_decomposition(L).torsion
-        assert group.order == abs(det)
+        rd = regular_decomposition(L)
+        assert rd.order == abs(det)
         assert bfs_cokernel_order(L) == abs(det)
         done += 1
 
 
-def degenerate_draw(rng, m, s=None):
+def degenerate_draw(rng, m, s=None, bound=2):
     """``(B^T S B, S)`` of rank ``m - 2``: ``S`` the given nondegenerate
     (m - 2) x (m - 2) matrix or a random symmetric one with entries in
-    [-4, 4], and ``B = [I | V]`` with ``V`` in [-2, 2].  The torsion of its
-    regular block is that of ``S``, of order ``|det S|``."""
+    [-4, 4], and ``B = [I | V]`` with ``V`` in [-bound, bound].  The torsion
+    of its regular block is that of ``S``, of order ``|det S|``."""
     n = m - 2
     while s is None or determinant(s) == 0:
         s = random_symmetric(rng, n, 4)
-    b = [[int(i == j) for j in range(n)] + [rng.randint(-2, 2) for _ in range(2)]
-         for i in range(n)]
+    b = [[int(i == j) for j in range(n)]
+         + [rng.randint(-bound, bound) for _ in range(2)] for i in range(n)]
     return IntSymMatrix.from_rows(mat_mul(mat_mul(mat_transpose(b), s), b)), s
 
 
@@ -787,18 +790,18 @@ def test_generator_reps_have_stated_orders(time_limit):
             L, s = degenerate_draw(rng, m)
             rd = regular_decomposition(L)
             assert (rd.regular.m, rd.nullity) == (m - 2, 2)
-            assert rd.torsion.order == abs(determinant(s))
+            assert rd.order == abs(determinant(s))
             _, d, _ = smith_normal_form(rd.regular.rows())
-            assert rd.torsion.cyclic_orders == tuple(
+            assert rd.cyclic_orders == tuple(
                 d[i][i] for i in range(m - 2) if d[i][i] > 1)
-            for rep in rd.torsion.generator_reps:
+            for rep in rd.generator_reps:
                 assert sorted(rep) == [0] * (m - 3) + [1]
             decompositions.append(rd)
     for rd in decompositions:
         # order * rep lies in the column lattice, no smaller multiple does
         inverse = exact_inverse(rd.regular.rows())
-        for order, rep in zip(rd.torsion.cyclic_orders,
-                              rd.torsion.generator_reps):
+        for order, rep in zip(rd.cyclic_orders,
+                              rd.generator_reps):
             assert cokernel_order_of(inverse, rep) == order
 
 

@@ -18,8 +18,8 @@ from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
 from abtqft.compare import verify_reciprocity_dt
 from abtqft.extended import modular_rep
 from abtqft.quadmod import (
-    FiniteQuadraticModule,
     cyclic_module,
+    from_decomposition,
     from_surgery,
     gauss_sums,
 )
@@ -45,7 +45,7 @@ def random_symmetric(rng, n, bound=4):
 
 def test_from_surgery_order_two():
     mod = from_surgery(sym([[2]]))
-    assert mod.group.cyclic_orders == (2,)
+    assert mod.cyclic_orders == (2,)
     assert mod.q((1,)) == Fraction(1, 4)
 
 
@@ -57,7 +57,7 @@ def test_from_surgery_unimodular_is_trivial():
 
 def test_from_surgery_order_three():
     mod = from_surgery(sym([[3]]))
-    assert mod.group.cyclic_orders == (3,)
+    assert mod.cyclic_orders == (3,)
     assert mod.q((1,)) == Fraction(1, 6)
     assert mod.q((2,)) == Fraction(2, 3)
 
@@ -65,7 +65,7 @@ def test_from_surgery_order_three():
 def test_from_surgery_ignores_null_directions():
     # congruent to [[2]] + 0: same torsion data as [[2]]
     mod = from_surgery(sym([[2, 2], [2, 2]]))
-    assert mod.group.cyclic_orders == (2,)
+    assert mod.cyclic_orders == (2,)
     assert mod.q((1,)) in (Fraction(1, 4), Fraction(3, 4))
 
 
@@ -96,7 +96,7 @@ def test_gauss_sum_order_three_level_two_is_i():
 def lift(rd, element):
     """The lift ``sum a_i g_i`` in ``Z^rho`` of a torsion element through the
     generator reps of a regular decomposition."""
-    reps = rd.torsion.generator_reps
+    reps = rd.generator_reps
     return [sum(a * g[r] for a, g in zip(element, reps))
             for r in range(rd.regular.m)]
 
@@ -106,7 +106,7 @@ def lift_q_values(rd):
     lift ``x``, from sympy's exact inverse rather than the Gram matrix."""
     inverse = exact_inverse(rd.regular.rows())
     return {element: (inverse_form(inverse, lift(rd, element)) / 2) % 1
-            for element in rd.torsion.elements()}
+            for element in from_decomposition(rd).elements()}
 
 
 def gauss_sum_per_element(q_values, k):
@@ -204,7 +204,7 @@ def test_gauss_sums_runs_one_kernel_call_per_group(monkeypatch):
     monkeypatch.setattr(quadmod, "quadratic_phase_sums", counted)
     pairs = batch_pairs()
     gauss_sums(pairs)
-    assert groups == list(dict.fromkeys(mod.group.cyclic_orders
+    assert groups == list(dict.fromkeys(mod.cyclic_orders
                                         for mod, _ in pairs))
 
 
@@ -356,7 +356,7 @@ def test_level_weighted_q_constant_on_cosets():
         rd = regular_decomposition(L)
         reg = rd.regular
         k = rng.choice((2, 4, 6, 8))
-        element = tuple(rng.randrange(d) for d in rd.torsion.cyclic_orders)
+        element = tuple(rng.randrange(d) for d in rd.cyclic_orders)
         base = lift(rd, element)
         z = [rng.randint(-3, 3) for _ in range(reg.m)]
         shifted = [a + b for a, b in zip(base, mat_vec(reg.rows(), z))]
@@ -380,17 +380,3 @@ def test_nondegeneracy_of_bicharacter():
         module = cyclic_module(k)
         for x in range(1, k):
             assert any(module.linking((x,), (y,)) != 0 for y in range(k))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-def test_module_json_round_trip_preserves_values():
-    for rows in ([[2, 1], [1, 2]], [[4]], [[3, 1], [1, 3]]):
-        mod = from_surgery(sym(rows))
-        clone = FiniteQuadraticModule.from_json(mod.to_json())
-        assert clone.group.cyclic_orders == mod.group.cyclic_orders
-        for element in mod.elements():
-            assert clone.q(element) == mod.q(element)
-            for other in mod.elements():
-                assert clone.linking(element, other) == mod.linking(element, other)
