@@ -108,9 +108,17 @@ def cmd_invariant(args) -> int:
     except ValueError:
         raise InputError("--k must be an even integer >= 2") from None
     L = p.surgery
+    # The sides come first, so a refused cap costs no extra elimination.
+    rt_value = rt_raw_closed(p, k) if args.side in ("rt", "both") else None
+    cs_result = None
+    if args.side in ("cs", "both"):
+        if p.r:
+            raise InputError("the torsion-formula side is defined for closed "
+                             "presentations without insertions")
+        cs_result = compare.cs_closed(L, k)
     # The regular block is congruent to L plus a zero block, so it has the
-    # signature of L; its nullity is the corank of L.  Both come from one
-    # elimination, which L keeps for the brute-force prefactor.
+    # signature of L; its nullity is the corank of L.  Both come from the
+    # one elimination that L keeps.
     report: Dict[str, object] = {
         "source": args.source,
         "k": k,
@@ -121,16 +129,10 @@ def cmd_invariant(args) -> int:
              f"k            {k}",
              f"sigma(L_reg) {report['sigma_reg']}",
              f"b1           {report['b1']}"]
-    rt_value = cs_result = None
-    if args.side in ("rt", "both"):
-        rt_value = rt_raw_closed(p, k)
+    if rt_value is not None:
         report["rt"] = approx_to_json(rt_value)
         lines.append(f"rt           {rt_value:.12g}")
-    if args.side in ("cs", "both"):
-        if p.r:
-            raise InputError("the torsion-formula side is defined for closed "
-                             "presentations without insertions")
-        cs_result = compare.cs_closed(L, k)
+    if cs_result is not None:
         report["cs"] = approx_to_json(cs_result.value)
         report["torsion_order"] = cs_result.torsion_order
         report["m_exponent"] = rational_to_json(cs_result.m_exponent)

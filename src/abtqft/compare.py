@@ -74,6 +74,7 @@ from .errors import InconsistentPhase
 from .intlinalg import (
     IntSymMatrix,
     RegularDecomposition,
+    det,
     mat_mul,
     mat_transpose,
     rank,
@@ -136,18 +137,19 @@ def cs_closed_many(pairs: Sequence[Tuple[IntSymMatrix, int]]
 
     Each distinct ``L`` gets one regular decomposition and one module, and
     each distinct ``(L, k)`` one Gauss sum, all of them in one
-    :func:`abtqft.quadmod.gauss_sums` batch.  The level and the group cap
-    of each pair are checked in the order of ``pairs``, right after its
-    decomposition gives ``|T|`` and before any module's Gram solve runs, so
-    a batch refuses the pair a loop of :func:`cs_closed` would, and a
-    refused group costs no solve.
+    :func:`abtqft.quadmod.gauss_sums` batch.  The level and then the group
+    cap of each pair are checked in the order of ``pairs``, before any Gram
+    solve, so a batch refuses the pair a loop of :func:`cs_closed` would.
+    A nondegenerate ``L`` is checked on ``|T| = |det L|`` (:func:`det`),
+    before its Smith form; a degenerate one on its decomposition's ``|T|``.
     """
     rds: Dict[IntSymMatrix, RegularDecomposition] = {}
     for L, k in pairs:
-        if L not in rds:
-            rds[L] = regular_decomposition(L)
         check_level(k)
-        check_group_order(rds[L].order)
+        if L not in rds:
+            check_group_order(abs(det(L)))
+            rds[L] = regular_decomposition(L)
+            check_group_order(rds[L].order)
     modules = {L: from_decomposition(rd) for L, rd in rds.items()}
     keys = list(dict.fromkeys((L, k) for L, k in pairs))
     gauss = dict(zip(keys, gauss_sums([(modules[L], k) for L, k in keys])))

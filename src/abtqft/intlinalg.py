@@ -5,12 +5,12 @@ divides exactly; :class:`fractions.Fraction` appears only in the rational
 inputs of :func:`rational_rank` and :func:`clear_denominators`.  The
 operations cover what a surgery matrix needs homologically,
 
-* Smith normal form by one bounded elimination, which also builds the
-  inverse of its row transform and works modulo the determinant when the
-  matrix is nonsingular; the matrix and its row transform share one row
-  list ``[A | U]``, each new row is reduced in the comprehension that
-  builds it, and a step rebuilds only the rows (or column entries) it
-  changes,
+* Smith normal form of a symmetric matrix by one bounded elimination,
+  which also builds the inverse of its row transform and works modulo the
+  determinant, read from the signature elimination, when the matrix is
+  nonsingular; the matrix and its row transform share one row list ``[A |
+  U]``, each new row is reduced in the comprehension that builds it, and a
+  step rebuilds only the rows (or column entries) it changes,
 * the regular decomposition, one Smith form that yields everything the
   torsion route needs: the nondegenerate "regular" block (a nondegenerate
   matrix is its own), the nullity, the cyclic orders of the finite
@@ -19,12 +19,12 @@ operations cover what a surgery matrix needs homologically,
 * signatures by fraction-free symmetric congruence on the upper triangle
   (no floating eigenvalues; signatures enter invariants as
   eighth-root-of-unity phases, so they must be exact); the same elimination
-  counts the rank of a symmetric matrix (:func:`rank`),
+  counts the rank (:func:`rank`) and ends on the determinant (:func:`det`),
 * one fraction-free Gauss-Jordan elimination (Bareiss, 1968), behind every
   inverse and behind the one solve, ``L_reg^{-1} R`` for the generator
   lifts ``R``, that gives a torsion module its Gram matrix
-  (:func:`abtqft.quadmod.from_decomposition`); determinants and
-  :func:`rational_rank` run its triangular (forward-only) mode.
+  (:func:`abtqft.quadmod.from_decomposition`); :func:`rational_rank`
+  runs its triangular (forward-only) mode.
 
 All functions treat their inputs as immutable and are safe for parallel use.
 Matrices are serialized as JSON arrays of arrays of integers (row-major).
@@ -41,12 +41,6 @@ from typing import Iterable, List, Sequence, Tuple
 from .errors import DegenerateMatrix
 
 IntRows = List[List[int]]
-
-
-def _to_int_rows(mat) -> IntRows:
-    if isinstance(mat, IntSymMatrix):
-        return [list(row) for row in mat.entries]
-    return [list(map(int, row)) for row in mat]
 
 
 def identity_matrix(n: int) -> IntRows:
@@ -172,14 +166,6 @@ def _eliminate(rows: IntRows, ncols: int, triangular: bool = False
     return rank, sign * prev
 
 
-def determinant(mat) -> int:
-    """Exact determinant of a square integer matrix, by the triangular mode
-    of :func:`_eliminate`."""
-    a = _to_int_rows(mat)
-    rank, det = _eliminate(a, len(a), True)
-    return det if rank == len(a) else 0
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -195,23 +181,24 @@ def _gcd_step(a: int, b: int) -> Tuple[int, int, int, int]:
     return x, y, -(b // g), a // g
 
 
-def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
-    """Return ``(U, D, W)`` with ``U M V = D`` for some ``V`` and ``W = U^{-1}``.
+def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows, IntRows]:
+    """Return ``(U, D, W)`` with ``U L V = D`` for some ``V`` and ``W = U^{-1}``.
 
-    ``D`` has the shape of ``M`` and a diagonal ``d1 | d2 | ...`` of
-    nonnegative entries, zeros last.  One elimination builds all three: each
-    row operation on ``M`` and ``U`` applies its inverse column operation to
-    ``W``, and each pivot is made to divide its trailing block, by
-    extended-gcd 2x2 steps, before the next pivot starts.
+    ``D`` is diagonal, ``d1 | d2 | ...``, nonnegative, zeros last.  One
+    elimination builds all three: each row operation on ``L`` and ``U``
+    applies its inverse column operation to ``W``, and each pivot is made to
+    divide its trailing block, by extended-gcd 2x2 steps, before the next
+    pivot starts.
 
-    For square nonsingular ``M`` the elimination works modulo
-    ``d = |det M|`` (Domich, Kannan and Trotter, 1987): ``d Z^n`` lies in
-    the column span ``M Z^n``, so the work matrix, ``U`` and ``W`` are
-    reduced into ``[0, d)`` and each pivot becomes ``gcd(pivot, d)``.  Then
-    ``U W = I`` holds mod ``d``, which is all the cokernel ``Z^n / M Z^n``
-    needs; otherwise ``U`` is unimodular and ``U W = I`` exactly.  The pivot
-    choice (smallest absolute value, earliest position) is fixed, so the
-    output is deterministic.
+    For nonsingular ``L`` the elimination works modulo ``d = |det L|``
+    (Domich, Kannan and Trotter, 1987): ``d Z^m`` lies in the column span
+    ``L Z^m``, so the work matrix, ``U`` and ``W`` are reduced into ``[0,
+    d)`` and each pivot becomes ``gcd(pivot, d)``.  Then ``U W = I`` holds
+    mod ``d``, which is all the cokernel ``Z^m / L Z^m`` needs; otherwise
+    ``U`` is unimodular and ``U W = I`` exactly.  ``d`` comes from the
+    signature elimination that ``L`` keeps (:func:`det`).  The pivot choice
+    (smallest absolute value, earliest position) is fixed, so the output is
+    deterministic.
 
     The work matrix and ``U`` share one list of rows ``[A | U]``, since
     every row step applies one 2x2 matrix to both, and ``W`` is kept as the
@@ -224,43 +211,38 @@ def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
     refills column ``t``.  The signed swaps are moves, and a pivot of 1
     divides every entry, so its divisibility scan is skipped.
     """
-    a = _to_int_rows(mat)
-    n = len(a)
-    m = len(a[0]) if n else 0
-    det = abs(determinant(a)) if n == m else 0
-    if det:
-        a = [[x % det for x in row] for row in a]
-    wt = [[0] * n for _ in range(n)]  # rows of W^T
-    for r in range(n):
-        wt[r][r] = int(det != 1)  # 1 mod d
+    n, d = L.m, abs(det(L))
+    a = [[x % d for x in row] for row in L.entries] if d else L.rows()
+    # The rows of W^T, the identity mod d.
+    wt = [[int(r == c and d != 1) for c in range(n)] for r in range(n)]
     rows = [row + unit for row, unit in zip(a, wt)]  # [A | U]
 
     def lin(x: int, s_row: List[int], y: int, r_row: List[int]) -> List[int]:
         """``x s_row + y r_row``, reduced when ``d`` is nonzero."""
-        if det:
-            return [(x * s + y * r) % det for s, r in zip(s_row, r_row)]
+        if d:
+            return [(x * s + y * r) % d for s, r in zip(s_row, r_row)]
         return [x * s + y * r for s, r in zip(s_row, r_row)]
 
     def neg(row: List[int]) -> List[int]:
-        return [-x % det for x in row] if det else [-x for x in row]
+        return [-x % d for x in row] if d else [-x for x in row]
 
-    for t in range(min(n, m)):
+    for t in range(n):
         best, i, j = 0, t, t  # smallest nonzero |entry|, earliest row, column
         for r in range(t, n):
-            block = rows[r][t:m] if det else list(map(abs, rows[r][t:m]))
+            block = rows[r][t:n] if d else list(map(abs, rows[r][t:n]))
             v = min(filter(None, block), default=0)
             if v and (not best or v < best):
                 best, i, j = v, r, t + block.index(v)
                 if v == 1:
                     break
-        if not (best or det):
+        if not (best or d):
             break  # otherwise a vanishing block mod d has the pivot d at (t, t)
         if i != t:  # swaps with a sign: determinant one
             rows[t], rows[i] = rows[i], neg(rows[t])
             wt[t], wt[i] = wt[i], neg(wt[t])
         if j != t:
             for row in rows:
-                row[t], row[j] = row[j], (-row[t] % det if det else -row[t])
+                row[t], row[j] = row[j], (-row[t] % d if d else -row[t])
         while True:
             pivot = rows[t][t]
             for i in range(t + 1, n):
@@ -278,7 +260,7 @@ def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
                     rows[i] = lin(-f, rows[t], 1, rows[i])
                     wt[t] = lin(1, wt[t], f, wt[i])
             top, mixed = rows[t], False
-            for j in range(t + 1, m):
+            for j in range(t + 1, n):
                 b = top[j]
                 if not b:
                     continue
@@ -288,14 +270,14 @@ def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
                         s, r = row[t], row[j]
                         if s or r:
                             s, r = x * s + y * r, p * s + q * r
-                            row[t], row[j] = (s % det, r % det) if det else (s, r)
+                            row[t], row[j] = (s % d, r % d) if d else (s, r)
                     pivot, mixed = top[t], True
                 elif mixed:
                     f = b // pivot
                     for row in rows:
                         s = row[t]
                         if s:
-                            row[j] = (row[j] - f * s) % det if det else row[j] - f * s
+                            row[j] = (row[j] - f * s) % d if d else row[j] - f * s
                 else:  # column t is pivot * e_t: only A[t][j] changes
                     top[j] = 0
             # Only a mixing column step can refill column t.
@@ -303,23 +285,22 @@ def smith_normal_form(mat) -> Tuple[IntRows, IntRows, IntRows]:
                 continue
             # Row and column t are clear, so column t is pivot * e_t, which
             # generates the same subgroup mod d as gcd(pivot, d) * e_t.
-            if det:
-                pivot = rows[t][t] = math.gcd(pivot, det)
+            if d:
+                pivot = rows[t][t] = math.gcd(pivot, d)
             elif pivot < 0:
                 pivot = -pivot
                 rows[t], wt[t] = neg(rows[t]), neg(wt[t])
             if pivot == 1:
                 break  # every entry is a multiple of 1
             bad = next((i for i in range(t + 1, n)
-                        if any(x % pivot for x in rows[i][t + 1:m])), None)
+                        if any(x % pivot for x in rows[i][t + 1:n])), None)
             if bad is None:
                 break
             # [[1, 1], [0, 1]] brings a non-multiple into row t; its inverse
             # changes only row `bad` of W^T.
             rows[t] = lin(1, rows[t], 1, rows[bad])
             wt[bad] = lin(-1, wt[t], 1, wt[bad])
-    u, d = [row[m:] for row in rows], [row[:m] for row in rows]
-    return u, d, mat_transpose(wt)
+    return [row[n:] for row in rows], [row[:n] for row in rows], mat_transpose(wt)
 
 
 def _solve(mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> Tuple[IntRows, int]:
@@ -403,13 +384,14 @@ def regular_decomposition(L) -> RegularDecomposition:
       block-triangular ``N'``, itself unimodular.  Hence ``Z^rho / L_reg
       Z^rho = + Z/d_i`` on the standard basis vectors ``e_i``.
 
-    Only the congruence class of the regular block is canonical; the
-    concrete matrices are deterministic so regression tests can pin them.
+    The Smith form reads ``|det L|`` from the kept signature elimination
+    (:func:`det`).  Only the congruence class of the regular block is
+    canonical; the concrete matrices are deterministic so tests pin them.
     """
     if not isinstance(L, IntSymMatrix):
         L = IntSymMatrix.from_rows(L)
     rows = L.rows()
-    u, d, w = smith_normal_form(rows)
+    u, d, w = smith_normal_form(L)
     orders = [d[i][i] for i in range(L.m) if d[i][i]]
     rank = len(orders)
     keep = [i for i in range(rank) if orders[i] > 1]
@@ -442,15 +424,17 @@ def signature(L) -> int:
     is (an :class:`IntSymMatrix` or a Gram matrix).
 
     Every pivot is nonzero and the radical takes none, so the pivots count
-    the rank.  An :class:`IntSymMatrix` keeps its signature and that rank
-    (:func:`rank`) once computed (on the instance, outside its fields, so
-    equality, hash and repr are unchanged), and a later call on the same
-    instance returns it.
+    the rank; the repair has determinant one and the rational pivots
+    multiply to the last one, so that is ``det L`` when every row pivots.
+    An :class:`IntSymMatrix` keeps its signature, rank (:func:`rank`) and
+    determinant (:func:`det`) once computed (on the instance, outside its
+    fields, so equality, hash and repr are unchanged).
     """
     known = getattr(L, "_signature", None)
     if known is not None:
         return known
-    a = _to_int_rows(L)
+    a = (L.rows() if isinstance(L, IntSymMatrix)
+         else [list(map(int, row)) for row in L])
     n = len(a)
     sig, prev, pivots = 0, 1, 0
     for i in range(n):
@@ -473,6 +457,7 @@ def signature(L) -> int:
     if isinstance(L, IntSymMatrix):
         object.__setattr__(L, "_signature", sig)
         object.__setattr__(L, "_rank", pivots)
+        object.__setattr__(L, "_det", prev if pivots == n else 0)
     return sig
 
 
@@ -483,3 +468,11 @@ def rank(L: IntSymMatrix) -> int:
     if getattr(L, "_rank", None) is None:
         signature(L)
     return L._rank
+
+
+def det(L: IntSymMatrix) -> int:
+    """Determinant of ``L``: the last pivot of the elimination of
+    :func:`signature`, or 0 when a row has none, which ``L`` keeps."""
+    if getattr(L, "_det", None) is None:
+        signature(L)
+    return L._det

@@ -37,7 +37,8 @@ element.
 Even levels are the one level rule, :func:`check_level`, and groups of at
 most :data:`GROUP_ENUMERATION_CAP` elements the one group rule,
 :func:`check_group_order`; :func:`abtqft.compare.cs_closed_many` applies
-both as soon as a decomposition gives ``|T|``, before the Gram solve of
+both as soon as ``|T|`` is known (``|det L|`` for nondegenerate ``L``, the
+decomposition's order otherwise), before the Gram solve of
 :func:`from_decomposition`.  The standard module ``(Z_k, q_k)`` is
 :func:`cyclic_module`, that of the ``k``-framed unknot.
 

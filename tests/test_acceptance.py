@@ -25,7 +25,7 @@ from abtqft.extended import (
     maslov_index,
     random_lagrangian,
 )
-from abtqft.intlinalg import IntSymMatrix, determinant
+from abtqft.intlinalg import IntSymMatrix
 from abtqft.numeric import UnitPhase
 from abtqft.surgery import (
     KirbyMove,
@@ -34,6 +34,7 @@ from abtqft.surgery import (
     random_presentation,
     rt_raw_closed,
 )
+from test_intlinalg import determinant
 
 LEVELS = (2, 4, 6, 8)
 EMPTY = SurgeryPresentation.closed(IntSymMatrix.empty())

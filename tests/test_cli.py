@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -391,8 +392,11 @@ def test_invariant_pinned_8x8_both_sides(capsys, time_limit):
 
 
 @pytest.mark.parametrize("argv, calls, eliminations", [
-    # 300 corpus pairs on 298 matrices (E8 enters at three levels as one).
-    (("verify", "equivalence", "--seed", "0"), 600, 298),
+    # The 255 matrices the corpus decomposes, each eliminated before its
+    # group check and its Smith form read its determinant, and the 298
+    # matrices of the 300 usable pairs (E8 enters at three levels as one),
+    # 200 of them the same instances.
+    (("verify", "equivalence", "--seed", "0"), 855, 353),
     (("invariant", "E8", "--k", "2", "--side", "both"), 2, 1),
 ])
 def test_one_signature_elimination_per_matrix(capsys, monkeypatch, argv,
@@ -410,6 +414,40 @@ def test_one_signature_elimination_per_matrix(capsys, monkeypatch, argv,
             monkeypatch.setattr(module, "signature", counted)
     assert run(capsys, *argv)[0] == 0
     assert counts == {"calls": calls, "eliminations": eliminations}
+
+
+def write_draw(path, m):
+    """Write ``random_symmetric_matrix(random.Random(1), m, 4)``, its upper
+    triangle drawn row by row by ``randint(-4, 4)``, as a presentation."""
+    L = surgery.random_symmetric_matrix(random.Random(1), m, 4)
+    path.write_text(json.dumps({"L": L.to_json()}))
+    return L
+
+
+def test_coloring_cap_refuses_before_the_signature(capsys, tmp_path,
+                                                   time_limit):
+    # The cap refuses on k^m alone; the signature elimination that once came
+    # first took 23 s at m = 400.
+    write_draw(tmp_path / "L.json", 400)
+    code, out, err = run(capsys, "invariant", str(tmp_path / "L.json"),
+                         "--k", "2", "--side", "rt")
+    assert (code, out) == (2, "")
+    assert err == "error: 2^400 colorings exceed the enumeration cap 10000000\n"
+
+
+def test_torsion_cap_refuses_before_the_smith_form(capsys, tmp_path,
+                                                   time_limit):
+    # |T| = |det L| comes from the one signature elimination; the Smith form
+    # that once came first took 7 s at m = 160.
+    L = write_draw(tmp_path / "L.json", 160)
+    code, out, err = run(capsys, "invariant", str(tmp_path / "L.json"),
+                         "--k", "2", "--side", "cs")
+    assert (code, out) == (2, "")
+    refused = re.fullmatch(r"error: torsion group of order (\d+) exceeds "
+                           r"cap 1000000\n", err)
+    assert refused
+    _, logdet = np.linalg.slogdet(np.array(L.rows(), dtype=float))
+    assert abs(math.log(int(refused[1])) - logdet) < 1e-9 * logdet
 
 
 def test_invariant_eliminates_its_matrix_once(capsys, monkeypatch):

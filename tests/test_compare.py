@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
 from abtqft.quadmod import from_decomposition, from_surgery, gauss_sums
 from abtqft.surgery import (SurgeryPresentation, random_symmetric_matrix,
                             rt_raw_closed)
-from test_intlinalg import degenerate_draw
+from test_intlinalg import degenerate_draw, determinant
 
 LEVELS = (2, 4, 6, 8)
 
@@ -335,7 +336,7 @@ def test_random_nondegenerate_accepts_the_determinant_rule_draws(monkeypatch):
             patch.setattr(intlinalg, "_eliminate", counted)
             L = random_nondegenerate(rng, 3, 4)
         want = None
-        while want is None or intlinalg.determinant(want) == 0:
+        while want is None or determinant(want) == 0:
             want = random_symmetric_matrix(ref, ref.randint(1, 3), 4)
         assert L == want
         assert getattr(L, "_signature", None) == signature(want)
@@ -372,16 +373,27 @@ def verify_reciprocity_half(L, r):
         "dt-degenerate", "degenerate-nondegenerate", "degenerate-degenerate"])
 def test_torsion_evaluation_runs_one_smith_form_and_two_eliminations(
         evaluate, rows, monkeypatch):
-    # The determinant inside the Smith form and the Gram solve are the only
-    # eliminations; the torsion data comes from the one Smith form of L.
-    calls = Counter()
+    # The two eliminations are the signature elimination of L, which gives
+    # the Smith form its modulus |det L| and the reciprocity check its
+    # signature, and the Gram solve, the one Gauss-Jordan elimination; the
+    # torsion data comes from the one Smith form of L.
+    calls, real = Counter(), intlinalg.signature
     for name in ("smith_normal_form", "_eliminate"):
         def counted(*args, _name=name, _fn=getattr(intlinalg, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(intlinalg, name, counted)
+
+    def signed(L):
+        calls["signature eliminations"] += getattr(L, "_signature", None) is None
+        return real(L)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("abtqft") \
+                and getattr(module, "signature", None) is real:
+            monkeypatch.setattr(module, "signature", signed)
     evaluate(sym(rows), 2)
-    assert calls == {"smith_normal_form": 1, "_eliminate": 2}
+    assert calls == {"smith_normal_form": 1, "_eliminate": 1,
+                     "signature eliminations": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +470,25 @@ def test_cs_closed_many_refuses_before_any_gram_solve(rows, monkeypatch):
     assert solved == []
 
 
+def test_cs_closed_many_refuses_a_nondegenerate_pair_before_its_smith_form(
+        monkeypatch):
+    # |T| = |det L| = 1009 * 1013 is over the cap: the pair is refused on
+    # the determinant its signature elimination gives, and the Smith form
+    # runs only for the pairs before it.
+    decomposed = []
+
+    def counted(L, _fn=intlinalg.smith_normal_form):
+        decomposed.append(L)
+        return _fn(L)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    first, large = sym([[2, 1], [1, 2]]), sym([[1009, 0], [0, 1013]])
+    with pytest.raises(GroupTooLarge, match="^torsion group of order 1022117 "
+                                            "exceeds cap 1000000$"):
+        cs_closed_many([(first, 2), (large, 2), (sym([[5]]), 2)])
+    assert decomposed == [first]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_m28_degenerate_draw_is_refused_before_its_gram_solve(seed,
                                                               time_limit):
@@ -466,7 +497,7 @@ def test_m28_degenerate_draw_is_refused_before_its_gram_solve(seed,
     rng = random.Random(seed)
     for _ in range(4):
         s = random_symmetric_matrix(rng, 26, 4)
-        order = abs(intlinalg.determinant(s))
+        order = abs(determinant(s))
         L, _ = degenerate_draw(rng, 28, s.rows(), bound=3)
         message = f"^torsion group of order {order} exceeds cap 1000000$"
         with pytest.raises(GroupTooLarge, match=message):

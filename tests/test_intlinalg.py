@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from abtqft.errors import DegenerateMatrix, GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
     clear_denominators,
-    determinant,
     _eliminate,
     _solve,
     integer_inverse,
@@ -37,6 +37,23 @@ E8_ROWS = [
     [0, 0, 0, 0, 0, -1, 2, 0],
     [0, 0, 0, 0, -1, 0, 0, 2],
 ]
+
+
+def determinant(mat):
+    """Exact determinant of a square integer matrix, an :class:`IntSymMatrix`
+    or its rows, by the triangular mode of :func:`_eliminate`: the reference
+    that the determinant kept by the signature elimination is checked
+    against."""
+    a = [list(map(int, row))
+         for row in (mat.rows() if isinstance(mat, IntSymMatrix) else mat)]
+    rank, d = _eliminate(a, len(a), True)
+    return d if rank == len(a) else 0
+
+
+def snf(mat):
+    """:func:`smith_normal_form` of an :class:`IntSymMatrix` or its rows."""
+    return smith_normal_form(
+        mat if isinstance(mat, IntSymMatrix) else IntSymMatrix.from_rows(mat))
 
 
 def random_symmetric(rng, n, bound=5):
@@ -94,14 +111,14 @@ def test_direct_sum_is_the_block_diagonal_join():
 # Smith normal form
 
 def test_snf_couples_coprime_divisors():
-    _, d, _ = smith_normal_form([[2, 0], [0, 3]])
+    _, d, _ = snf([[2, 0], [0, 3]])
     assert [d[0][0], d[1][1]] == [1, 6]
 
 
 def test_snf_identity_and_zero():
-    _, d, _ = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    _, d, _ = snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert [d[i][i] for i in range(3)] == [1, 1, 1]
-    _, d, _ = smith_normal_form([[0]])
+    _, d, _ = snf([[0]])
     assert d == [[0]]
 
 
@@ -133,8 +150,8 @@ def test_snf_matches_minor_gcd_oracle():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 4)
-        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        _, d, _ = smith_normal_form(mat)
+        mat = random_symmetric(rng, n)
+        _, d, _ = snf(mat)
         got = [d[i][i] for i in range(n)]
         want = elementary_reduction_invariant_factors(mat, n)
         # zeros in the oracle can appear before the gcd chain stops dividing
@@ -170,11 +187,11 @@ def cokernel_order_of(inverse, rep):
 
 
 def check_transforms(mat, u, w):
-    """``U W = I``, exactly with unimodular ``U`` for singular or non-square
-    input, and mod ``|det|`` with ``W`` reduced into ``[0, |det|)`` for
-    nonsingular square input."""
+    """``U W = I``, exactly with unimodular ``U`` for singular input, and
+    mod ``|det|`` with ``W`` reduced into ``[0, |det|)`` for nonsingular
+    input."""
     n = len(u)
-    det = abs(determinant(mat)) if n == len(mat[0] if mat else []) else 0
+    det = abs(determinant(mat))
     identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     uw = mat_mul(u, w)
     if det:
@@ -192,14 +209,13 @@ def test_snf_reconstruction_and_unimodularity():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(0, 5)
-        m = rng.randint(0, 5)
-        mat = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-        u, d, w = smith_normal_form(mat)
+        mat = random_symmetric(rng, n)
+        u, d, w = snf(mat)
         check_transforms(mat, u, w)
-        assert len(d) == n and all(len(row) == m for row in d)
-        assert all(d[i][j] == 0 for i in range(n) for j in range(m) if i != j)
-        diag = [d[i][i] for i in range(min(n, m))]
-        assert diag == sympy_invariant_factors(mat, n, m)
+        assert len(d) == n and all(len(row) == n for row in d)
+        assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+        diag = [d[i][i] for i in range(n)]
+        assert diag == sympy_invariant_factors(mat, n, n)
         nonzero = [x for x in diag if x]
         assert all(x > 0 for x in nonzero)
         for a, b in zip(nonzero, nonzero[1:]):
@@ -210,8 +226,8 @@ def test_snf_against_sympy():
     rng = random.Random(9)
     for _ in range(60):
         n = rng.randint(1, 5)
-        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        _, d, _ = smith_normal_form(mat)
+        mat = random_symmetric(rng, n)
+        _, d, _ = snf(mat)
         theirs = sym_snf(Matrix(mat))
         mine = sorted(abs(d[i][i]) for i in range(n))
         ref = sorted(abs(int(theirs[i, i])) for i in range(n))
@@ -232,7 +248,7 @@ def symmetric_matrices(draw, max_m=12, bound=4):
 @given(symmetric_matrices())
 def test_snf_bounded_elimination_property(rows):
     m = len(rows)
-    u, d, w = smith_normal_form(rows)
+    u, d, w = snf(rows)
     assert [d[i][i] for i in range(m)] == sympy_invariant_factors(rows, m, m)
     det = check_transforms(rows, u, w)
     if det:
@@ -329,7 +345,7 @@ def reference_smith_normal_form(mat):
 
 def assert_same_smith_forms(matrices):
     for mat in matrices:
-        assert smith_normal_form(mat) == reference_smith_normal_form(mat), mat
+        assert snf(mat) == reference_smith_normal_form(mat), mat
 
 
 def unimodular(rng, m, steps):
@@ -379,15 +395,9 @@ def test_snf_is_its_reference_on_degenerate_congruences():
     assert_same_smith_forms(matrices)
 
 
-def test_snf_is_its_reference_on_rectangular_and_small_matrices():
-    rng = random.Random(16)
-    rectangular = [[[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-                   for n, m in ((rng.randint(0, 7), rng.randint(0, 7))
-                                for _ in range(400))]
-    assert any(len(mat) != len(mat[0] if mat else []) for mat in rectangular)
-    small = [[], [[0]], [[0, 0], [0, 0]], [[0, 0, 0]], [[0], [0]]] \
-        + [[[x]] for x in range(-9, 10)]
-    assert_same_smith_forms(rectangular + small
+def test_snf_is_its_reference_on_small_matrices():
+    small = [[], [[0]], [[0, 0], [0, 0]]] + [[[x]] for x in range(-9, 10)]
+    assert_same_smith_forms(small
                             + [IntSymMatrix.from_rows(E8_ROWS), PINNED_8X8])
 
 
@@ -400,7 +410,7 @@ def test_snf_is_its_reference_at_unit_determinant():
                             for m in range(1, 9) for _ in range(10)]
     assert all(abs(determinant(mat)) == 1 for mat in matrices)
     assert_same_smith_forms(matrices)
-    u, d, w = smith_normal_form(E8_ROWS)
+    u, d, w = snf(E8_ROWS)
     assert not any(map(any, u + w))
 
 
@@ -419,7 +429,7 @@ def test_snf_is_its_reference_where_blocks_vanish_mod_det():
     set_to_d = 0
     for mat in matrices:
         det = abs(determinant(mat))
-        _, d, _ = smith_normal_form(mat)
+        _, d, _ = snf(mat)
         set_to_d += det > 1 and d[-1][-1] == det
     assert set_to_d >= len(matrices) // 2
 
@@ -474,7 +484,8 @@ def test_elimination_property(rows, data):
     assert rational_rank(scaled) == ref.rank()
     assert signature(rows) == charpoly_signature(rows)
     L = IntSymMatrix.from_rows(rows)
-    assert (rank(L), signature(L)) == (ref.rank(), charpoly_signature(rows))
+    assert (rank(L), signature(L), intlinalg.det(L)) \
+        == (ref.rank(), charpoly_signature(rows), det)
     if det:
         rhs = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
         want = ref.LUsolve(Matrix(rhs))
@@ -500,6 +511,32 @@ def test_triangular_elimination_keeps_rank_and_determinant():
         nonzero = [j for j in leads if j < n]
         assert leads == nonzero + [n] * (n - len(nonzero))
         assert nonzero == sorted(set(nonzero))
+
+
+def test_signature_elimination_keeps_the_determinant():
+    # The last pivot of the symmetric elimination, or 0 when a row has no
+    # pivot, is the determinant, sign included: on draws with forced zero
+    # diagonals (the partner repair runs) and on singular draws.
+    rng = random.Random(102)
+    seen = Counter()
+    for _ in range(3000):
+        m = rng.randint(0, 7)
+        rows = random_symmetric(rng, m, 4)
+        if rng.random() < 0.3:
+            for i in range(m):
+                rows[i][i] = 0
+        if m >= 2 and rng.random() < 0.2:
+            rows = congruent([[int(i == j) for j in range(m - 1)]
+                              + [rng.randint(-2, 2)] for i in range(m - 1)],
+                             random_symmetric(rng, m - 1, 4))
+        L = IntSymMatrix.from_rows(rows)
+        want = determinant(rows)
+        assert intlinalg.det(L) == want, rows
+        assert (rank(L) == m) == (want != 0)
+        seen[(want > 0) - (want < 0)] += 1
+    assert min(seen[-1], seen[0], seen[1]) > 300
+    # The empty matrix has determinant 1.
+    assert intlinalg.det(IntSymMatrix.empty()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +828,7 @@ def test_generator_reps_have_stated_orders(time_limit):
             rd = regular_decomposition(L)
             assert (rd.regular.m, rd.nullity) == (m - 2, 2)
             assert rd.order == abs(determinant(s))
-            _, d, _ = smith_normal_form(rd.regular.rows())
+            _, d, _ = smith_normal_form(rd.regular)
             assert rd.cyclic_orders == tuple(
                 d[i][i] for i in range(m - 2) if d[i][i] > 1)
             for rep in rd.generator_reps:

@@ -9,7 +9,6 @@ from abtqft import numeric, quadmod
 from abtqft.errors import GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
-    determinant,
     mat_mul,
     mat_transpose,
     regular_decomposition,
@@ -25,7 +24,8 @@ from abtqft.quadmod import (
 )
 from abtqft.surgery import SurgeryPresentation, coloring_sums
 from abtqft.surgery import random_unimodular
-from test_intlinalg import degenerate_draw, exact_inverse, inverse_form
+from test_intlinalg import (degenerate_draw, determinant, exact_inverse,
+                             inverse_form)
 
 
 def sym(rows):
