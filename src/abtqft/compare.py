@@ -313,12 +313,16 @@ def default_corpus(seed: int = 0, size: int = 300) -> List[EquivalenceCase]:
     on a value and each candidate adds at most one usable pair, so a block
     never draws past the candidate that completes the corpus.  A pair
     already evaluated in an earlier block is not evaluated again (a value
-    is the same bits in any batch).
+    is the same bits in any batch), and a matrix equal to one seen before
+    is replaced by that first instance, so equal matrices share the
+    elimination it keeps (:func:`abtqft.intlinalg.signature`).
     """
     usable: List[Tuple[IntSymMatrix, int, CsClosedResult]] = []
     evaluated: Dict[Tuple[IntSymMatrix, int], CsClosedResult] = {}
+    first: Dict[IntSymMatrix, IntSymMatrix] = {}
 
     def consider(candidates: List[Tuple[IntSymMatrix, int]]) -> None:
+        candidates = [(first.setdefault(L, L), k) for L, k in candidates]
         fresh = [pair for pair in candidates if pair not in evaluated]
         evaluated.update(zip(fresh, cs_closed_many(fresh)))
         for L, k in candidates:

@@ -74,11 +74,11 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import NotLagrangian
-from .intlinalg import (IntSymMatrix, clear_denominators, integer_inverse, mat_mul,
-                        mat_transpose, mat_vec, rational_rank, signature)
+from .intlinalg import (IntSymMatrix, clear_denominators, mat_mul, mat_vec,
+                        rational_rank, signature)
 from .numeric import UnitPhase, _root_table, approx_to_json, unit_phase_eval
 from .quadmod import check_level, cyclic_module
-from .surgery import SurgeryPresentation, random_unimodular, rt_raw_closed_many
+from .surgery import SurgeryPresentation, random_transvection, rt_raw_closed_many
 
 
 def hopf_pairing(k: int, x: int, y: int) -> UnitPhase:
@@ -419,11 +419,16 @@ def random_lagrangian(rng: random.Random, genus: int,
                     shear[i][j] = shear[j][i] = rng.randint(-2, 2)
             halves = [([x + y for x, y in zip(a, mat_vec(shear, b))], b)
                       for a, b in halves]
-        else:
-            # block-diagonal GL(g, Z) action [[A, 0], [0, A^{-T}]]
-            a_mat = random_unimodular(rng, g, steps=3)
-            a_inv_t = mat_transpose(integer_inverse(a_mat))
-            halves = [(mat_vec(a_mat, a), mat_vec(a_inv_t, b)) for a, b in halves]
+        elif g >= 2:
+            # block-diagonal GL(g, Z) action [[A, 0], [0, A^{-T}]], A the
+            # product of three transvections: each (i, j, s) takes a_i +=
+            # s a_j and b_j -= s b_i, its action on a and its inverse
+            # transpose on b
+            for _ in range(3):
+                i, j, s = random_transvection(rng, g)
+                for a, b in halves:
+                    a[i] += s * a[j]
+                    b[j] -= s * b[i]
     cols = [a + b for a, b in halves]
 
     # rational change of basis inside the subspace

@@ -16,15 +16,14 @@ operations cover what a surgery matrix needs homologically,
   matrix is its own), the nullity, the cyclic orders of the finite
   cokernel ``Z^rho / L_reg Z^rho`` and one generator lift per cyclic
   factor,
-* signatures by fraction-free symmetric congruence on the upper triangle
-  (no floating eigenvalues; signatures enter invariants as
-  eighth-root-of-unity phases, so they must be exact); the same elimination
-  counts the rank (:func:`rank`) and ends on the determinant (:func:`det`),
-* one fraction-free Gauss-Jordan elimination (Bareiss, 1968), behind every
-  inverse and behind the one solve, ``L_reg^{-1} R`` for the generator
-  lifts ``R``, that gives a torsion module its Gram matrix
-  (:func:`abtqft.quadmod.from_decomposition`); :func:`rational_rank`
-  runs its triangular (forward-only) mode.
+* one fraction-free symmetric elimination (Bareiss, 1968),
+  :func:`eliminate_symmetric`, the library's only Gaussian elimination:
+  on a symmetric matrix it gives the exact signature (no floating
+  eigenvalues; signatures enter invariants as eighth-root-of-unity phases,
+  so they must be exact), the rank (:func:`rank`) and the determinant
+  (:func:`det`); on a bordered matrix it gives the Gram matrix of a torsion
+  module (:func:`abtqft.quadmod.from_decomposition`); and on ``A A^T`` the
+  rank over the rationals (:func:`rational_rank`).
 
 All functions treat their inputs as immutable and are safe for parallel use.
 Matrices are serialized as JSON arrays of arrays of integers (row-major).
@@ -38,13 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import DegenerateMatrix
-
 IntRows = List[List[int]]
-
-
-def identity_matrix(n: int) -> IntRows:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
@@ -128,42 +121,57 @@ class IntSymMatrix:
 
 
 def _cross(row: List[int], top: List[int], p: int, f: int, prev: int) -> List[int]:
-    """``(row * p - f * top) / prev`` entrywise, the update of both eliminations
-    below; exact (Bareiss, 1968), as every entry stays an integer minor."""
+    """``(row * p - f * top) / prev`` entrywise, the update of
+    :func:`eliminate_symmetric`; exact (Bareiss, 1968), as every entry
+    stays an integer minor."""
     return [(x * p - f * y) // prev for x, y in zip(row, top)]
 
 
-def _eliminate(rows: IntRows, ncols: int, triangular: bool = False
-               ) -> Tuple[int, int]:
-    """Fraction-free Gauss-Jordan elimination in place; returns ``(rank, det)``.
+def eliminate_symmetric(a: IntRows, n: int) -> Tuple[int, int, int]:
+    """Eliminate the leading ``n`` rows of the symmetric row list ``a`` in
+    place; return ``(signature, pivots, last pivot)`` of its leading ``n x
+    n`` block.
 
-    Row pivots are taken in column order among the first ``ncols`` columns
-    and moved to the top; each pivot turns every other row into its
-    :func:`_cross` with the pivot row.  The pivot rows all end with the last
-    pivot ``p`` on the diagonal, so a nonsingular square ``[A | B]`` ends as
-    ``[p I | p A^{-1} B]``, and ``det = +-p`` (the sign of the row swaps) is
-    ``det A``.  With ``triangular`` each pivot turns only the rows below it
-    (forward-only Bareiss): the matrix ends in echelon form, every entry
-    still an integer minor, and the last pivot, so ``rank`` and ``det``, is
-    the same, for about a third of the work.  This is the library's only
-    Gauss-Jordan elimination.
+    Symmetric congruence diagonalization with diagonal pivots, fraction-free:
+    the trailing block holds ``prev`` times the rational Schur complement
+    (``prev`` the last pivot taken, 1 before the first), so each step is
+    :func:`_cross` and the rational pivot ``p / prev`` counts ``sign(p)
+    sign(prev)``.  A zero diagonal with a nonzero entry in the leading block
+    is repaired by adding (or subtracting) the partner row and column, a
+    congruence of determinant one, which realizes the hyperbolic 2x2 block
+    as two opposite-sign pivots; a row with no partner lies in the radical
+    and takes no pivot.
+
+    Only the upper triangle is read and updated: the Schur complement is
+    symmetric, so row ``r`` is updated from column ``r`` on with the
+    multiplier ``a[i][r]``, and an entry below the diagonal is read as its
+    mirror image.  The input must therefore be symmetric, as every caller's
+    is.  Every pivot is nonzero, so the pivots count the rank of the leading
+    block, and the rational pivots multiply to the last one, which is its
+    determinant when every leading row pivots.  Then the trailing rows end
+    as that determinant times the Schur complement of the leading block:
+    for ``[[A, B], [B^T, C]]`` they hold ``det A (C - B^T A^{-1} B)``.
     """
-    rank, prev, sign = 0, 1, 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            sign = -sign
-        top = rows[rank]
-        p = top[col]
-        for r in range(rank + 1 if triangular else 0, len(rows)):
-            if r != rank:
-                rows[r] = _cross(rows[r], top, p, rows[r][col], prev)
+    size = len(a)
+    sig, prev, pivots = 0, 1, 0
+    for i in range(n):
+        top = a[i]
+        if top[i] == 0:
+            partner = next((j for j in range(i + 1, n) if top[j] != 0), None)
+            if partner is None:
+                continue  # row lies in the radical
+            x, d = top[partner], a[partner][partner]
+            s = 1 if 2 * x + d else -1  # the new diagonal is 2 s x + d
+            for j in range(i + 1, size):
+                top[j] += s * (a[j][partner] if j < partner else a[partner][j])
+            top[i] = 2 * s * x + d
+        p = top[i]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        pivots += 1
+        for r in range(i + 1, size):
+            a[r][r:] = _cross(a[r][r:], top[r:], p, top[r], prev)
         prev = p
-        rank += 1
-    return rank, sign * prev
+    return sig, pivots, prev
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +311,6 @@ def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows, IntRows]:
     return [row[n:] for row in rows], [row[:n] for row in rows], mat_transpose(wt)
 
 
-def _solve(mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> Tuple[IntRows, int]:
-    """``(X, p)`` with ``mat^{-1} rhs = X / p`` for a square ``mat`` and an
-    integer block ``rhs``; ``p = +-det mat``."""
-    n = len(mat)
-    a = [[int(x) for x in mat[i]] + [int(x) for x in rhs[i]] for i in range(n)]
-    if _eliminate(a, n)[0] < n:
-        raise DegenerateMatrix("matrix is singular")
-    return [row[n:] for row in a], (a[0][0] if n else 1)
-
-
 def clear_denominators(values: Iterable) -> List[int]:
     """Integers or fractions times the positive lcm of their denominators.
 
@@ -324,18 +322,13 @@ def clear_denominators(values: Iterable) -> List[int]:
 
 
 def rational_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals of a matrix of integers or fractions, by the
-    triangular mode of :func:`_eliminate`."""
+    """Rank over the rationals of a matrix ``A`` of integers or fractions:
+    the pivot count of :func:`eliminate_symmetric` on ``A A^T``, which has
+    the rank of ``A`` over the rationals, after each row of ``A`` is cleared
+    of its denominators."""
     a = [clear_denominators(row) for row in rows]
-    return _eliminate(a, len(a[0]) if a else 0, True)[0]
-
-
-def integer_inverse(mat: Sequence[Sequence[int]]) -> IntRows:
-    """Inverse of a unimodular integer matrix, returned over the integers."""
-    inv, p = _solve(mat, identity_matrix(len(mat)))
-    if abs(p) != 1:
-        raise ValueError("matrix is not unimodular")
-    return [[x * p for x in row] for row in inv]
+    gram = [[sum(map(operator.mul, u, v)) for v in a] for u in a]
+    return eliminate_symmetric(gram, len(gram))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -407,28 +400,15 @@ def regular_decomposition(L) -> RegularDecomposition:
 
 
 def signature(L) -> int:
-    """Signature of a symmetric integer matrix, computed exactly.
+    """Signature of a symmetric integer matrix, computed exactly by
+    :func:`eliminate_symmetric` on all its rows.
 
-    Symmetric congruence diagonalization with diagonal pivots, fraction-free:
-    the trailing block holds ``prev`` times the rational Schur complement
-    (``prev`` the last pivot taken), so each step is :func:`_cross` and the
-    rational pivot ``p / prev`` counts ``sign(p) sign(prev)``.  A zero
-    diagonal with a nonzero row entry is repaired by adding (or subtracting)
-    the partner row and column, which realizes the hyperbolic 2x2 block as
-    two opposite-sign pivots.  The radical contributes nothing.
-
-    Only the upper triangle is read and updated: the Schur complement is
-    symmetric, so row ``r`` is updated from column ``r`` on with the
-    multiplier ``a[i][r]``, and an entry below the diagonal is read as its
-    mirror image.  The input must therefore be symmetric, as every caller's
-    is (an :class:`IntSymMatrix` or a Gram matrix).
-
-    Every pivot is nonzero and the radical takes none, so the pivots count
-    the rank; the repair has determinant one and the rational pivots
-    multiply to the last one, so that is ``det L`` when every row pivots.
-    An :class:`IntSymMatrix` keeps its signature, rank (:func:`rank`) and
-    determinant (:func:`det`) once computed (on the instance, outside its
-    fields, so equality, hash and repr are unchanged).
+    The input must be symmetric, as every caller's is (an
+    :class:`IntSymMatrix` or a Gram matrix); only its upper triangle is
+    read.  An :class:`IntSymMatrix` keeps its signature, rank (:func:`rank`,
+    the pivot count) and determinant (:func:`det`, the last pivot when every
+    row pivots, else 0) once computed (on the instance, outside its fields,
+    so equality, hash and repr are unchanged).
     """
     known = getattr(L, "_signature", None)
     if known is not None:
@@ -436,28 +416,11 @@ def signature(L) -> int:
     a = (L.rows() if isinstance(L, IntSymMatrix)
          else [list(map(int, row)) for row in L])
     n = len(a)
-    sig, prev, pivots = 0, 1, 0
-    for i in range(n):
-        top = a[i]
-        if top[i] == 0:
-            partner = next((j for j in range(i + 1, n) if top[j] != 0), None)
-            if partner is None:
-                continue  # row lies in the radical
-            x, d = top[partner], a[partner][partner]
-            s = 1 if 2 * x + d else -1  # the new diagonal is 2 s x + d
-            for j in range(i + 1, n):
-                top[j] += s * (a[j][partner] if j < partner else a[partner][j])
-            top[i] = 2 * s * x + d
-        p = top[i]
-        sig += 1 if (p > 0) == (prev > 0) else -1
-        pivots += 1
-        for r in range(i + 1, n):
-            a[r][r:] = _cross(a[r][r:], top[r:], p, top[r], prev)
-        prev = p
+    sig, pivots, last = eliminate_symmetric(a, n)
     if isinstance(L, IntSymMatrix):
         object.__setattr__(L, "_signature", sig)
         object.__setattr__(L, "_rank", pivots)
-        object.__setattr__(L, "_det", prev if pivots == n else 0)
+        object.__setattr__(L, "_det", last if pivots == n else 0)
     return sig
 
 

@@ -60,11 +60,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .errors import GroupTooLarge
+from .errors import DegenerateMatrix, GroupTooLarge
 from .intlinalg import (
     IntSymMatrix,
     RegularDecomposition,
-    _solve,
+    eliminate_symmetric,
     regular_decomposition,
 )
 from .numeric import quadratic_phase_sums
@@ -172,17 +172,26 @@ def from_decomposition(rd: RegularDecomposition) -> FiniteQuadraticModule:
     """Finite quadratic module of a regular decomposition.
 
     The Gram matrix is ``G = e R^T L_reg^{-1} R`` for the matrix ``R`` of
-    generator lifts, reduced mod ``2e``: one fraction-free solve gives
-    ``L_reg^{-1} R = X / p``, and ``G = e R^T X / p`` divides exactly.
+    generator lifts, reduced mod ``2e``.  :func:`eliminate_symmetric` runs
+    on the leading ``rho`` rows of the bordered matrix ``[[L_reg, R], [R^T,
+    0]]``; every one pivots, as ``L_reg`` is nondegenerate, and the trailing
+    block ends as ``p (-R^T L_reg^{-1} R)`` with ``p = det L_reg`` the last
+    pivot, so ``G = -e T / p`` divides exactly.  A missing pivot raises
+    :class:`~abtqft.errors.DegenerateMatrix`.
     """
     reg, gens = rd.regular, rd.generator_reps
-    e = math.lcm(*rd.cyclic_orders)
-    lifts = [[g[r] for g in gens] for r in range(reg.m)]
-    solved, p = _solve(reg.rows(), lifts)  # L_reg^{-1} R = X / p
+    rho, e = reg.m, math.lcm(*rd.cyclic_orders)
+    bordered = [list(row) + [g[r] for g in gens] for r, row in enumerate(reg.entries)]
+    bordered += [list(g) + [0] * len(gens) for g in gens]
+    _, pivots, p = eliminate_symmetric(bordered, rho)
+    if pivots < rho:
+        raise DegenerateMatrix("matrix is singular")
+    # The upper triangle of the trailing block, read as its mirror below.
+    trailing = [row[rho:] for row in bordered[rho:]]
     gram = tuple(
-        tuple(_integral(e * sum(x * row[j] for x, row in zip(g, solved)), p)
-              % (2 * e) for j in range(len(gens)))
-        for g in gens)
+        tuple(_integral(-e * trailing[min(i, j)][max(i, j)], p) % (2 * e)
+              for j in range(len(gens)))
+        for i in range(len(gens)))
     return FiniteQuadraticModule(rd.cyclic_orders, gram)
 
 

@@ -355,13 +355,11 @@ class FuzzReport:
 def random_kirby_move(rng: random.Random, m: int) -> KirbyMove:
     """Seeded move on ``m`` components: a handle slide with probability 0.7
     when ``m >= 2``, else a stabilization.  Fixed-seed Kirby reports depend
-    on the draw order (``random``, two ``randrange``, ``choice``)."""
+    on the draw order: ``random``, then a slide is a
+    :func:`random_transvection`."""
     if m >= 2 and rng.random() < 0.7:
-        i = rng.randrange(m)
-        j = rng.randrange(m - 1)
-        if j >= i:
-            j += 1
-        return KirbyMove("K2", rng.choice((1, -1)), i, j)
+        i, j, s = random_transvection(rng, m)
+        return KirbyMove("K2", s, i, j)
     return KirbyMove("K1", rng.choice((1, -1)))
 
 
@@ -435,17 +433,25 @@ def random_presentation(rng: random.Random, max_components: int = 4,
     return SurgeryPresentation.closed(random_symmetric_matrix(rng, m, entry_bound))
 
 
+def random_transvection(rng: random.Random, m: int) -> Tuple[int, int, int]:
+    """Seeded transvection ``(i, j, s)``, ``i != j`` in ``range(m)`` (``m >=
+    2``) and ``s = +-1``: row ``i`` gains ``s`` times row ``j``.  The one
+    draw protocol (``randrange(m)``, ``randrange(m - 1)`` shifted past
+    ``i``, then ``choice((1, -1))``) of every handle slide and unimodular
+    matrix drawn, on which fixed-seed reports depend."""
+    i = rng.randrange(m)
+    j = rng.randrange(m - 1)
+    if j >= i:
+        j += 1
+    return i, j, rng.choice((1, -1))
+
+
 def random_unimodular(rng: random.Random, m: int, steps: int = 6) -> List[List[int]]:
     """Product of random elementary transvections (determinant +1)."""
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     if m < 2:
         return u
     for _ in range(steps):
-        i = rng.randrange(m)
-        j = rng.randrange(m - 1)
-        if j >= i:
-            j += 1
-        s = rng.choice((1, -1))
-        for col in range(m):
-            u[i][col] += s * u[j][col]
+        i, j, s = random_transvection(rng, m)
+        u[i] = [x + s * y for x, y in zip(u[i], u[j])]
     return u

@@ -2,8 +2,6 @@ import hashlib
 import json
 import math
 import random
-import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -321,26 +319,21 @@ def test_reciprocity_right_side_is_the_regular_block_expression(mode):
             (L.entries, r)
 
 
-def test_random_nondegenerate_accepts_the_determinant_rule_draws(monkeypatch):
+def test_random_nondegenerate_accepts_the_determinant_rule_draws(eliminations):
     # A draw is accepted on the rank its signature's elimination counts:
-    # the draws are those of the determinant rule, no Gauss-Jordan
-    # elimination runs, and each draw keeps its signature.
-    eliminations = []
-
-    def counted(*args, _fn=intlinalg._eliminate):
-        eliminations.append(len(args[0]))
-        return _fn(*args)
+    # the draws are those of the determinant rule, each candidate is
+    # eliminated once, and the accepted draw keeps its signature.
     rng, ref = random.Random(3), random.Random(3)
     for _ in range(200):
-        with monkeypatch.context() as patch:
-            patch.setattr(intlinalg, "_eliminate", counted)
-            L = random_nondegenerate(rng, 3, 4)
-        want = None
+        del eliminations[:]
+        L = random_nondegenerate(rng, 3, 4)
+        want, candidates = None, []
         while want is None or determinant(want) == 0:
             want = random_symmetric_matrix(ref, ref.randint(1, 3), 4)
+            candidates.append((want.m, want.m))
+        assert eliminations == candidates
         assert L == want
         assert getattr(L, "_signature", None) == signature(want)
-    assert eliminations == []
 
 
 def test_random_degenerate_really_degenerate():
@@ -362,38 +355,32 @@ def verify_reciprocity_half(L, r):
     return verify_reciprocity_dt(L, r, null_exponent_mode="paper_half")
 
 
-@pytest.mark.parametrize("evaluate, rows", [
-    (cs_closed, NONDEGENERATE),
-    (cs_closed, DEGENERATE),
-    (verify_reciprocity_dt, NONDEGENERATE),
-    (verify_reciprocity_dt, DEGENERATE),
-    (verify_reciprocity_half, NONDEGENERATE),
-    (verify_reciprocity_half, DEGENERATE),
+@pytest.mark.parametrize("evaluate, rows, shapes", [
+    (cs_closed, NONDEGENERATE, [(3, 3), (4, 3)]),
+    (cs_closed, DEGENERATE, [(4, 4), (4, 2)]),
+    (verify_reciprocity_dt, NONDEGENERATE, [(3, 3), (4, 3)]),
+    (verify_reciprocity_dt, DEGENERATE, [(4, 4), (4, 2)]),
+    (verify_reciprocity_half, NONDEGENERATE, [(3, 3), (4, 3)]),
+    (verify_reciprocity_half, DEGENERATE, [(4, 4), (4, 2)]),
 ], ids=["cs-nondegenerate", "cs-degenerate", "dt-nondegenerate",
         "dt-degenerate", "degenerate-nondegenerate", "degenerate-degenerate"])
 def test_torsion_evaluation_runs_one_smith_form_and_two_eliminations(
-        evaluate, rows, monkeypatch):
+        evaluate, rows, shapes, monkeypatch, eliminations):
     # The two eliminations are the signature elimination of L, which gives
     # the Smith form its modulus |det L| and the reciprocity check its
-    # signature, and the Gram solve, the one Gauss-Jordan elimination; the
-    # torsion data comes from the one Smith form of L.
-    calls, real = Counter(), intlinalg.signature
-    for name in ("smith_normal_form", "_eliminate"):
-        def counted(*args, _name=name, _fn=getattr(intlinalg, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(intlinalg, name, counted)
+    # signature, and the Gram elimination of the bordered regular block
+    # (one lift for the nondegenerate L, with T = Z/992; two for the
+    # degenerate one, with T = Z/3 + Z/9); the torsion data comes from the
+    # one Smith form of L.
+    calls, real = [], intlinalg.smith_normal_form
 
-    def signed(L):
-        calls["signature eliminations"] += getattr(L, "_signature", None) is None
+    def counted(L):
+        calls.append(L.m)
         return real(L)
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("abtqft") \
-                and getattr(module, "signature", None) is real:
-            monkeypatch.setattr(module, "signature", signed)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
     evaluate(sym(rows), 2)
-    assert calls == {"smith_normal_form": 1, "_eliminate": 1,
-                     "signature eliminations": 1}
+    assert calls == [len(rows)]
+    assert eliminations == shapes
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ from abtqft.extended import (
     twist_phase,
     walker_correct,
 )
-from abtqft.intlinalg import (IntSymMatrix, identity_matrix, integer_inverse, mat_mul,
-                              mat_transpose, mat_vec, signature)
+from abtqft.intlinalg import IntSymMatrix, mat_mul, mat_transpose, mat_vec, signature
 from abtqft.numeric import UnitPhase, unit_phase_eval
 from abtqft.surgery import (SurgeryPresentation, random_symmetric_matrix, random_unimodular,
                             rt_raw_closed)
@@ -362,7 +361,8 @@ def test_maslov_suite_seed0_indices_are_pinned():
 
 def random_lagrangian_by_dense_moves(rng, genus, moves=3):
     """The former ``random_lagrangian``: each move a dense 2g x 2g matrix
-    applied to every column by ``mat_vec``."""
+    applied to every column by ``mat_vec``, the GL(g, Z) move with
+    sympy's inverse of ``A``."""
     g = genus
 
     def scaled_columns(entries):
@@ -383,13 +383,13 @@ def random_lagrangian_by_dense_moves(rng, genus, moves=3):
                 mat[i][g + i] = -1
                 mat[g + i][i] = 1
         elif kind == 1:
-            mat = identity_matrix(2 * g)
+            mat = [[int(i == j) for j in range(2 * g)] for i in range(2 * g)]
             for i in range(g):
                 for j in range(i, g):
                     mat[i][g + j] = mat[j][g + i] = rng.randint(-2, 2)
         else:
             a = random_unimodular(rng, g, steps=3)
-            a_inv_t = mat_transpose(integer_inverse(a))
+            a_inv_t = [[int(x) for x in row] for row in Matrix(a).inv().T.tolist()]
             mat = [[0] * (2 * g) for _ in range(2 * g)]
             for i in range(g):
                 for j in range(g):

@@ -13,10 +13,8 @@ from abtqft import intlinalg, quadmod
 from abtqft.errors import DegenerateMatrix, GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
+    RegularDecomposition,
     clear_denominators,
-    _eliminate,
-    _solve,
-    integer_inverse,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -41,13 +39,25 @@ E8_ROWS = [
 
 def determinant(mat):
     """Exact determinant of a square integer matrix, an :class:`IntSymMatrix`
-    or its rows, by the triangular mode of :func:`_eliminate`: the reference
-    that the determinant kept by the signature elimination is checked
-    against."""
+    or its rows, by triangular fraction-free (Bareiss) elimination with row
+    swaps: the reference, sharing no code with the library, that the
+    determinant kept by the signature elimination is checked against."""
     a = [list(map(int, row))
          for row in (mat.rows() if isinstance(mat, IntSymMatrix) else mat)]
-    rank, d = _eliminate(a, len(a), True)
-    return d if rank == len(a) else 0
+    n, sign, prev = len(a), 1, 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        p = a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c]
+            a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], a[c])]
+        prev = p
+    return sign * prev
 
 
 def snf(mat):
@@ -486,31 +496,79 @@ def test_elimination_property(rows, data):
     L = IntSymMatrix.from_rows(rows)
     assert (rank(L), signature(L), intlinalg.det(L)) \
         == (ref.rank(), charpoly_signature(rows), det)
-    if det:
-        rhs = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
-        want = ref.LUsolve(Matrix(rhs))
-        sol, p = _solve(rows, [[x] for x in rhs])
-        assert abs(p) == abs(det)
-        assert [Fraction(row[0], p) for row in sol] \
-            == [Fraction(int(x.p), int(x.q)) for x in want]
+    assert_gram_is_sympys(regular_decomposition(L))
 
 
-def test_triangular_elimination_keeps_rank_and_determinant():
-    # Forward-only Bareiss ends in echelon form with the same last pivot as
-    # the full Gauss-Jordan run, on square matrices singular or not.
-    rng = random.Random(101)
-    for _ in range(300):
+def sympy_gram(rd):
+    """``e R^T L_reg^{-1} R mod 2e`` for the generator lifts ``R``, by
+    sympy's exact inverse: the oracle of the bordered Gram elimination."""
+    e = math.lcm(*rd.cyclic_orders)
+    lifts = Matrix(rd.regular.m, len(rd.generator_reps),
+                   lambda r, j: rd.generator_reps[j][r])
+    gram = e * lifts.T * Matrix(rd.regular.rows()).inv() * lifts
+    assert all(x.is_integer for x in gram)
+    return tuple(tuple(int(gram[i, j]) % (2 * e) for j in range(gram.cols))
+                 for i in range(gram.rows))
+
+
+def assert_gram_is_sympys(rd):
+    module = quadmod.from_decomposition(rd)
+    assert module.cyclic_orders == rd.cyclic_orders
+    assert module.gram == sympy_gram(rd)
+
+
+def test_bordered_gram_is_sympys():
+    # The trailing block of the bordered [[L_reg, R], [R^T, 0]] ends as
+    # det L_reg (-R^T L_reg^{-1} R): nondegenerate and degenerate L, zero
+    # diagonals (the partner repair runs inside the leading block) and
+    # trivial T (no lifts, no trailing block).
+    rng = random.Random(103)
+    cases = [IntSymMatrix.from_rows(E8_ROWS), IntSymMatrix.empty(),
+             IntSymMatrix.from_rows([[0, 1], [1, 0]]),
+             IntSymMatrix.from_rows([[0, 3], [3, 0]])]
+    while len(cases) < 300:
         n = rng.randint(1, 6)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.3:
-            rows[-1] = [2 * x for x in rows[0]]
-        full, tri = [row[:] for row in rows], [row[:] for row in rows]
-        assert _eliminate(tri, n, True) == _eliminate(full, n)
-        assert determinant(rows) == Matrix(rows).det()
-        leads = [next((j for j, x in enumerate(row) if x), n) for row in tri]
-        nonzero = [j for j in leads if j < n]
-        assert leads == nonzero + [n] * (n - len(nonzero))
-        assert nonzero == sorted(set(nonzero))
+        rows = random_symmetric(rng, n, 4)
+        if rng.random() < 0.4:
+            for i in range(n):
+                rows[i][i] = 0
+        if determinant(rows):
+            cases.append(IntSymMatrix.from_rows(rows))
+        if n <= 4:
+            cases.append(degenerate_draw(rng, n + 2)[0])
+    kinds = Counter()
+    for L in cases:
+        rd = regular_decomposition(L)
+        reg = rd.regular.entries
+        kinds["degenerate"] += rd.nullity > 0
+        kinds["zero diagonal"] += any(reg[i][i] == 0 for i in range(len(reg)))
+        kinds["trivial T"] += not rd.cyclic_orders
+        assert_gram_is_sympys(rd)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_bordered_gram_on_any_lifts_and_refuses_a_singular_block():
+    # G = e R^T L^{-1} R for lifts R with e L^{-1} R integral, here any R
+    # at e = |det L| (the adjugate is integral), even past the cyclic
+    # orders a Smith form gives; a block with no pivot in some row refuses.
+    rng = random.Random(107)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = random_symmetric(rng, n, 4)
+        if rng.random() < 0.4:
+            for i in range(n):
+                rows[i][i] = 0
+        d = abs(determinant(rows))
+        if not d:
+            continue
+        lifts = tuple(tuple(rng.randint(-6, 6) for _ in range(n))
+                      for _ in range(rng.randint(1, 3)))
+        assert_gram_is_sympys(RegularDecomposition(
+            IntSymMatrix.from_rows(rows), 0, (d,) * len(lifts), lifts))
+    for rows in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 3]]):
+        with pytest.raises(DegenerateMatrix):
+            quadmod.from_decomposition(RegularDecomposition(
+                IntSymMatrix.from_rows(rows), 0, (2,), ((1,) * len(rows),)))
 
 
 def test_signature_elimination_keeps_the_determinant():
@@ -715,6 +773,8 @@ def test_clear_denominators_matches_the_fraction_implementation():
 
 
 def test_triangular_rational_rank_agrees_with_full_elimination_and_sympy():
+    # The name is kept from the triangular Gauss-Jordan this once compared
+    # against; the rank now comes from the symmetric elimination of A A^T.
     rng = random.Random(233)
     for _ in range(200):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
@@ -722,8 +782,8 @@ def test_triangular_rational_rank_agrees_with_full_elimination_and_sympy():
                 for _ in range(n)]
         if n >= 2 and rng.random() < 0.4:
             rows[-1] = [Fraction(3, 2) * x - y for x, y in zip(rows[0], rows[1])]
-        full = [clear_denominators(row) for row in rows]
-        assert rational_rank(rows) == _eliminate(full, m)[0] == Matrix(rows).rank()
+        assert rational_rank(rows) == Matrix(rows).rank()
+    assert rational_rank([]) == rational_rank([[], []]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -860,22 +920,3 @@ def test_even_level_coset_invariance():
         inverse = exact_inverse(L.rows())
         diff = k * (inverse_form(inverse, shifted) - inverse_form(inverse, x))
         assert diff.denominator == 1 and diff.numerator % 2 == 0
-
-
-def test_integer_inverse_round_trip():
-    rng = random.Random(29)
-    from abtqft.surgery import random_unimodular
-
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        u = random_unimodular(rng, n, steps=5)
-        v = integer_inverse(u)
-        assert mat_mul(u, v) == [[1 if i == j else 0 for j in range(n)]
-                                 for i in range(n)]
-
-
-def test_integer_inverse_errors():
-    with pytest.raises(ValueError, match="unimodular"):
-        integer_inverse([[2, 0], [0, 1]])
-    with pytest.raises(DegenerateMatrix):
-        integer_inverse([[1, 2], [2, 4]])
