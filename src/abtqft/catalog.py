@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from .compare import E8_ROWS
 from .intlinalg import IntSymMatrix
@@ -37,11 +37,6 @@ class CatalogEntry:
     presentation: SurgeryPresentation
     expected: ExpectedMap = DERIVED_AT_BUILD
     note: str = ""
-
-    def expected_value(self, k: int) -> Optional[PolarValue]:
-        if isinstance(self.expected, str):
-            return None
-        return self.expected.get(k)
 
     def to_json(self) -> dict:
         obj = {"name": self.name, "presentation": self.presentation.to_json()}

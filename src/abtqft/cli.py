@@ -18,8 +18,10 @@ standard output before the report is written, with nothing on standard
 error.  The environment variable ``ABTQFT_MAX_ENUM``
 overrides the default enumeration cap of 10**7 colorings.
 
-Tolerances default to ``base * sqrt(number_of_summed_terms)`` with base
-1e-9; ``--tol`` overrides the base with a positive finite number.
+Each ``verify`` suite takes only the options of its :data:`SUITE_OPTIONS`
+row and exits 2 on any other.  Tolerances default to ``base *
+sqrt(number_of_summed_terms)`` with base 1e-9; ``--tol`` overrides the base
+with a positive finite number.
 """
 
 from __future__ import annotations
@@ -45,7 +47,15 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 128 + 13  # the shell's status for a death by SIGPIPE
 
-VERIFY_SUITES = ("kirby", "reciprocity", "equivalence", "modular", "maslov")
+#: The options each ``verify`` suite reads, with their defaults.  ``main``
+#: fills in the defaults; any other option exits 2.
+SUITE_OPTIONS = {
+    "kirby": {"seed": 0, "cases": 500, "tol": 1e-9},
+    "reciprocity": {"seed": 0, "cases": 200, "tol": 1e-9},
+    "equivalence": {"seed": 0, "cases": 300},
+    "modular": {"kmax": 16},
+    "maslov": {"seed": 0, "cases": 100},
+}
 
 
 class InputError(Exception):
@@ -381,14 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--json", action="store_true")
     p_inv.set_defaults(fn=cmd_invariant)
 
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=VERIFY_SUITES)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--cases", type=int, default=None,
+    p_ver = sub.add_parser("verify", help="run a verification suite",
+                           description="Each suite takes only the options "
+                                       "it reads; any other exits 2.")
+    p_ver.add_argument("suite", choices=tuple(SUITE_OPTIONS))
+    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--cases", type=int,
                        help="number of cases, at least 1; the equivalence "
                             "corpus always includes the classic and E8 pairs")
-    p_ver.add_argument("--kmax", type=int, default=16)
-    p_ver.add_argument("--tol", type=float, default=1e-9,
+    p_ver.add_argument("--kmax", type=int, help="highest level checked")
+    p_ver.add_argument("--tol", type=float,
                        help="base tolerance, scaled by sqrt(#terms)")
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(fn=cmd_verify)
@@ -412,21 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SUITE_CASE_DEFAULTS = {"kirby": 500, "reciprocity": 200, "equivalence": 300,
-                        "maslov": 100, "modular": 0}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "verify":
+            options = SUITE_OPTIONS[args.suite]
+            for name in ("seed", "cases", "kmax", "tol"):
+                if getattr(args, name) is None:
+                    setattr(args, name, options.get(name))
+                elif name not in options:
+                    raise InputError(
+                        f"verify {args.suite} does not take --{name}")
         if getattr(args, "cases", None) is not None and args.cases < 1:
             raise InputError(f"--cases must be at least 1, got {args.cases}")
-        if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
+        if getattr(args, "tol", None) is not None and not (
+                math.isfinite(args.tol) and args.tol > 0):
             raise InputError("--tol must be a positive finite number, "
                              f"got {args.tol}")
-        if getattr(args, "cases", None) is None and hasattr(args, "suite"):
-            args.cases = _SUITE_CASE_DEFAULTS[args.suite]
         code = args.fn(args)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
         return code

@@ -69,7 +69,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -110,9 +110,6 @@ class TorusStateVector:
         if isinstance(label, int):
             label = (label,)
         return self.coefficients[tuple(int(x) % self.level for x in label)]
-
-    def slot_count(self) -> int:
-        return len(self.coefficients)
 
     def to_json(self) -> dict:
         return {"k": self.level, "g": self.genus,
@@ -316,13 +313,9 @@ def cylinder_bordism() -> ExtendedBordism:
 # Lagrangian frames and the Maslov index
 
 def _symplectic_image(g: int, v: Sequence[int]) -> Tuple[int, ...]:
-    """``J v = (b, -a)`` for ``v = (a, b)``, so that ``w(u, v) = u . J v``."""
+    """``J v = (b, -a)`` for ``v = (a, b)``, so that ``w(u, v) = u . J v``
+    for the standard symplectic form on ``Q^{2g}``, ``w(e_i, e_{g+i}) = 1``."""
     return tuple(v[g:]) + tuple(-x for x in v[:g])
-
-
-def symplectic_pairing(g: int, u: Sequence[int], v: Sequence[int]) -> int:
-    """Standard symplectic form on Q^{2g}: ``w(e_i, e_{g+i}) = 1``."""
-    return mat_vec((_symplectic_image(g, v),), u)[0]
 
 
 @dataclass(frozen=True)
@@ -350,10 +343,6 @@ class LagrangianFrame:
             raise NotLagrangian("frame is not isotropic")
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "images", images)
-
-    @classmethod
-    def from_columns(cls, genus: int, columns: Iterable[Iterable]) -> "LagrangianFrame":
-        return cls(genus, tuple(tuple(col) for col in columns))
 
 
 def maslov_index(l1: LagrangianFrame, l2: LagrangianFrame,

@@ -103,9 +103,6 @@ class IntSymMatrix:
     def __getitem__(self, ij: Tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
-    def negated(self) -> "IntSymMatrix":
-        return IntSymMatrix.from_rows([[-x for x in row] for row in self.entries])
-
     def direct_sum(self, other: "IntSymMatrix") -> "IntSymMatrix":
         n, p = self.m, other.m
         return IntSymMatrix.from_rows(

@@ -12,10 +12,12 @@ Conventions used throughout the library:
   ``sqrt(magnitude_squared) * exp(2*pi*i*angle)``.  The square root is kept
   unevaluated so values such as ``sqrt(k) * exp(pi*i/4)`` stay exact.
 * Brute-force sums over many colorings accumulate in an ordinary ``complex``
-  ("ApproxComplex").  Such values are only ever compared through
-  :func:`approx_eq` with an explicit tolerance; the standing budget is
-  ``1e-9 * sqrt(number_of_summed_terms)`` because each summand is a unit
-  complex number.
+  ("ApproxComplex").  Every check of such values compares them against an
+  explicit tolerance, never with ``==``: it writes out ``abs(a - b) <= tol``
+  or compares a deviation that it also reports (:func:`approx_eq` is the
+  rule as a helper).  The standing budget is ``1e-9 *
+  sqrt(number_of_summed_terms)`` because each summand is a unit complex
+  number.
 * Every exponential sum of the library (coloring sums, and the torsion
   Gauss sums that also give the reciprocity right side) goes through the
   one kernel :func:`quadratic_phase_sums`, which evaluates a batch of forms

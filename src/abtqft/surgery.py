@@ -45,9 +45,9 @@ to the kernel as one batch, so a value is the same bits in any batch.
 :func:`rt_raw_closed_many` is the prefactor times those sums,
 :func:`rt_raw_closed` its batch of one, and the reciprocity left sides
 (:func:`abtqft.compare.verify_reciprocity_dt_many`) one batch of
-:func:`coloring_sums`.  :func:`kirby_fuzz` and ``verify kirby`` draw their
-cases first (no draw depends on a value) and evaluate them in blocks of
-:data:`KIRBY_BLOCK` cases.
+:func:`coloring_sums`.  ``verify kirby``, the one Kirby-invariance check,
+draws its cases first through :func:`random_kirby_move` (no draw depends
+on a value) and evaluates them in blocks of :data:`KIRBY_BLOCK` cases.
 """
 
 from __future__ import annotations
@@ -128,15 +128,6 @@ class SurgeryPresentation:
     def r(self) -> int:
         return self.insertion_self.m
 
-    def reversed_orientation(self) -> "SurgeryPresentation":
-        """Mirror presentation: every linking number and framing flips sign."""
-        return SurgeryPresentation(
-            self.surgery.negated(),
-            tuple(tuple(-x for x in row) for row in self.insertion_mixed),
-            self.insertion_self.negated(),
-            self.insertion_colors,
-        )
-
     def direct_sum(self, other: "SurgeryPresentation") -> "SurgeryPresentation":
         """Split presentation of the connected sum (block-diagonal join)."""
         m1, m2 = self.m, other.m
@@ -191,15 +182,6 @@ def _check_enumeration(k: int, m: int) -> None:
                 f"level {k} exceeds the enumeration cap {cap}")
         raise EnumerationTooLarge(
             f"{k}^{m} colorings exceed the enumeration cap {cap}")
-
-
-def _within_cap(k: int, m: int) -> bool:
-    """Whether :func:`_check_enumeration` lets ``k^m`` colorings run."""
-    try:
-        _check_enumeration(k, m)
-    except EnumerationTooLarge:
-        return False
-    return True
 
 
 def normalization_prefactor(m: int, sigma: int, k: int) -> PolarValue:
@@ -338,20 +320,6 @@ def apply_kirby(p: SurgeryPresentation, move: KirbyMove) -> SurgeryPresentation:
                                p.insertion_self, p.insertion_colors)
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    """Outcome of a random Kirby walk; deterministic for a fixed seed."""
-
-    seed: int
-    moves: Tuple[dict, ...]
-    max_deviation: float
-    skipped: int
-
-    def to_json(self) -> dict:
-        return {"seed": self.seed, "moves": list(self.moves),
-                "max_dev": self.max_deviation, "skipped": self.skipped}
-
-
 def random_kirby_move(rng: random.Random, m: int) -> KirbyMove:
     """Seeded move on ``m`` components: a handle slide with probability 0.7
     when ``m >= 2``, else a stabilization.  Fixed-seed Kirby reports depend
@@ -364,48 +332,10 @@ def random_kirby_move(rng: random.Random, m: int) -> KirbyMove:
 
 
 #: Kirby cases drawn, then evaluated as one :func:`rt_raw_closed_many` call,
-#: by :func:`kirby_fuzz` and ``verify kirby``: large enough that the default
-#: 500 cases are one block, small enough that a long run never holds every
-#: presentation at once.
+#: by ``verify kirby``: large enough that the default 500 cases are one
+#: block, small enough that a long run never holds every presentation at
+#: once.
 KIRBY_BLOCK = 500
-
-
-def kirby_fuzz(p: SurgeryPresentation, k: int, walk_length: int, seed: int,
-               max_components: int = 6) -> FuzzReport:
-    """Random walk through Kirby moves, recording invariant drift.
-
-    Stabilizations that would push the enumeration past the cap (or the
-    component bound) are skipped and logged rather than applied.  No draw
-    depends on a value, so the walk is drawn in blocks of
-    :data:`KIRBY_BLOCK` moves and each block is evaluated in one batch.
-    """
-    check_level(k)
-    rng = random.Random(seed)
-    current = p
-    value = rt_raw_closed(current, k)
-    max_dev = 0.0
-    log: List[dict] = []
-    skipped = 0
-    for start in range(0, walk_length, KIRBY_BLOCK):
-        applied: List[Tuple[SurgeryPresentation, dict]] = []
-        for _ in range(min(KIRBY_BLOCK, walk_length - start)):
-            m = current.m
-            move = random_kirby_move(rng, m)
-            if move.kind == "K1" and (m + 1 > max_components
-                                      or not _within_cap(k, m + 1)):
-                skipped += 1
-                log.append({"move": move.to_json(), "skipped": True})
-                continue
-            current = apply_kirby(current, move)
-            log.append({"move": move.to_json()})
-            applied.append((current, log[-1]))
-        new_values = rt_raw_closed_many([(q, k) for q, _ in applied])
-        for (_, entry), new_value in zip(applied, new_values):
-            dev = abs(new_value - value)
-            max_dev = max(max_dev, dev)
-            entry["deviation"] = dev
-            value = new_value
-    return FuzzReport(seed, tuple(log), max_dev, skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_criterion_07_modular_anomaly_all_even_levels():
 
 
 def test_criterion_08_state_space_dimension():
-    ok = all(TorusStateVector(k, g, {}).slot_count() == k ** g
+    ok = all(len(TorusStateVector(k, g, {}).coefficients) == k ** g
              for g in (1, 2, 3) for k in LEVELS)
     report(8, ok, "label-set cardinality k^g for g <= 3, k in {2,4,6,8}")
 

@@ -10,7 +10,7 @@ from abtqft.surgery import rt_raw_closed
 @pytest.mark.parametrize("name", ["S3", "S3_plus", "S3_minus", "S1xS2"])
 def test_frozen_values_match_both_routes(name, k):
     entry = builtin_catalog()[name]
-    want = polar_to_approx(entry.expected_value(k))
+    want = polar_to_approx(entry.expected[k])
     p = entry.presentation
     tol = sum_tolerance(k ** p.m)
     assert abs(rt_raw_closed(p, k) - want) <= tol

@@ -486,6 +486,25 @@ def test_tolerance_base_not_positive_finite_is_usage_error(capsys, suite, tol):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("suite, option, value", [
+    ("kirby", "kmax", "8"),
+    ("reciprocity", "kmax", "8"),
+    ("equivalence", "tol", "1e-3"),
+    ("equivalence", "kmax", "8"),
+    ("maslov", "tol", "1e-3"),
+    ("maslov", "kmax", "8"),
+    ("modular", "seed", "1"),
+    ("modular", "cases", "5"),
+    ("modular", "tol", "1e-3"),
+])
+def test_verify_refuses_an_option_its_suite_does_not_read(capsys, suite,
+                                                           option, value):
+    # Each of these was once accepted and ignored without a word.
+    code, out, err = run(capsys, "verify", suite, f"--{option}", value)
+    assert_one_line_usage_error(code, out, err)
+    assert err == f"error: verify {suite} does not take --{option}\n"
+
+
 @pytest.mark.parametrize("entry", ["1.5", "true", '"3"', "1e300"])
 @pytest.mark.parametrize("template", [
     '{"L": [[%s]]}',
