@@ -27,23 +27,31 @@ level.
 
 Boundary coefficients
 ---------------------
-A bordism with designated boundary components is stored as one symmetric
-block linking matrix over [surgery | colored insertions | boundary]
-components, the boundary components carrying framing data instead of colors.
-Filling a boundary component at label ``x`` (:meth:`ExtendedBordism.fill`)
-produces an honest closed presentation and the boundary state vector is the
-table of closed evaluations over ``x``.  Two filling modes are
-implemented:
+A bordism with designated boundary components is one symmetric linking
+matrix ``L`` over [surgery ``S`` | colored insertions ``I`` | boundary
+``B``] components, the boundary components carrying framing data instead
+of colors.  Filling the boundary at labels ``x``
+(:meth:`ExtendedBordism.fill`) slices ``L`` into an honest closed
+presentation, and the boundary state vector is the table of closed
+evaluations over ``x``.  Two filling modes are implemented:
 
-* ``"meridian"`` (default): the flagged component becomes a colored
-  insertion with color ``x``, its framing moving to the insertion
-  self-linking diagonal. The solid-torus pairing closure then evaluates to
+* ``"meridian"`` (default): each boundary component becomes a colored
+  insertion with color ``x``, its framing on the insertion self-linking
+  diagonal: surgery ``L[S, S]``, mixed block ``L[S, I+B]``, self block
+  ``L[I+B, I+B]``.  The solid-torus pairing closure then evaluates to
   ``Omega(x, y) * Z(S^3)`` on a core colored ``y``, reproducing the Fourier
   pairing of the torus state space.
-* ``"zero_framed"``: the flagged component becomes a surgery component
-  (keeping its framing) and a fresh meridian insertion colored ``x`` is
-  adjoined.  The trivially filled empty bordism then gives the slot values
-  of ``rt_raw_closed([[0]])``.
+* ``"zero_framed"``: each boundary component becomes a surgery component
+  (keeping its framing), surgery ``L[S+B, S+B]``, and a fresh meridian
+  insertion colored ``x``, of self-linking zero, links it once: mixed block
+  ``L[S+B, I]`` followed by one meridian column per boundary component,
+  self block ``L[I, I]`` padded with zeros.  The trivially filled empty
+  bordism then gives the slot values of ``rt_raw_closed([[0]])``.
+
+On one boundary torus the two conventions differ by the modular ``S``:
+the zero-framed vector is ``e^{-pi i (sigma(L[S+B, S+B]) - sigma(L[S, S]))/4}
+S-bar`` times the meridian one, since summing the new surgery color against
+its meridian is the conjugate Fourier kernel.
 
 Anomaly bookkeeping
 -------------------
@@ -186,49 +194,27 @@ def anomaly_check(k: int) -> AnomalyCheck:
 # ---------------------------------------------------------------------------
 # Bordisms with designated boundary tori
 
-def _as_rows(block, n_rows: int, n_cols: int, name: str) -> Tuple[Tuple[int, ...], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in block)
-    if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
-        raise ValueError(f"{name} block must be {n_rows} x {n_cols}")
-    return rows
-
-
 @dataclass(frozen=True)
 class ExtendedBordism:
     """Surgery data with designated boundary components and a weight mod 8.
 
-    Blocks of the full symmetric linking matrix over components ordered as
-    [surgery | insertion | boundary]; boundary components carry framings
-    (diagonal of ``boundary_self``) instead of colors.
+    ``linking`` is the symmetric linking matrix of the whole framed link, its
+    components ordered as [surgery | insertion | boundary]: the last
+    ``boundary_count`` carry framings instead of colors, the
+    ``len(insertion_colors)`` before them are the colored insertions.
     """
 
-    surgery: IntSymMatrix
-    insertion_mixed: Tuple[Tuple[int, ...], ...] = ()
-    insertion_self: IntSymMatrix = IntSymMatrix.empty()
+    linking: IntSymMatrix
     insertion_colors: Tuple[int, ...] = ()
-    boundary_mixed: Tuple[Tuple[int, ...], ...] = ()
-    boundary_self: IntSymMatrix = IntSymMatrix.empty()
-    insertion_boundary: Tuple[Tuple[int, ...], ...] = ()
+    boundary_count: int = 0
     weight: int = 0
 
     def __post_init__(self) -> None:
-        s, r, t = self.surgery.m, self.insertion_self.m, self.boundary_self.m
-        object.__setattr__(self, "insertion_mixed",
-                           _as_rows(self.insertion_mixed or ((),) * s, s, r,
-                                    "insertion_mixed"))
-        object.__setattr__(self, "boundary_mixed",
-                           _as_rows(self.boundary_mixed or ((),) * s, s, t,
-                                    "boundary_mixed"))
-        object.__setattr__(self, "insertion_boundary",
-                           _as_rows(self.insertion_boundary or ((),) * r, r, t,
-                                    "insertion_boundary"))
-        if len(self.insertion_colors) != r:
-            raise ValueError("one color per insertion component required")
+        object.__setattr__(self, "insertion_colors",
+                           tuple(map(int, self.insertion_colors)))
+        if not 0 <= self.boundary_count <= self.linking.m - len(self.insertion_colors):
+            raise ValueError("linking matrix needs a row per insertion and boundary component")
         object.__setattr__(self, "weight", int(self.weight) % 8)
-
-    @property
-    def boundary_count(self) -> int:
-        return self.boundary_self.m
 
     def fill(self, colors: Sequence[int], mode: str = "meridian",
              ) -> SurgeryPresentation:
@@ -236,37 +222,27 @@ class ExtendedBordism:
         t = self.boundary_count
         if len(colors) != t:
             raise ValueError("one filling color per boundary component required")
-        colors = tuple(int(x) for x in colors)
-        s, r = self.surgery.m, self.insertion_self.m
-        C = self.insertion_self.entries
-        E = self.boundary_self.entries
-        F = self.insertion_boundary
+        colors = self.insertion_colors + tuple(int(x) for x in colors)
+        L = self.linking.entries
+        n, r = len(L), len(self.insertion_colors)
+        S, I, B = range(n - r - t), range(n - r - t, n - t), range(n - t, n)
+
+        def block(rows, cols):
+            return tuple(tuple(L[i][j] for j in cols) for i in rows)
+
         if mode == "meridian":
-            mixed = tuple(self.insertion_mixed[i] + self.boundary_mixed[i]
-                          for i in range(s))
-            self_rows = [list(C[i]) + list(F[i]) for i in range(r)]
-            self_rows += [[F[i][j] for i in range(r)] + list(E[j])
-                          for j in range(t)]
-            return SurgeryPresentation(
-                self.surgery, mixed,
-                IntSymMatrix.from_rows(self_rows),
-                self.insertion_colors + colors)
+            rest = range(n - r - t, n)
+            return SurgeryPresentation(IntSymMatrix(block(S, S)),
+                                       block(S, rest),
+                                       IntSymMatrix(block(rest, rest)), colors)
         if mode == "zero_framed":
-            L_rows = [list(self.surgery.entries[i]) + list(self.boundary_mixed[i])
-                      for i in range(s)]
-            L_rows += [[self.boundary_mixed[i][j] for i in range(s)] + list(E[j])
-                       for j in range(t)]
-            mixed = tuple(tuple(self.insertion_mixed[i]) + (0,) * t
-                          for i in range(s))
-            mixed += tuple(tuple(F[i][j] for i in range(r))
-                           + tuple(1 if a == j else 0 for a in range(t))
-                           for j in range(t))
-            self_rows = [list(C[i]) + [0] * t for i in range(r)]
-            self_rows += [[0] * (r + t) for _ in range(t)]
+            surgery = [*S, *B]
+            mixed = tuple(row + tuple(int(i == j) for j in B)
+                          for i, row in zip(surgery, block(surgery, I)))
+            self_rows = tuple(row + (0,) * t for row in block(I, I))
             return SurgeryPresentation(
-                IntSymMatrix.from_rows(L_rows), mixed,
-                IntSymMatrix.from_rows(self_rows),
-                self.insertion_colors + colors)
+                IntSymMatrix(block(surgery, surgery)), mixed,
+                IntSymMatrix(self_rows + ((0,) * (r + t),) * t), colors)
         raise ValueError(f"unknown filling mode {mode!r}")
 
 
@@ -285,28 +261,20 @@ def solid_torus_bordism(core_color: int, core_framing: int = 0,
                         boundary_framing: int = 0) -> ExtendedBordism:
     """Solid torus with core colored ``core_color``, one boundary torus."""
     return ExtendedBordism(
-        surgery=IntSymMatrix.empty(),
-        insertion_self=IntSymMatrix.from_rows([[core_framing]]),
-        insertion_colors=(core_color,),
-        boundary_self=IntSymMatrix.from_rows([[boundary_framing]]),
-        insertion_boundary=((1,),),
-    )
+        IntSymMatrix.from_rows([[core_framing, 1], [1, boundary_framing]]),
+        (core_color,), 1)
 
 
 def empty_boundary_bordism(boundary_framing: int = 0) -> ExtendedBordism:
     """One bare boundary torus (no surgery, no insertions)."""
-    return ExtendedBordism(
-        surgery=IntSymMatrix.empty(),
-        boundary_self=IntSymMatrix.from_rows([[boundary_framing]]),
-    )
+    return ExtendedBordism(IntSymMatrix.from_rows([[boundary_framing]]),
+                           boundary_count=1)
 
 
 def cylinder_bordism() -> ExtendedBordism:
     """Two boundary tori linked once: the pairing cylinder."""
-    return ExtendedBordism(
-        surgery=IntSymMatrix.empty(),
-        boundary_self=IntSymMatrix.from_rows([[0, 1], [1, 0]]),
-    )
+    return ExtendedBordism(IntSymMatrix.from_rows([[0, 1], [1, 0]]),
+                           boundary_count=2)
 
 
 # ---------------------------------------------------------------------------

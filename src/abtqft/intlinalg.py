@@ -355,7 +355,7 @@ class RegularDecomposition:
         return math.prod(self.cyclic_orders)
 
 
-def regular_decomposition(L) -> RegularDecomposition:
+def regular_decomposition(L: IntSymMatrix) -> RegularDecomposition:
     """Regular block, nullity and torsion of ``L`` from one Smith form.
 
     With ``U L V = D`` the Smith form and ``d_i`` its diagonal, the torsion
@@ -378,8 +378,6 @@ def regular_decomposition(L) -> RegularDecomposition:
     (:func:`det`).  Only the congruence class of the regular block is
     canonical; the concrete matrices are deterministic so tests pin them.
     """
-    if not isinstance(L, IntSymMatrix):
-        L = IntSymMatrix.from_rows(L)
     rows = L.rows()
     u, d, w = smith_normal_form(L)
     orders = [d[i][i] for i in range(L.m) if d[i][i]]

@@ -371,21 +371,12 @@ class PolarValue:
         return PolarValue(self.magnitude_squared * other.magnitude_squared,
                           self.phase * other.phase)
 
-    def inverse(self) -> "PolarValue":
-        if self.magnitude_squared == 0:
-            raise ZeroDivisionError("cannot invert a zero PolarValue")
-        return PolarValue(1 / self.magnitude_squared, self.phase.conjugate())
-
     def conjugate(self) -> "PolarValue":
         return PolarValue(self.magnitude_squared, self.phase.conjugate())
 
     @staticmethod
     def zero() -> "PolarValue":
         return PolarValue(Fraction(0), ONE_PHASE)
-
-    @staticmethod
-    def one() -> "PolarValue":
-        return PolarValue(Fraction(1), ONE_PHASE)
 
 
 def polar_to_approx(v: PolarValue) -> complex:

@@ -97,7 +97,6 @@ class SurgeryPresentation:
 
     def __post_init__(self) -> None:
         mixed = tuple(tuple(map(int, row)) for row in self.insertion_mixed)
-        object.__setattr__(self, "insertion_mixed", mixed)
         object.__setattr__(self, "insertion_colors",
                            tuple(map(int, self.insertion_colors)))
         r = self.insertion_self.m
@@ -106,11 +105,13 @@ class SurgeryPresentation:
         if r == 0:
             if any(mixed):  # a nonempty row
                 raise ValueError("mixed block must have zero width without insertions")
+            mixed = ((),) * self.surgery.m  # one empty row per surgery component
         else:
             if len(mixed) != self.surgery.m:
                 raise ValueError("mixed block needs one row per surgery component")
             if any(len(row) != r for row in mixed):
                 raise ValueError("mixed block width must match insertion count")
+        object.__setattr__(self, "insertion_mixed", mixed)
 
     @classmethod
     def closed(cls, L: IntSymMatrix) -> "SurgeryPresentation":

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -171,21 +172,115 @@ def test_cylinder_pairing_matrix_is_bicharacter(k):
             assert abs(val - unit_phase_eval(hopf_pairing(k, x, y)) * s3) < 1e-12
 
 
+def random_blocks(rng, s, r, t):
+    """The six blocks of a random linking matrix over [surgery |
+    insertion | boundary] with ``s``, ``r`` and ``t`` components: the
+    surgery, insertion and boundary self blocks, then the surgery-insertion,
+    surgery-boundary and insertion-boundary blocks."""
+    def block(n, p):
+        return tuple(tuple(rng.randint(-3, 3) for _ in range(p))
+                     for _ in range(n))
+    return (random_symmetric_matrix(rng, s, 3).entries,
+            random_symmetric_matrix(rng, r, 3).entries,
+            random_symmetric_matrix(rng, t, 3).entries,
+            block(s, r), block(s, t), block(r, t))
+
+
+def joined(blocks):
+    """The linking matrix whose blocks are ``blocks``."""
+    L, C, E, B, D, F = blocks
+    s, r, t = len(L), len(C), len(E)
+    rows = [L[i] + B[i] + D[i] for i in range(s)]
+    rows += [tuple(B[a][i] for a in range(s)) + C[i] + F[i] for i in range(r)]
+    rows += [tuple(D[a][j] for a in range(s)) + tuple(F[a][j] for a in range(r))
+             + E[j] for j in range(t)]
+    return IntSymMatrix.from_rows(rows)
+
+
+def reference_fill(blocks, insertion_colors, colors, mode):
+    """The filling assembled row by row from the six blocks, as it was
+    written when the bordism stored them: the reference of the slicing
+    ``ExtendedBordism.fill``."""
+    L, C, E, B, D, F = blocks
+    s, r, t = len(L), len(C), len(E)
+    colors = tuple(insertion_colors) + tuple(colors)
+    if mode == "meridian":
+        mixed = tuple(B[i] + D[i] for i in range(s))
+        self_rows = [list(C[i]) + list(F[i]) for i in range(r)]
+        self_rows += [[F[i][j] for i in range(r)] + list(E[j]) for j in range(t)]
+        return SurgeryPresentation(IntSymMatrix.from_rows(L), mixed,
+                                   IntSymMatrix.from_rows(self_rows), colors)
+    L_rows = [list(L[i]) + list(D[i]) for i in range(s)]
+    L_rows += [[D[i][j] for i in range(s)] + list(E[j]) for j in range(t)]
+    mixed = tuple(B[i] + (0,) * t for i in range(s))
+    mixed += tuple(tuple(F[i][j] for i in range(r))
+                   + tuple(1 if a == j else 0 for a in range(t))
+                   for j in range(t))
+    self_rows = [list(C[i]) + [0] * t for i in range(r)]
+    self_rows += [[0] * (r + t) for _ in range(t)]
+    return SurgeryPresentation(IntSymMatrix.from_rows(L_rows), mixed,
+                               IntSymMatrix.from_rows(self_rows), colors)
+
+
+def test_fill_slices_what_the_block_assembly_builds():
+    # 47 bordisms for each of the 64 shapes (s, r, t) in 0..3, t = 0 among
+    # them: 3008 bordisms, each filled in both modes
+    rng = random.Random(101)
+    for s, r, t in itertools.product(range(4), repeat=3):
+        for _ in range(47):
+            blocks = random_blocks(rng, s, r, t)
+            insertion_colors = tuple(rng.randrange(8) for _ in range(r))
+            colors = tuple(rng.randrange(8) for _ in range(t))
+            bordism = ExtendedBordism(joined(blocks), insertion_colors, t)
+            for mode in ("meridian", "zero_framed"):
+                assert bordism.fill(colors, mode) \
+                    == reference_fill(blocks, insertion_colors, colors, mode)
+
+
+def test_bordism_needs_rows_for_its_insertions_and_boundary():
+    L = IntSymMatrix.from_rows([[0, 1], [1, 0]])
+    for colors, t in (((1, 2), 1), ((), 3), ((), -1)):
+        with pytest.raises(ValueError):
+            ExtendedBordism(L, colors, t)
+    assert ExtendedBordism(L, (1,), 1, weight=11).weight == 3
+    # colors given as a list are stored as a tuple, so fill can extend them
+    assert ExtendedBordism(L, [1], 1).fill((2,)) == solid_torus_bordism(1).fill((2,))
+
+
 def test_boundary_vector_agrees_with_direct_closure():
     rng = random.Random(83)
     for _ in range(20):
         s = rng.randint(0, 2)
-        bordism = ExtendedBordism(
-            surgery=random_symmetric_matrix(rng, s, 3),
-            boundary_mixed=tuple((rng.randint(-2, 2),) for _ in range(s)),
-            boundary_self=IntSymMatrix.from_rows([[rng.randint(-2, 2)]]),
-        )
+        bordism = ExtendedBordism(joined(random_blocks(rng, s, 0, 1)),
+                                  boundary_count=1)
         k = rng.choice((2, 4))
         for mode in ("meridian", "zero_framed"):
             vec = boundary_vector(bordism, k, mode=mode)
             for x in range(k):
                 direct = rt_raw_closed(bordism.fill((x,), mode=mode), k)
                 assert abs(vec[(x,)] - direct) < 1e-8
+
+
+@pytest.mark.parametrize("k", LEVELS)
+def test_zero_framed_vector_is_s_bar_of_the_meridian_one(k):
+    # Summing the new surgery color against its meridian is the conjugate
+    # Fourier kernel: zero_framed = e^{-pi i (sigma(L_zero) - sigma(L_S))/4}
+    # S-bar meridian, L_zero the zero-framed surgery block, L_S the
+    # bordism's.
+    rng = random.Random(107 + k)
+    s_bar = modular_rep(k)[0].conj()
+    for _ in range(125):
+        s, r = rng.randint(0, 3), rng.randint(0, 2)
+        bordism = ExtendedBordism(joined(random_blocks(rng, s, r, 1)),
+                                  tuple(rng.randrange(k) for _ in range(r)), 1)
+        L_S = IntSymMatrix.from_rows(row[:s] for row in bordism.linking.entries[:s])
+        L_zero = bordism.fill((0,), "zero_framed").surgery
+        phase = unit_phase_eval(UnitPhase(Fraction(signature(L_S) - signature(L_zero), 8)))
+        meridian = boundary_vector(bordism, k, "meridian")
+        zero = boundary_vector(bordism, k, "zero_framed")
+        want = phase * s_bar @ np.array([meridian[x] for x in range(k)])
+        got = np.array([zero[x] for x in range(k)])
+        assert np.max(np.abs(got - want)) <= 1e-9 * math.sqrt(k ** (s + 1))
 
 
 def test_filled_bordism_respects_insertions():

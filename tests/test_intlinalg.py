@@ -262,7 +262,7 @@ def test_snf_bounded_elimination_property(rows):
     assert [d[i][i] for i in range(m)] == sympy_invariant_factors(rows, m, m)
     det = check_transforms(rows, u, w)
     if det:
-        rd = regular_decomposition(rows)
+        rd = regular_decomposition(IntSymMatrix.from_rows(rows))
         assert rd.order == det
         inverse = exact_inverse(rows)
         for order, rep in zip(rd.cyclic_orders, rd.generator_reps):

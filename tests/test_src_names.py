@@ -1,6 +1,7 @@
 """``src/abtqft`` keeps only what the program runs.
 
-Every module-level function and class that ``src/abtqft`` defines must be
+Every module-level function and class that ``src/abtqft`` defines, and every
+method and property of its classes other than the ``__dunder__`` ones, must be
 referenced by ``src/abtqft`` itself or by ``benchmarks/``; one that only the
 tests call belongs in the tests.  A reference is a ``Name`` node, an
 ``Attribute`` name or an imported name, or a ``module.function`` that
@@ -15,10 +16,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "abtqft").glob("*.py"))
 BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 
-#: Defined in ``src`` and called only by the tests, on purpose.  The
-#: bordism layer has no command yet; the names leave this list as one
-#: reaches them.  ``from_surgery`` is the paper's ``L -> (T, q)``, which the
-#: tests use as the definition that ``from_decomposition`` computes.
+#: Module-level names defined in ``src`` and called only by the tests, on
+#: purpose.  The bordism layer has no command yet; the names leave this list
+#: as one reaches them (``ExtendedBordism`` and its ``fill`` are reached
+#: through ``boundary_vector``).  ``from_surgery`` is the paper's ``L -> (T,
+#: q)``, which the tests use as the definition that ``from_decomposition``
+#: computes.  Methods have no such list.
 TEST_ONLY = {
     "hopf_pairing", "twist_phase", "boundary_vector", "solid_torus_bordism",
     "empty_boundary_bordism", "cylinder_bordism", "walker_correct",
@@ -27,13 +30,28 @@ TEST_ONLY = {
 }
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def defined_names():
     names = set()
     for path in SRC:
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
                 names.add(node.name)
+    return names
+
+
+def defined_methods():
+    """``Class.method`` for every non-dunder function in a class body."""
+    names = set()
+    for path in SRC:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                names.update(f"{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, FUNCTIONS)
+                             and not (item.name.startswith("__")
+                                      and item.name.endswith("__")))
     return names
 
 
@@ -65,3 +83,9 @@ def referenced_names():
 
 def test_src_defines_only_what_src_or_the_benchmark_uses():
     assert defined_names() - referenced_names() == TEST_ONLY
+
+
+def test_src_methods_are_used_by_src_or_the_benchmark():
+    referenced = referenced_names()
+    assert {name for name in defined_methods()
+            if name.split(".")[1] not in referenced} == set()

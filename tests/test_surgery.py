@@ -365,6 +365,15 @@ def test_presentation_json_closed_defaults():
     assert p == closed([[4]])
 
 
+def test_empty_mixed_block_is_one_empty_row_per_surgery_component():
+    # "B": [] and the default () mean the same zero-width block as closed()
+    for p in (SurgeryPresentation.from_json({"L": [[1]], "B": []}),
+              SurgeryPresentation(IntSymMatrix.from_rows([[1]]))):
+        assert p == closed([[1]])
+        assert p.insertion_mixed == ((),)
+        assert p.direct_sum(p) == closed([[1, 0], [0, 1]])
+
+
 def randint_symmetric_matrix(rng, m, entry_bound):
     """The reference draw of ``random_symmetric_matrix``: the upper
     triangle row by row, each entry ``rng.randint(-b, b)``."""
