@@ -65,12 +65,12 @@ def _sphere_expected() -> Dict[int, PolarValue]:
 
 
 def _closed(rows) -> SurgeryPresentation:
-    return SurgeryPresentation.from_linking_rows(rows)
+    return SurgeryPresentation(IntSymMatrix.from_rows(rows))
 
 
 def builtin_catalog() -> Dict[str, CatalogEntry]:
     """The built-in manifold catalog, keyed by name."""
-    empty = SurgeryPresentation.closed(IntSymMatrix.empty())
+    empty = SurgeryPresentation(IntSymMatrix.empty())
     entries = [
         CatalogEntry("S3", empty, _sphere_expected(),
                      "empty presentation of the 3-sphere"),

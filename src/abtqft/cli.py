@@ -57,6 +57,12 @@ SUITE_OPTIONS = {
     "maslov": {"seed": 0, "cases": 100},
 }
 
+#: Largest ``--cases`` of every ``verify`` suite and of ``phase-table
+#: build``: ``verify reciprocity`` draws all its cases before it runs them,
+#: and ``verify kirby`` keeps one deviation per case, so a count without a
+#: bound runs for hours or exhausts memory.
+MAX_CASES = 10 ** 5
+
 
 class InputError(Exception):
     """Bad user input: unknown name, malformed JSON, capped enumeration."""
@@ -397,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", choices=tuple(SUITE_OPTIONS))
     p_ver.add_argument("--seed", type=int)
     p_ver.add_argument("--cases", type=int,
-                       help="number of cases, at least 1; the equivalence "
-                            "corpus always includes the classic and E8 pairs")
+                       help=f"number of cases, 1 to {MAX_CASES}; the "
+                            "equivalence corpus always includes the classic "
+                            "and E8 pairs")
     p_ver.add_argument("--kmax", type=int, help="highest level checked")
     p_ver.add_argument("--tol", type=float,
                        help="base tolerance, scaled by sqrt(#terms)")
@@ -416,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("action", choices=("build", "show"))
     p_tab.add_argument("--seed", type=int, default=0)
     p_tab.add_argument("--cases", type=int, default=300,
-                       help="corpus size, at least 1; the corpus always "
-                            "includes the classic and E8 pairs")
+                       help=f"corpus size, 1 to {MAX_CASES}; the corpus "
+                            "always includes the classic and E8 pairs")
     p_tab.add_argument("--out", help="write the table to this path")
     p_tab.set_defaults(fn=cmd_phase_table)
 
@@ -436,8 +443,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 elif name not in options:
                     raise InputError(
                         f"verify {args.suite} does not take --{name}")
-        if getattr(args, "cases", None) is not None and args.cases < 1:
-            raise InputError(f"--cases must be at least 1, got {args.cases}")
+        cases = getattr(args, "cases", None)
+        if cases is not None and cases < 1:
+            raise InputError(f"--cases must be at least 1, got {cases}")
+        if cases is not None and cases > MAX_CASES:
+            raise InputError(f"--cases must be at most {MAX_CASES}, got {cases}")
         if getattr(args, "tol", None) is not None and not (
                 math.isfinite(args.tol) and args.tol > 0):
             raise InputError("--tol must be a positive finite number, "

@@ -347,7 +347,7 @@ def default_corpus(seed: int = 0, size: int = 300) -> List[EquivalenceCase]:
                           _CORPUS_LEVELS[level_cycle % len(_CORPUS_LEVELS)]))
             level_cycle += 1
         consider(block)
-    rts = rt_raw_closed_many([(SurgeryPresentation.closed(L), k)
+    rts = rt_raw_closed_many([(SurgeryPresentation(L), k)
                               for L, k, _ in usable])
     return [EquivalenceCase(L, k, signature(L), rt / cs.value)
             for (L, k, cs), rt in zip(usable, rts)]
@@ -398,7 +398,7 @@ def verify_reciprocity_dt_many(cases: Sequence[Tuple[IntSymMatrix, int]],
     """
     if null_exponent_mode not in NULL_EXPONENT_MODES:
         raise ValueError(f"unknown mode {null_exponent_mode!r}")
-    lhs = coloring_sums([(SurgeryPresentation.closed(L), r) for L, r in cases])
+    lhs = coloring_sums([(SurgeryPresentation(L), r) for L, r in cases])
     checks = []
     for (L, r), left, cs in zip(cases, lhs, cs_closed_many(cases)):
         sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(L), 8)))

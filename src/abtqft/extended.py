@@ -31,22 +31,23 @@ A bordism with designated boundary components is one symmetric linking
 matrix ``L`` over [surgery ``S`` | colored insertions ``I`` | boundary
 ``B``] components, the boundary components carrying framing data instead
 of colors.  Filling the boundary at labels ``x``
-(:meth:`ExtendedBordism.fill`) slices ``L`` into an honest closed
-presentation, and the boundary state vector is the table of closed
-evaluations over ``x``.  Two filling modes are implemented:
+(:meth:`ExtendedBordism.fill`) turns it into an honest closed presentation,
+itself one linking matrix over [surgery | colored insertion] components,
+and the boundary state vector is the table of closed evaluations over
+``x``.  Two filling modes are implemented:
 
 * ``"meridian"`` (default): each boundary component becomes a colored
   insertion with color ``x``, its framing on the insertion self-linking
-  diagonal: surgery ``L[S, S]``, mixed block ``L[S, I+B]``, self block
-  ``L[I+B, I+B]``.  The solid-torus pairing closure then evaluates to
+  diagonal, so the presentation keeps ``L`` itself, with insertions
+  ``I+B``.  The solid-torus pairing closure then evaluates to
   ``Omega(x, y) * Z(S^3)`` on a core colored ``y``, reproducing the Fourier
   pairing of the torus state space.
 * ``"zero_framed"``: each boundary component becomes a surgery component
-  (keeping its framing), surgery ``L[S+B, S+B]``, and a fresh meridian
-  insertion colored ``x``, of self-linking zero, links it once: mixed block
-  ``L[S+B, I]`` followed by one meridian column per boundary component,
-  self block ``L[I, I]`` padded with zeros.  The trivially filled empty
-  bordism then gives the slot values of ``rt_raw_closed([[0]])``.
+  (keeping its framing), and a fresh meridian insertion colored ``x``, of
+  self-linking zero, links it once: the presentation is ``L`` reordered as
+  [``S`` | ``B`` | ``I``], followed by one meridian row and column per
+  boundary component.  The trivially filled empty bordism then gives the
+  slot values of ``rt_raw_closed([[0]])``.
 
 On one boundary torus the two conventions differ by the modular ``S``:
 the zero-framed vector is ``e^{-pi i (sigma(L[S+B, S+B]) - sigma(L[S, S]))/4}
@@ -223,26 +224,17 @@ class ExtendedBordism:
         if len(colors) != t:
             raise ValueError("one filling color per boundary component required")
         colors = self.insertion_colors + tuple(int(x) for x in colors)
-        L = self.linking.entries
-        n, r = len(L), len(self.insertion_colors)
-        S, I, B = range(n - r - t), range(n - r - t, n - t), range(n - t, n)
-
-        def block(rows, cols):
-            return tuple(tuple(L[i][j] for j in cols) for i in rows)
-
         if mode == "meridian":
-            rest = range(n - r - t, n)
-            return SurgeryPresentation(IntSymMatrix(block(S, S)),
-                                       block(S, rest),
-                                       IntSymMatrix(block(rest, rest)), colors)
+            return SurgeryPresentation(self.linking, colors)
         if mode == "zero_framed":
-            surgery = [*S, *B]
-            mixed = tuple(row + tuple(int(i == j) for j in B)
-                          for i, row in zip(surgery, block(surgery, I)))
-            self_rows = tuple(row + (0,) * t for row in block(I, I))
-            return SurgeryPresentation(
-                IntSymMatrix(block(surgery, surgery)), mixed,
-                IntSymMatrix(self_rows + ((0,) * (r + t),) * t), colors)
+            L = self.linking.entries
+            n, r = len(L), len(self.insertion_colors)
+            B = range(n - t, n)
+            order = [*range(n - r - t), *B, *range(n - r - t, n - t)]
+            rows = [[L[i][j] for j in order] + [int(i == b) for b in B]
+                    for i in order]
+            rows += [[int(i == b) for i in order] + [0] * t for b in B]
+            return SurgeryPresentation(IntSymMatrix(rows), colors)
         raise ValueError(f"unknown filling mode {mode!r}")
 
 

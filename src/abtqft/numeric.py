@@ -71,9 +71,6 @@ class UnitPhase:
     def __mul__(self, other: "UnitPhase") -> "UnitPhase":
         return UnitPhase(self.angle + other.angle)
 
-    def conjugate(self) -> "UnitPhase":
-        return UnitPhase(-self.angle)
-
     @staticmethod
     def identity() -> "UnitPhase":
         return UnitPhase(Fraction(0))
@@ -370,13 +367,6 @@ class PolarValue:
     def __mul__(self, other: "PolarValue") -> "PolarValue":
         return PolarValue(self.magnitude_squared * other.magnitude_squared,
                           self.phase * other.phase)
-
-    def conjugate(self) -> "PolarValue":
-        return PolarValue(self.magnitude_squared, self.phase.conjugate())
-
-    @staticmethod
-    def zero() -> "PolarValue":
-        return PolarValue(Fraction(0), ONE_PHASE)
 
 
 def polar_to_approx(v: PolarValue) -> complex:

@@ -54,11 +54,10 @@ Phase encoding: a stored exponent ``e`` denotes the complex number
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DegenerateMatrix, GroupTooLarge
 from .intlinalg import (
@@ -109,9 +108,9 @@ class FiniteQuadraticModule:
     with odd diagonal, ``q`` itself changes by half-integers across other
     lifts of the same coset (the pairing ``lam`` and, for every even level
     ``k``, the exponentials ``exp(2 pi i k q)`` are coset-independent; that
-    is all the Gauss sums consume).  Accordingly :meth:`add` adds tuples
-    without reducing modulo the cyclic orders, which makes lifts strictly
-    additive and the refinement identity
+    is all the Gauss sums consume).  Accordingly tuples add without reducing
+    modulo the cyclic orders, which makes lifts strictly additive and the
+    refinement identity
 
         q(u + v) - q(u) - q(v) = lam(u, v)   (mod 1)
 
@@ -129,11 +128,6 @@ class FiniteQuadraticModule:
     def exponent(self) -> int:
         return math.lcm(*self.cyclic_orders)
 
-    def elements(self) -> Iterator[Tuple[int, ...]]:
-        """Every element as a coefficient tuple ``(a1, ..., at)`` with ``0 <=
-        ai < di``."""
-        return itertools.product(*(range(d) for d in self.cyclic_orders))
-
     def q(self, element: Sequence[int]) -> Fraction:
         """Quadratic value of a group element, reduced into [0, 1)."""
         return Fraction(_form(self.gram, element, element), 2 * self.exponent) % 1
@@ -141,13 +135,6 @@ class FiniteQuadraticModule:
     def linking(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
         """Linking pairing lam(u, v), reduced into [0, 1)."""
         return Fraction(_form(self.gram, u, v), self.exponent) % 1
-
-    def add(self, u: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:
-        """Tuple addition without reduction, so lifts add exactly."""
-        return tuple(a + b for a, b in zip(u, v))
-
-    def zero(self) -> Tuple[int, ...]:
-        return tuple(0 for _ in self.cyclic_orders)
 
 
 def _integral(num: int, den: int) -> int:

@@ -2,9 +2,14 @@
 
 A closed oriented 3-manifold is presented by the symmetric linking matrix
 ``L`` of a framed surgery link (framings on the diagonal).  An auxiliary
-colored link may be carried along: ``B`` is the mixed linking block between
-surgery and colored components, ``C`` the self-linking block of the colored
-components, and ``h`` their colors in ``Z_k``.
+colored link may be carried along: a :class:`SurgeryPresentation` is one
+symmetric linking matrix over [surgery | colored insertion] components,
+whose blocks are ``L``, the mixed block ``B`` between surgery and colored
+components and the self-linking block ``C`` of the colored components, with
+the colors ``h`` in ``Z_k`` of the insertions.  Its JSON form keeps the
+blocks apart (``{"L", "B", "C", "h"}``), and
+:meth:`SurgeryPresentation.from_json`, the path of input from outside the
+program, checks that they fit.
 
 For a coloring ``g`` of the surgery components the link evaluation is the
 exact unit phase
@@ -54,10 +59,10 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationTooLarge, IndexOutOfRange
 from .intlinalg import IntSymMatrix, signature
@@ -83,43 +88,31 @@ def max_enumeration() -> int:
 
 @dataclass(frozen=True)
 class SurgeryPresentation:
-    """Surgery matrix plus optional colored-insertion blocks.
+    """A framed link with colored insertions: one symmetric ``linking``
+    matrix over [surgery | colored insertion] components, the last
+    ``len(insertion_colors)`` of them the insertions.
 
+    ``surgery`` is the block of the surgery components; without insertions
+    it is ``linking`` itself, so it keeps the one elimination of ``L``.
     ``insertion_colors`` live in ``Z_k`` but are stored as plain integers;
     they are reduced mod ``k`` at evaluation time, so shifting a color by a
     multiple of ``k`` cannot change any invariant.
     """
 
-    surgery: IntSymMatrix
-    insertion_mixed: Tuple[Tuple[int, ...], ...] = ()
-    insertion_self: IntSymMatrix = IntSymMatrix.empty()
+    linking: IntSymMatrix
     insertion_colors: Tuple[int, ...] = ()
+    surgery: IntSymMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mixed = tuple(tuple(map(int, row)) for row in self.insertion_mixed)
-        object.__setattr__(self, "insertion_colors",
-                           tuple(map(int, self.insertion_colors)))
-        r = self.insertion_self.m
-        if len(self.insertion_colors) != r:
-            raise ValueError("one color per insertion component required")
-        if r == 0:
-            if any(mixed):  # a nonempty row
-                raise ValueError("mixed block must have zero width without insertions")
-            mixed = ((),) * self.surgery.m  # one empty row per surgery component
-        else:
-            if len(mixed) != self.surgery.m:
-                raise ValueError("mixed block needs one row per surgery component")
-            if any(len(row) != r for row in mixed):
-                raise ValueError("mixed block width must match insertion count")
-        object.__setattr__(self, "insertion_mixed", mixed)
-
-    @classmethod
-    def closed(cls, L: IntSymMatrix) -> "SurgeryPresentation":
-        return cls(L, ((),) * L.m)
-
-    @classmethod
-    def from_linking_rows(cls, rows: Iterable[Iterable[int]]) -> "SurgeryPresentation":
-        return cls.closed(IntSymMatrix.from_rows(rows))
+        colors = tuple(map(int, self.insertion_colors))
+        object.__setattr__(self, "insertion_colors", colors)
+        m = self.linking.m - len(colors)
+        if m < 0:
+            raise ValueError("linking matrix needs a row per insertion component")
+        surgery = self.linking
+        if colors:
+            surgery = IntSymMatrix(tuple(row[:m] for row in surgery.entries[:m]))
+        object.__setattr__(self, "surgery", surgery)
 
     @property
     def m(self) -> int:
@@ -127,36 +120,23 @@ class SurgeryPresentation:
 
     @property
     def r(self) -> int:
-        return self.insertion_self.m
-
-    def direct_sum(self, other: "SurgeryPresentation") -> "SurgeryPresentation":
-        """Split presentation of the connected sum (block-diagonal join)."""
-        m1, m2 = self.m, other.m
-        r1, r2 = self.r, other.r
-        mixed = tuple(
-            tuple(self.insertion_mixed[i]) + (0,) * r2 for i in range(m1)
-        ) + tuple(
-            (0,) * r1 + tuple(other.insertion_mixed[i]) for i in range(m2)
-        )
-        return SurgeryPresentation(
-            self.surgery.direct_sum(other.surgery),
-            mixed,
-            self.insertion_self.direct_sum(other.insertion_self),
-            self.insertion_colors + other.insertion_colors,
-        )
+        return len(self.insertion_colors)
 
     def to_json(self) -> dict:
+        """The blocks ``L``, ``B``, ``C`` of ``linking`` and the colors ``h``."""
+        m, rows = self.m, self.linking.entries
         return {
             "L": self.surgery.to_json(),
-            "B": [list(row) for row in self.insertion_mixed],
-            "C": self.insertion_self.to_json(),
+            "B": [list(row[m:]) for row in rows[:m]],
+            "C": [list(row[m:]) for row in rows[m:]],
             "h": list(self.insertion_colors),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SurgeryPresentation":
-        """Presentation from JSON; entries of ``L``, ``B``, ``C`` and ``h`` must
-        be JSON integers (``int()`` would make ``1.5`` or ``"3"`` another matrix)."""
+        """Presentation from the blocks of :meth:`to_json`; entries of ``L``,
+        ``B``, ``C`` and ``h`` must be JSON integers (``int()`` would make
+        ``1.5`` or ``"3"`` another matrix), and the blocks must fit."""
         if not isinstance(obj, dict):
             raise ValueError("a presentation must be a JSON object")
         for key in ("L", "B", "C", "h"):
@@ -168,9 +148,22 @@ class SurgeryPresentation:
         C = IntSymMatrix.from_json(obj.get("C", []))
         B = obj.get("B")
         if B is None:
-            B = [[] for _ in range(L.m)] if C.m else [() for _ in range(L.m)]
-        h = tuple(obj.get("h", []))
-        return cls(L, tuple(tuple(row) for row in B), C, h)
+            B = [[]] * L.m  # a zero-width mixed block
+        h = obj.get("h", [])
+        if len(h) != C.m:
+            raise ValueError("one color per insertion component required")
+        if not C.m:
+            if any(B):  # a nonempty row
+                raise ValueError("mixed block must have zero width without insertions")
+            return cls(L)
+        if len(B) != L.m:
+            raise ValueError("mixed block needs one row per surgery component")
+        if any(len(row) != C.m for row in B):
+            raise ValueError("mixed block width must match insertion count")
+        rows = [row + tuple(mixed) for row, mixed in zip(L.entries, B)]
+        rows += [tuple(mixed[i] for mixed in B) + row
+                 for i, row in enumerate(C.entries)]
+        return cls(IntSymMatrix(rows), h)
 
 
 def _check_enumeration(k: int, m: int) -> None:
@@ -203,19 +196,16 @@ def _approx_prefactor(m: int, sigma_mod_8: int, k: int) -> complex:
 
 
 def _insertion_terms(p: SurgeryPresentation) -> Tuple[Optional[List[int]], int]:
-    """Linear term ``2 B h`` and constant ``h^T C h`` of the coloring sum;
-    without insertions the linear term is ``None``, which the kernel reads
-    as zero."""
+    """Linear term ``2 B h`` and constant ``h^T C h`` of the coloring sum,
+    ``B`` and ``C`` the insertion columns of ``p.linking``; without
+    insertions the linear term is ``None``, which the kernel reads as
+    zero."""
     if not p.r:
         return None, 0
-    h = p.insertion_colors
-    linear = [2 * sum(row[j] * h[j] for j in range(p.r))
-              for row in p.insertion_mixed]
-    constant = 0
-    C = p.insertion_self.entries
-    for i in range(p.r):
-        if h[i]:
-            constant += h[i] * sum(C[i][j] * h[j] for j in range(p.r))
+    m, h, rows = p.m, p.insertion_colors, p.linking.entries
+    linear = [2 * sum(b * x for b, x in zip(row[m:], h)) for row in rows[:m]]
+    constant = sum(x * sum(c * y for c, y in zip(row[m:], h))
+                   for x, row in zip(h, rows[m:]))
     return linear, constant
 
 
@@ -271,12 +261,13 @@ def rt_raw_closed(p: SurgeryPresentation, k: int) -> complex:
 class KirbyMove:
     """``K1`` (stabilize by a +-1 framed unknot) or ``K2`` (handle slide).
 
-    For ``K2`` the slide of component ``source`` over component ``target``
-    with sign ``s`` acts by the unimodular congruence ``A = I + s E[target,
-    source]``: ``L -> A^T L A`` and ``B -> A^T B``, that is, row ``source``
-    of ``L`` gains ``s`` times row ``target`` and then column ``source`` gains
-    ``s`` times column ``target``, and row ``source`` of ``B`` gains ``s``
-    times row ``target``.  Indices are 0-based.
+    ``K1`` inserts the unknot as the last surgery component.  For ``K2``
+    the slide of surgery component ``source`` over surgery component
+    ``target`` with sign ``s`` acts on the whole linking matrix by the
+    unimodular congruence ``A = I + s E[target, source]``: ``M -> A^T M A``,
+    that is, row ``source`` gains ``s`` times row ``target`` and then column
+    ``source`` gains ``s`` times column ``target``; on the blocks, ``L -> A^T
+    L A``, ``B -> A^T B`` and ``C`` unchanged.  Indices are 0-based.
     """
 
     kind: str
@@ -299,26 +290,20 @@ class KirbyMove:
 
 def apply_kirby(p: SurgeryPresentation, move: KirbyMove) -> SurgeryPresentation:
     """Apply a Kirby move, returning a new presentation of the same manifold."""
-    if move.kind == "K1":
-        new_L = p.surgery.direct_sum(IntSymMatrix.from_rows([[move.sign]]))
-        mixed = p.insertion_mixed + ((0,) * p.r,)
-        return SurgeryPresentation(new_L, mixed, p.insertion_self,
-                                   p.insertion_colors)
-    i, j = move.source, move.target
     m = p.m
+    if move.kind == "K1":
+        rows = [row[:m] + (0,) + row[m:] for row in p.linking.entries]
+        rows.insert(m, (0,) * m + (move.sign,) + (0,) * p.r)
+        return SurgeryPresentation(IntSymMatrix(rows), p.insertion_colors)
+    i, j = move.source, move.target
     if not (0 <= i < m and 0 <= j < m) or i == j:
         raise IndexOutOfRange(f"invalid handle slide ({i} over {j}) for m={m}")
     s = move.sign
-    rows = p.surgery.rows()
+    rows = p.linking.rows()
     rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
     for row in rows:
         row[i] += s * row[j]
-    new_B = p.insertion_mixed
-    if p.r:  # without insertions every row of B is empty
-        new_B = list(new_B)
-        new_B[i] = tuple(x + s * y for x, y in zip(new_B[i], new_B[j]))
-    return SurgeryPresentation(IntSymMatrix.from_rows(rows), new_B,
-                               p.insertion_self, p.insertion_colors)
+    return SurgeryPresentation(IntSymMatrix(rows), p.insertion_colors)
 
 
 def random_kirby_move(rng: random.Random, m: int) -> KirbyMove:
@@ -361,7 +346,7 @@ def random_symmetric_matrix(rng: random.Random, m: int,
 def random_presentation(rng: random.Random, max_components: int = 4,
                         entry_bound: int = 4) -> SurgeryPresentation:
     m = rng.randint(1, max_components)
-    return SurgeryPresentation.closed(random_symmetric_matrix(rng, m, entry_bound))
+    return SurgeryPresentation(random_symmetric_matrix(rng, m, entry_bound))
 
 
 def random_transvection(rng: random.Random, m: int) -> Tuple[int, int, int]:

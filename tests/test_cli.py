@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import abtqft
-from abtqft import intlinalg, surgery
+from abtqft import cli, intlinalg, surgery
 from abtqft.cli import main
 from abtqft.numeric import sum_tolerance
 from abtqft.surgery import rt_raw_closed
@@ -471,6 +471,23 @@ def test_case_count_below_one_is_usage_error(capsys, argv):
     assert "--cases" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "kirby"), ("verify", "reciprocity"), ("verify", "equivalence"),
+    ("verify", "maslov"), ("phase-table", "build"),
+], ids=lambda argv: argv[-1])
+def test_case_count_above_the_cap_is_usage_error(capsys, monkeypatch, argv):
+    # One case above the cap is refused before any case is drawn; the
+    # commands are replaced, so a broken check cannot start the long run.
+    def refuse(args):
+        raise AssertionError("the command ran")
+    monkeypatch.setattr(cli, "cmd_verify", refuse)
+    monkeypatch.setattr(cli, "cmd_phase_table", refuse)
+    n = cli.MAX_CASES + 1
+    code, out, err = run(capsys, *argv, "--cases", str(n))
+    assert_one_line_usage_error(code, out, err)
+    assert err == f"error: --cases must be at most 100000, got {n}\n"
+
+
 def assert_one_line_usage_error(code, out, err, prefix="error: "):
     assert code == 2
     assert out == ""
@@ -516,6 +533,22 @@ def test_non_integer_presentation_entry_is_usage_error(capsys, template, entry):
     code, out, err = run(capsys, "invariant", template % entry, "--k", "2")
     assert_one_line_usage_error(code, out, err,
                                 "error: malformed presentation JSON: ")
+
+
+@pytest.mark.parametrize("source, message", [
+    ('{"L": [[1]], "B": [[1]], "C": [[0]], "h": []}',
+     "one color per insertion component required"),
+    ('{"L": [[1]], "B": [], "C": [[0]], "h": [1]}',
+     "mixed block needs one row per surgery component"),
+    ('{"L": [[1]], "B": [[1, 0]], "C": [[0]], "h": [1]}',
+     "mixed block width must match insertion count"),
+    ('{"L": [[1]], "B": [[1]]}',
+     "mixed block must have zero width without insertions"),
+], ids=["colors", "mixed-rows", "mixed-width", "zero-width"])
+def test_presentation_shape_error_is_usage_error(capsys, source, message):
+    code, out, err = run(capsys, "invariant", source, "--k", "2")
+    assert_one_line_usage_error(code, out, err)
+    assert err == f"error: malformed presentation JSON: {message}\n"
 
 
 @pytest.mark.parametrize("content", [

@@ -48,7 +48,7 @@ def evaluate_case(L, k):
     cs = cs_closed(L, k)
     ratio = None
     if abs(cs.value) > ZERO_GAUSS_TOLERANCE:
-        ratio = rt_raw_closed(SurgeryPresentation.closed(L), k) / cs.value
+        ratio = rt_raw_closed(SurgeryPresentation(L), k) / cs.value
     return EquivalenceCase(L, k, signature(L), ratio)
 
 
@@ -102,7 +102,7 @@ def test_ratio_skips_vanishing_gauss_sum():
 
 def test_two_sided_zero_when_gauss_sum_vanishes():
     # both routes vanish together; tested instead of the ratio
-    rt = rt_raw_closed(SurgeryPresentation.closed(sym([[2]])), 2)
+    rt = rt_raw_closed(SurgeryPresentation(sym([[2]])), 2)
     cs = cs_closed(sym([[2]]), 2).value
     assert abs(rt) < 1e-10 and abs(cs) < 1e-10
 
@@ -127,7 +127,7 @@ def positive_exponent_case(L, k):
     ``rt / (sqrt(k^(nu - 1)) * gauss_sum)``."""
     nu = regular_decomposition(L).nullity
     cs = math.sqrt(float(k) ** (nu - 1)) * gauss_sums([(from_surgery(L), k)])[0]
-    rt = rt_raw_closed(SurgeryPresentation.closed(L), k)
+    rt = rt_raw_closed(SurgeryPresentation(L), k)
     return EquivalenceCase(L, k, signature(L), rt / cs)
 
 
@@ -148,7 +148,7 @@ def test_magnitude_matches_on_degenerate_presentations():
     for _ in range(50):
         L = random_degenerate(rng)
         k = rng.choice((2, 4))
-        rt = rt_raw_closed(SurgeryPresentation.closed(L), k)
+        rt = rt_raw_closed(SurgeryPresentation(L), k)
         cs = cs_closed(L, k)
         expected = float(k) ** float(cs.m_exponent) * abs(cs.gauss)
         assert abs(abs(rt) - expected) < 1e-8
@@ -166,7 +166,7 @@ def test_cs_closed_finishes_on_6x6_draws(rows, order, vanishes, time_limit):
     # Two random 6x6 draws whose torsion route once did not finish.
     L = sym(rows)
     cs = cs_closed(L, 2)
-    rt = rt_raw_closed(SurgeryPresentation.closed(L), 2)
+    rt = rt_raw_closed(SurgeryPresentation(L), 2)
     tol = sum_tolerance(2 ** 6)
     assert cs.torsion_order == order
     assert (abs(cs.value) <= tol) == vanishes

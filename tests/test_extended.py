@@ -140,7 +140,7 @@ def test_solid_torus_closure_is_fourier_pairing(k):
 
 def test_zero_framed_filling_of_bare_boundary():
     vec = boundary_vector(empty_boundary_bordism(), 2, mode="zero_framed")
-    want = rt_raw_closed(SurgeryPresentation.from_linking_rows([[0]]), 2)
+    want = rt_raw_closed(SurgeryPresentation(IntSymMatrix.from_rows([[0]])), 2)
     assert abs(vec[(0,)] - want) < 1e-12
     assert abs(want - 1) < 1e-12
 
@@ -165,7 +165,7 @@ def test_unknown_filling_mode_rejected():
 @pytest.mark.parametrize("k", (2, 4))
 def test_cylinder_pairing_matrix_is_bicharacter(k):
     cyl = cylinder_bordism()
-    s3 = rt_raw_closed(SurgeryPresentation.closed(IntSymMatrix.empty()), k)
+    s3 = rt_raw_closed(SurgeryPresentation(IntSymMatrix.empty()), k)
     for x in range(k):
         for y in range(k):
             val = rt_raw_closed(cyl.fill((x, y)), k)
@@ -199,32 +199,32 @@ def joined(blocks):
 
 def reference_fill(blocks, insertion_colors, colors, mode):
     """The filling assembled row by row from the six blocks, as it was
-    written when the bordism stored them: the reference of the slicing
-    ``ExtendedBordism.fill``."""
+    written when the bordism and the presentation stored blocks: the
+    reference of ``ExtendedBordism.fill``, as the presentation JSON
+    ``{"L", "B", "C", "h"}``."""
     L, C, E, B, D, F = blocks
     s, r, t = len(L), len(C), len(E)
-    colors = tuple(insertion_colors) + tuple(colors)
+    h = list(insertion_colors) + list(colors)
     if mode == "meridian":
-        mixed = tuple(B[i] + D[i] for i in range(s))
+        mixed = [list(B[i] + D[i]) for i in range(s)]
         self_rows = [list(C[i]) + list(F[i]) for i in range(r)]
         self_rows += [[F[i][j] for i in range(r)] + list(E[j]) for j in range(t)]
-        return SurgeryPresentation(IntSymMatrix.from_rows(L), mixed,
-                                   IntSymMatrix.from_rows(self_rows), colors)
+        return {"L": [list(row) for row in L], "B": mixed, "C": self_rows,
+                "h": h}
     L_rows = [list(L[i]) + list(D[i]) for i in range(s)]
     L_rows += [[D[i][j] for i in range(s)] + list(E[j]) for j in range(t)]
-    mixed = tuple(B[i] + (0,) * t for i in range(s))
-    mixed += tuple(tuple(F[i][j] for i in range(r))
-                   + tuple(1 if a == j else 0 for a in range(t))
-                   for j in range(t))
+    mixed = [list(B[i]) + [0] * t for i in range(s)]
+    mixed += [[F[i][j] for i in range(r)] + [int(a == j) for a in range(t)]
+              for j in range(t)]
     self_rows = [list(C[i]) + [0] * t for i in range(r)]
     self_rows += [[0] * (r + t) for _ in range(t)]
-    return SurgeryPresentation(IntSymMatrix.from_rows(L_rows), mixed,
-                               IntSymMatrix.from_rows(self_rows), colors)
+    return {"L": L_rows, "B": mixed, "C": self_rows, "h": h}
 
 
 def test_fill_slices_what_the_block_assembly_builds():
     # 47 bordisms for each of the 64 shapes (s, r, t) in 0..3, t = 0 among
-    # them: 3008 bordisms, each filled in both modes
+    # them: 3008 bordisms, each filled in both modes, whose JSON blocks are
+    # the reference's and whose presentation is the one those blocks read
     rng = random.Random(101)
     for s, r, t in itertools.product(range(4), repeat=3):
         for _ in range(47):
@@ -233,8 +233,22 @@ def test_fill_slices_what_the_block_assembly_builds():
             colors = tuple(rng.randrange(8) for _ in range(t))
             bordism = ExtendedBordism(joined(blocks), insertion_colors, t)
             for mode in ("meridian", "zero_framed"):
-                assert bordism.fill(colors, mode) \
-                    == reference_fill(blocks, insertion_colors, colors, mode)
+                want = reference_fill(blocks, insertion_colors, colors, mode)
+                filled = bordism.fill(colors, mode)
+                assert filled.to_json() == want
+                assert filled == SurgeryPresentation.from_json(want)
+
+
+def test_meridian_filling_keeps_the_linking_matrix():
+    # The boundary components become insertions in place: the presentation
+    # holds the bordism's matrix itself, and with it any elimination it keeps
+    rng = random.Random(103)
+    for s, r, t in itertools.product(range(3), repeat=3):
+        bordism = ExtendedBordism(joined(random_blocks(rng, s, r, t)),
+                                  tuple(range(r)), t)
+        filled = bordism.fill(tuple(range(t)), "meridian")
+        assert filled.linking is bordism.linking
+        assert filled.insertion_colors == tuple(range(r)) + tuple(range(t))
 
 
 def test_bordism_needs_rows_for_its_insertions_and_boundary():
@@ -287,7 +301,7 @@ def test_filled_bordism_respects_insertions():
     bordism = solid_torus_bordism(core_color=1)
     filled = bordism.fill((2,))
     assert filled.insertion_colors == (1, 2)
-    assert filled.insertion_self.entries == ((0, 1), (1, 0))
+    assert filled.to_json()["C"] == [[0, 1], [1, 0]]
 
 
 # ---------------------------------------------------------------------------

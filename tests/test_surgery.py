@@ -38,16 +38,13 @@ def coloring_sum_exact(rows, k, linear=None, constant=0):
 def rt_link_eval(p, g, k):
     """Exact link-evaluation phase of one coloring ``g`` of the surgery
     components, the insertion colors taken from the presentation:
-    ``(<g, L g> + 2 <g, B h> + <h, C h>) / 2k``, with its own insertion
-    terms, so that it shares no code with :func:`coloring_sums`."""
+    ``(<g, L g> + 2 <g, B h> + <h, C h>) / 2k``, the form of the whole
+    linking matrix at the coloring ``g + h`` of every component, so that it
+    shares no code with :func:`coloring_sums`."""
     assert len(g) == p.m
-    h = p.insertion_colors
-    quad = sum(hi * sum(c * hj for c, hj in zip(row, h))
-               for hi, row in zip(h, p.insertion_self.entries))
-    for gi, row, mixed in zip(g, p.surgery.entries, p.insertion_mixed):
-        if gi:
-            quad += gi * (sum(x * gj for x, gj in zip(row, g))
-                          + 2 * sum(b * hj for b, hj in zip(mixed, h)))
+    x = tuple(g) + p.insertion_colors
+    quad = sum(xi * sum(c * xj for c, xj in zip(row, x))
+               for xi, row in zip(x, p.linking.entries))
     return UnitPhase(Fraction(quad, 2 * k))
 
 
@@ -62,10 +59,32 @@ def rt_raw_closed_reference(p, k):
 
 
 def closed(rows):
-    return SurgeryPresentation.from_linking_rows(rows)
+    return SurgeryPresentation(IntSymMatrix.from_rows(rows))
 
 
-EMPTY = SurgeryPresentation.closed(IntSymMatrix.empty())
+def with_insertions(L, B, C, h):
+    """The presentation with surgery block ``L``, mixed block ``B``,
+    insertion block ``C`` and colors ``h``: the block assembly of
+    :meth:`SurgeryPresentation.from_json`."""
+    return SurgeryPresentation.from_json(
+        {"L": [list(row) for row in L], "B": [list(row) for row in B],
+         "C": [list(row) for row in C], "h": list(h)})
+
+
+def direct_sum(a, b):
+    """Split presentation of the connected sum: the block-diagonal join,
+    its components ordered [surgery of ``a`` | surgery of ``b`` | insertions
+    of ``a`` | insertions of ``b``]."""
+    joined = a.linking.direct_sum(b.linking).entries
+    na = a.linking.m
+    order = [*range(a.m), *range(na, na + b.m), *range(a.m, na),
+             *range(na + b.m, len(joined))]
+    return SurgeryPresentation(
+        IntSymMatrix.from_rows([[joined[i][j] for j in order] for i in order]),
+        a.insertion_colors + b.insertion_colors)
+
+
+EMPTY = SurgeryPresentation(IntSymMatrix.empty())
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +136,7 @@ def test_link_eval_zero_coloring():
 
 
 def test_link_eval_hopf_insertion():
-    p = SurgeryPresentation(IntSymMatrix.empty(), (),
-                            IntSymMatrix.from_rows([[0, 1], [1, 0]]), (1, 1))
+    p = SurgeryPresentation(IntSymMatrix.from_rows([[0, 1], [1, 0]]), (1, 1))
     assert rt_link_eval(p, (), 4).angle == Fraction(1, 4)
 
 
@@ -128,8 +146,7 @@ def test_link_eval_single_framing():
 
 
 def test_link_eval_includes_mixed_block():
-    p = SurgeryPresentation(IntSymMatrix.from_rows([[0]]), ((1,),),
-                            IntSymMatrix.from_rows([[0]]), (1,))
+    p = with_insertions([[0]], [[1]], [[0]], (1,))
     # exponent 2*g*B*h = 2 at g=1: phase 2/(2k)
     assert rt_link_eval(p, (1,), 4).angle == Fraction(1, 4)
 
@@ -139,7 +156,7 @@ def random_presentation_with_insertions(rng, m, r):
     C = surgery.random_symmetric_matrix(rng, r, 3)
     B = tuple(tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(m))
     h = tuple(rng.randint(-9, 9) for _ in range(r))
-    return SurgeryPresentation(L, B, C, h)
+    return with_insertions(L.entries, B, C.entries, h)
 
 
 def test_link_eval_is_the_full_quadratic_exponent():
@@ -149,8 +166,8 @@ def test_link_eval_is_the_full_quadratic_exponent():
         m, r, k = rng.randint(0, 3), rng.randint(0, 3), rng.choice(LEVELS)
         p = random_presentation_with_insertions(rng, m, r)
         g = [rng.randrange(k) for _ in range(m)]
-        L, B, C, h = (p.surgery.entries, p.insertion_mixed,
-                      p.insertion_self.entries, p.insertion_colors)
+        blocks = p.to_json()
+        L, B, C, h = (blocks[key] for key in "LBCh")
         exponent = sum(g[i] * L[i][j] * g[j] for i in range(m) for j in range(m)) \
             + 2 * sum(g[i] * B[i][j] * h[j] for i in range(m) for j in range(r)) \
             + sum(h[i] * C[i][j] * h[j] for i in range(r) for j in range(r))
@@ -219,6 +236,11 @@ def test_env_override_controls_cap(monkeypatch):
 def test_k1_appends_block():
     p = apply_kirby(closed([[0]]), KirbyMove("K1", +1))
     assert p.surgery.entries == ((0, 0), (0, 1))
+    # with insertions, the unknot is inserted after the surgery components
+    p = apply_kirby(with_insertions([[0]], [[1]], [[2]], (1,)),
+                    KirbyMove("K1", -1))
+    assert p.to_json() == {"L": [[0, 0], [0, -1]], "B": [[1], [0]],
+                           "C": [[2]], "h": [1]}
 
 
 def test_k2_congruence_example():
@@ -234,8 +256,9 @@ def test_k1_minus_preserves_value():
 
 
 def test_k2_equals_the_full_congruence():
-    # The slide updates one row and one column; the oracle is A^T L A and
-    # A^T B with A = I + s E[target, source].
+    # The slide updates one row and one column of the whole linking
+    # matrix; the oracle is A^T L A and A^T B with A = I + s E[target,
+    # source], and C unchanged.
     rng = random.Random(23)
     for _ in range(300):
         m, r = rng.randint(2, 5), rng.randint(0, 3)
@@ -247,12 +270,9 @@ def test_k2_equals_the_full_congruence():
         a[move.target][move.source] = move.sign
         at = mat_transpose(a)
         want_L = mat_mul(mat_mul(at, p.surgery.rows()), a)
-        want_B = mat_mul(at, [list(row) for row in p.insertion_mixed])
-        q = apply_kirby(p, move)
-        assert q.surgery.rows() == want_L
-        assert [list(row) for row in q.insertion_mixed] == want_B
-        assert (q.insertion_self, q.insertion_colors) == \
-            (p.insertion_self, p.insertion_colors)
+        want_B = mat_mul(at, p.to_json()["B"]) if r else [[]] * m
+        blocks = apply_kirby(p, move).to_json()
+        assert blocks == dict(p.to_json(), L=want_L, B=want_B)
 
 
 def test_k2_requires_distinct_valid_indices():
@@ -263,8 +283,7 @@ def test_k2_requires_distinct_valid_indices():
 
 
 def test_k2_moves_track_insertions():
-    p = SurgeryPresentation(IntSymMatrix.from_rows([[1, 0], [0, 2]]),
-                            ((1,), (0,)), IntSymMatrix.from_rows([[0]]), (1,))
+    p = with_insertions([[1, 0], [0, 2]], [[1], [0]], [[0]], (1,))
     k = 4
     before = rt_raw_closed(p, k)
     for move in (KirbyMove("K2", +1, 0, 1), KirbyMove("K2", -1, 1, 0),
@@ -297,7 +316,7 @@ def test_connected_sum_rule():
         a = random_presentation(rng, 2, 3)
         b = random_presentation(rng, 2, 3)
         k = rng.choice((2, 4))
-        lhs = rt_raw_closed(a.direct_sum(b), k) * rt_raw_closed(EMPTY, k)
+        lhs = rt_raw_closed(direct_sum(a, b), k) * rt_raw_closed(EMPTY, k)
         rhs = rt_raw_closed(a, k) * rt_raw_closed(b, k)
         assert abs(lhs - rhs) < 1e-10
 
@@ -314,11 +333,9 @@ def test_orientation_reversal_conjugates():
 
 
 def test_insertion_colors_live_mod_k():
-    p = SurgeryPresentation(IntSymMatrix.from_rows([[2]]), ((1,),),
-                            IntSymMatrix.from_rows([[1]]), (1,))
+    p = with_insertions([[2]], [[1]], [[1]], (1,))
     k = 6
-    shifted = SurgeryPresentation(p.surgery, p.insertion_mixed,
-                                  p.insertion_self, (1 + 3 * k,))
+    shifted = SurgeryPresentation(p.linking, (1 + 3 * k,))
     assert abs(rt_raw_closed(p, k) - rt_raw_closed(shifted, k)) < 1e-12
 
 
@@ -337,7 +354,7 @@ def test_rt_raw_closed_many_equals_one_call_per_presentation():
 def test_rt_raw_closed_many_refuses_the_first_pair_a_loop_refuses(monkeypatch):
     monkeypatch.setenv("ABTQFT_MAX_ENUM", "100")
     ok = closed([[1]])
-    p3, p4 = (SurgeryPresentation.closed(IntSymMatrix.diagonal([1] * m))
+    p3, p4 = (SurgeryPresentation(IntSymMatrix.diagonal([1] * m))
               for m in (3, 4))
     # 4^4 comes before 6^3 in the caller's order, though its class is
     # larger in m; both exceed the cap.
@@ -354,9 +371,12 @@ def test_rt_raw_closed_many_refuses_the_first_pair_a_loop_refuses(monkeypatch):
 # Serialization
 
 def test_presentation_json_round_trip():
-    p = SurgeryPresentation(IntSymMatrix.from_rows([[2, 1], [1, 0]]),
-                            ((1, 0), (0, 2)),
-                            IntSymMatrix.from_rows([[0, 1], [1, 3]]), (1, 2))
+    blocks = {"L": [[2, 1], [1, 0]], "B": [[1, 0], [0, 2]],
+              "C": [[0, 1], [1, 3]], "h": [1, 2]}
+    p = SurgeryPresentation.from_json(blocks)
+    assert p.linking.entries == ((2, 1, 1, 0), (1, 0, 0, 2),
+                                 (1, 0, 0, 1), (0, 2, 1, 3))
+    assert p.to_json() == blocks
     assert SurgeryPresentation.from_json(p.to_json()) == p
 
 
@@ -366,12 +386,13 @@ def test_presentation_json_closed_defaults():
 
 
 def test_empty_mixed_block_is_one_empty_row_per_surgery_component():
-    # "B": [] and the default () mean the same zero-width block as closed()
-    for p in (SurgeryPresentation.from_json({"L": [[1]], "B": []}),
-              SurgeryPresentation(IntSymMatrix.from_rows([[1]]))):
+    # "B": [], "B": [[]] and a missing "B" mean the same zero-width block
+    for blocks in ({"L": [[1]], "B": []}, {"L": [[1]], "B": [[]]},
+                   {"L": [[1]]}):
+        p = SurgeryPresentation.from_json(blocks)
         assert p == closed([[1]])
-        assert p.insertion_mixed == ((),)
-        assert p.direct_sum(p) == closed([[1, 0], [0, 1]])
+        assert p.to_json()["B"] == [[]]
+        assert direct_sum(p, p) == closed([[1, 0], [0, 1]])
 
 
 def randint_symmetric_matrix(rng, m, entry_bound):
@@ -400,8 +421,7 @@ def test_block_symmetry_enforced():
     with pytest.raises(ValueError):
         IntSymMatrix.from_rows([[0, 1], [2, 0]])
     with pytest.raises(ValueError):
-        SurgeryPresentation(IntSymMatrix.from_rows([[1]]), ((1,),),
-                            IntSymMatrix.from_rows([[0]]), ())
+        SurgeryPresentation(IntSymMatrix.from_rows([[1]]), (1, 2))
 
 
 # ---------------------------------------------------------------------------
