@@ -58,10 +58,13 @@ SUITE_OPTIONS = {
 }
 
 #: Largest ``--cases`` of every ``verify`` suite and of ``phase-table
-#: build``: ``verify reciprocity`` draws all its cases before it runs them,
-#: and ``verify kirby`` keeps one deviation per case, so a count without a
-#: bound runs for hours or exhausts memory.
+#: build``.  The suites stream their cases in blocks, but a report keeps one
+#: deviation per case, and a count without a bound runs for hours.
 MAX_CASES = 10 ** 5
+
+#: Most cases a ``verify`` suite or the equivalence corpus draws, then
+#: evaluates as one batch, so that no run holds all its cases at once.
+BLOCK = 500
 
 
 class InputError(Exception):
@@ -123,14 +126,17 @@ def cmd_invariant(args) -> int:
         check_level(k)
     except ValueError:
         raise InputError("--k must be an even integer >= 2") from None
+    if args.side != "rt" and p.r:
+        raise InputError("the torsion-formula side is defined for closed "
+                         "presentations without insertions")
     L = p.surgery
     # The sides come first, so a refused cap costs no extra elimination.
-    rt_value = rt_raw_closed(p, k) if args.side in ("rt", "both") else None
-    cs_result = None
-    if args.side in ("cs", "both"):
-        if p.r:
-            raise InputError("the torsion-formula side is defined for closed "
-                             "presentations without insertions")
+    rt_value = cs_result = None
+    if args.side == "both":
+        _, rt_value, cs_result, ratio = compare.both_routes([(L, k)])[0]
+    elif args.side == "rt":
+        rt_value = rt_raw_closed(p, k)
+    else:
         cs_result = compare.cs_closed(L, k)
     # The regular block is congruent to L plus a zero block, so it has the
     # signature of L; its nullity is the corank of L.  Both come from the
@@ -156,12 +162,11 @@ def cmd_invariant(args) -> int:
         lines.append(f"|T|          {cs_result.torsion_order}")
         lines.append(f"m_M          {cs_result.m_exponent}")
     if args.side == "both":
-        if abs(cs_result.value) <= compare.ZERO_GAUSS_TOLERANCE:
+        if ratio is None:
             report["ratio"] = None
             report["ratio_skipped"] = "vanishing Gauss sum"
             lines.append("ratio        skipped (vanishing Gauss sum)")
         else:
-            ratio = rt_value / cs_result.value
             report["ratio"] = approx_to_json(ratio)
             lines.append(f"ratio        {ratio:.12g}")
     emit(report, args.json, lines)
@@ -171,111 +176,108 @@ def cmd_invariant(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
-def _suite_kirby(args) -> dict:
-    rng = random.Random(args.seed)
-    levels = (2, 4, 6, 8)
+def _fold_blocks(report: dict, total: int, draw, check) -> dict:
+    """Draw ``total`` cases by ``draw(case)`` in blocks of at most
+    :data:`BLOCK`, check each block as one batch, and fold it into
+    ``report``.  ``check(block)`` gives per case its deviation, tolerance
+    and failure: ``None``, or the report key of the count it adds to and
+    its ``first_failure`` fields (``None`` if it is never reported)."""
     deviations: List[float] = []
     margin = 0.0
-    worst = None
-    failures = 0
-    # No draw depends on a value: draw a block of cases, then evaluate both
-    # sides of every case in one batch.
-    for start in range(0, args.cases, surgery.KIRBY_BLOCK):
-        drawn = []
-        for _ in range(min(surgery.KIRBY_BLOCK, args.cases - start)):
-            p = surgery.random_presentation(rng, max_components=4,
-                                            entry_bound=4)
-            k = rng.choice(levels)
-            move = surgery.random_kirby_move(rng, p.m)
-            drawn.append((p, k, move, surgery.apply_kirby(p, move)))
+    for start in range(0, total, BLOCK):
+        block = [draw(case) for case in range(start, min(start + BLOCK, total))]
+        for case, (dev, tol, failure) in enumerate(check(block), start):
+            deviations.append(dev)
+            margin = max(margin, dev / tol)
+            if failure:
+                count, fields = failure
+                report[count] += 1
+                if fields and "first_failure" not in report:
+                    report["first_failure"] = {"case": case, **fields}
+    report.update(max_dev=max(deviations, default=0.0),
+                  deviations=deviations, worst_margin=margin)
+    return report
+
+
+def _suite_kirby(args) -> dict:
+    rng = random.Random(args.seed)
+
+    def draw(case):
+        p = surgery.random_presentation(rng, max_components=4, entry_bound=4)
+        k = rng.choice((2, 4, 6, 8))
+        move = surgery.random_kirby_move(rng, p.m)
+        return p, k, move, surgery.apply_kirby(p, move)
+
+    def check(block):
         values = surgery.rt_raw_closed_many(
-            [pair for p, k, _, q in drawn for pair in ((p, k), (q, k))])
-        for case, ((p, k, move, q), before, after) in enumerate(
-                zip(drawn, values[::2], values[1::2]), start):
+            [pair for p, k, _, q in block for pair in ((p, k), (q, k))])
+        for (p, k, move, q), before, after in zip(block, values[::2],
+                                                  values[1::2]):
             dev = abs(after - before)
             tol = sum_tolerance(k ** max(p.m, q.m), args.tol)
-            margin = max(margin, dev / tol)
-            if dev > tol:
-                failures += 1
-                if worst is None:
-                    worst = {"case": case, "move": move.to_json(),
-                             "deviation": dev, "tolerance": tol,
-                             "L": p.surgery.to_json(), "k": k}
-            deviations.append(dev)
+            yield dev, tol, None if dev <= tol else ("failures", {
+                "move": move.to_json(), "deviation": dev, "tolerance": tol,
+                "L": p.surgery.to_json(), "k": k})
+
     report = {"suite": "kirby", "seed": args.seed, "cases": args.cases,
-              "max_dev": max(deviations, default=0.0), "failures": failures,
-              "deviations": deviations, "tolerance_base": args.tol,
-              "worst_margin": margin}
-    if worst:
-        report["first_failure"] = worst
-    return report
+              "failures": 0, "tolerance_base": args.tol}
+    return _fold_blocks(report, args.cases, draw, check)
 
 
 def _suite_reciprocity(args) -> dict:
     rng = random.Random(args.seed)
-    failures = degenerate_failures = 0
-    worst = None
-    deviations: List[float] = []
-    margin = 0.0
+
     # The nondegenerate draws come first, then (cases + 1) // 2 degenerate
-    # ones; only a nondegenerate failure is reported as first_failure.  No
-    # draw depends on a value: draw every case, then check them in one batch.
-    drawn = []
-    for case in range(args.cases + (args.cases + 1) // 2):
+    # ones; only a nondegenerate failure is reported as first_failure.
+    def draw(case):
         if case >= args.cases:
-            drawn.append((compare.random_degenerate(rng), rng.choice((2, 4))))
-        else:
-            drawn.append((compare.random_nondegenerate(rng, 3, 4),
-                          rng.choice((2, 4, 6))))
-    checks = compare.verify_reciprocity_dt_many(drawn)
-    for case, ((L, r), chk) in enumerate(zip(drawn, checks)):
-        degenerate = case >= args.cases
-        dev = abs(chk.lhs - chk.rhs)
-        deviations.append(dev)
-        tol = sum_tolerance(r ** L.m, args.tol)
-        margin = max(margin, dev / tol)
-        if dev > tol and degenerate:
-            degenerate_failures += 1
-        elif dev > tol:
-            failures += 1
-            worst = worst or {"case": case, "L": L.to_json(), "r": r,
-                              "lhs": approx_to_json(chk.lhs),
-                              "rhs": approx_to_json(chk.rhs)}
+            return compare.random_degenerate(rng), rng.choice((2, 4)), True
+        return (compare.random_nondegenerate(rng, 3, 4),
+                rng.choice((2, 4, 6)), False)
+
+    def check(block):
+        checks = compare.verify_reciprocity_dt_many(
+            [(L, r) for L, r, _ in block], tolerance_base=args.tol)
+        for (L, r, degenerate), chk in zip(block, checks):
+            failure = None
+            if not chk.ok:
+                failure = ("degenerate_failures", None) if degenerate else (
+                    "failures", {"L": L.to_json(), "r": r,
+                                 "lhs": approx_to_json(chk.lhs),
+                                 "rhs": approx_to_json(chk.rhs)})
+            yield abs(chk.lhs - chk.rhs), chk.tolerance, failure
+
+    report = {"suite": "reciprocity", "seed": args.seed, "cases": args.cases,
+              "failures": 0, "degenerate_failures": 0,
+              "tolerance_base": args.tol}
+    _fold_blocks(report, args.cases + (args.cases + 1) // 2, draw, check)
     # The half-kernel normalization is expected to fail on [[0]], r = 2;
     # reproducing that mismatch is part of the check.
     half = compare.verify_reciprocity_dt(
         IntSymMatrix.from_rows([[0]]), 2, "paper_half")
-    report = {"suite": "reciprocity", "seed": args.seed, "cases": args.cases,
-              "max_dev": max(deviations, default=0.0),
-              "deviations": deviations,
-              "degenerate_failures": degenerate_failures,
-              "tolerance_base": args.tol, "worst_margin": margin,
-              "paper_half_zero_matrix": {
-                  "lhs": approx_to_json(half.lhs),
-                  "rhs": approx_to_json(half.rhs),
-                  "mismatch_reproduced": not half.ok}}
-    if worst:
-        report["first_failure"] = worst
-    report["failures"] = failures + degenerate_failures \
-        + (0 if not half.ok else 1)
+    report["paper_half_zero_matrix"] = {
+        "lhs": approx_to_json(half.lhs), "rhs": approx_to_json(half.rhs),
+        "mismatch_reproduced": not half.ok}
+    report["failures"] += report["degenerate_failures"] + int(half.ok)
     return report
 
 
 def _suite_equivalence(args) -> dict:
-    corpus = compare.default_corpus(seed=args.seed, size=args.cases)
-    deviations = [abs(abs(case.ratio) - 1.0) for case in corpus
-                  if case.ratio is not None]
-    table = compare.build_phase_table(corpus)
-    fixture = compare.load_fixture_table()
-    phases_match = table.same_phases(fixture)
-    report = {"suite": "equivalence", "seed": args.seed,
-              "cases": len(corpus), "max_dev": table.max_deviation,
-              "skipped": table.skipped,
-              "deviations": deviations,
-              "table": table.to_json()["sigma_mod_8"],
-              "fixture_match": phases_match,
-              "failures": 0 if phases_match else 1}
-    return report
+    deviations: List[float] = []
+
+    def recorded(corpus):
+        for case in corpus:
+            deviations.append(abs(abs(case.ratio) - 1.0))
+            yield case
+    table = compare.build_phase_table(recorded(compare.default_corpus(
+        seed=args.seed, size=args.cases, block=BLOCK)))
+    phases_match = table.same_phases(compare.load_fixture_table())
+    return {"suite": "equivalence", "seed": args.seed,
+            "cases": table.corpus_size, "max_dev": table.max_deviation,
+            "skipped": 0, "deviations": deviations,
+            "table": table.to_json()["sigma_mod_8"],
+            "fixture_match": phases_match,
+            "failures": 0 if phases_match else 1}
 
 
 def _suite_modular(args) -> dict:
@@ -366,8 +368,8 @@ def cmd_phase_table(args) -> int:
         report = table.to_json()
         emit(report, True, [])
         return EXIT_OK
-    corpus = compare.default_corpus(seed=args.seed, size=args.cases)
-    table = compare.build_phase_table(corpus)
+    table = compare.build_phase_table(compare.default_corpus(
+        seed=args.seed, size=args.cases, block=BLOCK))
     payload = json.dumps(table.to_json(), sort_keys=True, indent=2) + "\n"
     if args.out:
         try:

@@ -16,9 +16,12 @@ Two independent ground truths are computed for every closed presentation:
   Gram solve, and makes one :func:`abtqft.quadmod.gauss_sums` call, one
   kernel batch per group; :func:`cs_closed` is its batch of one, as
   :func:`abtqft.surgery.rt_raw_closed` is of
-  :func:`abtqft.surgery.rt_raw_closed_many`.  The equivalence corpus and the
-  reciprocity check evaluate in such batches, and a value is the same bits
-  in any batch.
+  :func:`abtqft.surgery.rt_raw_closed_many`.  A value is the same bits in
+  any batch.
+
+The two routes meet in one place, :func:`both_routes`: the reciprocity
+check, the equivalence corpus (streamed in blocks) and ``invariant --side
+both`` read it.
 
 Sign of the torsion exponent
 ----------------------------
@@ -50,25 +53,26 @@ Reciprocity
           sum_{l in Z^rho / L_reg Z^rho} e^{-pi i r l^T L_reg^{-1} l}
 
 for even ``r``, with ``L_reg`` the regular block of rank ``rho`` and ``d``
-the null-direction exponent (``d = 0`` for nondegenerate ``L``).  The left
-sides are one :func:`abtqft.surgery.coloring_sums` batch and the right sides
-one :func:`cs_closed_many` batch; :func:`verify_reciprocity_dt` is the batch
-of one.  The square-root branch of the determinant factor is always taken
-through this explicit-signature form.  For degenerate ``L`` the left side
-factors over the saturated kernel and picks up ``r^nu``; the check takes
-``d = nu`` (``"full_nullity"``) or ``d = nu/2`` (``"paper_half"``), so the
-discrepancy between the two normalizations is reproducible: already ``L =
-[[0]], r = 2`` gives 2 versus sqrt(2).
+the null-direction exponent (``d = 0`` for nondegenerate ``L``).  Both
+sides come from one :func:`both_routes` batch; :func:`verify_reciprocity_dt`
+is the batch of one.  The square-root branch of the determinant factor is
+always taken through this explicit-signature form.  For degenerate ``L``
+the left side factors over the saturated kernel and picks up ``r^nu``; the
+check takes ``d = nu`` (``"full_nullity"``) or ``d = nu/2``
+(``"paper_half"``), so the discrepancy between the two normalizations is
+reproducible: already ``L = [[0]], r = 2`` gives 2 versus sqrt(2).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .errors import InconsistentPhase
 from .intlinalg import (
@@ -82,6 +86,7 @@ from .intlinalg import (
     signature,
 )
 from .numeric import (
+    SUM_TOLERANCE_BASE,
     UnitPhase,
     rational_from_json,
     rational_to_json,
@@ -100,11 +105,11 @@ from .surgery import (
     coloring_sums,
     random_symmetric_matrix,
     random_unimodular,
-    rt_raw_closed_many,
+    raw_closed_from_sum,
 )
 
-#: Below this magnitude a torsion Gauss sum counts as vanishing and ratio
-#: statistics must skip the presentation (nonvanishing normalized sums at
+#: Below this magnitude a torsion Gauss sum counts as vanishing and the
+#: ratio of :func:`both_routes` is undefined (nonvanishing normalized sums at
 #: desk scale have magnitude >= 1e-3, float noise sits near 1e-13).
 ZERO_GAUSS_TOLERANCE = 1e-8
 
@@ -172,17 +177,39 @@ def cs_closed(L: IntSymMatrix, k: int) -> CsClosedResult:
     return cs_closed_many([(L, k)])[0]
 
 
+class Routes(NamedTuple):
+    """Both routes on one ``(L, k)`` pair: the coloring sum, ``rt`` formed
+    from it, the torsion result, and ``rt / cs`` (``None`` when the torsion
+    Gauss sum vanishes; both routes are 0 there)."""
+
+    coloring_sum: complex
+    rt: complex
+    cs: CsClosedResult
+    ratio: Optional[complex]
+
+
+def both_routes(pairs: Sequence[Tuple[IntSymMatrix, int]]) -> List[Routes]:
+    """Both routes on each ``(L, k)`` pair, the one place where they meet:
+    one :func:`coloring_sums` batch, checked and run first, then one
+    :func:`cs_closed_many` batch, which shares the elimination ``rt`` reads."""
+    sums = coloring_sums([(SurgeryPresentation(L), k) for L, k in pairs])
+    rts = [raw_closed_from_sum(L, k, total)
+           for (L, k), total in zip(pairs, sums)]
+    return [Routes(total, rt, cs, None if abs(cs.value) <= ZERO_GAUSS_TOLERANCE
+                   else rt / cs.value)
+            for total, rt, cs in zip(sums, rts, cs_closed_many(pairs))]
+
+
 @dataclass(frozen=True)
 class EquivalenceCase:
-    """One ``(L, k)`` pair evaluated once on both routes.  ``ratio`` is
-    ``None`` when the torsion Gauss sum vanishes (both routes are 0 there,
-    and the brute-force route is not run); ``sigma_reg``, the signature of
-    the regular block, equals the signature of ``L``."""
+    """One ``(L, k)`` pair of the corpus with its ratio ``rt / cs``;
+    ``sigma_reg``, the signature of the regular block, equals the signature
+    of ``L``."""
 
     L: IntSymMatrix
     k: int
     sigma_reg: int
-    ratio: Optional[complex]
+    ratio: complex
 
 
 @dataclass(frozen=True)
@@ -196,7 +223,6 @@ class PhaseTable:
     mapping: Dict[int, UnitPhase]
     corpus_size: int
     max_deviation: float
-    skipped: int
 
     def to_json(self) -> dict:
         return {
@@ -210,8 +236,7 @@ class PhaseTable:
     def from_json(cls, obj: dict) -> "PhaseTable":
         mapping = {int(s): UnitPhase(rational_from_json(v))
                    for s, v in obj["sigma_mod_8"].items()}
-        return cls(mapping, int(obj["corpus_size"]), float(obj["max_dev"]),
-                   skipped=0)
+        return cls(mapping, int(obj["corpus_size"]), float(obj["max_dev"]))
 
     def same_phases(self, other: "PhaseTable") -> bool:
         return self.mapping == other.mapping
@@ -223,39 +248,30 @@ def _snap_to_eighth_root(z: complex) -> UnitPhase:
 
 
 def build_phase_table(cases: Iterable[EquivalenceCase]) -> PhaseTable:
-    """Group equivalence ratios by ``sigma(L_reg) mod 8`` and snap each class
-    to an eighth root of unity.
+    """Snap the first ratio of each ``sigma(L_reg) mod 8`` class to an
+    eighth root of unity, in one pass over ``cases``.
 
-    Cases with vanishing Gauss sum are skipped and counted.  If any ratio
-    sits further than :data:`PHASE_CLASS_TOL` from its class phase the table
-    is refused with :class:`InconsistentPhase`: that means the two routes do not
-    differ by a constant on the class and no signature-indexed table exists.
+    If any ratio sits further than :data:`PHASE_CLASS_TOL` from its class
+    phase the table is refused with :class:`InconsistentPhase`: that means
+    the two routes do not differ by a constant on the class and no
+    signature-indexed table exists.
     """
-    classes: Dict[int, List[complex]] = {}
-    skipped = 0
-    total = 0
-    for case in cases:
-        total += 1
-        if case.ratio is None:
-            skipped += 1
-            continue
-        classes.setdefault(case.sigma_reg % 8, []).append(case.ratio)
     mapping: Dict[int, UnitPhase] = {}
-    max_dev = 0.0
-    for residue in sorted(classes):
-        ratios = classes[residue]
-        snapped = _snap_to_eighth_root(ratios[0])
-        target = unit_phase_eval(snapped)
-        for ratio in ratios:
-            dev = abs(ratio - target)
-            if dev > PHASE_CLASS_TOL:
-                raise InconsistentPhase(
-                    f"ratio {ratio} deviates by {dev:.3e} from {target} "
-                    f"in class sigma = {residue} (mod 8); no well-defined "
-                    "phase table")
-            max_dev = max(max_dev, dev)
-        mapping[residue] = snapped
-    return PhaseTable(mapping, total, max_dev, skipped)
+    targets: Dict[int, complex] = {}
+    max_dev, total = 0.0, 0
+    for total, case in enumerate(cases, 1):
+        residue = case.sigma_reg % 8
+        if residue not in mapping:
+            mapping[residue] = _snap_to_eighth_root(case.ratio)
+            targets[residue] = unit_phase_eval(mapping[residue])
+        dev = abs(case.ratio - targets[residue])
+        if dev > PHASE_CLASS_TOL:
+            raise InconsistentPhase(
+                f"ratio {case.ratio} deviates by {dev:.3e} from "
+                f"{targets[residue]} in class sigma = {residue} (mod 8); no "
+                "well-defined phase table")
+        max_dev = max(max_dev, dev)
+    return PhaseTable(mapping, total, max_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -298,59 +314,42 @@ _CORPUS_TORSION_BOUND = 4000
 _CORPUS_LEVELS = (2, 4, 6, 8)
 
 
-def default_corpus(seed: int = 0, size: int = 300) -> List[EquivalenceCase]:
-    """Deterministic corpus of evaluated pairs with nonvanishing Gauss sums.
+def default_corpus(seed: int = 0, size: int = 300, *, block: int
+                   ) -> Iterator[EquivalenceCase]:
+    """Deterministic corpus of usable pairs, streamed in blocks of at most
+    ``block`` candidates.
 
     Starts with the catalog classics (covering every signature residue
     mod 8) and E8 at the levels 2, 4, 6, 8 (E8 within the default coloring
     cap), and pads with seeded random symmetric matrices, m <= 4 and
-    entries in [-4, 4], until ``size`` usable pairs are collected.  Each
-    candidate is evaluated once: the torsion route alone decides whether it
-    is usable, and the usable pairs then go on to the brute-force route in
-    one :func:`rt_raw_closed_many` batch.  The classics are one
-    :func:`cs_closed_many` batch; the random candidates are drawn in blocks
-    of as many as are still needed, each block one batch.  No draw depends
-    on a value and each candidate adds at most one usable pair, so a block
-    never draws past the candidate that completes the corpus.  A pair
-    already evaluated in an earlier block is not evaluated again (a value
-    is the same bits in any batch), and a matrix equal to one seen before
-    is replaced by that first instance, so equal matrices share the
-    elimination it keeps (:func:`abtqft.intlinalg.signature`).
+    entries in [-4, 4], until ``size`` pairs are usable: a small torsion
+    group and a defined ratio.  A block, one :func:`both_routes` batch,
+    takes the classics left or the candidates still needed, whichever is
+    more; each candidate adds at most one usable pair, so no block draws
+    past the one that completes the corpus.  Equal matrices in a block share
+    one instance and the elimination it keeps; nothing is kept across
+    blocks.
     """
-    usable: List[Tuple[IntSymMatrix, int, CsClosedResult]] = []
-    evaluated: Dict[Tuple[IntSymMatrix, int], CsClosedResult] = {}
-    first: Dict[IntSymMatrix, IntSymMatrix] = {}
-
-    def consider(candidates: List[Tuple[IntSymMatrix, int]]) -> None:
-        candidates = [(first.setdefault(L, L), k) for L, k in candidates]
-        fresh = [pair for pair in candidates if pair not in evaluated]
-        evaluated.update(zip(fresh, cs_closed_many(fresh)))
-        for L, k in candidates:
-            cs = evaluated[L, k]
-            if cs.torsion_order <= _CORPUS_TORSION_BOUND \
-                    and abs(cs.value) > ZERO_GAUSS_TOLERANCE:
-                usable.append((L, k, cs))
-
     E8 = IntSymMatrix.from_rows(E8_ROWS)
-    consider([(IntSymMatrix.from_rows(rows), k) for rows in _CLASSIC_ROWS
-              for k in _CORPUS_LEVELS]
-             + [(E8, k) for k in _CORPUS_LEVELS
-                if k ** 8 <= DEFAULT_ENUMERATION_CAP])
-
+    classics = [(IntSymMatrix.from_rows(rows), k) for rows in _CLASSIC_ROWS
+                for k in _CORPUS_LEVELS] \
+        + [(E8, k) for k in _CORPUS_LEVELS if k ** 8 <= DEFAULT_ENUMERATION_CAP]
     rng = random.Random(seed)
-    level_cycle = 0
-    while len(usable) < size:
-        block = []
-        for _ in range(size - len(usable)):
-            m = rng.randint(1, 4)
-            block.append((random_symmetric_matrix(rng, m, 4),
-                          _CORPUS_LEVELS[level_cycle % len(_CORPUS_LEVELS)]))
-            level_cycle += 1
-        consider(block)
-    rts = rt_raw_closed_many([(SurgeryPresentation(L), k)
-                              for L, k, _ in usable])
-    return [EquivalenceCase(L, k, signature(L), rt / cs.value)
-            for (L, k, cs), rt in zip(usable, rts)]
+    stream = itertools.chain(classics, (
+        (random_symmetric_matrix(rng, rng.randint(1, 4), 4), k)
+        for k in itertools.cycle(_CORPUS_LEVELS)))
+    taken = usable = 0
+    while taken < len(classics) or usable < size:
+        count = min(block, max(len(classics) - taken, size - usable))
+        taken += count
+        first: Dict[IntSymMatrix, IntSymMatrix] = {}
+        pairs = [(first.setdefault(L, L), k)
+                 for L, k in itertools.islice(stream, count)]
+        for (L, k), routes in zip(pairs, both_routes(pairs)):
+            if routes.cs.torsion_order <= _CORPUS_TORSION_BOUND \
+                    and routes.ratio is not None:
+                usable += 1
+                yield EquivalenceCase(L, k, signature(L), routes.ratio)
 
 
 def fixture_path() -> str:
@@ -379,35 +378,34 @@ NULL_EXPONENT_MODES = ("paper_half", "full_nullity")
 
 def verify_reciprocity_dt_many(cases: Sequence[Tuple[IntSymMatrix, int]],
                                null_exponent_mode: str = "full_nullity",
+                               tolerance_base: float = SUM_TOLERANCE_BASE,
                                ) -> List[ReciprocityCheck]:
     """Check the explicit-signature reciprocity identity for each ``(L, r)``
     case by enumerating both sides.
 
-    The left sides are one :func:`abtqft.surgery.coloring_sums` batch (so
-    they are capped like every other coloring sum, and checked first).  The
+    Both sides come from one :func:`both_routes` batch.  The left side is
+    the coloring sum (capped like every other one, and checked first).  The
     right side is ``r^{rho/2} e^{pi i sigma/4}`` times the torsion Gauss
-    sum (the cokernel sum over ``sqrt|T|``), all of them from one
-    :func:`cs_closed_many` batch, with ``rho = m - nullity`` and ``sigma(L)
-    = sigma(L_reg)`` (Sylvester), times a null-direction factor ``r^d``.
-    ``d = nullity`` in ``"full_nullity"`` mode (the factorization that is
-    actually true: each saturated null direction contributes a full factor
-    ``r``) or ``d = nullity / 2`` in ``"paper_half"`` mode (the half-kernel
-    normalization, kept so its failure is reproducible).  For nondegenerate
-    ``L`` the factor is 1 in both modes.  A check is the same bits in any
-    batch.
+    sum (the cokernel sum over ``sqrt|T|``), with ``rho = m - nullity`` and
+    ``sigma(L) = sigma(L_reg)`` (Sylvester), times a null-direction factor
+    ``r^d``: ``d = nullity`` in ``"full_nullity"`` mode (the factorization
+    that is actually true: each saturated null direction contributes a full
+    factor ``r``) or ``d = nullity / 2`` in ``"paper_half"`` mode (the
+    half-kernel normalization, kept so its failure is reproducible).  For
+    nondegenerate ``L`` the factor is 1 in both modes.  A check passes
+    within ``tolerance_base * sqrt(r^m)`` and is the same bits in any batch.
     """
     if null_exponent_mode not in NULL_EXPONENT_MODES:
         raise ValueError(f"unknown mode {null_exponent_mode!r}")
-    lhs = coloring_sums([(SurgeryPresentation(L), r) for L, r in cases])
     checks = []
-    for (L, r), left, cs in zip(cases, lhs, cs_closed_many(cases)):
+    for (L, r), (left, _, cs, _) in zip(cases, both_routes(cases)):
         sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(L), 8)))
         rhs = math.sqrt(float(r) ** (L.m - cs.nullity)) * sig_phase * cs.gauss
         if cs.nullity:  # a complex product with 1.0 could flip the sign of a 0
             power = float(r) ** cs.nullity
             half = null_exponent_mode == "paper_half"
             rhs = (math.sqrt(power) if half else power) * rhs
-        tol = sum_tolerance(r ** L.m)
+        tol = sum_tolerance(r ** L.m, tolerance_base)
         checks.append(ReciprocityCheck(left, rhs, abs(left - rhs) <= tol, tol))
     return checks
 

@@ -47,12 +47,12 @@ them, are kept in the tests as oracles.
 Every coloring sum goes through one function, :func:`coloring_sums`: it
 checks the levels and the cap, and sends the sums of each ``(m, k)`` class
 to the kernel as one batch, so a value is the same bits in any batch.
-:func:`rt_raw_closed_many` is the prefactor times those sums,
-:func:`rt_raw_closed` its batch of one, and the reciprocity left sides
-(:func:`abtqft.compare.verify_reciprocity_dt_many`) one batch of
+:func:`rt_raw_closed_many` is the prefactor times those sums
+(:func:`raw_closed_from_sum`), :func:`rt_raw_closed` its batch of one, and
+:func:`abtqft.compare.both_routes`, where the two routes meet, one batch of
 :func:`coloring_sums`.  ``verify kirby``, the one Kirby-invariance check,
-draws its cases first through :func:`random_kirby_move` (no draw depends
-on a value) and evaluates them in blocks of :data:`KIRBY_BLOCK` cases.
+draws its cases through :func:`random_kirby_move` (no draw depends on a
+value) and evaluates them in the blocks of the CLI's one block driver.
 """
 
 from __future__ import annotations
@@ -239,12 +239,17 @@ def coloring_sums(cases: Sequence[Tuple[SurgeryPresentation, int]]
     return sums
 
 
+def raw_closed_from_sum(L: IntSymMatrix, k: int, total: complex) -> complex:
+    """``k^{-1/2} A+^{(-m-sigma)/2} A-^{(-m+sigma)/2}`` times the coloring
+    sum ``total`` of surgery matrix ``L``, with ``sigma = signature(L)``."""
+    return _approx_prefactor(L.m, signature(L) % 8, k) * total
+
+
 def rt_raw_closed_many(cases: Sequence[Tuple[SurgeryPresentation, int]]
                        ) -> List[complex]:
     """Raw closed surgery invariant of each ``(presentation, k)`` pair:
-    ``k^{-1/2} A+^{(-m-sigma)/2} A-^{(-m+sigma)/2}`` times its
-    :func:`coloring_sums` value, with ``sigma = signature(L)``."""
-    return [_approx_prefactor(p.m, signature(p.surgery) % 8, k) * total
+    :func:`raw_closed_from_sum` of its :func:`coloring_sums` value."""
+    return [raw_closed_from_sum(p.surgery, k, total)
             for (p, k), total in zip(cases, coloring_sums(cases))]
 
 
@@ -315,13 +320,6 @@ def random_kirby_move(rng: random.Random, m: int) -> KirbyMove:
         i, j, s = random_transvection(rng, m)
         return KirbyMove("K2", s, i, j)
     return KirbyMove("K1", rng.choice((1, -1)))
-
-
-#: Kirby cases drawn, then evaluated as one :func:`rt_raw_closed_many` call,
-#: by ``verify kirby``: large enough that the default 500 cases are one
-#: block, small enough that a long run never holds every presentation at
-#: once.
-KIRBY_BLOCK = 500
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+from abtqft.cli import BLOCK
 from abtqft.compare import (
     build_phase_table,
     cs_closed,
@@ -105,7 +106,7 @@ def test_criterion_04_reciprocity_200_nondegenerate():
 
 
 def test_criterion_05_closed_equivalence_and_frozen_table():
-    corpus = default_corpus(seed=0, size=300)
+    corpus = list(default_corpus(seed=0, size=300, block=BLOCK))
     ratios = [case.ratio for case in corpus if case.ratio is not None]
     unit_dev = max(abs(abs(r) - 1) for r in ratios)
     table = build_phase_table(corpus)  # raises if any class is inconsistent

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import abtqft
-from abtqft import cli, intlinalg, surgery
+from abtqft import cli, compare, intlinalg, surgery
 from abtqft.cli import main
 from abtqft.numeric import sum_tolerance
-from abtqft.surgery import rt_raw_closed
+from abtqft.surgery import SurgeryPresentation, rt_raw_closed, rt_raw_closed_many
+from test_compare import sequential_corpus_pairs
 
 #: The ``src`` directory holding ``abtqft``, for interpreters started here.
 SRC = os.path.dirname(os.path.dirname(abtqft.__file__))
@@ -60,6 +61,22 @@ def test_invariant_vanishing_ratio_skipped(capsys):
     assert abs(complex(*report["cs"])) < 1e-10
     assert report["ratio"] is None
     assert report["ratio_skipped"]
+
+
+@pytest.mark.parametrize("side", ["cs", "both"])
+def test_invariant_refuses_insertions_before_any_coloring_sum(
+        capsys, monkeypatch, side):
+    # The both side once paid for its whole coloring sum before it refused.
+    def refuse(cases):
+        raise AssertionError("a coloring sum ran")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("abtqft") \
+                and getattr(module, "coloring_sums", None) is surgery.coloring_sums:
+            monkeypatch.setattr(module, "coloring_sums", refuse)
+    source = '{"L": [[1]], "B": [[1]], "C": [[0]], "h": [1]}'
+    result = run(capsys, "invariant", source, "--k", "2", "--side", side)
+    assert result == (2, "", "error: the torsion-formula side is defined for "
+                             "closed presentations without insertions\n")
 
 
 def test_invariant_inline_json(capsys):
@@ -189,11 +206,118 @@ def kirby_report_reference(seed, cases, tol=1e-9):
 
 def test_verify_kirby_report_equals_one_call_per_case(capsys):
     # More cases than one block, so the last block is a partial one.
-    cases = surgery.KIRBY_BLOCK + 30
+    cases = cli.BLOCK + 30
     code, report, _ = run_json(capsys, "verify", "kirby", "--seed", "3",
                                "--cases", str(cases), "--json")
     assert code == 0
     assert report == kirby_report_reference(3, cases)
+
+
+def reciprocity_report_reference(seed, cases, tol=1e-9):
+    """``verify reciprocity --json`` with every case drawn first and all of
+    them checked in one batch."""
+    rng = random.Random(seed)
+    drawn = [(compare.random_nondegenerate(rng, 3, 4), rng.choice((2, 4, 6)))
+             for _ in range(cases)]
+    drawn += [(compare.random_degenerate(rng), rng.choice((2, 4)))
+              for _ in range((cases + 1) // 2)]
+    checks = compare.verify_reciprocity_dt_many(drawn)
+    deviations = [abs(chk.lhs - chk.rhs) for chk in checks]
+    budgets = [sum_tolerance(r ** L.m, tol) for L, r in drawn]
+    failed = [dev > budget for dev, budget in zip(deviations, budgets)]
+    half = compare.verify_reciprocity_dt(intlinalg.IntSymMatrix.from_rows([[0]]),
+                                         2, "paper_half")
+    failures = sum(failed) + half.ok
+    report = {"suite": "reciprocity", "seed": seed, "cases": cases,
+              "max_dev": max(deviations), "deviations": deviations,
+              "degenerate_failures": sum(failed[cases:]),
+              "tolerance_base": tol,
+              "worst_margin": max(d / b for d, b in zip(deviations, budgets)),
+              "paper_half_zero_matrix": {
+                  "lhs": [half.lhs.real, half.lhs.imag],
+                  "rhs": [half.rhs.real, half.rhs.imag],
+                  "mismatch_reproduced": not half.ok},
+              "failures": failures, "pass": failures == 0}
+    if any(failed[:cases]):
+        case = failed.index(True)
+        (L, r), chk = drawn[case], checks[case]
+        report["first_failure"] = {
+            "case": case, "L": L.to_json(), "r": r,
+            "lhs": [chk.lhs.real, chk.lhs.imag],
+            "rhs": [chk.rhs.real, chk.rhs.imag]}
+    return report
+
+
+@pytest.mark.parametrize("seed, tol", [(4, 1e-9), (4, 1e-30), (32, 1.1e-15)])
+def test_verify_reciprocity_report_equals_one_batch(capsys, seed, tol):
+    # One block and 30 cases more: the second block holds the last 30
+    # nondegenerate cases and every degenerate one.  At 1e-30 every case
+    # fails; at seed 32 and 1.1e-15 the first failure is case 516, in the
+    # second block.
+    cases = cli.BLOCK + 30
+    want = reciprocity_report_reference(seed, cases, tol)
+    code, report, _ = run_json(capsys, "verify", "reciprocity", "--seed",
+                               str(seed), "--cases", str(cases), "--tol",
+                               str(tol), "--json")
+    assert (code, report) == (0 if want["pass"] else 1, want)
+    if seed == 32:
+        assert report["first_failure"]["case"] == 516
+
+
+def equivalence_cases_reference(seed, size):
+    """The corpus drawn one candidate at a time, its usable pairs then
+    evaluated on both routes in one batch."""
+    pairs = sequential_corpus_pairs(seed, size)
+    rts = rt_raw_closed_many([(SurgeryPresentation(L), k) for L, k in pairs])
+    return [compare.EquivalenceCase(L, k, intlinalg.signature(L), rt / cs.value)
+            for (L, k), rt, cs in zip(pairs, rts, compare.cs_closed_many(pairs))]
+
+
+def test_verify_equivalence_and_phase_table_equal_one_batch(capsys):
+    cases = cli.BLOCK + 30
+    reference = equivalence_cases_reference(2, cases)
+    table = compare.build_phase_table(reference)
+    code, report, _ = run_json(capsys, "verify", "equivalence", "--seed", "2",
+                               "--cases", str(cases), "--json")
+    assert code == 0
+    assert report == {
+        "suite": "equivalence", "seed": 2, "cases": cases,
+        "max_dev": table.max_deviation, "skipped": 0,
+        "deviations": [abs(abs(case.ratio) - 1.0) for case in reference],
+        "table": table.to_json()["sigma_mod_8"], "fixture_match": True,
+        "failures": 0, "pass": True}
+    code, built, _ = run_json(capsys, "phase-table", "build", "--seed", "2",
+                              "--cases", str(cases))
+    assert (code, built) == (0, table.to_json())
+
+
+#: A child interpreter that runs ``abtqft.cli.main`` on its arguments with
+#: standard output discarded, then prints the exit code and its own peak
+#: resident set (``VmHWM``, in kB).
+PEAK_RSS_CHILD = """import contextlib, os, re, sys, abtqft.cli
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    code = abtqft.cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(code, re.search(r"VmHWM:\\s+(\\d+) kB", status.read())[1])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("suite", ["reciprocity", "equivalence"])
+def test_peak_memory_does_not_grow_with_the_case_count(suite):
+    # The suites stream their cases in blocks; only the deviations of the
+    # report grow.  Drawing every case first grew the peak by 24-26 MB.
+    peaks = []
+    for cases in (2000, 20000):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_CHILD, "verify", suite,
+             "--cases", str(cases), "--json"], capture_output=True, text=True,
+            timeout=300, env=dict(os.environ, PYTHONPATH=SRC))
+        code, peak_kb = proc.stdout.split()
+        assert (code, proc.stderr) == ("0", "")
+        peaks.append(int(peak_kb))
+    assert peaks[1] - peaks[0] <= 8 * 1024
 
 
 def test_verify_kirby_cap_message_names_the_first_refused_case(capsys,
@@ -392,11 +516,12 @@ def test_invariant_pinned_8x8_both_sides(capsys, time_limit):
 
 
 @pytest.mark.parametrize("argv, calls, eliminations", [
-    # The corpus holds one instance of each of its 253 distinct matrices,
-    # so each is eliminated once, before its group check and its Smith
-    # form read its determinant; the usable pairs read the signature it
-    # keeps.
-    (("verify", "equivalence", "--seed", "0"), 853, 253),
+    # A corpus block holds one instance of each of its distinct matrices,
+    # so each is eliminated once per block, when the brute-force prefactor
+    # of its first pair reads the signature; its group check, its Smith
+    # form and the usable pairs read what it keeps.  Seed 0 meets its 253
+    # distinct matrices 264 times over its five blocks.
+    (("verify", "equivalence", "--seed", "0"), 678, 264),
     (("invariant", "E8", "--k", "2", "--side", "both"), 2, 1),
 ])
 def test_one_signature_elimination_per_matrix(capsys, monkeypatch, argv,

@@ -184,20 +184,12 @@ def test_phase_table_classic_corpus():
     table = build_phase_table(corpus)
     assert table.mapping[0] == UnitPhase(Fraction(0))
     assert table.mapping[1] == UnitPhase(Fraction(0))
-    assert table.skipped == 0
     assert table.max_deviation < 1e-7
 
 
 def test_phase_table_singleton_corpus():
     table = build_phase_table([evaluate_case(sym([[1]]), 2)])
     assert set(table.mapping) == {1}
-
-
-def test_phase_table_logs_skipped_vanishing_entries():
-    table = build_phase_table([evaluate_case(sym([[1]]), 2),
-                               evaluate_case(sym([[2]]), 2)])
-    assert table.skipped == 1
-    assert table.corpus_size == 2
 
 
 def test_phase_table_json_round_trip():
@@ -209,17 +201,18 @@ def test_phase_table_json_round_trip():
 
 
 def test_default_corpus_is_deterministic_and_spans_classes():
-    a = default_corpus(seed=0, size=120)
-    b = default_corpus(seed=0, size=120)
+    a = list(default_corpus(seed=0, size=120, block=cli.BLOCK))
+    b = list(default_corpus(seed=0, size=120, block=cli.BLOCK))
     assert a == b
     table = build_phase_table(a)
     assert set(table.mapping) == set(range(8))
-    assert table.skipped == 0  # corpus pre-filters vanishing sums
+    assert None not in [case.ratio for case in a]  # no vanishing sums
 
 
 def test_fixture_reproduced_by_rebuild():
     fixture = load_fixture_table()
-    rebuilt = build_phase_table(default_corpus(seed=0, size=fixture.corpus_size))
+    rebuilt = build_phase_table(default_corpus(
+        seed=0, size=fixture.corpus_size, block=cli.BLOCK))
     assert rebuilt.same_phases(fixture)
     assert rebuilt.corpus_size == fixture.corpus_size
     assert rebuilt.max_deviation <= 1e-7
@@ -547,15 +540,19 @@ def sequential_corpus_pairs(seed, size, levels=LEVELS):
 
 @pytest.mark.parametrize("seed, size", [(0, 40), (3, 150), (5, 301)])
 def test_default_corpus_blocks_draw_what_a_sequential_loop_draws(seed, size):
-    corpus = default_corpus(seed=seed, size=size)
-    assert [(case.L, case.k) for case in corpus] \
-        == sequential_corpus_pairs(seed, size)
+    # Blocks of 7 split the classics and the random draws into many batches.
+    for block in (7, cli.BLOCK):
+        corpus = default_corpus(seed=seed, size=size, block=block)
+        assert [(case.L, case.k) for case in corpus] \
+            == sequential_corpus_pairs(seed, size)
 
 
 def test_default_corpus_evaluates_each_pair_once(monkeypatch):
-    # Seed 0 draws 268 (L, k) candidates on 253 distinct L; a pair evaluated
-    # in an earlier block is reused, and an L met again at a new level is
-    # decomposed again, so 255 decompositions remain.
+    # Within a block, one batch, a repeated pair is evaluated once and a
+    # repeated L decomposed once.  Nothing is kept across blocks: seed 0
+    # draws 378 (L, k) candidates on 253 distinct L in blocks of 300, 56,
+    # 15, 5 and 2, and decomposes a matrix met again in a later block again,
+    # so 264 decompositions remain.
     decomposed, batched = [], []
 
     def counted_decomposition(L, _fn=compare.regular_decomposition):
@@ -563,14 +560,17 @@ def test_default_corpus_evaluates_each_pair_once(monkeypatch):
         return _fn(L)
 
     def counted_batch(pairs, _fn=compare.cs_closed_many):
-        batched.append(set(pairs))
-        return _fn(pairs)
+        start = len(decomposed)
+        result = _fn(pairs)
+        batched.append((pairs, decomposed[start:]))
+        return result
     monkeypatch.setattr(compare, "regular_decomposition", counted_decomposition)
     monkeypatch.setattr(compare, "cs_closed_many", counted_batch)
-    default_corpus(seed=0)
-    assert (len(decomposed), len(set(decomposed))) == (255, 253)
-    # A batch evaluates a repeated pair once; no pair is in two batches.
-    assert sum(map(len, batched)) == len(set().union(*batched))
+    list(default_corpus(seed=0, block=cli.BLOCK))
+    assert [len(pairs) for pairs, _ in batched] == [300, 56, 15, 5, 2]
+    for pairs, done in batched:
+        assert sorted(map(repr, done)) == sorted({repr(L) for L, _ in pairs})
+    assert (len(decomposed), len(set(decomposed))) == (264, 253)
 
 
 def decomposed_matrices(monkeypatch, run):
@@ -605,7 +605,8 @@ def test_torsion_data_of_the_corpus_and_reciprocity_draws_is_golden(
         monkeypatch, capsys):
     # Recorded with the Smith form's earlier bookkeeping (separate A, U and
     # W^T); the generator lifts pin its pivots and 2x2 steps.
-    corpus = decomposed_matrices(monkeypatch, lambda: default_corpus(seed=0))
+    corpus = decomposed_matrices(
+        monkeypatch, lambda: list(default_corpus(seed=0, block=cli.BLOCK)))
     assert torsion_digest(corpus) == (
         253, "c508a27a6ddcca53445fdaaa0d91fac9319e2e6e9448db9b1335db0d11f7702b")
     drawn = decomposed_matrices(

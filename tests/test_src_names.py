@@ -14,7 +14,12 @@ The guard matches an attribute by its name alone, not by the type of the
 object it is read from, so a method is missed when another type's attribute
 has its name: ``set.add`` or ``self.elements`` anywhere in ``src/abtqft`` or
 ``benchmarks/`` counts as a reference to every method called ``add`` or
-``elements``.
+``elements``.  In the same way ``FiniteQuadraticModule.linking`` stays
+counted as used through the ``linking`` fields of ``SurgeryPresentation``
+and ``ExtendedBordism`` (``p.linking``, ``self.linking``), even if its one
+``src`` caller, the test-only ``hopf_pairing``, left ``src``; its sibling
+``FiniteQuadraticModule.q`` is read only by the test-only ``twist_phase``,
+and the guard would flag it once that function left.
 """
 
 import ast
