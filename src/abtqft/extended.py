@@ -78,16 +78,17 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .errors import NotLagrangian
 from .intlinalg import (IntSymMatrix, clear_denominators, mat_mul, mat_vec,
                         rational_rank, signature)
-from .numeric import UnitPhase, _root_table, approx_to_json, unit_phase_eval
+from .numeric import UnitPhase, approx_to_json, unit_phase_eval
 from .quadmod import check_level, cyclic_module
 from .surgery import SurgeryPresentation, random_transvection, rt_raw_closed_many
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def hopf_pairing(k: int, x: int, y: int) -> UnitPhase:
@@ -135,12 +136,15 @@ def modular_rep(k: int) -> Tuple[np.ndarray, np.ndarray]:
     ``S[y][x] = k^{-1/2} exp(-2 pi i x y / k)`` and
     ``T[x][x] = exp(pi i x^2 / k)``; see the module docstring for why the
     Fourier kernel carries the minus sign.  Both read the shared root
-    tables, which equal :func:`unit_phase_eval` bit for bit.
+    tables of :mod:`abtqft.phasesums`, which equal :func:`unit_phase_eval`
+    bit for bit; numpy is loaded only once the level has passed its check.
     """
     check_level(k)
+    import numpy as np
+    from . import phasesums
     x = np.arange(k)
-    s = _root_table(k)[np.outer(-x, x) % k] / math.sqrt(k)
-    t = np.diag(_root_table(2 * k)[x * x % (2 * k)])
+    s = phasesums._root_table(k)[np.outer(-x, x) % k] / math.sqrt(k)
+    t = np.diag(phasesums._root_table(2 * k)[x * x % (2 * k)])
     return s, t
 
 
@@ -177,6 +181,7 @@ def anomaly_check(k: int) -> AnomalyCheck:
     if k > ANOMALY_LEVEL_CAP:
         raise ValueError(f"anomaly check capped at k = {ANOMALY_LEVEL_CAP}")
     s, t = modular_rep(k)
+    import numpy as np
     st = s @ t
     lhs = st @ st @ st
     rhs = s @ s

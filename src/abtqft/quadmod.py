@@ -28,11 +28,12 @@ what the level-``k`` Gauss sum consumes.  Every Gauss sum goes through one
 function, :func:`gauss_sums`, which takes a batch of ``(module, k)`` pairs:
 it checks the level and the group cap of every pair first, then sends the
 pairs of each group (one tuple of cyclic orders) to the library's one
-exponential-sum kernel, :func:`abtqft.numeric.quadratic_phase_sums`, as one
-batch, with the cyclic orders as moduli and ``2e`` as modulus; for a group
-of more than a few hundred elements the kernel sums over the trailing
-cyclic factors by one inverse DFT (split-Fourier) instead of element by
-element.
+exponential-sum kernel, :func:`abtqft.phasesums.quadratic_phase_sums`, as
+one batch, with the cyclic orders as moduli and ``2e`` as modulus; for a
+group of more than a few hundred elements the kernel sums over the
+trailing cyclic factors by one inverse DFT (split-Fourier) instead of
+element by element.  That module, and with it numpy, is imported only
+once every pair has passed its checks.
 
 Even levels are the one level rule, :func:`check_level`, and groups of at
 most :data:`GROUP_ENUMERATION_CAP` elements the one group rule,
@@ -66,7 +67,6 @@ from .intlinalg import (
     eliminate_symmetric,
     regular_decomposition,
 )
-from .numeric import quadratic_phase_sums
 
 #: Largest torsion group :func:`gauss_sums` sums over.
 GROUP_ENUMERATION_CAP = 10 ** 6
@@ -191,9 +191,9 @@ def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
     most :data:`GROUP_ENUMERATION_CAP` (:func:`check_group_order`); both are
     checked for every pair, in the order of ``pairs``, before any sum runs,
     so the first refused pair is the one a loop over batches of one
-    refuses.  The pairs of one group,
-    that is of one tuple of cyclic orders (which fixes the modulus ``2e``),
-    then go to :func:`abtqft.numeric.quadratic_phase_sums` as one batch; a
+    refuses, and a refusal never loads numpy.  The pairs of one group, that
+    is of one tuple of cyclic orders (which fixes the modulus ``2e``), then
+    go to :func:`abtqft.phasesums.quadratic_phase_sums` as one batch; a
     value is the same bits in any batch.
     """
     classes: Dict[Tuple[int, ...], List[int]] = {}
@@ -201,10 +201,11 @@ def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
         check_level(k)
         check_group_order(module.order)
         classes.setdefault(module.cyclic_orders, []).append(i)
+    from . import phasesums
     sums = [0j] * len(pairs)
     for orders, members in classes.items():
         batch = [pairs[i] for i in members]
-        values = quadratic_phase_sums(
+        values = phasesums.quadratic_phase_sums(
             [[[k * x for x in row] for row in module.gram] for module, k in batch],
             orders, 2 * math.lcm(*orders))
         for i, (module, _), total in zip(members, batch, values):

@@ -34,7 +34,7 @@ insertions.
 The enumeration over ``(Z_k)^m`` is capped (default ``10**7`` colorings,
 overridable through the ``ABTQFT_MAX_ENUM`` environment variable).  The
 coloring sum is evaluated by the library's one exponential-sum kernel,
-:func:`abtqft.numeric.quadratic_phase_sums`, with moduli ``k`` and modulus
+:func:`abtqft.phasesums.quadratic_phase_sums`, with moduli ``k`` and modulus
 ``2k``: it sums over the trailing colors for every leading coloring at once
 by one inverse DFT of exact root-of-unity values (split-Fourier), so the
 floating error stays far below the ``1e-9 * sqrt(k^m)`` budget.  This is
@@ -66,7 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationTooLarge, IndexOutOfRange
 from .intlinalg import IntSymMatrix, signature
-from .numeric import PolarValue, UnitPhase, polar_to_approx, quadratic_phase_sums
+from .numeric import PolarValue, UnitPhase, polar_to_approx
 from .quadmod import check_level
 
 DEFAULT_ENUMERATION_CAP = 10 ** 7
@@ -134,14 +134,27 @@ class SurgeryPresentation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SurgeryPresentation":
-        """Presentation from the blocks of :meth:`to_json`; entries of ``L``,
-        ``B``, ``C`` and ``h`` must be JSON integers (``int()`` would make
-        ``1.5`` or ``"3"`` another matrix), and the blocks must fit."""
+        """Presentation from the blocks of :meth:`to_json`; ``L``, ``B`` and
+        ``C`` must be lists of rows and ``h`` a list, their entries JSON
+        integers (``int()`` would make ``1.5`` or ``"3"`` another matrix),
+        and the blocks must fit.  A missing or null ``B`` is the zero-width
+        mixed block."""
         if not isinstance(obj, dict):
             raise ValueError("a presentation must be a JSON object")
         for key in ("L", "B", "C", "h"):
-            value = obj.get(key) or []
-            for x in value if key == "h" else [x for row in value for x in row]:
+            value = obj.get(key, [])
+            if key == "B" and value is None:
+                continue
+            if key == "h":
+                if not isinstance(value, list):
+                    raise ValueError("h must be a list of colors")
+                entries = value
+            elif isinstance(value, list) \
+                    and all(isinstance(row, list) for row in value):
+                entries = [x for row in value for x in row]
+            else:
+                raise ValueError(f"{key} must be a list of rows")
+            for x in entries:
                 if type(x) is not int:
                     raise ValueError(f"entry {x!r} of {key} is not an integer")
         L = IntSymMatrix.from_json(obj.get("L", []))
@@ -217,9 +230,10 @@ def coloring_sums(cases: Sequence[Tuple[SurgeryPresentation, int]]
     Levels and the enumeration cap (:func:`max_enumeration`) are checked in
     the order of ``cases`` (the cap once per ``(m, k)`` class, at its first
     pair) before any sum runs, so the first refused pair is the one a loop
-    over batches of one refuses.  Each class then goes to
-    :func:`abtqft.numeric.quadratic_phase_sums` as one batch, with moduli
-    ``k`` and modulus ``2k``; a value is the same bits in any batch.
+    over batches of one refuses, and a refusal never loads numpy.  Each
+    class then goes to :func:`abtqft.phasesums.quadratic_phase_sums` as one
+    batch, with moduli ``k`` and modulus ``2k``; a value is the same bits
+    in any batch.
     """
     classes: Dict[Tuple[int, int], List[int]] = {}
     for i, (p, k) in enumerate(cases):
@@ -228,10 +242,11 @@ def coloring_sums(cases: Sequence[Tuple[SurgeryPresentation, int]]
             _check_enumeration(k, p.m)
             classes[p.m, k] = []
         classes[p.m, k].append(i)
+    from . import phasesums
     sums = [0j] * len(cases)
     for (m, k), members in classes.items():
         terms = [_insertion_terms(cases[i][0]) for i in members]
-        values = quadratic_phase_sums(
+        values = phasesums.quadratic_phase_sums(
             [cases[i][0].surgery.entries for i in members], [k] * m, 2 * k,
             [linear for linear, _ in terms], [constant for _, constant in terms])
         for i, total in zip(members, values):

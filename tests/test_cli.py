@@ -383,17 +383,39 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert err == b""
 
 
-def test_catalog_list_imports_neither_numpy_fft_nor_sympy():
-    # The benchmark's set-up time is a fresh interpreter running exactly
-    # this; numpy.fft is reached inside the kernel, sympy only by tests.
-    code = ("import contextlib, io, sys, abtqft.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert abtqft.cli.main(['catalog', 'list']) == 0\n"
-            "print(sorted({'numpy.fft', 'sympy'} & set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=SRC))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+#: Commands with their exit codes and the modules among numpy and sympy
+#: they load.  Only an exponential sum or a modular matrix loads numpy, after
+#: its level and cap checks, so neither a command that runs none nor a
+#: refusal loads it; sympy is for the tests alone.  The benchmark's set-up
+#: time is a fresh interpreter running ``catalog list``.  The last command
+#: runs a sum, so the others show where the boundary is, not that numpy is
+#: missing.
+IMPORT_BOUNDARY = [
+    (("catalog", "list"), 0, []),
+    (("catalog", "show", "E8", "--json"), 0, []),
+    (("phase-table", "show"), 0, []),
+    (("verify", "maslov", "--cases", "3"), 0, []),
+    (("invariant", "E8", "--k", "8", "--side", "rt"), 2, []),
+    (("verify", "kirby", "--cases", "0"), 2, []),
+    (("invariant", "S3", "--k", "4"), 0, ["numpy"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, loaded", IMPORT_BOUNDARY, ids=[
+    "catalog-list", "catalog-show", "phase-table-show", "verify-maslov",
+    "cap-refusal", "usage-error", "sum"])
+def test_only_an_exponential_sum_loads_numpy(argv, code, loaded):
+    script = ("import contextlib, io, sys, abtqft.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+              "        contextlib.redirect_stderr(io.StringIO()):\n"
+              f"    code = abtqft.cli.main({list(argv)!r})\n"
+              "print(code, sorted({'numpy', 'sympy'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("ABTQFT_MAX_ENUM", None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (0, f"{code} {loaded}\n", "")
 
 
 def test_verify_equivalence_matches_fixture(capsys):
@@ -669,7 +691,15 @@ def test_non_integer_presentation_entry_is_usage_error(capsys, template, entry):
      "mixed block width must match insertion count"),
     ('{"L": [[1]], "B": [[1]]}',
      "mixed block must have zero width without insertions"),
-], ids=["colors", "mixed-rows", "mixed-width", "zero-width"])
+    ('{"L": 1}', "L must be a list of rows"),
+    ('{"L": [[1]], "B": [1], "C": [[1]], "h": [1]}',
+     "B must be a list of rows"),
+    ('{"L": [[1]], "B": [[1]], "C": [1], "h": [1]}',
+     "C must be a list of rows"),
+    ('{"L": [[1]], "B": [[1]], "C": [[1]], "h": 1}',
+     "h must be a list of colors"),
+], ids=["colors", "mixed-rows", "mixed-width", "zero-width", "L-not-rows",
+        "B-not-rows", "C-not-rows", "h-not-list"])
 def test_presentation_shape_error_is_usage_error(capsys, source, message):
     code, out, err = run(capsys, "invariant", source, "--k", "2")
     assert_one_line_usage_error(code, out, err)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from abtqft import numeric
+from abtqft import phasesums
 from abtqft.numeric import (
     ONE_PHASE,
     PolarValue,
@@ -17,12 +17,12 @@ from abtqft.numeric import (
     polar_from_json,
     polar_to_approx,
     polar_to_json,
-    quadratic_phase_sums,
     rational_from_json,
     rational_to_json,
     sum_tolerance,
     unit_phase_eval,
 )
+from abtqft.phasesums import quadratic_phase_sums
 
 SQRT_HALF = math.sqrt(2) / 2
 
@@ -157,7 +157,7 @@ MIXED_MODULI_CASES = [
 def test_phase_sum_mixed_moduli_matches_per_term_loop(block, monkeypatch):
     # The default split point, with the root table of the modulus taken
     # from the cache (large blocks) or built per call (small blocks).
-    monkeypatch.setattr(numeric, "_BLOCK", block)
+    monkeypatch.setattr(phasesums, "_BLOCK", block)
     for gram, moduli, modulus, linear, constant in MIXED_MODULI_CASES:
         want = phase_sum_per_term(gram, moduli, modulus, linear, constant)
         got = quadratic_phase_sums([gram], moduli, modulus, [linear],
@@ -184,17 +184,18 @@ def test_phase_sum_every_split_point_matches_per_term_loop(seed, monkeypatch):
     for gram, moduli, modulus, linear, constant in cases:
         want = phase_sum_per_term(gram, moduli, modulus, linear, constant)
         for s in range(len(moduli)):
-            monkeypatch.setattr(numeric, "_split_point", lambda moduli, s=s: s)
+            monkeypatch.setattr(phasesums, "_split_point",
+                                lambda moduli, s=s: s)
             got = quadratic_phase_sums([gram], moduli, modulus, [linear],
                                        [constant])[0]
             assert abs(got - want) <= sum_tolerance(math.prod(moduli))
 
 
 def test_split_point_is_unsplit_when_small_and_balanced_when_large():
-    assert numeric._split_point([4] * 4) == 0
+    assert phasesums._split_point([4] * 4) == 0
     for moduli in ([6] * 8, [8] * 7, [16] * 5, [2, 3, 5, 7, 11], [3, 1000],
                    [5000]):
-        s = numeric._split_point(moduli)
+        s = phasesums._split_point(moduli)
         lead, total = math.prod(moduli[:s]), math.prod(moduli)
         assert 0 <= s < len(moduli)
         assert lead ** 2 <= total < (lead * moduli[s]) ** 2
@@ -207,7 +208,7 @@ def test_phase_sum_empty_product_is_the_constant_phase():
 
 def test_phase_table_equals_unit_phase_eval_bit_for_bit():
     for n in list(range(1, 130)) + [997, 4096, 20011]:
-        table = numeric._root_table(n)
+        table = phasesums._root_table(n)
         for r in range(n):
             assert table[r] == unit_phase_eval(UnitPhase(Fraction(r, n)))
 
@@ -276,7 +277,7 @@ def test_batch_values_equal_batches_of_one(batch):
 def test_batch_values_equal_batches_of_one_at_every_split_point(batch, data):
     s = data.draw(st.integers(0, len(batch[1]) - 1), label="split point")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numeric, "_split_point", lambda moduli: s)
+        patch.setattr(phasesums, "_split_point", lambda moduli: s)
         check_batch_against_batches_of_one(*batch)
 
 
@@ -295,8 +296,8 @@ def test_batch_chunk_boundaries_keep_every_value(moduli, monkeypatch):
     one_by_one = [quadratic_phase_sums([gram], moduli, 8, [linear],
                                        [constant])[0]
                   for gram, linear, constant in zip(grams, linears, constants)]
-    trailing = math.prod(moduli[numeric._split_point(moduli):])
-    monkeypatch.setattr(numeric, "_BLOCK", 2 * trailing)
+    trailing = math.prod(moduli[phasesums._split_point(moduli):])
+    monkeypatch.setattr(phasesums, "_BLOCK", 2 * trailing)
     assert quadratic_phase_sums(grams, moduli, 8, linears,
                                 constants) == one_by_one
 
@@ -325,10 +326,10 @@ def test_monomial_exponents_equal_the_direct_evaluation(seed):
                             dtype=np.int64).reshape(shape)
                    for shape in ((forms, width, width), (forms, width),
                                  (forms,)))
-        points = numeric._points(moduli)
-        product = (numeric._coefficients(g, b, c, slice(0, width))
-                   @ numeric._monomials(points, n) % n)
-        direct = numeric._values(points, g, b[:, None, :], c[:, None], n)
+        points = phasesums._points(moduli)
+        product = (phasesums._coefficients(g, b, c, slice(0, width))
+                   @ phasesums._monomials(points, n) % n)
+        direct = phasesums._values(points, g, b[:, None, :], c[:, None], n)
         assert product.flags.c_contiguous and product.shape == direct.shape
         assert np.array_equal(product, direct)
 
@@ -348,7 +349,7 @@ LARGEST_MODULI = [(2 * 10 ** 7, (4473, 3)), (2 * 10 ** 6, (1415, 5)),
                          ids=["coloring", "torsion", "torsion-split"])
 def test_phase_sums_at_the_largest_modulus_of_the_caps(modulus, moduli):
     rng = random.Random(modulus + len(moduli))
-    m, s = len(moduli), numeric._split_point(moduli)
+    m, s = len(moduli), phasesums._split_point(moduli)
     grams, linears, constants = [], [], []
     for _ in range(2):
         gram = [[modulus - 1 - rng.randrange(1000) for _ in range(m)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abtqft import numeric, quadmod
+from abtqft import phasesums, quadmod
 from abtqft.errors import GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
@@ -155,23 +155,23 @@ def test_gauss_sum_near_group_cap_has_unit_modulus():
 
 def test_root_table_cache_keeps_no_large_table():
     # A table for modulus N holds 16 N bytes; at the group cap N ~ 2 * 10**6.
-    numeric._root_table.cache_clear()
+    phasesums._root_table.cache_clear()
     for p in (999983, 999979):
         gauss_sums([(from_surgery(sym([[p]])), 2)])[0]
-    assert numeric._root_table.cache_info().currsize == 0
+    assert phasesums._root_table.cache_info().currsize == 0
     gauss_sums([(from_surgery(sym([[3]])), 2)])[0]
-    assert numeric._root_table.cache_info().currsize == 1
+    assert phasesums._root_table.cache_info().currsize == 1
 
 
 def test_grid_cache_keeps_no_large_grid():
     # An unsplit cyclic group of order p has a trailing grid of 8 p bytes;
     # only its empty leading grid is small enough to keep.
-    numeric._grid.cache_clear()
+    phasesums._grid.cache_clear()
     for p in (999983, 999979):
         gauss_sums([(from_surgery(sym([[p]])), 2)])[0]
-    assert numeric._grid.cache_info().currsize == 1
+    assert phasesums._grid.cache_info().currsize == 1
     gauss_sums([(from_surgery(sym([[3]])), 2)])[0]
-    assert numeric._grid.cache_info().currsize == 2
+    assert phasesums._grid.cache_info().currsize == 2
 
 
 #: Modules of several groups, some sharing one: trivial (two of them),
@@ -197,11 +197,11 @@ def test_gauss_sums_is_gauss_sum_bit_for_bit():
 def test_gauss_sums_runs_one_kernel_call_per_group(monkeypatch):
     groups = []
 
-    def counted(grams, moduli, modulus, _fn=quadmod.quadratic_phase_sums):
+    def counted(grams, moduli, modulus, _fn=phasesums.quadratic_phase_sums):
         groups.append(tuple(moduli))
         return _fn(grams, moduli, modulus)
 
-    monkeypatch.setattr(quadmod, "quadratic_phase_sums", counted)
+    monkeypatch.setattr(phasesums, "quadratic_phase_sums", counted)
     pairs = batch_pairs()
     gauss_sums(pairs)
     assert groups == list(dict.fromkeys(mod.cyclic_orders
@@ -221,7 +221,7 @@ def test_gauss_sums_refuses_the_first_refused_pair_before_any_sum(
         raise AssertionError("a sum ran before every pair was checked")
 
     monkeypatch.setattr(quadmod, "GROUP_ENUMERATION_CAP", 4)
-    monkeypatch.setattr(quadmod, "quadratic_phase_sums", never)
+    monkeypatch.setattr(phasesums, "quadratic_phase_sums", never)
     small, large = from_surgery(sym([[3]])), from_surgery(sym([[7]]))
     refused = [(small, 3), (large, 2)]  # an odd level, a group over the cap
     pairs = [(small, 2)] + (refused[::-1] if large_first else refused)

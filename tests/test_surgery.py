@@ -10,7 +10,8 @@ from abtqft.compare import E8_ROWS
 from abtqft.errors import EnumerationTooLarge, IndexOutOfRange
 from abtqft.intlinalg import IntSymMatrix, mat_mul, mat_transpose, signature
 from abtqft.numeric import (PolarValue, UnitPhase, polar_to_approx,
-                            quadratic_phase_sums, sum_tolerance, unit_phase_eval)
+                            sum_tolerance, unit_phase_eval)
+from abtqft.phasesums import quadratic_phase_sums
 from abtqft.surgery import (
     KirbyMove,
     SurgeryPresentation,
