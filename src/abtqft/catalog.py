@@ -53,10 +53,16 @@ class CatalogEntry:
     def from_json(cls, obj: dict) -> "CatalogEntry":
         if not isinstance(obj, dict):
             raise ValueError("a catalog entry must be a JSON object")
+        name = obj["name"]
+        if not isinstance(name, str):
+            raise ValueError("a catalog name must be a string")
         expected: ExpectedMap = obj.get("expected", DERIVED_AT_BUILD)
         if isinstance(expected, dict):
             expected = {int(k): polar_from_json(v) for k, v in expected.items()}
-        return cls(obj["name"], SurgeryPresentation.from_json(obj["presentation"]),
+        elif expected != DERIVED_AT_BUILD:
+            raise ValueError("expected values must be an object "
+                             f"or {DERIVED_AT_BUILD!r}")
+        return cls(name, SurgeryPresentation.from_json(obj["presentation"]),
                    expected, obj.get("note", ""))
 
 

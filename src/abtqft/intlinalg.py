@@ -6,16 +6,15 @@ inputs of :func:`rational_rank` and :func:`clear_denominators`.  The
 operations cover what a surgery matrix needs homologically,
 
 * Smith normal form of a symmetric matrix by one bounded elimination,
-  which also builds the inverse of its row transform and works modulo the
+  which builds the diagonal and the inverse ``W`` of its row transform
+  (the row transform itself is never formed) and works modulo the
   determinant, read from the signature elimination, when the matrix is
-  nonsingular; the matrix and its row transform share one row list ``[A |
-  U]``, each new row is reduced in the comprehension that builds it, and a
-  step rebuilds only the rows (or column entries) it changes,
+  nonsingular; each new row is reduced in the comprehension that builds
+  it, and a step rebuilds only the rows (or column entries) it changes,
 * the regular decomposition, one Smith form that yields everything the
-  torsion route needs: the nondegenerate "regular" block (a nondegenerate
-  matrix is its own), the nullity, the cyclic orders of the finite
-  cokernel ``Z^rho / L_reg Z^rho`` and one generator lift per cyclic
-  factor,
+  torsion route needs: the nullity, the cyclic orders of the torsion of
+  the cokernel ``Z^m / L Z^m`` and one generator lift per cyclic factor, a
+  column of ``W``, for degenerate and nondegenerate ``L`` alike,
 * one fraction-free symmetric elimination (Bareiss, 1968),
   :func:`eliminate_symmetric`, the library's only Gaussian elimination:
   on a symmetric matrix it gives the exact signature (no floating
@@ -186,41 +185,40 @@ def _gcd_step(a: int, b: int) -> Tuple[int, int, int, int]:
     return x, y, -(b // g), a // g
 
 
-def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows, IntRows]:
-    """Return ``(U, D, W)`` with ``U L V = D`` for some ``V`` and ``W = U^{-1}``.
+def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows]:
+    """Return ``(D, W^T)`` with ``U L V = D`` for some ``U`` and ``V`` and
+    ``W = U^{-1}``.
 
-    ``D`` is diagonal, ``d1 | d2 | ...``, nonnegative, zeros last.  One
-    elimination builds all three: each row operation on ``L`` and ``U``
-    applies its inverse column operation to ``W``, and each pivot is made to
-    divide its trailing block, by extended-gcd 2x2 steps, before the next
-    pivot starts.
+    ``D`` is diagonal, ``d1 | d2 | ...``, nonnegative, zeros last, and
+    column ``i`` of ``W`` is row ``i`` of ``W^T``.  One elimination builds
+    both: each row operation on ``L`` applies its inverse column operation
+    to ``W``, and each pivot is made to divide its trailing block, by
+    extended-gcd 2x2 steps, before the next pivot starts.  ``U`` and ``V``
+    are never formed; ``L (V e_i) = d_i w_i`` for the columns ``w_i`` of
+    ``W``, which is all the torsion needs.
 
     For nonsingular ``L`` the elimination works modulo ``d = |det L|``
     (Domich, Kannan and Trotter, 1987): ``d Z^m`` lies in the column span
-    ``L Z^m``, so the work matrix, ``U`` and ``W`` are reduced into ``[0,
-    d)`` and each pivot becomes ``gcd(pivot, d)``.  Then ``U W = I`` holds
-    mod ``d``, which is all the cokernel ``Z^m / L Z^m`` needs; otherwise
-    ``U`` is unimodular and ``U W = I`` exactly.  ``d`` comes from the
-    signature elimination that ``L`` keeps (:func:`det`).  The pivot choice
-    (smallest absolute value, earliest position) is fixed, so the output is
-    deterministic.
+    ``L Z^m``, so the work matrix and ``W`` are reduced into ``[0, d)`` and
+    each pivot becomes ``gcd(pivot, d)``.  Then ``W`` is unimodular mod
+    ``d``, which is all the cokernel ``Z^m / L Z^m`` needs; otherwise ``W``
+    is unimodular.  ``d`` comes from the signature elimination that ``L``
+    keeps (:func:`det`).  The pivot choice (smallest absolute value,
+    earliest position) is fixed, so the output is deterministic.
 
-    The work matrix and ``U`` share one list of rows ``[A | U]``, since
-    every row step applies one 2x2 matrix to both, and ``W`` is kept as the
-    rows of ``W^T``; the reduction mod ``d`` is folded into the one
-    comprehension that builds a new row.  A step rebuilds only what it
-    changes.  The plain elimination of an entry that the pivot divides
-    changes row ``i`` of ``[A | U]`` and row ``t`` of ``W^T``; as a column
-    step it changes column ``j`` of ``A`` only where column ``t`` is
-    nonzero, which is ``A[t][j]`` alone until an extended-gcd column step
-    refills column ``t``.  The signed swaps are moves, and a pivot of 1
-    divides every entry, so its divisibility scan is skipped.
+    The reduction mod ``d`` is folded into the one comprehension that
+    builds a new row.  A step rebuilds only what it changes.  The plain
+    elimination of an entry that the pivot divides changes row ``i`` of the
+    work matrix and row ``t`` of ``W^T``; as a column step it changes
+    column ``j`` only where column ``t`` is nonzero, which is the entry
+    ``(t, j)`` alone until an extended-gcd column step refills column
+    ``t``.  The signed swaps are moves, and a pivot of 1 divides every
+    entry, so its divisibility scan is skipped.
     """
     n, d = L.m, abs(det(L))
-    a = [[x % d for x in row] for row in L.entries] if d else L.rows()
+    rows = [[x % d for x in row] for row in L.entries] if d else L.rows()
     # The rows of W^T, the identity mod d.
     wt = [[int(r == c and d != 1) for c in range(n)] for r in range(n)]
-    rows = [row + unit for row, unit in zip(a, wt)]  # [A | U]
 
     def lin(x: int, s_row: List[int], y: int, r_row: List[int]) -> List[int]:
         """``x s_row + y r_row``, reduced when ``d`` is nonzero."""
@@ -234,7 +232,7 @@ def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows, IntRows]:
     for t in range(n):
         best, i, j = 0, t, t  # smallest nonzero |entry|, earliest row, column
         for r in range(t, n):
-            block = rows[r][t:n] if d else list(map(abs, rows[r][t:n]))
+            block = rows[r][t:] if d else list(map(abs, rows[r][t:]))
             v = min(filter(None, block), default=0)
             if v and (not best or v < best):
                 best, i, j = v, r, t + block.index(v)
@@ -283,7 +281,7 @@ def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows, IntRows]:
                         s = row[t]
                         if s:
                             row[j] = (row[j] - f * s) % d if d else row[j] - f * s
-                else:  # column t is pivot * e_t: only A[t][j] changes
+                else:  # column t is pivot * e_t: only entry (t, j) changes
                     top[j] = 0
             # Only a mixing column step can refill column t.
             if mixed and any(rows[i][t] for i in range(t + 1, n)):
@@ -298,14 +296,14 @@ def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows, IntRows]:
             if pivot == 1:
                 break  # every entry is a multiple of 1
             bad = next((i for i in range(t + 1, n)
-                        if any(x % pivot for x in rows[i][t + 1:n])), None)
+                        if any(x % pivot for x in rows[i][t + 1:])), None)
             if bad is None:
                 break
             # [[1, 1], [0, 1]] brings a non-multiple into row t; its inverse
             # changes only row `bad` of W^T.
             rows[t] = lin(1, rows[t], 1, rows[bad])
             wt[bad] = lin(-1, wt[t], 1, wt[bad])
-    return [row[n:] for row in rows], [row[:n] for row in rows], mat_transpose(wt)
+    return rows, wt
 
 
 def clear_denominators(values: Iterable) -> List[int]:
@@ -335,16 +333,16 @@ def rational_rank(rows: Sequence[Sequence]) -> int:
 class RegularDecomposition:
     """The torsion data of a surgery matrix ``L``.
 
-    ``regular`` is the nondegenerate form ``L_reg`` induced on a complement
-    of the saturated kernel of ``L``, ``nullity`` the rank of that kernel,
-    and ``cyclic_orders`` the orders ``d1 | d2 | ...`` (only those >= 2) of
-    the cyclic decomposition ``Z/d1 + ... + Z/dt`` of ``T = Z^rho / L_reg
-    Z^rho``.  ``generator_reps`` holds one integer column vector ``g_i`` in
-    ``Z^rho`` per cyclic factor; its class has order ``d_i`` and generates
-    that factor.
+    ``matrix`` is ``L`` itself, ``nullity`` the rank of its saturated
+    kernel, and ``cyclic_orders`` the orders ``d1 | d2 | ...`` (only those
+    >= 2) of the cyclic decomposition ``Z/d1 + ... + Z/dt`` of the torsion
+    ``T`` of ``Z^m / L Z^m``, isomorphic to ``Z^rho / L_reg Z^rho`` for the
+    regular block ``L_reg``.  ``generator_reps`` holds one integer column
+    vector ``g_i`` in ``Z^m`` per cyclic factor, in the rational column
+    span of ``L``; its class has order ``d_i`` and generates that factor.
     """
 
-    regular: IntSymMatrix
+    matrix: IntSymMatrix
     nullity: int
     cyclic_orders: Tuple[int, ...]
     generator_reps: Tuple[Tuple[int, ...], ...]
@@ -356,42 +354,27 @@ class RegularDecomposition:
 
 
 def regular_decomposition(L: IntSymMatrix) -> RegularDecomposition:
-    """Regular block, nullity and torsion of ``L`` from one Smith form.
+    """Nullity and torsion of ``L`` from one Smith form.
 
-    With ``U L V = D`` the Smith form and ``d_i`` its diagonal, the torsion
-    orders are the nonzero ``d_i > 1``; the generator lifts depend on the
-    rank of ``L``.
-
-    * Nondegenerate ``L`` is its own regular block.  ``y -> U y`` maps
-      ``Z^m / L Z^m`` onto ``+ Z/d_i``, and column ``i`` of ``W = U^{-1}``
-      (mod ``|det L|``) maps to ``e_i``, so it generates the factor
-      ``Z/d_i``.
-    * Degenerate ``L``: symmetry gives ``U L U^T = D N'`` with ``N' =
-      V^{-1} U^T`` unimodular.  Its rows at zero ``d_i`` vanish, so by
-      symmetry its columns there vanish too: those rows of the unimodular
-      ``U`` span the saturated kernel, and the other rows ``C`` give
-      ``L_reg = C L C^T = D_r N`` with ``N`` the leading block of the
-      block-triangular ``N'``, itself unimodular.  Hence ``Z^rho / L_reg
-      Z^rho = + Z/d_i`` on the standard basis vectors ``e_i``.
+    With ``U L V = D`` the Smith form, ``d_i`` its diagonal and ``w_i`` the
+    columns of ``W = U^{-1}``, the torsion orders are the nonzero ``d_i >
+    1`` and the lifts are the ``w_i`` at those ``d_i``, for every ``L``.
+    ``y -> U y`` maps ``Z^m / L Z^m`` onto ``+ Z/d_i + Z^nu`` and ``w_i``
+    to ``e_i``, so ``w_i`` generates the factor ``Z/d_i``; ``L (V e_i) =
+    d_i w_i`` puts it in the rational column span of ``L``.  ``W`` is
+    exact when ``det L = 0``; otherwise it is reduced mod ``|det L|``, and
+    all of this holds mod ``|det L|``, whose multiples lie in ``L Z^m``.
 
     The Smith form reads ``|det L|`` from the kept signature elimination
-    (:func:`det`).  Only the congruence class of the regular block is
-    canonical; the concrete matrices are deterministic so tests pin them.
+    (:func:`det`).  Only the classes of the lifts are canonical; the
+    concrete vectors are deterministic so tests pin them.
     """
-    rows = L.rows()
-    u, d, w = smith_normal_form(L)
+    d, wt = smith_normal_form(L)
     orders = [d[i][i] for i in range(L.m) if d[i][i]]
-    rank = len(orders)
-    keep = [i for i in range(rank) if orders[i] > 1]
-    if rank == L.m:
-        regular = L
-        gens = tuple(tuple(w[r][i] for r in range(rank)) for i in keep)
-    else:
-        c = u[:rank]
-        regular = IntSymMatrix.from_rows(mat_mul(mat_mul(c, rows), mat_transpose(c)))
-        gens = tuple(tuple(int(r == i) for r in range(rank)) for i in keep)
-    return RegularDecomposition(regular, L.m - rank,
-                                tuple(orders[i] for i in keep), gens)
+    keep = [i for i, order in enumerate(orders) if order > 1]
+    return RegularDecomposition(L, L.m - len(orders),
+                                tuple(orders[i] for i in keep),
+                                tuple(tuple(wt[i]) for i in keep))
 
 
 def signature(L) -> int:

@@ -140,8 +140,10 @@ def rational_to_json(x: RationalLike) -> str:
 
 def rational_from_json(s: str) -> Fraction:
     if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
+        num, den = map(int, s.split("/"))
+        if not den:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

@@ -12,8 +12,9 @@ For a surgery matrix with regular block ``L_reg`` the module lives on
     q([x])      = (1/2) x^T L_reg^{-1} x   (mod 1),
     lam([x],[y]) =        x^T L_reg^{-1} y (mod 1);
 
-the regular block, the cyclic orders of ``T`` and one generator lift per
-order all come from the one Smith form of
+it is read off ``L`` itself, with no block formed: ``T`` is the torsion of
+``Z^m / L Z^m``, and its cyclic orders and one generator lift per order,
+in the rational column span of ``L``, come from the one Smith form of
 :func:`abtqft.intlinalg.regular_decomposition`.
 
 A module is two records: the cyclic orders ``d1 | d2 | ...`` of ``T``,
@@ -102,7 +103,7 @@ class FiniteQuadraticModule:
     with ``q(a) = a^T G a / (2e)`` and ``lam(a, b) = a^T G b / e`` (mod 1)
     on such tuples, ``e`` the exponent of the group; it is stored reduced
     mod ``2e``.  For a module from a surgery matrix, ``G_ij = e * g_i^T
-    L_reg^{-1} g_j`` for the generator lifts ``g_i``.
+    L^+ g_j`` for the generator lifts ``g_i`` (:func:`from_decomposition`).
 
     ``q`` is a function of the tuple through its integer lift: on blocks
     with odd diagonal, ``q`` itself changes by half-integers across other
@@ -139,8 +140,8 @@ class FiniteQuadraticModule:
 
 def _integral(num: int, den: int) -> int:
     """``num / den``, the division that ends the Gram solve of
-    :func:`from_decomposition`.  It is exact because ``e g_j`` lies in
-    ``L_reg Z^rho`` for every lift ``g_j``, so a remainder means a broken
+    :func:`from_decomposition`.  It is exact because ``e g_j`` lies in ``L
+    Z^m`` for every lift ``g_j``, so a remainder means a broken
     decomposition."""
     q, r = divmod(num, den)
     if r:
@@ -150,31 +151,36 @@ def _integral(num: int, den: int) -> int:
 
 
 def from_surgery(L: IntSymMatrix) -> FiniteQuadraticModule:
-    """Finite quadratic module of a surgery matrix (degenerate ``L`` allowed;
-    only the regular block enters)."""
+    """Finite quadratic module of a surgery matrix (degenerate ``L``
+    allowed; the null directions take no part)."""
     return from_decomposition(regular_decomposition(L))
 
 
 def from_decomposition(rd: RegularDecomposition) -> FiniteQuadraticModule:
     """Finite quadratic module of a regular decomposition.
 
-    The Gram matrix is ``G = e R^T L_reg^{-1} R`` for the matrix ``R`` of
-    generator lifts, reduced mod ``2e``.  :func:`eliminate_symmetric` runs
-    on the leading ``rho`` rows of the bordered matrix ``[[L_reg, R], [R^T,
-    0]]``; every one pivots, as ``L_reg`` is nondegenerate, and the trailing
-    block ends as ``p (-R^T L_reg^{-1} R)`` with ``p = det L_reg`` the last
-    pivot, so ``G = -e T / p`` divides exactly.  A missing pivot raises
+    The Gram matrix is ``G = e R^T L^+ R`` for the matrix ``R`` of
+    generator lifts, reduced mod ``2e``; ``L^+`` is any rational inverse of
+    ``L`` on its column span, which holds ``R``, and ``G`` equals ``e R'^T
+    L_reg^{-1} R'`` for the lifts ``R'`` of the same classes on the regular
+    block.  :func:`eliminate_symmetric` runs on all ``m`` leading rows of
+    the bordered matrix ``[[L, R], [R^T, 0]]``.  A row of the radical of
+    ``L`` takes no pivot, and its border entries vanish because ``R`` lies
+    in the column span; the trailing block ends as ``p (-R^T L^+ R)`` with
+    ``p`` the last pivot, so ``G = -e T / p`` divides exactly.  A pivot
+    count other than the rank ``m - nullity`` raises
     :class:`~abtqft.errors.DegenerateMatrix`.
     """
-    reg, gens = rd.regular, rd.generator_reps
-    rho, e = reg.m, math.lcm(*rd.cyclic_orders)
-    bordered = [list(row) + [g[r] for g in gens] for r, row in enumerate(reg.entries)]
+    L, gens = rd.matrix, rd.generator_reps
+    m, e = L.m, math.lcm(*rd.cyclic_orders)
+    bordered = [list(row) + [g[r] for g in gens] for r, row in enumerate(L.entries)]
     bordered += [list(g) + [0] * len(gens) for g in gens]
-    _, pivots, p = eliminate_symmetric(bordered, rho)
-    if pivots < rho:
-        raise DegenerateMatrix("matrix is singular")
+    _, pivots, p = eliminate_symmetric(bordered, m)
+    if pivots != m - rd.nullity:
+        raise DegenerateMatrix(f"matrix of nullity {rd.nullity} "
+                               f"has rank {pivots}")
     # The upper triangle of the trailing block, read as its mirror below.
-    trailing = [row[rho:] for row in bordered[rho:]]
+    trailing = [row[m:] for row in bordered[m:]]
     gram = tuple(
         tuple(_integral(-e * trailing[min(i, j)][max(i, j)], p) % (2 * e)
               for j in range(len(gens)))

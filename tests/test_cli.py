@@ -710,7 +710,13 @@ def test_presentation_shape_error_is_usage_error(capsys, source, message):
     None,
     "not json",
     '{"entries": [{"name": "X"}]}',
-], ids=["missing", "not-json", "no-presentation"])
+    '{"entries": [{"name": "X", "presentation": {"L": [[1]]}, '
+    '"expected": {"2": {"mag2": "1/0", "phase": "0/1"}}}]}',
+    '{"entries": [{"name": "X", "presentation": {"L": [[1]]}, '
+    '"expected": 5}]}',
+    '{"entries": [{"name": 5, "presentation": {"L": [[1]]}}]}',
+], ids=["missing", "not-json", "no-presentation", "zero-denominator",
+        "expected-not-object", "name-not-string"])
 @pytest.mark.parametrize("argv", [("invariant", "S3", "--k", "2"),
                                   ("catalog", "list")], ids=["invariant", "catalog"])
 def test_unreadable_catalog_is_usage_error(capsys, tmp_path, argv, content):

@@ -30,7 +30,8 @@ from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
 from abtqft.quadmod import from_decomposition, from_surgery, gauss_sums
 from abtqft.surgery import (SurgeryPresentation, random_symmetric_matrix,
                             rt_raw_closed)
-from test_intlinalg import degenerate_draw, determinant
+from test_intlinalg import (assert_module_is_the_blocks, block_decomposition,
+                             degenerate_draw, determinant)
 
 LEVELS = (2, 4, 6, 8)
 
@@ -284,16 +285,17 @@ def test_degenerate_mode_validation():
 
 
 def reciprocity_rhs_oracle(L, r, mode):
-    """The right side as written out from the regular decomposition: the
-    signature of ``L_reg``, its rank and the conjugated Gauss sum of its
-    torsion module, times the null-direction factor."""
-    rd = regular_decomposition(L)
-    reg = rd.regular
+    """The right side as written out from the regular block ``L_reg`` that
+    the reference Smith form builds: its signature, its rank and the
+    conjugated Gauss sum of its torsion module, times the null-direction
+    factor."""
+    block = block_decomposition(L)
+    reg, nullity = block.matrix, L.m - block.matrix.m
     sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(reg), 8)))
-    gauss = gauss_sums([(from_decomposition(rd), r)])[0].conjugate()
+    gauss = gauss_sums([(from_decomposition(block), r)])[0].conjugate()
     rhs = math.sqrt(float(r) ** reg.m) * sig_phase * gauss
-    if rd.nullity:
-        power = float(r) ** rd.nullity
+    if nullity:
+        power = float(r) ** nullity
         rhs = (math.sqrt(power) if mode == "paper_half" else power) * rhs
     return rhs
 
@@ -350,21 +352,21 @@ def verify_reciprocity_half(L, r):
 
 @pytest.mark.parametrize("evaluate, rows, shapes", [
     (cs_closed, NONDEGENERATE, [(3, 3), (4, 3)]),
-    (cs_closed, DEGENERATE, [(4, 4), (4, 2)]),
+    (cs_closed, DEGENERATE, [(4, 4), (6, 4)]),
     (verify_reciprocity_dt, NONDEGENERATE, [(3, 3), (4, 3)]),
-    (verify_reciprocity_dt, DEGENERATE, [(4, 4), (4, 2)]),
+    (verify_reciprocity_dt, DEGENERATE, [(4, 4), (6, 4)]),
     (verify_reciprocity_half, NONDEGENERATE, [(3, 3), (4, 3)]),
-    (verify_reciprocity_half, DEGENERATE, [(4, 4), (4, 2)]),
+    (verify_reciprocity_half, DEGENERATE, [(4, 4), (6, 4)]),
 ], ids=["cs-nondegenerate", "cs-degenerate", "dt-nondegenerate",
         "dt-degenerate", "degenerate-nondegenerate", "degenerate-degenerate"])
 def test_torsion_evaluation_runs_one_smith_form_and_two_eliminations(
         evaluate, rows, shapes, monkeypatch, eliminations):
     # The two eliminations are the signature elimination of L, which gives
     # the Smith form its modulus |det L| and the reciprocity check its
-    # signature, and the Gram elimination of the bordered regular block
-    # (one lift for the nondegenerate L, with T = Z/992; two for the
-    # degenerate one, with T = Z/3 + Z/9); the torsion data comes from the
-    # one Smith form of L.
+    # signature, and the Gram elimination of the bordered L (one lift for
+    # the nondegenerate L, with T = Z/992; two for the degenerate one, with
+    # T = Z/3 + Z/9, whose two radical rows take no pivot); the torsion data
+    # comes from the one Smith form of L.
     calls, real = [], intlinalg.smith_normal_form
 
     def counted(L):
@@ -484,19 +486,37 @@ def test_m28_degenerate_draw_is_refused_before_its_gram_solve(seed,
             cs_closed(L, 2)
 
 
-def test_m28_degenerate_draw_with_small_torsion_gets_its_value(time_limit):
-    # S = P^T diag(3, 3, 3, 3, 1, ..., 1) P has T = (Z/3)^4 whatever the
-    # unimodular P, so the Gauss sum is that of diag(3, 3, 3, 3).
+def small_torsion_draw(m):
+    """A degenerate ``B^T S B`` of rank ``m - 2`` with ``S = P^T diag(3, 3,
+    3, 3, 1, ..., 1) P``, which has ``T = (Z/3)^4`` whatever the unimodular
+    ``P``: ``P`` from ``random_unimodular(random.Random(2), m - 2, 2 (m -
+    2))`` and ``B = [I | V]`` with ``V`` in [-3, 3] from the same
+    generator."""
     rng = random.Random(2)
-    p = surgery.random_unimodular(rng, 26, steps=52)
-    d = IntSymMatrix.diagonal([3] * 4 + [1] * 22).rows()
+    p = surgery.random_unimodular(rng, m - 2, steps=2 * (m - 2))
+    d = IntSymMatrix.diagonal([3] * 4 + [1] * (m - 6)).rows()
     s = intlinalg.mat_mul(intlinalg.mat_mul(intlinalg.mat_transpose(p), d), p)
-    L, _ = degenerate_draw(rng, 28, s, bound=3)
+    return degenerate_draw(rng, m, s, bound=3)[0]
+
+
+def test_m28_degenerate_draw_with_small_torsion_gets_its_value(time_limit):
+    # T = (Z/3)^4, so the Gauss sum is that of diag(3, 3, 3, 3).
+    L = small_torsion_draw(28)
     for k in (2, 4):
         cs = cs_closed(L, k)
         want = cs_closed(IntSymMatrix.diagonal([3, 3, 3, 3]), k)
         assert (cs.nullity, cs.torsion_order) == (2, 81)
         assert abs(cs.gauss - want.gauss) <= sum_tolerance(81)
+
+
+@pytest.mark.parametrize("m", [16, 40])
+def test_small_torsion_draw_has_the_module_of_its_regular_block(m):
+    # At m = 64 the regular block of this recipe once grew to over a
+    # million bits; the library reads the module off L, and only the test's
+    # reference Smith form builds the block it is checked against.
+    L = small_torsion_draw(m)
+    assert regular_decomposition(L).cyclic_orders == (3, 3, 3, 3)
+    assert_module_is_the_blocks(L)
 
 
 @pytest.mark.parametrize("mode", ["full_nullity", "paper_half"])
@@ -586,31 +606,47 @@ def decomposed_matrices(monkeypatch, run):
     return list(dict.fromkeys(seen))
 
 
-def torsion_digest(matrices):
-    """SHA-256 of the exact torsion data of each matrix: ``L``, nullity,
-    regular block, cyclic orders, generator lifts and Gram matrix.  All of
-    it is integers, so the digest is the same on any platform."""
+def torsion_records(matrices):
+    """The exact torsion data of each matrix: ``L``, nullity, cyclic orders,
+    generator lifts and Gram matrix, all of them integers."""
     records = []
     for L in matrices:
         rd = regular_decomposition(L)
-        records.append([L.to_json(), rd.nullity, rd.regular.to_json(),
-                        list(rd.cyclic_orders),
+        records.append([L.to_json(), rd.nullity, list(rd.cyclic_orders),
                         [list(g) for g in rd.generator_reps],
                         [list(row) for row in from_decomposition(rd).gram]])
+    return records
+
+
+def digest(records):
+    """Count and SHA-256 of integer records, the same on any platform."""
     text = json.dumps(records, separators=(",", ":"))
     return len(records), hashlib.sha256(text.encode()).hexdigest()
 
 
+def module_digest(records):
+    """The digest of ``(L, nullity, cyclic orders, Gram)`` alone: the
+    module, whichever lifts it was solved from."""
+    return digest([[L, nu, orders, gram] for L, nu, orders, _, gram in records])
+
+
 def test_torsion_data_of_the_corpus_and_reciprocity_draws_is_golden(
         monkeypatch, capsys):
-    # Recorded with the Smith form's earlier bookkeeping (separate A, U and
-    # W^T); the generator lifts pin its pivots and 2x2 steps.
-    corpus = decomposed_matrices(
-        monkeypatch, lambda: list(default_corpus(seed=0, block=cli.BLOCK)))
-    assert torsion_digest(corpus) == (
-        253, "c508a27a6ddcca53445fdaaa0d91fac9319e2e6e9448db9b1335db0d11f7702b")
-    drawn = decomposed_matrices(
-        monkeypatch, lambda: cli.main(["verify", "reciprocity", "--seed", "1"]))
+    # The module digests were recorded when the module of a degenerate L
+    # came from its regular block C L C^T, C rows of the Smith form's row
+    # transform; the full digests, with the lifts, when the lifts of every
+    # L became columns of W = U^{-1}.  The lifts pin the Smith form's pivots
+    # and 2x2 steps.
+    corpus = torsion_records(decomposed_matrices(
+        monkeypatch, lambda: list(default_corpus(seed=0, block=cli.BLOCK))))
+    assert module_digest(corpus) == (
+        253, "fbf4116770c7ed06a59bd009b8e36c50acfce83627d939a5637eb618d6a608b7")
+    assert digest(corpus) == (
+        253, "4b909e9c964dd8fd0642faba04e5cb5393d238336e8961ed77f9defb394df484")
+    drawn = torsion_records(decomposed_matrices(
+        monkeypatch, lambda: cli.main(["verify", "reciprocity", "--seed", "1"])))
     capsys.readouterr()
-    assert torsion_digest(drawn) == (
-        247, "ba07407ed307111c1600687b82285cde25012d4ed0577c4b55220a59033b930a")
+    assert module_digest(drawn) == (
+        247, "c0591d29cd7b582d72fe23a7f665ec866b532a6f30cd184fa9e8ec166c629d1f")
+    assert digest(drawn) == (
+        247, "1521aba3c6b1c9b44b6fca38ce116da69a3ea969d2392e26b0b871401677dc6a")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_decomp
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
 from abtqft import intlinalg, quadmod
@@ -122,14 +123,14 @@ def test_direct_sum_is_the_block_diagonal_join():
 # Smith normal form
 
 def test_snf_couples_coprime_divisors():
-    _, d, _ = snf([[2, 0], [0, 3]])
+    d, _ = snf([[2, 0], [0, 3]])
     assert [d[0][0], d[1][1]] == [1, 6]
 
 
 def test_snf_identity_and_zero():
-    _, d, _ = snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    d, _ = snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert [d[i][i] for i in range(3)] == [1, 1, 1]
-    _, d, _ = snf([[0]])
+    d, _ = snf([[0]])
     assert d == [[0]]
 
 
@@ -162,7 +163,7 @@ def test_snf_matches_minor_gcd_oracle():
     for _ in range(40):
         n = rng.randint(1, 4)
         mat = random_symmetric(rng, n)
-        _, d, _ = snf(mat)
+        d, _ = snf(mat)
         got = [d[i][i] for i in range(n)]
         want = elementary_reduction_invariant_factors(mat, n)
         # zeros in the oracle can appear before the gcd chain stops dividing
@@ -197,22 +198,40 @@ def cokernel_order_of(inverse, rep):
                       for row in inverse))
 
 
-def check_transforms(mat, u, w):
-    """``U W = I``, exactly with unimodular ``U`` for singular input, and
-    mod ``|det|`` with ``W`` reduced into ``[0, |det|)`` for nonsingular
-    input."""
-    n = len(u)
+def integral_solution(mat, b):
+    """An integer ``x`` with ``mat x = b``, or ``None`` when ``b`` is not in
+    the column lattice ``mat Z^m``: from sympy's Smith decomposition ``S mat
+    T = A``, an oracle that shares no code with the library's Smith form."""
+    a, s, t = smith_normal_decomp(Matrix(mat))
+    y = s * Matrix(b)
+    z = []
+    for i in range(len(b)):
+        if a[i, i] == 0:
+            if y[i] != 0:
+                return None
+            z.append(0)
+        elif y[i] % a[i, i]:
+            return None
+        else:
+            z.append(y[i] // a[i, i])
+    x = [int(v) for v in t * Matrix(z)]
+    assert mat_vec(mat, x) == list(b)
+    return x
+
+
+def check_transforms(mat, d, wt):
+    """``d_i w_i`` lies in ``mat Z^m`` for every column ``w_i`` of ``W``,
+    shown by an integral solve; ``W`` is unimodular for singular input, and
+    for nonsingular input its determinant is prime to ``|det|`` and its
+    entries are reduced into ``[0, |det|)``."""
     det = abs(determinant(mat))
-    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    uw = mat_mul(u, w)
+    for i, w in enumerate(wt):
+        assert integral_solution(mat, [d[i][i] * x for x in w]) is not None
     if det:
-        assert [[x % det for x in row] for row in uw] == \
-            [[x % det for x in row] for row in identity]
-        assert math.gcd(determinant(u), det) == 1
-        assert all(0 <= x < det for row in w for x in row)
+        assert math.gcd(determinant(wt), det) == 1
+        assert all(0 <= x < det for row in wt for x in row)
     else:
-        assert uw == identity
-        assert abs(determinant(u)) == 1
+        assert abs(determinant(wt)) == 1
     return det
 
 
@@ -221,8 +240,8 @@ def test_snf_reconstruction_and_unimodularity():
     for _ in range(200):
         n = rng.randint(0, 5)
         mat = random_symmetric(rng, n)
-        u, d, w = snf(mat)
-        check_transforms(mat, u, w)
+        d, wt = snf(mat)
+        check_transforms(mat, d, wt)
         assert len(d) == n and all(len(row) == n for row in d)
         assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
         diag = [d[i][i] for i in range(n)]
@@ -238,7 +257,7 @@ def test_snf_against_sympy():
     for _ in range(60):
         n = rng.randint(1, 5)
         mat = random_symmetric(rng, n)
-        _, d, _ = snf(mat)
+        d, _ = snf(mat)
         theirs = sym_snf(Matrix(mat))
         mine = sorted(abs(d[i][i]) for i in range(n))
         ref = sorted(abs(int(theirs[i, i])) for i in range(n))
@@ -259,9 +278,9 @@ def symmetric_matrices(draw, max_m=12, bound=4):
 @given(symmetric_matrices())
 def test_snf_bounded_elimination_property(rows):
     m = len(rows)
-    u, d, w = snf(rows)
+    d, wt = snf(rows)
     assert [d[i][i] for i in range(m)] == sympy_invariant_factors(rows, m, m)
-    det = check_transforms(rows, u, w)
+    det = check_transforms(rows, d, wt)
     if det:
         rd = regular_decomposition(IntSymMatrix.from_rows(rows))
         assert rd.order == det
@@ -285,12 +304,14 @@ def reference_gcd_step(a, b):
 
 
 def reference_smith_normal_form(mat):
-    """The same elimination as :func:`smith_normal_form` (same pivots, same
-    2x2 steps, same order) with plain bookkeeping: separate ``A``, ``U`` and
-    ``W^T``, every step rebuilding both touched rows of all three and then
-    reducing them mod ``d`` in a second pass, and the divisibility scan run
-    for every pivot.  The library's version must return the identical
-    triple."""
+    """``(U, D, W^T)`` by the same elimination as :func:`smith_normal_form`
+    (same pivots, same 2x2 steps, same order) with plain bookkeeping:
+    separate ``A``, ``U`` and ``W^T``, every step rebuilding both touched
+    rows of all three and then reducing them mod ``d`` in a second pass,
+    and the divisibility scan run for every pivot.  The library builds no
+    ``U`` and must return the identical ``(D, W^T)``; ``U`` is the row
+    transform that :func:`block_decomposition` builds the regular block
+    from."""
     a = [list(map(int, row))
          for row in (mat.rows() if isinstance(mat, IntSymMatrix) else mat)]
     n = len(a)
@@ -351,12 +372,12 @@ def reference_smith_normal_form(mat):
             if bad is None:
                 break
             row_step(t, bad, 1, 1, 0, 1)
-    return u, a, mat_transpose(wt)
+    return u, a, wt
 
 
 def assert_same_smith_forms(matrices):
     for mat in matrices:
-        assert snf(mat) == reference_smith_normal_form(mat), mat
+        assert snf(mat) == reference_smith_normal_form(mat)[1:], mat
 
 
 def unimodular(rng, m, steps):
@@ -421,8 +442,8 @@ def test_snf_is_its_reference_at_unit_determinant():
                             for m in range(1, 9) for _ in range(10)]
     assert all(abs(determinant(mat)) == 1 for mat in matrices)
     assert_same_smith_forms(matrices)
-    u, d, w = snf(E8_ROWS)
-    assert not any(map(any, u + w))
+    u, _, wt = reference_smith_normal_form(E8_ROWS)
+    assert not any(map(any, u + wt))
 
 
 def test_snf_is_its_reference_where_blocks_vanish_mod_det():
@@ -440,7 +461,7 @@ def test_snf_is_its_reference_where_blocks_vanish_mod_det():
     set_to_d = 0
     for mat in matrices:
         det = abs(determinant(mat))
-        _, d, _ = snf(mat)
+        d, _ = snf(mat)
         set_to_d += det > 1 and d[-1][-1] == det
     assert set_to_d >= len(matrices) // 2
 
@@ -498,18 +519,24 @@ def test_elimination_property(rows, data):
     assert (rank(L), signature(L), intlinalg.det(L)) \
         == (ref.rank(), charpoly_signature(rows), det)
     assert_gram_is_sympys(regular_decomposition(L))
+    assert_module_is_the_blocks(L)
 
 
 def sympy_gram(rd):
-    """``e R^T L_reg^{-1} R mod 2e`` for the generator lifts ``R``, by
-    sympy's exact inverse: the oracle of the bordered Gram elimination."""
-    e = math.lcm(*rd.cyclic_orders)
-    lifts = Matrix(rd.regular.m, len(rd.generator_reps),
-                   lambda r, j: rd.generator_reps[j][r])
-    gram = e * lifts.T * Matrix(rd.regular.rows()).inv() * lifts
+    """``e R^T X mod 2e`` for the generator lifts ``R`` and any rational
+    solution ``X`` of ``L X = R``, which is ``e R^T L^+ R`` whatever ``X``
+    as ``R`` lies in the column span of the symmetric ``L``: sympy's exact
+    Gauss-Jordan solve, with every free parameter 0, is the oracle of the
+    bordered Gram elimination (it raises when ``R`` is not in the span)."""
+    e, t = math.lcm(*rd.cyclic_orders), len(rd.generator_reps)
+    if not t:
+        return ()
+    lifts = Matrix(rd.matrix.m, t, lambda r, j: rd.generator_reps[j][r])
+    solution, params = Matrix(rd.matrix.rows()).gauss_jordan_solve(lifts)
+    gram = e * lifts.T * solution.subs(dict.fromkeys(params, 0))
     assert all(x.is_integer for x in gram)
-    return tuple(tuple(int(gram[i, j]) % (2 * e) for j in range(gram.cols))
-                 for i in range(gram.rows))
+    return tuple(tuple(int(gram[i, j]) % (2 * e) for j in range(t))
+                 for i in range(t))
 
 
 def assert_gram_is_sympys(rd):
@@ -518,11 +545,41 @@ def assert_gram_is_sympys(rd):
     assert module.gram == sympy_gram(rd)
 
 
+def block_decomposition(L):
+    """The torsion data of ``L`` on its regular block, as a record of
+    nullity 0 for :func:`quadmod.from_decomposition`: the oracle that the
+    library's lifts in ``L`` itself are checked against.  From the
+    reference Smith form ``U L V = D``, a nondegenerate ``L`` is its own
+    block with the columns of ``W`` as lifts; for a degenerate one, the rows
+    ``C`` of ``U`` at the nonzero ``d_i`` give the block ``C L C^T = D_r
+    N``, ``N`` unimodular, whose cokernel is ``+ Z/d_i`` on the standard
+    basis vectors ``e_i``."""
+    u, d, wt = reference_smith_normal_form(L)
+    orders = [d[i][i] for i in range(L.m) if d[i][i]]
+    rho = len(orders)
+    keep = [i for i in range(rho) if orders[i] > 1]
+    if rho == L.m:
+        block, lifts = L, [wt[i] for i in keep]
+    else:
+        block = IntSymMatrix.from_rows(
+            mat_mul(mat_mul(u[:rho], L.rows()), mat_transpose(u[:rho])))
+        lifts = [[int(r == i) for r in range(rho)] for i in keep]
+    return RegularDecomposition(block, 0, tuple(orders[i] for i in keep),
+                                tuple(map(tuple, lifts)))
+
+
+def assert_module_is_the_blocks(L):
+    """The module read off ``L`` is the module of its regular block."""
+    assert quadmod.from_surgery(L) \
+        == quadmod.from_decomposition(block_decomposition(L))
+
+
 def test_bordered_gram_is_sympys():
-    # The trailing block of the bordered [[L_reg, R], [R^T, 0]] ends as
-    # det L_reg (-R^T L_reg^{-1} R): nondegenerate and degenerate L, zero
-    # diagonals (the partner repair runs inside the leading block) and
-    # trivial T (no lifts, no trailing block).
+    # The trailing block of the bordered [[L, R], [R^T, 0]] ends as p (-R^T
+    # L^+ R), p the last pivot: nondegenerate and degenerate L (the radical
+    # rows take no pivot), zero diagonals (the partner repair runs inside
+    # the leading block) and trivial T (no lifts, no trailing block).  On
+    # degenerate L the module is also that of the regular block.
     rng = random.Random(103)
     cases = [IntSymMatrix.from_rows(E8_ROWS), IntSymMatrix.empty(),
              IntSymMatrix.from_rows([[0, 1], [1, 0]]),
@@ -540,18 +597,20 @@ def test_bordered_gram_is_sympys():
     kinds = Counter()
     for L in cases:
         rd = regular_decomposition(L)
-        reg = rd.regular.entries
         kinds["degenerate"] += rd.nullity > 0
-        kinds["zero diagonal"] += any(reg[i][i] == 0 for i in range(len(reg)))
+        kinds["zero diagonal"] += any(L[i, i] == 0 for i in range(L.m))
         kinds["trivial T"] += not rd.cyclic_orders
         assert_gram_is_sympys(rd)
+        if rd.nullity:
+            assert_module_is_the_blocks(L)
     assert min(kinds.values()) >= 20, kinds
 
 
 def test_bordered_gram_on_any_lifts_and_refuses_a_singular_block():
     # G = e R^T L^{-1} R for lifts R with e L^{-1} R integral, here any R
     # at e = |det L| (the adjugate is integral), even past the cyclic
-    # orders a Smith form gives; a block with no pivot in some row refuses.
+    # orders a Smith form gives; a matrix more or less singular than its
+    # nullity says, whose pivots do not count its rank, refuses.
     rng = random.Random(107)
     for _ in range(200):
         n = rng.randint(1, 5)
@@ -566,10 +625,13 @@ def test_bordered_gram_on_any_lifts_and_refuses_a_singular_block():
                       for _ in range(rng.randint(1, 3)))
         assert_gram_is_sympys(RegularDecomposition(
             IntSymMatrix.from_rows(rows), 0, (d,) * len(lifts), lifts))
-    for rows in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 3]]):
+    for rows, nullity in (([[0]], 0), ([[1, 2], [2, 4]], 0),
+                          ([[0, 0], [0, 3]], 0), ([[3]], 1),
+                          ([[0, 0], [0, 3]], 2)):
         with pytest.raises(DegenerateMatrix):
             quadmod.from_decomposition(RegularDecomposition(
-                IntSymMatrix.from_rows(rows), 0, (2,), ((1,) * len(rows),)))
+                IntSymMatrix.from_rows(rows), nullity, (2,),
+                ((1,) * len(rows),)))
 
 
 def test_signature_elimination_keeps_the_determinant():
@@ -602,18 +664,20 @@ def test_signature_elimination_keeps_the_determinant():
 # Regular decomposition
 
 def test_regular_decomposition_examples():
-    rd = regular_decomposition(IntSymMatrix.from_rows([[1, 0], [0, 0]]))
-    assert (rd.regular.m, rd.nullity) == (1, 1)
-    assert abs(determinant(rd.regular)) == 1
+    L = IntSymMatrix.from_rows([[1, 0], [0, 0]])
+    rd, block = regular_decomposition(L), block_decomposition(L).matrix
+    assert (rd.matrix, rd.nullity, rd.cyclic_orders) == (L, 1, ())
+    assert (block.m, abs(determinant(block))) == (1, 1)
 
-    rd = regular_decomposition(IntSymMatrix.from_rows([[2, 2], [2, 2]]))
-    assert (rd.regular.m, rd.nullity) == (1, 1)
-    assert abs(determinant(rd.regular)) == 2
-    assert rd.cyclic_orders == (2,)
-    assert rd.generator_reps == ((1,),)
+    L = IntSymMatrix.from_rows([[2, 2], [2, 2]])
+    rd, block = regular_decomposition(L), block_decomposition(L).matrix
+    assert (rd.matrix, rd.nullity, rd.cyclic_orders) == (L, 1, (2,))
+    assert (block.m, abs(determinant(block))) == (1, 2)
+    assert rd.generator_reps == ((1, 1),)  # L (1/2, 0) = (1, 1)
+    assert quadmod.from_decomposition(rd).gram == ((1,),)
 
     rd = regular_decomposition(IntSymMatrix.from_rows([[0]]))
-    assert (rd.regular.m, rd.nullity) == (0, 1)
+    assert (rd.nullity, rd.generator_reps) == (1, ())
     assert rd.order == 1
 
 
@@ -628,13 +692,14 @@ def test_regular_decomposition_invariants():
             b = [[1 if i == j else 0 for j in range(n - 1)] + [rng.randint(-2, 2)]
                  for i in range(n - 1)]
             L = IntSymMatrix.from_rows(mat_mul(mat_mul(mat_transpose(b), s), b))
-        rd = regular_decomposition(L)
+        rd, block = regular_decomposition(L), block_decomposition(L).matrix
         factors = [x for x in sympy_invariant_factors(L.rows(), n, n) if x]
-        assert rd.regular.m + rd.nullity == n
-        assert rd.regular.m == len(factors)
-        assert abs(determinant(rd.regular)) == math.prod(factors) != 0
+        assert rd.matrix is L
+        assert len(factors) + rd.nullity == n
+        assert block.m == len(factors)
+        assert abs(determinant(block)) == math.prod(factors) != 0
         assert rd.cyclic_orders == tuple(x for x in factors if x > 1)
-        assert signature(L) == signature(rd.regular)
+        assert signature(L) == signature(block)
 
 
 def test_regular_decomposition_deterministic():
@@ -878,34 +943,40 @@ def degenerate_draw(rng, m, s=None, bound=2):
 
 
 def test_generator_reps_have_stated_orders(time_limit):
-    # Nondegenerate L, and degenerate B^T S B of rank m - 2 up to m = 12,
-    # whose lifts are the standard basis vectors e_i of the regular block,
-    # with the orders of a second Smith form of that block.
+    # Nondegenerate L, whose lift classes have their orders in Z^m / L Z^m,
+    # and degenerate B^T S B of rank m - 2 up to m = 12, whose lifts U maps
+    # to the standard basis vectors e_i of the regular block built from the
+    # reference U, there of the orders of a second Smith form of that block.
     rng = random.Random(19)
-    decompositions = []
     for _ in range(50):
         n = rng.randint(1, 3)
         L = IntSymMatrix.from_rows(random_symmetric(rng, n, 4))
         if determinant(L) != 0:
-            decompositions.append(regular_decomposition(L))
+            rd = regular_decomposition(L)
+            # order * rep lies in the column lattice, no smaller multiple does
+            inverse = exact_inverse(L.rows())
+            for order, rep in zip(rd.cyclic_orders, rd.generator_reps):
+                assert cokernel_order_of(inverse, rep) == order
     for m in range(3, 13):
         for _ in range(3):
             L, s = degenerate_draw(rng, m)
             rd = regular_decomposition(L)
-            assert (rd.regular.m, rd.nullity) == (m - 2, 2)
+            u, dl, _ = reference_smith_normal_form(L)
+            block = block_decomposition(L).matrix
+            assert (block.m, rd.nullity) == (m - 2, 2)
             assert rd.order == abs(determinant(s))
-            _, d, _ = smith_normal_form(rd.regular)
+            d, _ = smith_normal_form(block)
             assert rd.cyclic_orders == tuple(
                 d[i][i] for i in range(m - 2) if d[i][i] > 1)
-            for rep in rd.generator_reps:
-                assert sorted(rep) == [0] * (m - 3) + [1]
-            decompositions.append(rd)
-    for rd in decompositions:
-        # order * rep lies in the column lattice, no smaller multiple does
-        inverse = exact_inverse(rd.regular.rows())
-        for order, rep in zip(rd.cyclic_orders,
-                              rd.generator_reps):
-            assert cokernel_order_of(inverse, rep) == order
+            inverse = exact_inverse(block.rows())
+            steps = [i for i in range(m) if dl[i][i] > 1]
+            for i, order, rep in zip(steps, rd.cyclic_orders,
+                                     rd.generator_reps):
+                e_i = [int(r == i) for r in range(m)]
+                assert mat_vec(u, rep) == e_i
+                assert cokernel_order_of(inverse, e_i[:m - 2]) == order
+                assert integral_solution(L.rows(),
+                                         [order * x for x in rep]) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from abtqft.quadmod import (
 )
 from abtqft.surgery import SurgeryPresentation, coloring_sums
 from abtqft.surgery import random_unimodular
-from test_intlinalg import (degenerate_draw, determinant, elements,
-                             exact_inverse, inverse_form)
+from test_intlinalg import (block_decomposition, degenerate_draw,
+                             determinant, elements, exact_inverse,
+                             inverse_form)
 
 
 def sym(rows):
@@ -94,17 +95,19 @@ def test_gauss_sum_order_three_level_two_is_i():
 
 
 def lift(rd, element):
-    """The lift ``sum a_i g_i`` in ``Z^rho`` of a torsion element through the
-    generator reps of a regular decomposition."""
+    """The lift ``sum a_i g_i`` of a torsion element through the generator
+    reps of a decomposition."""
     reps = rd.generator_reps
     return [sum(a * g[r] for a, g in zip(element, reps))
-            for r in range(rd.regular.m)]
+            for r in range(rd.matrix.m)]
 
 
 def lift_q_values(rd):
-    """``q`` of every torsion element, ``(1/2) x^T L_reg^{-1} x`` mod 1 at its
-    lift ``x``, from sympy's exact inverse rather than the Gram matrix."""
-    inverse = exact_inverse(rd.regular.rows())
+    """``q`` of every torsion element, ``(1/2) x^T M^{-1} x`` mod 1 at its
+    lift ``x``, for the nondegenerate matrix ``M`` of a decomposition (a
+    regular block of :func:`test_intlinalg.block_decomposition`), from
+    sympy's exact inverse rather than the Gram matrix."""
+    inverse = exact_inverse(rd.matrix.rows())
     return {element: (inverse_form(inverse, lift(rd, element)) / 2) % 1
             for element in elements(from_decomposition(rd))}
 
@@ -124,9 +127,9 @@ def test_gauss_sum_matches_per_element_sum(time_limit):
         L = random_symmetric(rng, rng.randint(1, 3))
         if determinant(L) != 0:
             blocks.append(L)
-    # Degenerate B^T S B of rank m - 2 up to m = 12, whose generators are
-    # standard basis vectors of the regular block; S = P^T D P with P
-    # unimodular and D = +-1 but for two entries keeps |T| = |det D| small
+    # Degenerate B^T S B of rank m - 2 up to m = 12, whose q values come from
+    # the regular block built by the reference Smith form; S = P^T D P with
+    # P unimodular and D = +-1 but for two entries keeps |T| = |det D| small
     # enough to enumerate.
     for m in range(3, 13):
         n = m - 2
@@ -138,7 +141,7 @@ def test_gauss_sum_matches_per_element_sum(time_limit):
         blocks.append(degenerate_draw(rng, m, s=s)[0])
     for L in blocks:
         mod = from_surgery(L)
-        q_values = lift_q_values(regular_decomposition(L))
+        q_values = lift_q_values(block_decomposition(L))
         assert q_values == {x: mod.q(x) for x in elements(mod)}
         for k in (2, 4, 6, 8):
             want = gauss_sum_per_element(q_values, k)
@@ -359,7 +362,7 @@ def test_level_weighted_q_constant_on_cosets():
         if determinant(L) == 0:
             continue
         rd = regular_decomposition(L)
-        reg = rd.regular
+        reg = rd.matrix
         k = rng.choice((2, 4, 6, 8))
         element = tuple(rng.randrange(d) for d in rd.cyclic_orders)
         base = lift(rd, element)
