@@ -14,10 +14,17 @@ Two independent ground truths are computed for every closed presentation:
   linking form.  A batch of ``(L, k)`` pairs runs one regular decomposition
   per distinct ``L``, refuses a pair on its level or its ``|T|`` before any
   Gram solve, and makes one :func:`abtqft.quadmod.gauss_sums` call, one
-  kernel batch per group; :func:`cs_closed` is its batch of one, as
-  :func:`abtqft.surgery.rt_raw_closed` is of
+  kernel batch per non-cyclic group; :func:`cs_closed` is its batch of
+  one, as :func:`abtqft.surgery.rt_raw_closed` is of
   :func:`abtqft.surgery.rt_raw_closed_many`.  A value is the same bits in
   any batch.
+
+The torsion route stays independent of the identity the two routes check.
+On a cyclic ``T`` its Gauss sum is the classical one-dimensional
+evaluation (:func:`abtqft.quadmod.cyclic_gauss_sum`: Gauss's sign and
+Jacobi symbols of integers); no multi-dimensional reciprocity and no
+Milgram formula over all of ``T`` enters it, and every other ``T`` is
+enumerated by the kernel, which also checks the closed form in the tests.
 
 The two routes meet in one place, :func:`both_routes`: the reciprocity
 check, the equivalence corpus (streamed in blocks) and ``invariant --side

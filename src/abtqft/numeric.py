@@ -18,9 +18,10 @@ Conventions used throughout the library:
   rule as a helper).  The standing budget is ``1e-9 *
   sqrt(number_of_summed_terms)`` because each summand is a unit complex
   number.
-* Every exponential sum of the library goes through the one kernel
-  :func:`abtqft.phasesums.quadratic_phase_sums`, whose root tables equal
-  :func:`unit_phase_eval` bit for bit.  That module holds all of the
+* Every exponential sum of the library but a one-dimensional torsion Gauss
+  sum (:func:`abtqft.quadmod.cyclic_gauss_sum`, exact) goes through the
+  one kernel :func:`abtqft.phasesums.quadratic_phase_sums`, whose root
+  tables equal :func:`unit_phase_eval` bit for bit.  That module holds all of the
   library's numpy arithmetic; this one keeps only the exact phase types,
   the JSON codecs and the tolerance policy, and imports no numpy.
 """

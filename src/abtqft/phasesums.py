@@ -1,7 +1,9 @@
 """The one exponential-sum kernel: quadratic phase sums over finite groups.
 
 Every exponential sum of the library (coloring sums, and the torsion Gauss
-sums that also give the reciprocity right side) goes through
+sums on non-cyclic groups that also give the reciprocity right side; those
+on cyclic groups have the closed form of
+:func:`abtqft.quadmod.cyclic_gauss_sum`) goes through
 :func:`quadratic_phase_sums`, which evaluates a batch of forms on one
 group; a single form is a batch of one.  It reads every phase from a table
 equal to :func:`abtqft.numeric.unit_phase_eval`, and sums over a trailing
@@ -15,7 +17,8 @@ This is the library's only module that imports numpy at load time.  Its
 callers (:func:`abtqft.surgery.coloring_sums`,
 :func:`abtqft.quadmod.gauss_sums` and :func:`abtqft.extended.modular_rep`)
 import it inside the function, after their level and cap checks, so a
-command that runs no sum, or is refused before one, never loads numpy.
+command that runs no sum of this kernel, or is refused before one, never
+loads numpy.
 """
 
 from __future__ import annotations

@@ -27,14 +27,20 @@ Gram matrix ``G`` in the coordinates of the cyclic generators, with
 even ``k`` the combination ``k * q`` is well defined mod 1, which is exactly
 what the level-``k`` Gauss sum consumes.  Every Gauss sum goes through one
 function, :func:`gauss_sums`, which takes a batch of ``(module, k)`` pairs:
-it checks the level and the group cap of every pair first, then sends the
-pairs of each group (one tuple of cyclic orders) to the library's one
-exponential-sum kernel, :func:`abtqft.phasesums.quadratic_phase_sums`, as
-one batch, with the cyclic orders as moduli and ``2e`` as modulus; for a
-group of more than a few hundred elements the kernel sums over the
-trailing cyclic factors by one inverse DFT (split-Fourier) instead of
-element by element.  That module, and with it numpy, is imported only
-once every pair has passed its checks.
+it checks the level and the group cap of every pair first.  A pair on a
+trivial or cyclic group ``Z/n`` is then the classical one-dimensional
+Gauss sum of ``a = (k/2) g`` mod ``n``, which :func:`cyclic_gauss_sum`
+gives in closed form, exactly, with the Jacobi symbols of
+:func:`jacobi_symbol`.  The pairs of each other group (one tuple of cyclic
+orders) go to the library's one exponential-sum kernel,
+:func:`abtqft.phasesums.quadratic_phase_sums`, as one batch, with the
+cyclic orders as moduli and ``2e`` as modulus; for a group of more than a
+few hundred elements the kernel sums over the trailing cyclic factors by
+one inverse DFT (split-Fourier) instead of element by element.  That
+module, and with it numpy, is imported only when such a pair is left and
+every pair has passed its checks.  The cap applies to cyclic groups too,
+so every value stays in the range where the tests hold the closed form to
+the kernel.
 
 Even levels are the one level rule, :func:`check_level`, and groups of at
 most :data:`GROUP_ENUMERATION_CAP` elements the one group rule,
@@ -68,6 +74,7 @@ from .intlinalg import (
     eliminate_symmetric,
     regular_decomposition,
 )
+from .numeric import UnitPhase, unit_phase_eval
 
 #: Largest torsion group :func:`gauss_sums` sums over.
 GROUP_ENUMERATION_CAP = 10 ** 6
@@ -188,6 +195,58 @@ def from_decomposition(rd: RegularDecomposition) -> FiniteQuadraticModule:
     return FiniteQuadraticModule(rd.cyclic_orders, gram)
 
 
+def jacobi_symbol(a: int, n: int) -> int:
+    """The Jacobi symbol ``(a/n)`` of an integer ``a`` and an odd ``n >= 1``,
+    by quadratic reciprocity and the supplement for 2 (0 when ``a`` and ``n``
+    share a factor)."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def cyclic_gauss_sum(a: int, n: int) -> Tuple[int, int]:
+    """The normalized Gauss sum ``n^{-1/2} sum_{x mod n} exp(2 pi i a x^2 /
+    n)`` in closed form, as ``(m2, j)`` with the sum ``sqrt(m2) exp(2 pi i j
+    / 8)`` (``(0, 0)`` when it vanishes).
+
+    With ``d = gcd(a, n)``, ``c = n / d`` and ``a' = a / d`` (``d = n`` for
+    ``a = 0``), the sum is ``d G(a', c) / sqrt(n)`` for the classical sum
+    ``G`` of a unit ``a'`` mod ``c`` (Gauss; Berndt, Evans and Williams,
+    *Gauss and Jacobi Sums*, 1998, ch. 1):
+
+    * ``c`` odd: ``G = (a'/c) eps_c sqrt(c)``, with ``eps_c`` 1 for ``c = 1
+      mod 4`` and ``i`` for ``c = 3 mod 4``;
+    * ``c = 2 mod 4``: ``G = 0``;
+    * ``c = 0 mod 4``: ``G = (c/a') (1 + i) eps_{a'}^{-1} sqrt(c)``.
+
+    ``(./.)`` is :func:`jacobi_symbol`; ``c = 1`` (``a = 0 mod n``) is the
+    odd case with ``m2 = n``.
+    """
+    a %= n
+    d = math.gcd(a, n)
+    c, a = n // d, a // d
+    if c % 4 == 2:
+        return 0, 0
+    if c % 2:
+        return d, 2 * (c % 4 == 3) + 4 * (jacobi_symbol(a, c) == -1)
+    return 2 * d, ((1 if a % 4 == 1 else 7)
+                   + 4 * (jacobi_symbol(c, a) == -1)) % 8
+
+
+#: ``exp(2 pi i j / 8)`` for ``j`` in ``range(8)``, from
+#: :func:`abtqft.numeric.unit_phase_eval`, so ``sqrt(m2) * _ROOTS8[j]`` is
+#: :func:`abtqft.numeric.polar_to_approx` of the exact value, bit for bit.
+_ROOTS8 = tuple(unit_phase_eval(UnitPhase(Fraction(j, 8))) for j in range(8))
+
+
 def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
                ) -> List[complex]:
     """Normalized level-``k`` Gauss sum ``|T|^{-1/2} sum_x exp(2 pi i k
@@ -197,18 +256,31 @@ def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
     most :data:`GROUP_ENUMERATION_CAP` (:func:`check_group_order`); both are
     checked for every pair, in the order of ``pairs``, before any sum runs,
     so the first refused pair is the one a loop over batches of one
-    refuses, and a refusal never loads numpy.  The pairs of one group, that
-    is of one tuple of cyclic orders (which fixes the modulus ``2e``), then
-    go to :func:`abtqft.phasesums.quadratic_phase_sums` as one batch; a
-    value is the same bits in any batch.
+    refuses.  On a trivial or cyclic group ``Z/n`` with Gram ``(g)`` the sum
+    is the classical one of ``a = (k/2) g`` mod ``n``, in closed form
+    (:func:`cyclic_gauss_sum`).  The pairs of each other group, that is of
+    one tuple of several cyclic orders (which fixes the modulus ``2e``), go
+    to :func:`abtqft.phasesums.quadratic_phase_sums` as one batch, and
+    numpy is loaded only when there is such a pair.  A value is the same
+    bits in any batch.
     """
     classes: Dict[Tuple[int, ...], List[int]] = {}
+    cyclic: List[int] = []
     for i, (module, k) in enumerate(pairs):
         check_level(k)
         check_group_order(module.order)
-        classes.setdefault(module.cyclic_orders, []).append(i)
-    from . import phasesums
+        if len(module.cyclic_orders) <= 1:
+            cyclic.append(i)
+        else:
+            classes.setdefault(module.cyclic_orders, []).append(i)
     sums = [0j] * len(pairs)
+    for i in cyclic:
+        module, k = pairs[i]
+        g = module.gram[0][0] if module.gram else 0
+        m2, j = cyclic_gauss_sum(k // 2 * g, module.order)
+        sums[i] = math.sqrt(m2) * _ROOTS8[j]
+    if classes:
+        from . import phasesums
     for orders, members in classes.items():
         batch = [pairs[i] for i in members]
         values = phasesums.quadratic_phase_sums(

@@ -384,11 +384,13 @@ def test_closed_stdout_exits_141_without_a_traceback():
 
 
 #: Commands with their exit codes and the modules among numpy and sympy
-#: they load.  Only an exponential sum or a modular matrix loads numpy, after
-#: its level and cap checks, so neither a command that runs none nor a
-#: refusal loads it; sympy is for the tests alone.  The benchmark's set-up
-#: time is a fresh interpreter running ``catalog list``.  The last command
-#: runs a sum, so the others show where the boundary is, not that numpy is
+#: they load.  Only an exponential sum the kernel enumerates or a modular
+#: matrix loads numpy, after its level and cap checks, so neither a command
+#: that runs none nor a refusal loads it; a torsion Gauss sum on a cyclic
+#: group is a closed form and loads none, one on ``Z/2 + Z/2`` does.  sympy
+#: is for the tests alone.  The benchmark's set-up time is a fresh
+#: interpreter running ``catalog list``.  The last command runs a coloring
+#: sum, so the others show where the boundary is, not that numpy is
 #: missing.
 IMPORT_BOUNDARY = [
     (("catalog", "list"), 0, []),
@@ -397,13 +399,17 @@ IMPORT_BOUNDARY = [
     (("verify", "maslov", "--cases", "3"), 0, []),
     (("invariant", "E8", "--k", "8", "--side", "rt"), 2, []),
     (("verify", "kirby", "--cases", "0"), 2, []),
+    (("invariant", "L5_1", "--k", "4", "--side", "cs"), 0, []),
+    (("invariant", '{"L": [[2, 0], [0, 2]]}', "--k", "4", "--side", "cs"),
+     0, ["numpy"]),
     (("invariant", "S3", "--k", "4"), 0, ["numpy"]),
 ]
 
 
 @pytest.mark.parametrize("argv, code, loaded", IMPORT_BOUNDARY, ids=[
     "catalog-list", "catalog-show", "phase-table-show", "verify-maslov",
-    "cap-refusal", "usage-error", "sum"])
+    "cap-refusal", "usage-error", "cyclic-torsion-sum",
+    "non-cyclic-torsion-sum", "sum"])
 def test_only_an_exponential_sum_loads_numpy(argv, code, loaded):
     script = ("import contextlib, io, sys, abtqft.cli\n"
               "with contextlib.redirect_stdout(io.StringIO()), \\\n"
@@ -454,9 +460,9 @@ GOLDEN_STDOUT = [
     (("invariant", "E8", "--k", "8", "--side", "rt", "--json"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("verify", "equivalence", "--seed", "0", "--json"), 0,
-     "67762696d2baecf484ada788482852390db190bc26fd4381b4ec9239bd016c3e"),
+     "2bdd7b25729bc0c82f4e8eb33c2eb422235278b3cae84758724956d4e84e56dc"),
     (("verify", "reciprocity", "--seed", "1", "--json"), 0,
-     "acffa3cff7d0c7f05471c8a1dcb4486ef1fe9022b2d80d794f71496df697447d"),
+     "715b3a84c666149184e7bdf8dca0991a469e6f770bfff0930308a439f70d581a"),
     # The torsion route: a degenerate L with T = Z/2 + Z/6 on both sides, and
     # a 3x3 L with |T| = 6004 alone, the shape of the benchmark's torsion
     # operations.

@@ -13,10 +13,12 @@ from abtqft.intlinalg import (
     mat_transpose,
     regular_decomposition,
 )
-from abtqft.numeric import UnitPhase, sum_tolerance, unit_phase_eval
+from abtqft.numeric import (PolarValue, UnitPhase, polar_to_approx,
+                            sum_tolerance, unit_phase_eval)
 from abtqft.compare import verify_reciprocity_dt
 from abtqft.extended import modular_rep
 from abtqft.quadmod import (
+    FiniteQuadraticModule,
     cyclic_module,
     from_decomposition,
     from_surgery,
@@ -148,21 +150,31 @@ def test_gauss_sum_matches_per_element_sum(time_limit):
             assert abs(gauss_sums([(mod, k)])[0] - want) <= sum_tolerance(mod.order)
 
 
+def kernel_gauss_sum(module, k):
+    """The normalized Gauss sum of a module by enumeration: its form ``k G``
+    on the cyclic orders, modulus ``2e``, through the one exponential-sum
+    kernel, as :func:`gauss_sums` sums a non-cyclic group."""
+    total = phasesums.quadratic_phase_sums(
+        [[[k * x for x in row] for row in module.gram]],
+        module.cyclic_orders, 2 * module.exponent)[0]
+    return total / math.sqrt(module.order)
+
+
 def test_gauss_sum_near_group_cap_has_unit_modulus():
-    # |T| = 999983 (prime), one step below the 10**6 cap: the sum runs over
-    # a single cyclic factor with modulus 2|T|, where int64 overflow in the
-    # quadratic values would show.
+    # |T| = 999983 (prime), one step below the 10**6 cap: the kernel sums
+    # over a single cyclic factor with modulus 2|T|, where int64 overflow in
+    # the quadratic values would show.
     mod = from_surgery(sym([[999983]]))
-    assert abs(abs(gauss_sums([(mod, 2)])[0]) - 1) <= sum_tolerance(mod.order)
+    assert abs(abs(kernel_gauss_sum(mod, 2)) - 1) <= sum_tolerance(mod.order)
 
 
 def test_root_table_cache_keeps_no_large_table():
     # A table for modulus N holds 16 N bytes; at the group cap N ~ 2 * 10**6.
     phasesums._root_table.cache_clear()
     for p in (999983, 999979):
-        gauss_sums([(from_surgery(sym([[p]])), 2)])[0]
+        kernel_gauss_sum(from_surgery(sym([[p]])), 2)
     assert phasesums._root_table.cache_info().currsize == 0
-    gauss_sums([(from_surgery(sym([[3]])), 2)])[0]
+    kernel_gauss_sum(from_surgery(sym([[3]])), 2)
     assert phasesums._root_table.cache_info().currsize == 1
 
 
@@ -171,10 +183,72 @@ def test_grid_cache_keeps_no_large_grid():
     # only its empty leading grid is small enough to keep.
     phasesums._grid.cache_clear()
     for p in (999983, 999979):
-        gauss_sums([(from_surgery(sym([[p]])), 2)])[0]
+        kernel_gauss_sum(from_surgery(sym([[p]])), 2)
     assert phasesums._grid.cache_info().currsize == 1
-    gauss_sums([(from_surgery(sym([[3]])), 2)])[0]
+    kernel_gauss_sum(from_surgery(sym([[3]])), 2)
     assert phasesums._grid.cache_info().currsize == 2
+
+
+# ---------------------------------------------------------------------------
+# The closed form of cyclic Gauss sums, against the enumeration kernel
+
+def closed_gauss_sum(a, n):
+    """:func:`quadmod.cyclic_gauss_sum` as the exact polar value, converted
+    by :func:`polar_to_approx`."""
+    m2, j = quadmod.cyclic_gauss_sum(a, n)
+    return polar_to_approx(PolarValue(m2, UnitPhase(Fraction(j, 8))))
+
+
+def test_cyclic_closed_form_is_the_kernel_on_every_small_form(time_limit):
+    # Every Gram g mod 2n of Z/n, n <= 64, at every even level k <= 16:
+    # one kernel batch per n, ground truth for the closed form.
+    for n in range(1, 65):
+        forms = [(g, k) for g in range(2 * n) for k in range(2, 17, 2)]
+        totals = phasesums.quadratic_phase_sums(
+            [[[k * g]] for g, k in forms], (n,), 2 * n)
+        for (g, k), total in zip(forms, totals):
+            a = k // 2 * g
+            closed = closed_gauss_sum(a, n)
+            assert abs(closed - total / math.sqrt(n)) <= sum_tolerance(n)
+            # The sum vanishes exactly when c = n / gcd(a, n) is 2 mod 4.
+            c = n // math.gcd(a, n)
+            assert (closed == 0) == (c % 4 == 2)
+
+
+#: Cyclic groups near the 10**6 cap, a prime, powers of 2 and 3 and 4 times
+#: a prime, each with units and non-units ``a``: the last of 2**19 and of
+#: 4 * 250007 leave ``c = 2``, where the sum vanishes.
+NEAR_CAP = [*((999983, a) for a in (1, 2, 0)),
+            *((2 ** 19, a) for a in (1, 3, 2 ** 6, 2 ** 18)),
+            *((3 ** 12, a) for a in (1, 2, 3 ** 5)),
+            *((4 * 250007, a) for a in (1, 3, 250007, 2 * 250007))]
+
+
+@pytest.mark.parametrize("n, a", NEAR_CAP)
+def test_cyclic_closed_form_is_the_kernel_near_the_group_cap(n, a):
+    total = phasesums.quadratic_phase_sums([[[2 * a]]], (n,), 2 * n)[0]
+    assert abs(closed_gauss_sum(a, n) - total / math.sqrt(n)) \
+        <= sum_tolerance(n)
+
+
+def test_jacobi_symbol_is_sympys():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 200, 2):
+        for a in range(400):
+            assert quadmod.jacobi_symbol(a, n) == sympy.jacobi_symbol(a, n)
+
+
+def test_cyclic_sums_are_their_polar_values_bit_for_bit():
+    # gauss_sums converts (m2, j) through a table of the eighth roots; the
+    # value is polar_to_approx of the exact polar value for all 8 phases.
+    seen = set()
+    for n in range(1, 41):
+        for g in range(2 * n):
+            mod = FiniteQuadraticModule((n,), ((g,),))
+            seen.add(quadmod.cyclic_gauss_sum(g, n)[1])
+            assert repr(gauss_sums([(mod, 2)])[0]) \
+                == repr(closed_gauss_sum(g, n))
+    assert seen == set(range(8))
 
 
 #: Modules of several groups, some sharing one: trivial (two of them),
@@ -207,8 +281,14 @@ def test_gauss_sums_runs_one_kernel_call_per_group(monkeypatch):
     monkeypatch.setattr(phasesums, "quadratic_phase_sums", counted)
     pairs = batch_pairs()
     gauss_sums(pairs)
-    assert groups == list(dict.fromkeys(mod.cyclic_orders
-                                        for mod, _ in pairs))
+    # Z/2 + Z/2 and Z/3 + Z/9 reach the kernel, once each; the trivial and
+    # cyclic groups are summed in closed form.
+    assert groups == [(2, 2), (3, 9)]
+    assert groups == list(dict.fromkeys(mod.cyclic_orders for mod, _ in pairs
+                                        if len(mod.cyclic_orders) > 1))
+    groups.clear()
+    gauss_sums([pair for pair in pairs if len(pair[0].cyclic_orders) <= 1])
+    assert groups == []
 
 
 REFUSALS = [
@@ -226,8 +306,10 @@ def test_gauss_sums_refuses_the_first_refused_pair_before_any_sum(
     monkeypatch.setattr(quadmod, "GROUP_ENUMERATION_CAP", 4)
     monkeypatch.setattr(phasesums, "quadratic_phase_sums", never)
     small, large = from_surgery(sym([[3]])), from_surgery(sym([[7]]))
+    klein = from_surgery(sym([[2, 0], [0, 2]]))  # summed by the kernel
     refused = [(small, 3), (large, 2)]  # an odd level, a group over the cap
-    pairs = [(small, 2)] + (refused[::-1] if large_first else refused)
+    pairs = [(small, 2), (klein, 2)] \
+        + (refused[::-1] if large_first else refused)
     with pytest.raises(raised, match=message):
         gauss_sums(pairs)
 
