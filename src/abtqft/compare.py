@@ -86,13 +86,12 @@ from .intlinalg import (
     IntSymMatrix,
     RegularDecomposition,
     det,
-    mat_mul,
-    mat_transpose,
     rank,
     regular_decomposition,
     signature,
 )
 from .numeric import (
+    ROOTS8,
     SUM_TOLERANCE_BASE,
     UnitPhase,
     rational_from_json,
@@ -111,8 +110,9 @@ from .surgery import (
     SurgeryPresentation,
     coloring_sums,
     random_symmetric_matrix,
-    random_unimodular,
+    random_transvection,
     raw_closed_from_sum,
+    slide_rows,
 )
 
 #: Below this magnitude a torsion Gauss sum counts as vanishing and the
@@ -149,29 +149,38 @@ def cs_closed_many(pairs: Sequence[Tuple[IntSymMatrix, int]]
 
     Each distinct ``L`` gets one regular decomposition and one module, and
     each distinct ``(L, k)`` one Gauss sum, all of them in one
-    :func:`abtqft.quadmod.gauss_sums` batch.  The level and then the group
-    cap of each pair are checked in the order of ``pairs``, before any Gram
-    solve, so a batch refuses the pair a loop of :func:`cs_closed` would.
+    :func:`abtqft.quadmod.gauss_sums` batch.  Each pair's ``L`` is looked
+    up once, by its kept hash; decompositions and modules are then indexed
+    by the position of their ``L``, and Gauss sums by ``(position, k)``.
+    The level and then the group cap of each pair are checked in the order
+    of ``pairs``, before any Gram solve, so a batch refuses the pair a loop
+    of :func:`cs_closed` would.
     A nondegenerate ``L`` is checked on ``|T| = |det L|`` (:func:`det`),
     before its Smith form; a degenerate one on its decomposition's ``|T|``.
     """
-    rds: Dict[IntSymMatrix, RegularDecomposition] = {}
+    index: Dict[IntSymMatrix, int] = {}
+    rds: List[RegularDecomposition] = []
+    at: List[int] = []  # the position in rds of each pair's L
     for L, k in pairs:
         check_level(k)
-        if L not in rds:
+        i = index.get(L)
+        if i is None:
             check_group_order(abs(det(L)))
-            rds[L] = regular_decomposition(L)
-            check_group_order(rds[L].order)
-    modules = {L: from_decomposition(rd) for L, rd in rds.items()}
-    keys = list(dict.fromkeys((L, k) for L, k in pairs))
-    gauss = dict(zip(keys, gauss_sums([(modules[L], k) for L, k in keys])))
+            rd = regular_decomposition(L)
+            check_group_order(rd.order)
+            i = index[L] = len(rds)
+            rds.append(rd)
+        at.append(i)
+    modules = [from_decomposition(rd) for rd in rds]
+    keys = list(dict.fromkeys(zip(at, (k for _, k in pairs))))
+    gauss = dict(zip(keys, gauss_sums([(modules[i], k) for i, k in keys])))
     results = []
-    for L, k in pairs:
-        nu = rds[L].nullity
-        conj = gauss[L, k].conjugate()
+    for i, (_, k) in zip(at, pairs):
+        nu = rds[i].nullity
+        conj = gauss[i, k].conjugate()
         results.append(CsClosedResult(
             nullity=nu,
-            torsion_order=modules[L].order,
+            torsion_order=modules[i].order,
             gauss=conj,
             value=math.sqrt(float(k) ** (nu - 1)) * conj,
         ))
@@ -406,7 +415,7 @@ def verify_reciprocity_dt_many(cases: Sequence[Tuple[IntSymMatrix, int]],
         raise ValueError(f"unknown mode {null_exponent_mode!r}")
     checks = []
     for (L, r), (left, _, cs, _) in zip(cases, both_routes(cases)):
-        sig_phase = unit_phase_eval(UnitPhase(Fraction(signature(L), 8)))
+        sig_phase = ROOTS8[signature(L) % 8]
         rhs = math.sqrt(float(r) ** (L.m - cs.nullity)) * sig_phase * cs.gauss
         if cs.nullity:  # a complex product with 1.0 could flip the sign of a 0
             power = float(r) ** cs.nullity
@@ -439,11 +448,19 @@ def random_nondegenerate(rng: random.Random, max_components: int = 3,
 
 def random_degenerate(rng: random.Random) -> IntSymMatrix:
     """Seeded degenerate matrix ``U^T (L_reg + 0) U`` with unimodular ``U``:
-    ``L_reg`` of size at most 2 with entries in [-3, 3], nullity 1 or 2."""
+    ``L_reg`` of size at most 2 with entries in [-3, 3], nullity 1 or 2.
+
+    ``U = E_{2m} ... E_1`` is a product of ``2m`` drawn transvections
+    (:func:`abtqft.surgery.random_transvection`), ``E = I + s e_i e_j^T``
+    for a draw ``(i, j, s)``; ``U`` is never formed.  The congruences by
+    ``E_{2m}``, ..., ``E_1``, in reverse draw order, act on ``L_reg + 0``
+    as handle slides of component ``j`` over component ``i``
+    (:func:`abtqft.surgery.slide_rows`), ``O(m)`` work each."""
     reg = random_nondegenerate(rng, 2, 3)
     nullity = rng.randint(1, 2)
     m = reg.m + nullity
-    padded = reg.direct_sum(IntSymMatrix.diagonal([0] * nullity))
-    u = random_unimodular(rng, m, steps=2 * m)
-    rows = mat_mul(mat_mul(mat_transpose(u), padded.rows()), u)
+    rows = reg.direct_sum(IntSymMatrix.diagonal([0] * nullity)).rows()
+    draws = [random_transvection(rng, m) for _ in range(2 * m)]
+    for i, j, s in reversed(draws):
+        slide_rows(rows, j, i, s)
     return IntSymMatrix.from_rows(rows)

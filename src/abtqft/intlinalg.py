@@ -5,6 +5,8 @@ divides exactly; :class:`fractions.Fraction` appears only in the rational
 inputs of :func:`rational_rank` and :func:`clear_denominators`.  The
 operations cover what a surgery matrix needs homologically,
 
+* :class:`IntSymMatrix`, which keeps its hash and the results of its
+  signature elimination once computed, outside its fields,
 * Smith normal form of a symmetric matrix by one bounded elimination,
   which builds the diagonal and the inverse ``W`` of its row transform
   (the row transform itself is never formed) and works modulo the
@@ -55,10 +57,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
     return out
 
 
-def mat_transpose(a: Sequence[Sequence[int]]) -> IntRows:
-    return [list(col) for col in zip(*a)]
-
-
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
     return [sum(map(operator.mul, row, v)) for row in a]
 
@@ -70,13 +68,22 @@ class IntSymMatrix:
     entries: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(int, row)) for row in self.entries)
+        rows = tuple([tuple(map(int, row)) for row in self.entries])
         m = len(rows)
         if set(map(len, rows)) - {m}:  # a row of another length than m
             raise ValueError("matrix must be square")
         if tuple(zip(*rows)) != rows:  # the transpose, as tuples of rows
             raise ValueError("matrix must be symmetric")
         object.__setattr__(self, "entries", rows)
+
+    def __hash__(self) -> int:
+        """``hash(entries)``, computed on first use and kept outside the
+        fields, as the signature is (:func:`signature`)."""
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.entries))
+            return self._hash
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntSymMatrix":
@@ -206,8 +213,12 @@ def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows]:
     keeps (:func:`det`).  The pivot choice (smallest absolute value,
     earliest position) is fixed, so the output is deterministic.
 
-    The reduction mod ``d`` is folded into the one comprehension that
-    builds a new row.  A step rebuilds only what it changes.  The plain
+    Each new row of the work matrix or of ``W^T`` is built by one
+    comprehension, one for each branch (mod ``d`` or exact), with the
+    reduction folded in; the pivot is found in one scan over the entries of
+    the trailing block, which stops after the first row holding a 1, and
+    the divisibility check takes each row's remainders in one
+    comprehension.  A step rebuilds only what it changes.  The plain
     elimination of an entry that the pivot divides changes row ``i`` of the
     work matrix and row ``t`` of ``W^T``; as a column step it changes
     column ``j`` only where column ``t`` is nonzero, which is the entry
@@ -218,31 +229,32 @@ def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows]:
     n, d = L.m, abs(det(L))
     rows = [[x % d for x in row] for row in L.entries] if d else L.rows()
     # The rows of W^T, the identity mod d.
-    wt = [[int(r == c and d != 1) for c in range(n)] for r in range(n)]
-
-    def lin(x: int, s_row: List[int], y: int, r_row: List[int]) -> List[int]:
-        """``x s_row + y r_row``, reduced when ``d`` is nonzero."""
-        if d:
-            return [(x * s + y * r) % d for s, r in zip(s_row, r_row)]
-        return [x * s + y * r for s, r in zip(s_row, r_row)]
-
-    def neg(row: List[int]) -> List[int]:
-        return [-x % d for x in row] if d else [-x for x in row]
-
+    wt = [[0] * n for _ in range(n)]
+    if d != 1:
+        for r in range(n):
+            wt[r][r] = 1
     for t in range(n):
         best, i, j = 0, t, t  # smallest nonzero |entry|, earliest row, column
         for r in range(t, n):
-            block = rows[r][t:] if d else list(map(abs, rows[r][t:]))
-            v = min(filter(None, block), default=0)
-            if v and (not best or v < best):
-                best, i, j = v, r, t + block.index(v)
-                if v == 1:
-                    break
+            row = rows[r]
+            for c in range(t, n):
+                v = row[c]
+                if v:
+                    if v < 0:
+                        v = -v
+                    if v < best or not best:
+                        best, i, j = v, r, c
+            if best == 1:
+                break
         if not (best or d):
             break  # otherwise a vanishing block mod d has the pivot d at (t, t)
         if i != t:  # swaps with a sign: determinant one
-            rows[t], rows[i] = rows[i], neg(rows[t])
-            wt[t], wt[i] = wt[i], neg(wt[t])
+            if d:
+                rows[t], rows[i] = rows[i], [-x % d for x in rows[t]]
+                wt[t], wt[i] = wt[i], [-x % d for x in wt[t]]
+            else:
+                rows[t], rows[i] = rows[i], [-x for x in rows[t]]
+                wt[t], wt[i] = wt[i], [-x for x in wt[t]]
         if j != t:
             for row in rows:
                 row[t], row[j] = row[j], (-row[t] % d if d else -row[t])
@@ -252,16 +264,28 @@ def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows]:
                 b = rows[i][t]
                 if not b:
                     continue
+                top, row, wtop, wrow = rows[t], rows[i], wt[t], wt[i]
                 if b % pivot:  # [[x, y], [p, q]] on rows t, i; its inverse on W
                     x, y, p, q = _gcd_step(pivot, b)
-                    top, row, wtop, wrow = rows[t], rows[i], wt[t], wt[i]
-                    rows[t], rows[i] = lin(x, top, y, row), lin(p, top, q, row)
-                    wt[t], wt[i] = lin(q, wtop, -p, wrow), lin(-y, wtop, x, wrow)
+                    if d:
+                        rows[t] = [(x * s + y * r) % d for s, r in zip(top, row)]
+                        rows[i] = [(p * s + q * r) % d for s, r in zip(top, row)]
+                        wt[t] = [(q * s - p * r) % d for s, r in zip(wtop, wrow)]
+                        wt[i] = [(x * r - y * s) % d for s, r in zip(wtop, wrow)]
+                    else:
+                        rows[t] = [x * s + y * r for s, r in zip(top, row)]
+                        rows[i] = [p * s + q * r for s, r in zip(top, row)]
+                        wt[t] = [q * s - p * r for s, r in zip(wtop, wrow)]
+                        wt[i] = [x * r - y * s for s, r in zip(wtop, wrow)]
                     pivot = rows[t][t]
                 else:  # [[1, 0], [-f, 1]]: row i, and row t of W^T, change
                     f = b // pivot
-                    rows[i] = lin(-f, rows[t], 1, rows[i])
-                    wt[t] = lin(1, wt[t], f, wt[i])
+                    if d:
+                        rows[i] = [(r - f * s) % d for s, r in zip(top, row)]
+                        wt[t] = [(s + f * r) % d for s, r in zip(wtop, wrow)]
+                    else:
+                        rows[i] = [r - f * s for s, r in zip(top, row)]
+                        wt[t] = [s + f * r for s, r in zip(wtop, wrow)]
             top, mixed = rows[t], False
             for j in range(t + 1, n):
                 b = top[j]
@@ -292,17 +316,23 @@ def smith_normal_form(L: IntSymMatrix) -> Tuple[IntRows, IntRows]:
                 pivot = rows[t][t] = math.gcd(pivot, d)
             elif pivot < 0:
                 pivot = -pivot
-                rows[t], wt[t] = neg(rows[t]), neg(wt[t])
+                rows[t], wt[t] = [-x for x in rows[t]], [-x for x in wt[t]]
             if pivot == 1:
                 break  # every entry is a multiple of 1
-            bad = next((i for i in range(t + 1, n)
-                        if any(x % pivot for x in rows[i][t + 1:])), None)
-            if bad is None:
-                break
+            for bad in range(t + 1, n):
+                if any([x % pivot for x in rows[bad][t + 1:]]):
+                    break
+            else:
+                break  # pivot divides every entry of the trailing block
             # [[1, 1], [0, 1]] brings a non-multiple into row t; its inverse
             # changes only row `bad` of W^T.
-            rows[t] = lin(1, rows[t], 1, rows[bad])
-            wt[bad] = lin(-1, wt[t], 1, wt[bad])
+            top, row, wtop, wrow = rows[t], rows[bad], wt[t], wt[bad]
+            if d:
+                rows[t] = [(s + r) % d for s, r in zip(top, row)]
+                wt[bad] = [(r - s) % d for s, r in zip(wtop, wrow)]
+            else:
+                rows[t] = [s + r for s, r in zip(top, row)]
+                wt[bad] = [r - s for s, r in zip(wtop, wrow)]
     return rows, wt
 
 

@@ -20,10 +20,12 @@ Conventions used throughout the library:
   number.
 * Every exponential sum of the library but a one-dimensional torsion Gauss
   sum (:func:`abtqft.quadmod.cyclic_gauss_sum`, exact) goes through the
-  one kernel :func:`abtqft.phasesums.quadratic_phase_sums`, whose root
-  tables equal :func:`unit_phase_eval` bit for bit.  That module holds all of the
+  one kernel :func:`abtqft.phasesums.quadratic_phase_sums`, whose roots
+  equal :func:`unit_phase_eval` bit for bit.  That module holds all of the
   library's numpy arithmetic; this one keeps only the exact phase types,
-  the JSON codecs and the tolerance policy, and imports no numpy.
+  the JSON codecs, the tolerance policy and :data:`ROOTS8`, the eighth
+  roots of unity that the closed-form cyclic Gauss sums and the signature
+  phase of the reciprocity check read, and imports no numpy.
 """
 
 from __future__ import annotations
@@ -90,6 +92,14 @@ def unit_phase_eval(p: UnitPhase) -> complex:
     if quarter == 2:
         return complex(-c, -s)
     return complex(s, -c)
+
+
+#: ``exp(2 pi i j / 8)`` for ``j`` in ``range(8)``, from
+#: :func:`unit_phase_eval`, so ``sqrt(m2) * ROOTS8[j]`` is
+#: :func:`polar_to_approx` of ``sqrt(m2) exp(2 pi i j / 8)`` bit for bit.
+#: The closed-form cyclic Gauss sums (:func:`abtqft.quadmod.gauss_sums`) and
+#: the signature phase of the reciprocity check read it.
+ROOTS8 = tuple(unit_phase_eval(UnitPhase(Fraction(j, 8))) for j in range(8))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ sums on non-cyclic groups that also give the reciprocity right side; those
 on cyclic groups have the closed form of
 :func:`abtqft.quadmod.cyclic_gauss_sum`) goes through
 :func:`quadratic_phase_sums`, which evaluates a batch of forms on one
-group; a single form is a batch of one.  It reads every phase from a table
-equal to :func:`abtqft.numeric.unit_phase_eval`, and sums over a trailing
+group; a single form is a batch of one.  Every phase it adds is
+:func:`_unit_roots`, equal to :func:`abtqft.numeric.unit_phase_eval` bit
+for bit: read from a cached table up to ``_BLOCK`` entries, and applied to
+the exponents themselves for a larger modulus, so a sum of a handful of
+points builds no table of ``N`` entries.  It sums over a trailing
 block of coordinates for all leading points at once by one inverse DFT
 (split-Fourier).  A batch runs in stacked numpy passes: one integer product
 gives the exponents of a pass, its forms are folded and transformed per
@@ -25,39 +28,46 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 
+def _unit_roots(r: np.ndarray, n: int) -> np.ndarray:
+    """``exp(2 pi i r / n)`` for every entry of the int64 array ``r`` of
+    residues in ``[0, n)``, of any shape: the formula of
+    :func:`abtqft.numeric.unit_phase_eval` of ``r / n``, vectorised, with
+    the same quarter-turn split and the same float operations, so each
+    entry is its bits, whatever the shape of ``r``."""
+    quarter = (4 * r) // n
+    theta = 2.0 * math.pi * ((4 * r - quarter * n) / (4 * n))
+    c, s = np.cos(theta), np.sin(theta)
+    roots = np.empty(r.shape, dtype=complex)
+    roots.real = np.choose(quarter, (c, -s, -c, s))
+    roots.imag = np.choose(quarter, (s, c, -s, -c))
+    return roots
+
+
 @lru_cache(maxsize=64)
 def _root_table(n: int) -> np.ndarray:
-    """``exp(2 pi i r / n)`` for ``r`` in ``range(n)``, equal bit for bit to
-    :func:`abtqft.numeric.unit_phase_eval` of ``r / n`` (same quarter-turn
-    split, same float operations, vectorised).  A table holds 16 bytes per entry, so
-    :func:`quadratic_phase_sums` caches only tables of at most ``_BLOCK``
-    entries and builds larger ones per call through ``__wrapped__``; it is
-    filled ``_BLOCK`` entries at a time, so its temporaries stay that small
-    (each entry is computed on its own, so the bits do not depend on the
-    blocks)."""
+    """``exp(2 pi i r / n)`` for ``r`` in ``range(n)``, :func:`_unit_roots`
+    of ``_BLOCK`` entries at a time, so its temporaries stay that small.  A
+    table holds 16 bytes per entry, so :func:`quadratic_phase_sums` reads
+    only tables of at most ``_BLOCK`` entries and takes the roots of larger
+    moduli from :func:`_unit_roots` of its exponents."""
     table = np.empty(n, dtype=complex)
     for start in range(0, n, _BLOCK):
-        r = np.arange(start, min(n, start + _BLOCK), dtype=np.int64)
-        quarter = (4 * r) // n
-        theta = 2.0 * math.pi * ((4 * r - quarter * n) / (4 * n))
-        c, s = np.cos(theta), np.sin(theta)
-        block = table[start:start + _BLOCK]
-        block.real = np.choose(quarter, (c, -s, -c, s))
-        block.imag = np.choose(quarter, (s, c, -s, -c))
+        table[start:start + _BLOCK] = _unit_roots(
+            np.arange(start, min(n, start + _BLOCK), dtype=np.int64), n)
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 
 
-#: Largest root table :func:`quadratic_phase_sums` keeps in the cache (a
-#: table holds 16 bytes per entry, so larger ones are built per call), and
-#: the most form-points (forms times trailing points) one stacked pass of
-#: a batch holds.
+#: Largest root table :func:`quadratic_phase_sums` reads (a table holds 16
+#: bytes per entry, so a larger modulus takes its roots from
+#: :func:`_unit_roots` of the exponents), and the most form-points (forms
+#: times trailing points) one stacked pass of a batch holds.
 _BLOCK = 1 << 16
 
 #: Groups of at most this many points are summed unsplit: below it the
@@ -171,9 +181,9 @@ def quadratic_phase_sums(grams: Sequence[Sequence[Sequence[int]]],
     zero-padding to a multiple of ``P_j``, which a form well defined on the
     group never needs) turns ``F`` into one n-dimensional inverse DFT, read
     at ``y_j / d_j``.  With ``s = 0`` every period is 1 and the sum is
-    ``f.sum()``.  This is exact algebra: every phase comes from the exact
-    root table, and only the DFT and the sums round.  For ``T`` terms the
-    worst-case float error is about ``eps * T * log2(T)`` (``eps`` the
+    ``f.sum()``.  This is exact algebra: every phase is the exact root of
+    :func:`_unit_roots`, and only the DFT and the sums round.  For ``T``
+    terms the worst-case float error is about ``eps * T * log2(T)`` (``eps`` the
     double-precision unit), below the ``1e-9 * sqrt(T)`` budget for every
     ``T`` up to about ``10**10``.
 
@@ -182,8 +192,9 @@ def quadratic_phase_sums(grams: Sequence[Sequence[Sequence[int]]],
     forms (one product per block of coordinates against monomial tables
     built once per call; a call of one form, for which the tables would
     cost more than they save, evaluates it directly) and looks them up in
-    the root table.  Its forms are then grouped by their tuple of periods:
-    the fold, one ``ifftn`` over the non-batch axes and the read at the
+    the root table, or, above ``_BLOCK``, takes their roots directly.  Its
+    forms are then grouped by their tuple of periods: the fold, one
+    ``ifftn`` over the non-batch axes and the read at the
     leading shifts run once per group.  The pass ends in one stacked matmul
     of ``(1, lead)`` by ``(lead, 1)`` blocks, which numpy runs as one BLAS
     dot per block, the dot a single form's 1-D contraction makes.  The
@@ -205,7 +216,10 @@ def quadratic_phase_sums(grams: Sequence[Sequence[Sequence[int]]],
                    n).reshape(count, m)
     c = _int64_mod(list(constants or [0] * count), n)
     s = _split_point(moduli)
-    table = _root_table(n) if n <= _BLOCK else _root_table.__wrapped__(n)
+    if n <= _BLOCK:
+        roots = _root_table(n).__getitem__
+    else:  # no table of n entries for what may be a handful of points
+        roots = partial(_unit_roots, n=n)
     sizes = tuple(moduli[s:])
     trailing, lead = _points(sizes), _points(tuple(moduli[:s]))
     shared = count > 1
@@ -231,13 +245,13 @@ def quadratic_phase_sums(grams: Sequence[Sequence[Sequence[int]]],
         # the fold below sums them in the order that fixed every value's
         # bits.  A call of one form evaluates it directly.
         if shared:
-            values = table[trail_coef[part] @ trail_mono % n]
-            heads = table[lead_coef[part] @ lead_mono % n]
+            values = roots(trail_coef[part] @ trail_mono % n)
+            heads = roots(lead_coef[part] @ lead_mono % n)
         else:
-            values = table[_values(trailing, g[:, s:, s:], b[:, None, s:],
-                                   0, n)]
-            heads = table[_values(lead, g[:, :s, :s], b[:, None, :s],
-                                  c[:, None], n) if s else c[:, None]]
+            values = roots(_values(trailing, g[:, s:, s:], b[:, None, s:],
+                                   0, n))
+            heads = roots(_values(lead, g[:, :s, :s], b[:, None, :s],
+                                  c[:, None], n) if s else c[:, None])
         reads = np.empty_like(heads)
         groups: Dict[Tuple[int, ...], List[int]] = {}
         for j, key in enumerate(periods[part]):

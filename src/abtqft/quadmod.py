@@ -72,9 +72,10 @@ from .intlinalg import (
     IntSymMatrix,
     RegularDecomposition,
     eliminate_symmetric,
+    rank,
     regular_decomposition,
 )
-from .numeric import UnitPhase, unit_phase_eval
+from .numeric import ROOTS8
 
 #: Largest torsion group :func:`gauss_sums` sums over.
 GROUP_ENUMERATION_CAP = 10 ** 6
@@ -177,22 +178,30 @@ def from_decomposition(rd: RegularDecomposition) -> FiniteQuadraticModule:
     ``p`` the last pivot, so ``G = -e T / p`` divides exactly.  A pivot
     count other than the rank ``m - nullity`` raises
     :class:`~abtqft.errors.DegenerateMatrix`.
+
+    A trivial group has no lifts, so no Gram and no elimination: its pivot
+    count is the rank that ``L`` keeps from its signature elimination
+    (:func:`abtqft.intlinalg.rank`, already run for the Smith form's
+    determinant), checked against ``m - nullity`` the same way.
     """
     L, gens = rd.matrix, rd.generator_reps
-    m, e = L.m, math.lcm(*rd.cyclic_orders)
-    bordered = [list(row) + [g[r] for g in gens] for r, row in enumerate(L.entries)]
-    bordered += [list(g) + [0] * len(gens) for g in gens]
-    _, pivots, p = eliminate_symmetric(bordered, m)
+    m, t = L.m, len(gens)
+    if gens:
+        bordered = [[*row, *col] for row, col in zip(L.entries, zip(*gens))]
+        bordered += [[*g] + [0] * t for g in gens]
+        _, pivots, p = eliminate_symmetric(bordered, m)
+        trailing = bordered[m:]
+    else:  # a trivial group: no lifts, so no Gram and no elimination
+        pivots, trailing = rank(L), []
     if pivots != m - rd.nullity:
         raise DegenerateMatrix(f"matrix of nullity {rd.nullity} "
                                f"has rank {pivots}")
-    # The upper triangle of the trailing block, read as its mirror below.
-    trailing = [row[m:] for row in bordered[m:]]
-    gram = tuple(
-        tuple(_integral(-e * trailing[min(i, j)][max(i, j)], p) % (2 * e)
-              for j in range(len(gens)))
-        for i in range(len(gens)))
-    return FiniteQuadraticModule(rd.cyclic_orders, gram)
+    e = math.lcm(*rd.cyclic_orders)
+    gram = [[0] * t for _ in range(t)]
+    for i, row in enumerate(trailing):  # its upper triangle, mirrored below
+        for j in range(i, t):
+            gram[i][j] = gram[j][i] = _integral(-e * row[m + j], p) % (2 * e)
+    return FiniteQuadraticModule(rd.cyclic_orders, tuple(map(tuple, gram)))
 
 
 def jacobi_symbol(a: int, n: int) -> int:
@@ -241,12 +250,6 @@ def cyclic_gauss_sum(a: int, n: int) -> Tuple[int, int]:
                    + 4 * (jacobi_symbol(c, a) == -1)) % 8
 
 
-#: ``exp(2 pi i j / 8)`` for ``j`` in ``range(8)``, from
-#: :func:`abtqft.numeric.unit_phase_eval`, so ``sqrt(m2) * _ROOTS8[j]`` is
-#: :func:`abtqft.numeric.polar_to_approx` of the exact value, bit for bit.
-_ROOTS8 = tuple(unit_phase_eval(UnitPhase(Fraction(j, 8))) for j in range(8))
-
-
 def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
                ) -> List[complex]:
     """Normalized level-``k`` Gauss sum ``|T|^{-1/2} sum_x exp(2 pi i k
@@ -278,7 +281,7 @@ def gauss_sums(pairs: Sequence[Tuple[FiniteQuadraticModule, int]]
         module, k = pairs[i]
         g = module.gram[0][0] if module.gram else 0
         m2, j = cyclic_gauss_sum(k // 2 * g, module.order)
-        sums[i] = math.sqrt(m2) * _ROOTS8[j]
+        sums[i] = math.sqrt(m2) * ROOTS8[j]
     if classes:
         from . import phasesums
     for orders, members in classes.items():

@@ -181,7 +181,7 @@ class SurgeryPresentation:
 
 def _check_enumeration(k: int, m: int) -> None:
     """Refuse ``k^max(m, 1)`` above the cap (:func:`max_enumeration`); at
-    ``m = 0`` the kernel still builds a root table of ``2k`` entries."""
+    ``m = 0``, one point, the bound is the level."""
     cap = max_enumeration()
     if k ** max(m, 1) > cap:
         if not m:
@@ -318,12 +318,19 @@ def apply_kirby(p: SurgeryPresentation, move: KirbyMove) -> SurgeryPresentation:
     i, j = move.source, move.target
     if not (0 <= i < m and 0 <= j < m) or i == j:
         raise IndexOutOfRange(f"invalid handle slide ({i} over {j}) for m={m}")
-    s = move.sign
     rows = p.linking.rows()
-    rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
-    for row in rows:
-        row[i] += s * row[j]
+    slide_rows(rows, i, j, move.sign)
     return SurgeryPresentation(IntSymMatrix(rows), p.insertion_colors)
+
+
+def slide_rows(rows: List[List[int]], source: int, target: int, s: int) -> None:
+    """The handle slide of ``source`` over ``target`` with sign ``s`` on a
+    symmetric row list, in place: row ``source`` gains ``s`` times row
+    ``target``, then column ``source`` gains ``s`` times column ``target``,
+    the congruence ``A^T M A`` by ``A = I + s E[target, source]``."""
+    rows[source] = [x + s * y for x, y in zip(rows[source], rows[target])]
+    for row in rows:
+        row[source] += s * row[target]
 
 
 def random_kirby_move(rng: random.Random, m: int) -> KirbyMove:
@@ -367,20 +374,9 @@ def random_transvection(rng: random.Random, m: int) -> Tuple[int, int, int]:
     2``) and ``s = +-1``: row ``i`` gains ``s`` times row ``j``.  The one
     draw protocol (``randrange(m)``, ``randrange(m - 1)`` shifted past
     ``i``, then ``choice((1, -1))``) of every handle slide and unimodular
-    matrix drawn, on which fixed-seed reports depend."""
+    congruence drawn, on which fixed-seed reports depend."""
     i = rng.randrange(m)
     j = rng.randrange(m - 1)
     if j >= i:
         j += 1
     return i, j, rng.choice((1, -1))
-
-
-def random_unimodular(rng: random.Random, m: int, steps: int = 6) -> List[List[int]]:
-    """Product of random elementary transvections (determinant +1)."""
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    if m < 2:
-        return u
-    for _ in range(steps):
-        i, j, s = random_transvection(rng, m)
-        u[i] = [x + s * y for x, y in zip(u[i], u[j])]
-    return u

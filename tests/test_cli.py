@@ -320,6 +320,24 @@ def test_peak_memory_does_not_grow_with_the_case_count(suite):
     assert peaks[1] - peaks[0] <= 8 * 1024
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+def test_one_point_sum_at_the_largest_level_builds_no_root_table(capsys):
+    # S3 at k = 9999998 sums one point at modulus 2k: its one root comes
+    # from the formula, not from a table of 2k entries (340 MB of peak
+    # resident set when it was built), and the report keeps its bytes.
+    argv = ("invariant", "S3", "--k", "9999998", "--side", "rt")
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    code, peak_kb = proc.stdout.split()
+    assert (code, proc.stderr) == ("0", "")
+    assert int(peak_kb) < 100 * 1024
+    assert run(capsys, *argv) == (0, "source       S3\nk            9999998\n"
+                                     "sigma(L_reg) 0\nb1           0\n"
+                                     "rt           0.00031622779764+0j\n", "")
+
+
 def test_verify_kirby_cap_message_names_the_first_refused_case(capsys,
                                                                monkeypatch):
     # Case 0 of seed 0 is a 4x4 at k = 4; case 7 is a 3x3 at k = 8, whose

@@ -31,7 +31,8 @@ from abtqft.quadmod import from_decomposition, from_surgery, gauss_sums
 from abtqft.surgery import (SurgeryPresentation, random_symmetric_matrix,
                             rt_raw_closed)
 from test_intlinalg import (assert_module_is_the_blocks, block_decomposition,
-                             degenerate_draw, determinant)
+                             degenerate_draw, determinant, mat_transpose)
+from test_surgery import random_unimodular
 
 LEVELS = (2, 4, 6, 8)
 
@@ -331,6 +332,26 @@ def test_random_nondegenerate_accepts_the_determinant_rule_draws(eliminations):
         assert getattr(L, "_signature", None) == signature(want)
 
 
+def test_random_degenerate_is_the_congruence_by_a_drawn_unimodular():
+    # The 2m transvections act as handle slides in reverse draw order: that
+    # is U^T (L_reg + 0) U for the U that random_unimodular multiplies from
+    # the same draws, on a clone of the generator.
+    for seed in range(600):
+        rng = random.Random(seed)
+        ref = random.Random()
+        ref.setstate(rng.getstate())
+        L = random_degenerate(rng)
+        reg = random_nondegenerate(ref, 2, 3)
+        nullity = ref.randint(1, 2)
+        m = reg.m + nullity
+        padded = [list(row) + [0] * nullity for row in reg.entries]
+        padded += [[0] * m for _ in range(nullity)]
+        u = random_unimodular(ref, m, steps=2 * m)
+        assert L.rows() == intlinalg.mat_mul(
+            intlinalg.mat_mul(mat_transpose(u), padded), u)
+        assert rng.getstate() == ref.getstate()
+
+
 def test_random_degenerate_really_degenerate():
     rng = random.Random(79)
     for _ in range(20):
@@ -493,9 +514,9 @@ def small_torsion_draw(m):
     2))`` and ``B = [I | V]`` with ``V`` in [-3, 3] from the same
     generator."""
     rng = random.Random(2)
-    p = surgery.random_unimodular(rng, m - 2, steps=2 * (m - 2))
+    p = random_unimodular(rng, m - 2, steps=2 * (m - 2))
     d = IntSymMatrix.diagonal([3] * 4 + [1] * (m - 6)).rows()
-    s = intlinalg.mat_mul(intlinalg.mat_mul(intlinalg.mat_transpose(p), d), p)
+    s = intlinalg.mat_mul(intlinalg.mat_mul(mat_transpose(p), d), p)
     return degenerate_draw(rng, m, s, bound=3)[0]
 
 

@@ -28,10 +28,12 @@ from abtqft.extended import (
     twist_phase,
     walker_correct,
 )
-from abtqft.intlinalg import IntSymMatrix, mat_mul, mat_transpose, mat_vec, signature
+from abtqft.intlinalg import IntSymMatrix, mat_mul, mat_vec, signature
 from abtqft.numeric import UnitPhase, unit_phase_eval
-from abtqft.surgery import (SurgeryPresentation, random_symmetric_matrix, random_unimodular,
+from abtqft.surgery import (SurgeryPresentation, random_symmetric_matrix,
                             rt_raw_closed)
+from test_intlinalg import mat_transpose
+from test_surgery import random_unimodular
 
 LEVELS = (2, 4, 6, 8)
 

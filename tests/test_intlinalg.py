@@ -18,7 +18,6 @@ from abtqft.intlinalg import (
     RegularDecomposition,
     clear_denominators,
     mat_mul,
-    mat_transpose,
     mat_vec,
     rank,
     rational_rank,
@@ -62,6 +61,10 @@ def determinant(mat):
     return sign * prev
 
 
+def mat_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def snf(mat):
     """:func:`smith_normal_form` of an :class:`IntSymMatrix` or its rows."""
     return smith_normal_form(
@@ -103,6 +106,22 @@ def test_int_sym_matrix_converts_entries_with_int():
     with pytest.raises(TypeError):
         IntSymMatrix.from_rows([[None]])
     assert IntSymMatrix.from_rows([]).m == IntSymMatrix.empty().m == 0
+
+
+def test_hash_is_kept_and_nothing_the_matrix_shows_changes():
+    # The hash is hash(entries), computed on first use and kept outside the
+    # fields like the signature: equality, repr and the JSON form are the
+    # same before and after the hash, signature, rank or determinant runs.
+    rng = random.Random(41)
+    for _ in range(200):
+        rows = random_symmetric(rng, rng.randint(0, 4), 3)
+        L, twin = IntSymMatrix.from_rows(rows), IntSymMatrix.from_rows(rows)
+        shown = (repr(L), L.to_json(), dataclasses.astuple(L))
+        for computed in (hash, signature, rank, intlinalg.det):
+            computed(L)
+            assert (repr(L), L.to_json(), dataclasses.astuple(L)) == shown
+            assert L == twin
+            assert hash(L) == hash(twin) == hash(L.entries) == L._hash
 
 
 def test_direct_sum_is_the_block_diagonal_join():
@@ -632,6 +651,18 @@ def test_bordered_gram_on_any_lifts_and_refuses_a_singular_block():
             quadmod.from_decomposition(RegularDecomposition(
                 IntSymMatrix.from_rows(rows), nullity, (2,),
                 ((1,) * len(rows),)))
+    # A trivial group (t = 0) has no lifts, no Gram and no elimination; the
+    # rank L keeps refuses a nullity that misstates it, with the message
+    # the elimination's pivot count gave.
+    for rows, nullity, rank_ in (([[0]], 0, 0), ([[1]], 1, 1),
+                                 ([[1, 2], [2, 4]], 0, 1),
+                                 ([[1, 0], [0, 0]], 2, 1),
+                                 ([[0, 1], [1, 0]], 1, 2), (E8_ROWS, 1, 8)):
+        with pytest.raises(DegenerateMatrix) as raised:
+            quadmod.from_decomposition(RegularDecomposition(
+                IntSymMatrix.from_rows(rows), nullity, (), ()))
+        assert str(raised.value) == (f"matrix of nullity {nullity} "
+                                     f"has rank {rank_}")
 
 
 def test_signature_elimination_keeps_the_determinant():

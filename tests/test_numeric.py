@@ -213,6 +213,38 @@ def test_phase_table_equals_unit_phase_eval_bit_for_bit():
             assert table[r] == unit_phase_eval(UnitPhase(Fraction(r, n)))
 
 
+#: Moduli past the cached tables: the first past ``_BLOCK``, a prime, the
+#: modulus ``2e`` of a cyclic torsion group near the group cap, and the
+#: coloring modulus ``2k`` at the largest level the cap lets run.
+UNCACHED_MODULI = [65537, 131071, 1999966, 19999996]
+
+
+@pytest.mark.parametrize("n", UNCACHED_MODULI)
+def test_unit_roots_are_the_root_table_bit_for_bit_in_any_shape(n):
+    # Above _BLOCK the kernel takes its roots from _unit_roots of the
+    # exponents, of whatever shape and strides, instead of a table; every
+    # entry must be the table's bits, and unit_phase_eval's.  The table at
+    # 2 * 10**7 would hold 320 MB, so there only unit_phase_eval is built.
+    rng = np.random.default_rng(n)
+    firsts = [-(-q * n // 4) for q in range(1, 4)]  # of each quarter turn
+    edges = {0, 1, n - 1} | {x + d for x in firsts for d in (-1, 0, 1)}
+    r = np.concatenate((np.array(sorted(edges), dtype=np.int64),
+                        rng.integers(0, n, 4096 - len(edges))))
+    want = np.array([unit_phase_eval(UnitPhase(Fraction(int(x), n)))
+                     for x in r])
+    if n <= 2 * 10 ** 6:
+        assert phasesums._root_table.__wrapped__(n)[r].tobytes() \
+            == want.tobytes()
+    square = r.reshape(64, 64)
+    for shaped, expected in ((r, want), (square, want.reshape(64, 64)),
+                             (square.T, want.reshape(64, 64).T),
+                             (np.repeat(r, 3)[::3], want),
+                             (square[::2, 1::3], want.reshape(64, 64)[::2, 1::3])):
+        got = phasesums._unit_roots(shaped, n)
+        assert got.shape == expected.shape
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Batches of forms
 

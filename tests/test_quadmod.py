@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from abtqft import phasesums, quadmod
-from abtqft.errors import GroupTooLarge
+from abtqft.errors import DegenerateMatrix, GroupTooLarge
 from abtqft.intlinalg import (
     IntSymMatrix,
+    RegularDecomposition,
     mat_mul,
-    mat_transpose,
     regular_decomposition,
 )
 from abtqft.numeric import (PolarValue, UnitPhase, polar_to_approx,
                             sum_tolerance, unit_phase_eval)
-from abtqft.compare import verify_reciprocity_dt
+from abtqft.compare import E8_ROWS, verify_reciprocity_dt
 from abtqft.extended import modular_rep
 from abtqft.quadmod import (
     FiniteQuadraticModule,
@@ -25,10 +25,10 @@ from abtqft.quadmod import (
     gauss_sums,
 )
 from abtqft.surgery import SurgeryPresentation, coloring_sums
-from abtqft.surgery import random_unimodular
 from test_intlinalg import (block_decomposition, degenerate_draw,
                              determinant, elements, exact_inverse,
-                             inverse_form)
+                             inverse_form, mat_transpose)
+from test_surgery import random_unimodular
 
 
 def sym(rows):
@@ -56,6 +56,26 @@ def test_from_surgery_unimodular_is_trivial():
     mod = from_surgery(sym([[1]]))
     assert mod.order == 1
     assert mod.q(()) == 0
+
+
+@pytest.mark.parametrize("rows", [[], [[1]], [[0]], [[1, 0], [0, 0]],
+                                  [[0, 1], [1, 0]], list(E8_ROWS)],
+                         ids=["empty", "unit", "zero", "radical", "hyperbolic",
+                              "E8"])
+def test_trivial_group_module_runs_no_elimination(rows, eliminations):
+    # A trivial group has no lifts, so no Gram: the module reads the rank
+    # that L keeps from its Smith form's determinant and runs no
+    # elimination, and a nullity that misstates that rank still refuses.
+    L = sym(rows)
+    rd = regular_decomposition(L)
+    assert rd.cyclic_orders == ()
+    del eliminations[:]
+    assert from_decomposition(rd) == FiniteQuadraticModule((), ())
+    for nullity in {rd.nullity - 1, rd.nullity + 1} - {-1}:
+        with pytest.raises(DegenerateMatrix, match=f"^matrix of nullity "
+                           f"{nullity} has rank {L.m - rd.nullity}$"):
+            from_decomposition(RegularDecomposition(L, nullity, (), ()))
+    assert eliminations == []
 
 
 def test_from_surgery_order_three():

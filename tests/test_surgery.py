@@ -8,7 +8,7 @@ import pytest
 from abtqft import surgery
 from abtqft.compare import E8_ROWS
 from abtqft.errors import EnumerationTooLarge, IndexOutOfRange
-from abtqft.intlinalg import IntSymMatrix, mat_mul, mat_transpose, signature
+from abtqft.intlinalg import IntSymMatrix, mat_mul, signature
 from abtqft.numeric import (PolarValue, UnitPhase, polar_to_approx,
                             sum_tolerance, unit_phase_eval)
 from abtqft.phasesums import quadratic_phase_sums
@@ -23,6 +23,7 @@ from abtqft.surgery import (
     rt_raw_closed,
     rt_raw_closed_many,
 )
+from test_intlinalg import mat_transpose
 from test_numeric import phase_sum_per_term
 
 LEVELS = (2, 4, 6, 8)
@@ -57,6 +58,19 @@ def rt_raw_closed_reference(p, k):
         total += unit_phase_eval(rt_link_eval(p, g, k))
     pref = normalization_prefactor(p.m, signature(p.surgery), k)
     return polar_to_approx(pref) * total
+
+
+def random_unimodular(rng, m, steps=6):
+    """Product of random elementary transvections (determinant +1): ``U =
+    E_steps ... E_1``, ``E = I + s e_i e_j^T`` for the draw ``(i, j, s)`` of
+    :func:`surgery.random_transvection`; no draw below ``m = 2``."""
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    if m < 2:
+        return u
+    for _ in range(steps):
+        i, j, s = surgery.random_transvection(rng, m)
+        u[i] = [x + s * y for x, y in zip(u[i], u[j])]
+    return u
 
 
 def closed(rows):
